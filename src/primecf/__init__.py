@@ -41,6 +41,7 @@ from .errors import (
     ConstructionInfeasibleError,
     DivergentSeriesError,
     EnumerationGuardError,
+    GuardError,
     OutOfRangeError,
     PrecisionExhaustedError,
     UndefinedExponentError,
@@ -85,3 +86,12 @@ from .zeta import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The CLI module is imported on first use, so that `python -m primecf.cli`
+    # does not find it already loaded by the package.
+    if name == "schema_for":
+        from .cli import schema_for
+        return schema_for
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -94,9 +94,16 @@ def luczak_levels(params: LuczakParams, k_max: int, sv: PrimeSieve | None = None
     levels: list[CantorLevel] = []
     cum: list[tuple[int, ...]] | None = [()] if sv is not None else None
     for k in range(1, k_max + 1):
+        try:
+            log_eps = -(k + 1) * math.log(36.0) - 2.0 * (b ** (k + 1) - b) / (b - 1.0) * logc
+        except OverflowError:
+            log_eps = -math.inf
+        if not math.isfinite(log_eps):
+            raise OutOfRangeError(
+                f"level {k} leaves float range: b^(k+1) log c with b = {b}, c = {c};"
+                " lower k_max")
         logx = b ** k * logc
         log_m = logx - math.log(2.0 * logx)
-        log_eps = -(k + 1) * math.log(36.0) - 2.0 * (b ** (k + 1) - b) / (b - 1.0) * logc
         rosser_ok = logx >= math.log(ROSSER_FLOOR)
         block = None
         true_count = None
@@ -163,15 +170,15 @@ class BoxDimEstimate:
 
 def box_dimension_estimate(covers: Sequence[Sequence[float]]) -> BoxDimEstimate:
     """Least-squares slope of log(count) against -log(max length) per level."""
-    if len(covers) < 2:
-        raise ValueError("need covers at two or more levels for a slope")
     xs, ys = [], []
     for level in covers:
         lengths = list(level)
-        if not lengths or min(lengths) <= 0:
-            raise ValueError("each cover level needs positive lengths")
+        if not lengths or not all(0 < x < math.inf for x in lengths):
+            raise ValueError("each cover level needs positive finite lengths")
         xs.append(-math.log(max(lengths)))
         ys.append(math.log(len(lengths)))
+    if len(set(xs)) < 2:
+        raise ValueError("need covers at two or more distinct scales for a slope")
     coeffs, res = np.polyfit(xs, ys, 1, full=True)[:2]
     residual = float(np.sqrt(res[0] / len(xs))) if res.size else 0.0
     return BoxDimEstimate(slope=float(coeffs[0]), residual=residual, levels=len(covers))
@@ -224,7 +231,7 @@ def prime_block_constant(gamma: float, n: int, sv: PrimeSieve) -> float:
     Tends to 1; the constructions want it below 2 (enough primes in every
     window).  Infinite when the window holds no prime at all.
     """
-    if gamma <= 1:
+    if not gamma > 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     lo = gamma ** n
     if 2 * lo > sv.limit:
@@ -311,7 +318,7 @@ def make_eb_params(B: float, ell: int, s: float, delta: float, sv: PrimeSieve,
         raise ValueError(f"need 1/2 < s - 2*delta < s < 1, got s={s}, delta={delta}")
     alphas = alpha_values(B, ell, s)
     last_base = B / math.prod(alphas)
-    if last_base <= 1:
+    if not last_base > 1:
         raise ConstructionInfeasibleError(
             f"last prime-window base B/(alpha_0...alpha_(ell-2)) = {last_base:.4g} <= 1"
         )

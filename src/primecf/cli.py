@@ -5,17 +5,25 @@ then a header row, then data rows) or as a schema-tagged JSON object.
 Identical invocations produce identical bytes.  Numbers in CSV cells use
 20 significant digits; exact rationals are "num/den" strings.  Errors
 raised by guards print their class name to stderr and exit nonzero.
+
+Each subcommand is declared once, in COMMANDS: its arguments (the keyword
+arguments of `add_argument`, whose `type` callables carry the range and
+finiteness checks), its handler, and the typed columns of its rows and
+summary.  The parser, the input echo and the JSON schema of the output
+(`schema_for`) are all built from that table.
 """
 from __future__ import annotations
 
 import argparse
 import ast
+import copy
 import csv
 import io
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -23,28 +31,14 @@ import numpy as np
 from mpmath import mp
 
 from . import cantor, contfrac, measure, pressure, zeta
-from .errors import (
-    BracketError,
-    ConstructionInfeasibleError,
-    DivergentSeriesError,
-    EnumerationGuardError,
-    OutOfRangeError,
-    PrecisionExhaustedError,
-    UndefinedExponentError,
-)
+from .errors import GuardError, OutOfRangeError
 from .primes import PrimeSieve
 
 SIEVE_ENV = "PRIMECF_SIEVE_LIMIT"
-
-_GUARD_ERRORS = (
-    BracketError,
-    ConstructionInfeasibleError,
-    DivergentSeriesError,
-    EnumerationGuardError,
-    OutOfRangeError,
-    PrecisionExhaustedError,
-    UndefinedExponentError,
-)
+# Certified digits of a sample grow with its precision, and every entry
+# of a window is evaluated and tabulated, so both are capped.
+BITS_CAP = 1 << 20
+WINDOW_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +88,10 @@ def _jsonable(v):
 
 
 def _emit(command: str, fmt: str, inputs: dict, rows: list[dict],
-          summary: dict | None = None, notes: list[str] | None = None) -> str:
+          summary: dict | None = None, notes: list[str] | None = None,
+          extra: dict[str, list[dict]] | None = None) -> str:
+    """Render one run.  `extra` holds further top-level JSON blocks; CSV
+    output carries their content in `notes` instead."""
     if fmt == "json":
         obj = {
             "schema": f"{command}.schema.json",
@@ -104,6 +101,8 @@ def _emit(command: str, fmt: str, inputs: dict, rows: list[dict],
         }
         if summary is not None:
             obj["summary"] = _jsonable(summary)
+        for key, block in (extra or {}).items():
+            obj[key] = [_jsonable(r) for r in block]
         return json.dumps(obj, indent=2) + "\n"
     buf = io.StringIO()
     buf.write("# " + command + " "
@@ -122,12 +121,51 @@ def _emit(command: str, fmt: str, inputs: dict, rows: list[dict],
 
 
 # ---------------------------------------------------------------------------
-# shared argument plumbing
+# argument types: each rejects what no handler can use
+
+
+def real(text: str) -> float:
+    """A finite float."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def real_text(text: str) -> str:
+    """A finite real, kept as typed so it can be read exactly downstream."""
+    real(text)
+    return text
+
+
+def precision_bits(text: str) -> int:
+    k = int(text)
+    if not 0 <= k <= BITS_CAP:
+        raise argparse.ArgumentTypeError(f"must lie in [0, {BITS_CAP}], got {k}")
+    return k
+
+
+def window(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"window must be 'n1,n2', got {text!r}")
+    n1, n2 = int(parts[0]), int(parts[1])
+    if n2 - n1 >= WINDOW_CAP:
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} spans more than {WINDOW_CAP} entries")
+    return n1, n2
+
+
+def grid(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(real(x) for x in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
 
 
 def _sieve_default() -> int:
     raw = os.environ.get(SIEVE_ENV, "0")
-    return int(float(raw))
+    return int(real(raw))
 
 
 def _resolve_sieve(requested: int, minimum: int) -> int:
@@ -137,20 +175,6 @@ def _resolve_sieve(requested: int, minimum: int) -> int:
         return requested
     env = _sieve_default()
     return max(env, minimum)
-
-
-def _parse_window(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"window must be 'n1,n2', got {text!r}")
-    return int(parts[0]), int(parts[1])
-
-
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
 
 
 _PHI_FUNCS: dict[str, Callable] = {"log": mp.log, "exp": mp.exp, "sqrt": mp.sqrt}
@@ -165,7 +189,8 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
 
     Allowed: numbers, n, + - * / **, unary sign, and log/exp/sqrt calls.
     Evaluation runs in arbitrary precision, so doubly exponential
-    expressions like 2**(2**n) stay finite.
+    expressions like 2**(2**n) stay finite.  An evaluation that divides
+    by zero or leaves the reals raises ValueError naming n.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -186,7 +211,13 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
     code = compile(tree, "<phi>", "eval")
 
     def phi(n: int) -> mp.mpf:
-        return eval(code, {"__builtins__": {}, **_PHI_FUNCS, "n": mp.mpf(n)})
+        try:
+            value = eval(code, {"__builtins__": {}, **_PHI_FUNCS, "n": mp.mpf(n)})
+        except ZeroDivisionError:
+            raise ValueError(f"phi {expr!r} divides by zero at n = {n}") from None
+        if isinstance(value, mp.mpc) or mp.isnan(value):
+            raise ValueError(f"phi {expr!r} is not a real number at n = {n}: {value}")
+        return value
 
     return phi
 
@@ -195,37 +226,49 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
 # subcommands
 
 
-def cmd_pzeta_tail(args) -> str:
+@dataclass(frozen=True)
+class Output:
+    """What a handler computed.  `inputs` holds the values it resolved
+    itself (sieve, cutoff, depth), which replace the parsed ones in the
+    echo, or, for a subcommand declared with echo=False, the whole echo."""
+
+    rows: list[dict]
+    summary: dict | None = None
+    inputs: dict = field(default_factory=dict)
+    notes: list[str] | None = None
+    extra: dict[str, list[dict]] | None = None
+
+
+def cmd_pzeta_tail(args) -> Output:
     minimum = args.cutoff if args.ell == 1 else math.isqrt(args.cutoff) + 1
     sieve = _resolve_sieve(args.sieve, minimum)
     sv = PrimeSieve(sieve)
     res = zeta.pzeta_tail(args.ell, args.mode, args.s, args.M, args.cutoff, sv)
-    inputs = {"ell": args.ell, "mode": args.mode, "s": args.s, "M": args.M,
-              "cutoff": args.cutoff, "sieve": sieve}
     rows = [{"value": res.value, "remainder_bound": res.remainder_bound,
              "upper": res.upper, "terms_used": res.terms_used}]
-    return _emit("pzeta-tail", args.format, inputs, rows)
+    return Output(rows, inputs={"sieve": sieve})
 
 
-def cmd_pzeta_asymptotic(args) -> str:
+def cmd_pzeta_asymptotic(args) -> Output:
     cutoff = args.cutoff if args.cutoff > 0 else int(max(args.grid))
     minimum = cutoff if args.ell == 1 else math.isqrt(cutoff) + 1
     sieve = _resolve_sieve(args.sieve, minimum)
     sv = PrimeSieve(sieve)
     table = zeta.asymptotic_table(args.ell, args.s, list(args.grid), cutoff, sv,
                                   mode=args.mode)
-    inputs = {"ell": args.ell, "mode": args.mode, "s": args.s,
-              "grid": args.grid, "cutoff": cutoff, "sieve": sieve}
     rows = [{"M": r.M, "value": r.value, "ratio": r.ratio,
              "remainder_bound": r.remainder_bound} for r in table]
-    return _emit("pzeta-asymptotic", args.format, inputs, rows)
+    return Output(rows, inputs={"cutoff": cutoff, "sieve": sieve})
 
 
-def cmd_cf_expand(args) -> str:
+def cmd_cf_expand(args) -> Output:
     if (args.rational is None) == (args.real is None):
         raise OutOfRangeError("give exactly one of --rational or --real")
     if args.rational is not None:
-        x = Fraction(args.rational)
+        try:
+            x = Fraction(args.rational)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {args.rational!r} has a zero denominator") from None
         word = contfrac.expand_rational(x.numerator, x.denominator, args.max_len)
         shown = args.rational
         bits = None
@@ -235,45 +278,38 @@ def cmd_cf_expand(args) -> str:
         word = contfrac.expand_real(x, precision_bits=bits, max_len=args.max_len)
         shown = args.real
     back = contfrac.continuants(word)
-    inputs = {"input": shown, "bits": 0 if bits is None else bits,
-              "max_len": args.max_len}
     rows = [{"digits": tuple(word), "length": len(word),
              "reconstructed": back.value if len(word) else Fraction(0)}]
-    return _emit("cf-expand", args.format, inputs, rows)
+    return Output(rows, inputs={"input": shown, "bits": 0 if bits is None else bits,
+                                "max_len": args.max_len})
 
 
-def cmd_interval_measure(args) -> str:
+def cmd_interval_measure(args) -> Output:
     sieve = _resolve_sieve(args.sieve, args.cutoff)
     sv = PrimeSieve(sieve)
     res = measure.level_set_measure(args.ell, args.threshold, args.cutoff, sv)
-    inputs = {"ell": args.ell, "threshold": args.threshold,
-              "cutoff": args.cutoff, "sieve": sieve}
     rows = [{"lower": res.exact_lower, "upper": res.exact_upper,
              "width": res.width, "terms": res.terms}]
-    return _emit("interval-measure", args.format, inputs, rows)
+    return Output(rows, inputs={"sieve": sieve})
 
 
-def cmd_pressure_dim(args) -> str:
+def cmd_pressure_dim(args) -> Output:
     problem = pressure.PressureProblem(ell=args.ell, B=args.B, M=args.M, n=args.n)
     t = pressure.dimensional_number(problem, tol=args.tol, method=args.method)
-    inputs = {"ell": args.ell, "B": args.B, "M": args.M, "n": args.n,
-              "tol": args.tol, "method": args.method}
-    return _emit("pressure-dim", args.format, inputs, [{"t": t}])
+    return Output([{"t": t}])
 
 
-def cmd_hwx_dim(args) -> str:
+def cmd_hwx_dim(args) -> Output:
     phi = parse_phi(args.phi)
     rep = pressure.hwx_dimension(args.ell, phi, args.window, M=args.M, n=args.n,
                                  tolerance=args.tol)
-    inputs = {"ell": args.ell, "phi": args.phi, "window": args.window,
-              "M": args.M, "n": args.n, "tol": args.tol}
     rows = [{"value": rep.value, "case": rep.case,
              "logB": rep.exponents.logB, "logb": rep.exponents.logb,
              "skipped": len(rep.exponents.skipped)}]
-    return _emit("hwx-dim", args.format, inputs, rows)
+    return Output(rows)
 
 
-def cmd_mc_zero_one(args) -> str:
+def cmd_mc_zero_one(args) -> Output:
     sieve = _resolve_sieve(args.sieve, 1_000_000)
     sv = PrimeSieve(sieve)
     phi = parse_phi(args.phi)
@@ -281,33 +317,26 @@ def cmd_mc_zero_one(args) -> str:
         sample_count=args.samples, precision_bits=args.bits, window=args.window,
         phi=lambda n: float(phi(n)), ell=args.ell, seed=args.seed)
     rep = measure.run_zero_one_experiment(cfg, sv)
-    inputs = {"ell": args.ell, "phi": args.phi, "window": args.window,
-              "samples": args.samples, "bits": args.bits, "seed": args.seed,
-              "sieve": sieve}
     rows = [{"n": n, "hits": c, "fraction": c / args.samples}
             for n, c in rep.per_n]
     summary = {"hit_fraction": rep.hit_fraction, "hit_count": rep.hit_count,
                "refinements": rep.refinements, "max_bits_used": rep.max_bits_used}
-    return _emit("mc-zero-one", args.format, inputs, rows, summary=summary)
+    return Output(rows, summary, inputs={"sieve": sieve})
 
 
-def cmd_bb_series(args) -> str:
+def cmd_bb_series(args) -> Output:
     phi = parse_phi(args.phi)
     rep = measure.borel_bernstein_table(phi, args.ell, args.prime, args.window)
-    inputs = {"ell": args.ell, "phi": args.phi,
-              "prime": args.prime, "window": args.window}
     rows = [{"n": r.n, "term": r.term, "partial": r.partial} for r in rep.rows]
-    summary = {"series": rep.series, "skipped": len(rep.skipped)}
-    return _emit("bb-series", args.format, inputs, rows, summary=summary)
+    return Output(rows, {"series": rep.series, "skipped": len(rep.skipped)})
 
 
-def cmd_luczak_dim(args) -> str:
+def cmd_luczak_dim(args) -> Output:
     params = cantor.LuczakParams(b=float(args.b), c=float(args.c))
     sv = PrimeSieve(args.sieve) if args.sieve > 0 else None
     levels = cantor.luczak_levels(params, args.kmax, sv)
     ratios = {r.k: r.ratio for r in cantor.falconer_lower_bound(params, args.kmax)}
     limit = cantor.falconer_limit(Fraction(args.b))
-    inputs = {"b": args.b, "c": args.c, "kmax": args.kmax, "sieve": args.sieve}
     rows = []
     for lv in levels:
         rows.append({
@@ -318,11 +347,10 @@ def cmd_luczak_dim(args) -> str:
             "true_count": "" if lv.true_count is None else lv.true_count,
             "ratio": ratios.get(lv.k, ""),
         })
-    summary = {"limit": limit, "limit_float": float(limit)}
-    return _emit("luczak-dim", args.format, inputs, rows, summary=summary)
+    return Output(rows, {"limit": limit, "limit_float": float(limit)})
 
 
-def cmd_eb_build(args) -> str:
+def cmd_eb_build(args) -> Output:
     sieve = _resolve_sieve(args.sieve, 1_000_000)
     sv = PrimeSieve(sieve)
     params = cantor.make_eb_params(args.B, args.ell, args.s, args.delta, sv,
@@ -332,8 +360,6 @@ def cmd_eb_build(args) -> str:
     tree = cantor.eb_prefix_tree(params, depth, sv)
     gap = cantor.gap_check(tree)
     hold = cantor.holder_check(tree)
-    inputs = {"B": args.B, "ell": args.ell, "s": args.s, "delta": args.delta,
-              "M": args.M, "N": args.N, "depth": depth, "sieve": sieve}
     summary = {
         "M": params.M, "N": params.N, "t": params.t_value, "u": tree.u,
         "last_base": params.last_base,
@@ -341,25 +367,18 @@ def cmd_eb_build(args) -> str:
         "gap_min": gap.min_normalized, "holder_exponent": hold.exponent,
         "holder_max": hold.max_ratio,
     }
-    notes = [f"constraint {name} {status}: {detail}"
-             for name, status, detail in params.constraints]
     rows = [{"depth": d, "word": w, "mu": mu, "diam": diam, "lo": lo, "hi": hi}
             for d, w, mu, diam, lo, hi in tree.records()]
-    if args.format == "json":
-        obj = {
-            "schema": "eb-build.schema.json",
-            "command": "eb-build",
-            "inputs": _jsonable(inputs),
-            "rows": [_jsonable(r) for r in rows],
-            "summary": _jsonable(summary),
-            "constraints": [{"name": n, "status": s, "detail": d}
-                            for n, s, d in params.constraints],
-        }
-        return json.dumps(obj, indent=2) + "\n"
-    return _emit("eb-build", args.format, inputs, rows, summary=summary, notes=notes)
+    return Output(
+        rows, summary, inputs={"depth": depth, "sieve": sieve},
+        notes=[f"constraint {name} {status}: {detail}"
+               for name, status, detail in params.constraints],
+        extra={"constraints": [{"name": n, "status": s, "detail": d}
+                               for n, s, d in params.constraints]},
+    )
 
 
-def cmd_box_dim(args) -> str:
+def cmd_box_dim(args) -> Output:
     if args.covers:
         covers = [[float(x) for x in level.split(",")]
                   for level in args.covers.split(";")]
@@ -382,11 +401,204 @@ def cmd_box_dim(args) -> str:
         inputs = {"b": args.b, "c": args.c, "kmax": args.kmax, "sieve": sieve}
     est = cantor.box_dimension_estimate(covers)
     rows = [{"slope": est.slope, "residual": est.residual, "levels": est.levels}]
-    return _emit("box-dim", args.format, inputs, rows)
+    return Output(rows, inputs=inputs)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the table
+
+
+# column types, as JSON-schema fragments
+NUMBER = {"type": "number"}
+INTEGER = {"type": "integer"}
+STRING = {"type": "string"}
+BOOLEAN = {"type": "boolean"}
+FRACTION = {"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"}
+DIGITS = {"type": "array", "items": {"type": "integer", "minimum": 1}}
+
+
+def enum(*values: str) -> dict:
+    return {"type": "string", "enum": list(values)}
+
+
+def either(*types: str) -> dict:
+    return {"type": list(types)}
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One subcommand.  `args` pairs each flag with its `add_argument`
+    keyword arguments, in echo order; `columns`, `summary` and `extra`
+    type the fields of the rows, of the summary and of each further JSON
+    block.  With echo=False the handler supplies the whole input echo."""
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], Output]
+    args: tuple[tuple[str, dict], ...]
+    columns: dict[str, dict]
+    summary: dict[str, dict] | None = None
+    extra: dict[str, dict[str, dict]] | None = None
+    echo: bool = True
+
+
+def _required(type_) -> dict:
+    return {"type": type_, "required": True}
+
+
+ELL = ("--ell", _required(int))
+MODE = ("--mode", {"choices": ("at-most", "exactly"), "default": "at-most"})
+PHI = ("--phi", {"type": str, "required": True,
+                 "help": "expression in n, e.g. 'n*log(n)' or '2**(2**n)'"})
+WINDOW = ("--window", _required(window))
+TOL = ("--tol", {"type": real, "default": 1e-9})
+SIEVE = ("--sieve", {"type": int, "default": 0,
+                     "help": f"0 = ${SIEVE_ENV} or the smallest limit needed"})
+
+COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
+    Subcommand(
+        "pzeta-tail", "truncated almost-prime zeta tail with bound", cmd_pzeta_tail,
+        args=(ELL, MODE, ("--s", _required(real)), ("--M", _required(real)),
+              ("--cutoff", _required(int)), SIEVE),
+        columns={"value": NUMBER, "remainder_bound": NUMBER, "upper": NUMBER,
+                 "terms_used": INTEGER},
+    ),
+    Subcommand(
+        "pzeta-asymptotic", "normalized tail ratios along a threshold grid",
+        cmd_pzeta_asymptotic,
+        args=(ELL, MODE, ("--s", _required(real)), ("--grid", _required(grid)),
+              ("--cutoff", {"type": int, "default": 0}), SIEVE),
+        columns={"M": NUMBER, "value": NUMBER, "ratio": NUMBER,
+                 "remainder_bound": NUMBER},
+    ),
+    Subcommand(
+        "cf-expand", "continued-fraction digits of a rational", cmd_cf_expand,
+        args=(("--rational", {"type": str, "default": None, "help": "as num/den"}),
+              ("--real", {"type": str, "default": None, "help": "decimal in [0,1)"}),
+              ("--bits", {"type": precision_bits, "default": 0,
+                          "help": "certify digits for a 2^-bits ball (with --real)"}),
+              ("--max-len", {"type": int, "default": 64})),
+        columns={"digits": DIGITS, "length": INTEGER, "reconstructed": FRACTION},
+        echo=False,
+    ),
+    Subcommand(
+        "interval-measure", "exact Lebesgue-measure bracket of a prime level set",
+        cmd_interval_measure,
+        args=(ELL, ("--threshold", _required(real)), ("--cutoff", _required(int)), SIEVE),
+        columns={"lower": NUMBER, "upper": NUMBER, "width": NUMBER, "terms": INTEGER},
+    ),
+    Subcommand(
+        "pressure-dim", "dimensional number by bisection on the partition sum",
+        cmd_pressure_dim,
+        args=(ELL, ("--B", _required(real)), ("--M", _required(int)),
+              ("--n", _required(int)), TOL,
+              ("--method", {"choices": ("auto", "enumerate", "collocate"),
+                            "default": "auto"})),
+        columns={"t": NUMBER},
+    ),
+    Subcommand(
+        "hwx-dim", "dimension of the growth level set, with case", cmd_hwx_dim,
+        args=(ELL, PHI, WINDOW, ("--M", {"type": int, "default": 20}),
+              ("--n", {"type": int, "default": 8}), TOL),
+        columns={"value": NUMBER, "case": enum("B=1", "1<B<inf", "B=inf"),
+                 "logB": NUMBER, "logb": NUMBER, "skipped": INTEGER},
+    ),
+    Subcommand(
+        "mc-zero-one", "Monte Carlo hit rates for the level sets", cmd_mc_zero_one,
+        args=(ELL, PHI, WINDOW, ("--samples", _required(int)),
+              ("--bits", {"type": precision_bits, "default": 256}),
+              ("--seed", {"type": int, "default": 0}), SIEVE),
+        columns={"n": INTEGER, "hits": INTEGER, "fraction": NUMBER},
+        summary={"hit_fraction": NUMBER, "hit_count": INTEGER,
+                 "refinements": INTEGER, "max_bits_used": INTEGER},
+    ),
+    Subcommand(
+        "bb-series", "partial sums of the criterion series", cmd_bb_series,
+        args=(ELL, PHI,
+              ("--prime", {"action": "store_true",
+                           "help": "prime-digit series instead of plain digits"}),
+              WINDOW),
+        columns={"n": INTEGER, "term": NUMBER, "partial": NUMBER},
+        summary={"series": STRING, "skipped": INTEGER},
+    ),
+    Subcommand(
+        "luczak-dim", "doubly exponential construction levels and dimension ratios",
+        cmd_luczak_dim,
+        args=(("--b", _required(real_text)), ("--c", _required(real_text)),
+              ("--kmax", _required(int)), SIEVE),
+        columns={"k": INTEGER, "log_m": NUMBER, "log_eps": NUMBER, "rosser_ok": BOOLEAN,
+                 "block_lo": either("integer", "string"),
+                 "block_hi": either("integer", "string"),
+                 "true_count": either("integer", "string"),
+                 "ratio": either("number", "string")},
+        summary={"limit": FRACTION, "limit_float": NUMBER},
+    ),
+    Subcommand(
+        "eb-build", "bounded-alphabet prime-run set with mass", cmd_eb_build,
+        args=(("--B", _required(real)), ELL, ("--s", _required(real)),
+              ("--delta", _required(real)),
+              ("--M", {"type": int, "default": 0, "help": "0 = search"}),
+              ("--N", {"type": int, "default": 0, "help": "0 = search"}),
+              ("--depth", {"type": int, "default": 0,
+                           "help": "0 = through first prime run"}),
+              SIEVE),
+        columns={"depth": INTEGER, "word": DIGITS, "mu": NUMBER, "diam": NUMBER,
+                 "lo": FRACTION, "hi": FRACTION},
+        summary={"M": INTEGER, "N": INTEGER, "t": NUMBER, "u": NUMBER,
+                 "last_base": NUMBER, "alphas": STRING, "gap_min": NUMBER,
+                 "holder_exponent": NUMBER, "holder_max": NUMBER},
+        extra={"constraints": {"name": STRING, "status": enum("ok", "symbolic"),
+                               "detail": STRING}},
+    ),
+    Subcommand(
+        "box-dim", "box-counting slope from cover lengths", cmd_box_dim,
+        args=(("--covers", {"type": str, "default": "",
+                            "help": "semicolon-separated levels of comma-separated lengths"}),
+              ("--b", {"type": real_text, "default": None}),
+              ("--c", {"type": real_text, "default": None}),
+              ("--kmax", {"type": int, "default": 3}), SIEVE),
+        columns={"slope": NUMBER, "residual": NUMBER, "levels": INTEGER},
+        echo=False,
+    ),
+)}
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _object(fields: dict[str, dict]) -> dict:
+    return {
+        "type": "object",
+        "properties": copy.deepcopy(fields),
+        "required": sorted(fields),
+        "additionalProperties": False,
+    }
+
+
+def schema_for(command: str) -> dict:
+    """The draft-07 JSON schema that `primecf <command> --format json` output
+    validates against, built from the command's declared columns."""
+    sub = COMMANDS[command]
+    properties = {
+        "schema": {"const": f"{command}.schema.json"},
+        "command": {"const": command},
+        "inputs": {"type": "object"},
+        "rows": {"type": "array", "items": _object(sub.columns)},
+    }
+    if sub.summary is not None:
+        properties["summary"] = _object(sub.summary)
+    for key, fields in (sub.extra or {}).items():
+        properties[key] = {"type": "array", "items": _object(fields)}
+    return {
+        "$schema": "http://json-schema.org/draft-07/schema#",
+        "$id": f"{command}.schema.json",
+        "title": f"primecf {command} output",
+        "type": "object",
+        "properties": properties,
+        "required": list(properties),
+        "additionalProperties": False,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,112 +608,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "zeta tails, interval measures, dimensions, constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=fn)
+    for cmd in COMMANDS.values():
+        p = sub.add_parser(cmd.name, help=cmd.help)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        return p
-
-    p = add("pzeta-tail", cmd_pzeta_tail, "truncated almost-prime zeta tail with bound")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--mode", choices=("at-most", "exactly"), default="at-most")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--M", type=float, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--sieve", type=int, default=0)
-
-    p = add("pzeta-asymptotic", cmd_pzeta_asymptotic,
-            "normalized tail ratios along a threshold grid")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--mode", choices=("at-most", "exactly"), default="at-most")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--grid", type=_parse_grid, required=True)
-    p.add_argument("--cutoff", type=int, default=0)
-    p.add_argument("--sieve", type=int, default=0)
-
-    p = add("cf-expand", cmd_cf_expand, "continued-fraction digits of a rational")
-    p.add_argument("--rational", type=str, default=None, help="as num/den")
-    p.add_argument("--real", type=str, default=None, help="decimal in [0,1)")
-    p.add_argument("--bits", type=int, default=0,
-                   help="certify digits for a 2^-bits ball (with --real)")
-    p.add_argument("--max-len", type=int, default=64)
-
-    p = add("interval-measure", cmd_interval_measure,
-            "exact Lebesgue-measure bracket of a prime level set")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--sieve", type=int, default=0)
-
-    p = add("pressure-dim", cmd_pressure_dim,
-            "dimensional number by bisection on the partition sum")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--B", type=float, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--method", choices=("auto", "enumerate", "collocate"),
-                   default="auto")
-
-    p = add("hwx-dim", cmd_hwx_dim, "dimension of the growth level set, with case")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--phi", type=str, required=True,
-                   help="expression in n, e.g. 'n*log(n)' or '2**(2**n)'")
-    p.add_argument("--window", type=_parse_window, required=True)
-    p.add_argument("--M", type=int, default=20)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("mc-zero-one", cmd_mc_zero_one, "Monte Carlo hit rates for the level sets")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--phi", type=str, required=True)
-    p.add_argument("--window", type=_parse_window, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--bits", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sieve", type=int, default=0)
-
-    p = add("bb-series", cmd_bb_series, "partial sums of the criterion series")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--phi", type=str, required=True)
-    p.add_argument("--window", type=_parse_window, required=True)
-    p.add_argument("--prime", action="store_true",
-                   help="prime-digit series instead of plain digits")
-
-    p = add("luczak-dim", cmd_luczak_dim,
-            "doubly exponential construction levels and dimension ratios")
-    p.add_argument("--b", type=str, required=True)
-    p.add_argument("--c", type=str, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--sieve", type=int, default=0)
-
-    p = add("eb-build", cmd_eb_build, "bounded-alphabet prime-run set with mass")
-    p.add_argument("--B", type=float, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--M", type=int, default=0, help="0 = search")
-    p.add_argument("--N", type=int, default=0, help="0 = search")
-    p.add_argument("--depth", type=int, default=0, help="0 = through first prime run")
-    p.add_argument("--sieve", type=int, default=0)
-
-    p = add("box-dim", cmd_box_dim, "box-counting slope from cover lengths")
-    p.add_argument("--covers", type=str, default="",
-                   help="semicolon-separated levels of comma-separated lengths")
-    p.add_argument("--b", type=str, default=None)
-    p.add_argument("--c", type=str, default=None)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--sieve", type=int, default=0)
-
+        for flag, kwargs in cmd.args:
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _run(args: argparse.Namespace) -> str:
+    """The rendered output of one parsed invocation."""
+    cmd = COMMANDS[args.command]
+    out = cmd.handler(args)
+    inputs = out.inputs
+    if cmd.echo:
+        inputs = {_dest(flag): getattr(args, _dest(flag)) for flag, _ in cmd.args} | inputs
+    return _emit(cmd.name, args.format, inputs, out.rows, out.summary, out.notes, out.extra)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = args.func(args)
-    except _GUARD_ERRORS as exc:
+        out = _run(args)
+    except GuardError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, argparse.ArgumentTypeError) as exc:

@@ -62,8 +62,8 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
     if ell not in (1, 2):
         raise ValueError(f"exact level-set mode supports ell in {{1, 2}}, got {ell};"
                          " use the Monte Carlo experiment for deeper products")
-    if threshold < 2:
-        raise OutOfRangeError(f"threshold must be >= 2, got {threshold}")
+    if not 2 <= threshold < math.inf:
+        raise OutOfRangeError(f"threshold must be finite and >= 2, got {threshold}")
     if threshold < 3:
         warnings.warn(f"threshold {threshold} < 3: the measure criterion is only"
                       " valid from 3 up", stacklevel=2)

@@ -220,6 +220,8 @@ def dimensional_number(problem: PressureProblem, tol: float = 1e-9,
         )
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break  # (lo, hi) are adjacent floats: no tolerance can go finer
         if partition_sum(problem, mid, method) >= 0:
             lo = mid
         else:

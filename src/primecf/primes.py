@@ -17,6 +17,8 @@ from .errors import OutOfRangeError
 # Construction works in fixed-size segments so the transient marking
 # buffer stays small regardless of the final table size.
 _SEGMENT = 1 << 22
+# The largest sieve limit: the table takes one byte per integer, so 1 GB.
+SIEVE_CAP = 10**9
 
 
 class PrimeSieve:
@@ -26,6 +28,8 @@ class PrimeSieve:
         limit = int(limit)
         if limit < 2:
             raise ValueError(f"sieve limit must be at least 2, got {limit}")
+        if limit > SIEVE_CAP:
+            raise OutOfRangeError(f"sieve limit {limit} exceeds SIEVE_CAP = {SIEVE_CAP}")
         self.limit = limit
         self._table = _build_table(limit)
         self._table.setflags(write=False)

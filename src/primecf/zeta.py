@@ -47,7 +47,7 @@ class AsymptoticRatioRow:
 
 
 def _check_exponent(s: float) -> None:
-    if s <= 1:
+    if not s > 1:
         raise DivergentSeriesError(f"tail sums need s > 1, got {s}")
 
 
@@ -80,9 +80,9 @@ def pzeta_tail(ell: int, mode: str, s: float, M: float, cutoff: int,
     is a subset of the integers, so the integer tail dominates it.
     """
     _check_exponent(s)
-    if M < 2:
+    if not M >= 2:
         raise ValueError(f"threshold M must be >= 2, got {M}")
-    if cutoff < M:
+    if not cutoff >= M:
         raise ValueError(f"cutoff {cutoff} below threshold M = {M}")
     cfg = AlmostPrimeEnumeration(ell=ell, mode=mode, bound=int(cutoff))
     ks = almost_primes(cfg, sv)
@@ -121,7 +121,7 @@ def zeta_em(s: float, terms: int = 50, tail_terms: int = 14) -> mpf:
     `tail_terms` Bernoulli corrections.  With the defaults the correction
     terms decay below 1e-60 for s >= 2, far past the working precision.
     """
-    if s <= 1:
+    if not s > 1:
         raise DivergentSeriesError(f"zeta_em needs s > 1, got {s}")
     with mp.workdps(WORK_DPS + 15):
         ms = mpf(s)
@@ -213,9 +213,9 @@ def asymptotic_table(ell: int, s: float, M_grid: list[float], cutoff: int,
     _check_exponent(s)
     if not M_grid:
         raise ValueError("M_grid must be non-empty")
-    if any(m < 3 for m in M_grid):
+    if not all(m >= 3 for m in M_grid):
         raise ValueError("grid thresholds must be >= 3 so log log M is positive")
-    if cutoff < max(M_grid):
+    if not cutoff >= max(M_grid):
         raise ValueError(f"cutoff {cutoff} below largest grid threshold")
     cfg = AlmostPrimeEnumeration(ell=ell, mode=mode, bound=int(cutoff))
     ks = almost_primes(cfg, sv)

@@ -104,6 +104,8 @@ def test_level_validation():
         LuczakParams(b=2.0, c=0.5)
     with pytest.raises(ValueError):
         LuczakParams(b=2.0, c=2.0, ell=0)
+    with pytest.raises(OutOfRangeError):  # b^(k+1) overflows a float near k = 1023
+        luczak_levels(LuczakParams(b=2.0, c=2.0), 2000)
 
 
 # -- dimension ratios -----------------------------------------------------------
@@ -160,6 +162,10 @@ def test_box_dimension_validation():
         box_dimension_estimate([[0.5], [0.0, 0.1]])
     with pytest.raises(ValueError):
         box_dimension_estimate([[0.5], []])
+    with pytest.raises(ValueError):  # one scale twice: no slope to fit
+        box_dimension_estimate([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError):
+        box_dimension_estimate([[0.5, math.nan], [0.25]])
 
 
 # -- window bases ----------------------------------------------------------------

@@ -1,14 +1,19 @@
 import csv
 import json
 import math
+import re
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from mpmath import mp
 
-from primecf.cli import main, parse_phi
+from primecf import errors, primes
+from primecf.cli import main, parse_phi, schema_for
 from primecf.contfrac import expand_rational
 from primecf.measure import level_set_measure
 from primecf.primes import PrimeSieve
@@ -16,9 +21,15 @@ from primecf.zeta import pzeta_tail
 
 import argparse
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    """Exit code, stdout and stderr of main(), also when argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -74,10 +85,25 @@ def test_reproducible_and_schema_valid(capsys, command):
     obj = json.loads(json1)
     assert obj["schema"] == f"{command}.schema.json"
     assert obj["command"] == command
-    schema = json.loads(
-        (resources.files("primecf") / "schemas" / f"{command}.schema.json").read_text()
-    )
-    jsonschema.validate(instance=obj, schema=schema)
+    jsonschema.validate(instance=obj, schema=schema_for(command))
+
+
+def test_readme_examples_verbatim(capsys, monkeypatch):
+    monkeypatch.delenv("PRIMECF_SIEVE_LIMIT", raising=False)
+    examples = re.findall(r"```\n\$ primecf (.*?)\n(.*?)```", README.read_text(), re.DOTALL)
+    assert [shlex.split(line)[0] for line, _ in examples] == [
+        "cf-expand", "pzeta-tail", "hwx-dim"]
+    for line, shown in examples:
+        code, out, _ = run_cli(capsys, shlex.split(line))
+        assert code == 0
+        assert out == shown
+
+
+def test_cli_import_does_not_load_jsonschema():
+    code = "import sys, primecf.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 # -- per-command content ------------------------------------------------------
@@ -319,6 +345,106 @@ def test_sieve_environment_default(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["pzeta-tail", "--ell", "1", "--s", "2",
                                     "--M", "10", "--cutoff", "1000"])
     assert "sieve=2000" in out.splitlines()[0]
+
+
+def _usage(command: str, message: str) -> str:
+    """The last stderr line of an argument that its type callable rejected."""
+    return f"primecf {command}: error: argument {message}"
+
+
+# Every argv here once hung, printed NaN or a traceback, or passed silently:
+# (argv, exit code, start of the last stderr line; None on success).
+TOTALITY = [
+    (["pressure-dim", "--ell", "1", "--B", "2", "--M", "5", "--n", "3", "--tol", "0"],
+     0, None),
+    (["pressure-dim", "--ell", "1", "--B", "2", "--M", "5", "--n", "3", "--tol", "-1"],
+     0, None),
+    (["pzeta-tail", "--ell", "1", "--s", "nan", "--M", "10", "--cutoff", "1000"],
+     2, _usage("pzeta-tail", "--s: must be finite")),
+    (["interval-measure", "--ell", "2", "--threshold", "nan", "--cutoff", "1000"],
+     2, _usage("interval-measure", "--threshold: must be finite")),
+    (["interval-measure", "--ell", "1", "--threshold", "inf", "--cutoff", "1000"],
+     2, _usage("interval-measure", "--threshold: must be finite")),
+    (["pressure-dim", "--ell", "1", "--B", "inf", "--M", "5", "--n", "3"],
+     2, _usage("pressure-dim", "--B: must be finite")),
+    (["hwx-dim", "--ell", "1", "--phi", "n", "--window", "10,20", "--tol", "nan"],
+     2, _usage("hwx-dim", "--tol: must be finite")),
+    (["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "10,-inf"],
+     2, _usage("pzeta-asymptotic", "--grid: must be finite")),
+    (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "nan"],
+     2, _usage("eb-build", "--delta: must be finite")),
+    (["luczak-dim", "--b", "nan", "--c", "2", "--kmax", "3"],
+     2, _usage("luczak-dim", "--b: must be finite")),
+    (["box-dim", "--b", "2", "--c", "inf"],
+     2, _usage("box-dim", "--c: must be finite")),
+    (["cf-expand", "--real", "0.5", "--bits", str(2**20 + 1)],
+     2, _usage("cf-expand", "--bits: must lie in")),
+    (["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,2", "--samples", "5",
+      "--bits", str(2**20 + 1)], 2, _usage("mc-zero-one", "--bits: must lie in")),
+    (["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,1000001",
+      "--samples", "5"], 2, _usage("mc-zero-one", "--window: window '1,1000001' spans")),
+    (["bb-series", "--ell", "1", "--phi", "n", "--window", "1,1000001"],
+     2, _usage("bb-series", "--window: window '1,1000001' spans")),
+    (["cf-expand", "--rational", "1/0"], 2, "ValueError:"),
+    (["luczak-dim", "--b", "2", "--c", "2", "--kmax", "2000"], 3, "OutOfRangeError:"),
+    (["hwx-dim", "--ell", "1", "--phi", "n*log(n)**2", "--window", "0,10"],
+     2, "ValueError:"),
+    (["bb-series", "--ell", "1", "--phi", "1/(n-3)", "--window", "1,10"],
+     2, "ValueError:"),
+    (["mc-zero-one", "--ell", "1", "--phi", "1/(n-3)", "--window", "1,10",
+      "--samples", "5", "--sieve", "1000"], 2, "ValueError:"),
+    (["hwx-dim", "--ell", "1", "--phi", "log(n-5)", "--window", "1,10"],
+     2, "ValueError:"),
+    (["bb-series", "--ell", "1", "--phi", "log(n-1)*0", "--window", "1,3"],
+     2, "ValueError:"),
+    (["box-dim", "--covers", "0.5,0.5;0.5,0.5"], 2, "ValueError:"),
+    (["box-dim", "--covers", "0.5,nan;0.25"], 2, "ValueError:"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err_start", TOTALITY,
+                         ids=[" ".join(case[0]) for case in TOTALITY])
+def test_cli_is_total(capsys, argv, code, err_start):
+    got, out, err = run_cli(capsys, argv)
+    assert got == code
+    assert "Traceback" not in err
+    if err_start is None:
+        assert err == ""
+        assert not re.search(r"\bnan\b|\binf\b", out, re.IGNORECASE)
+    else:
+        assert out == ""
+        assert err.splitlines()[-1].startswith(err_start)
+
+
+def test_sieve_cap(capsys, monkeypatch):
+    monkeypatch.setattr(primes, "SIEVE_CAP", 5000)
+    tail = ["pzeta-tail", "--ell", "1", "--s", "2", "--M", "10"]
+    assert run_cli(capsys, tail + ["--cutoff", "5000"])[0] == 0
+    for argv, env in ((tail + ["--cutoff", "5001"], None),
+                      (tail + ["--cutoff", "1000", "--sieve", "5001"], None),
+                      (tail + ["--cutoff", "1000"], "5001")):
+        if env:
+            monkeypatch.setenv("PRIMECF_SIEVE_LIMIT", env)
+        code, _, err = run_cli(capsys, argv)
+        assert code == 3
+        assert err.startswith("OutOfRangeError: sieve limit 5001 exceeds SIEVE_CAP")
+    monkeypatch.setenv("PRIMECF_SIEVE_LIMIT", "inf")
+    code, _, err = run_cli(capsys, tail + ["--cutoff", "1000"])
+    assert code == 2
+    assert err.startswith("ArgumentTypeError: must be finite")
+
+
+def test_guard_errors_share_a_base():
+    for name, base in (("OutOfRangeError", ValueError),
+                       ("DivergentSeriesError", ValueError),
+                       ("UndefinedExponentError", ValueError),
+                       ("EnumerationGuardError", RuntimeError),
+                       ("BracketError", RuntimeError),
+                       ("ConstructionInfeasibleError", RuntimeError),
+                       ("PrecisionExhaustedError", RuntimeError)):
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.GuardError)
+        assert issubclass(cls, base)
 
 
 # -- growth expression parser ----------------------------------------------------

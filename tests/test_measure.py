@@ -98,6 +98,9 @@ def test_level_set_validation(sieve_small):
         level_set_measure(3, 10, 100, sieve_small)
     with pytest.raises(OutOfRangeError):
         level_set_measure(1, 1.9, 100, sieve_small)
+    for threshold in (math.nan, math.inf):
+        with pytest.raises(OutOfRangeError):
+            level_set_measure(2, threshold, 100, sieve_small)
     with pytest.raises(OutOfRangeError):
         level_set_measure(1, 10, 1_000_000, sieve_small)
     with pytest.raises(OutOfRangeError):

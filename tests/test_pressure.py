@@ -170,6 +170,14 @@ def test_dimension_bracket_error():
         dimensional_number(PressureProblem(ell=1, B=1 + 1e-9, M=20, n=1))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_dimension_bisection_stops_at_float_resolution(tol):
+    problem = PressureProblem(ell=1, B=2.0, M=5, n=3)
+    t = dimensional_number(problem, tol=tol)
+    assert abs(t - dimensional_number(problem)) < 1e-9
+    assert abs(t - dimensional_number(problem, tol=1e-15)) < 1e-15
+
+
 def test_dimension_stable_under_depth_doubling():
     a = dimensional_number(PressureProblem(ell=1, B=2.0, M=8, n=4))
     b = dimensional_number(PressureProblem(ell=1, B=2.0, M=8, n=8))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primecf import primes
 from primecf.errors import OutOfRangeError
 from primecf.primes import (
     AlmostPrimeEnumeration,
@@ -64,6 +65,18 @@ def test_sieve_segment_boundaries():
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         PrimeSieve(1)
+
+
+def test_sieve_cap_checked_before_building(monkeypatch):
+    monkeypatch.setattr(primes, "SIEVE_CAP", 1000)
+    assert PrimeSieve(1000).limit == 1000
+
+    def refuse(limit):
+        raise AssertionError(f"table built for limit {limit}")
+
+    monkeypatch.setattr(primes, "_build_table", refuse)
+    with pytest.raises(OutOfRangeError):
+        PrimeSieve(1001)
 
 
 def test_is_prime_out_of_range(sieve_small):

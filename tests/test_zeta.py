@@ -117,6 +117,10 @@ def test_tail_validation(sieve_small):
         pzeta_tail(1, "exactly", 1.0, 2, 100, sieve_small)
     with pytest.raises(DivergentSeriesError):
         pzeta_tail(1, "exactly", 0.5, 2, 100, sieve_small)
+    with pytest.raises(DivergentSeriesError):
+        pzeta_tail(1, "exactly", math.nan, 2, 100, sieve_small)
+    with pytest.raises(ValueError):
+        pzeta_tail(1, "exactly", 2, math.nan, 100, sieve_small)
     with pytest.raises(ValueError):
         pzeta_tail(1, "exactly", 2, 1.5, 100, sieve_small)
     with pytest.raises(ValueError):
