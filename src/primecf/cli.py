@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +40,10 @@ SIEVE_ENV = "PRIMECF_SIEVE_LIMIT"
 # of a window is evaluated and tabulated, so both are capped.
 BITS_CAP = 1 << 20
 WINDOW_CAP = 10**6
+# Fraction builds 10**e for a decimal exponent e before any check can run;
+# exponents are held to Python's default int/str digit limit.
+EXPONENT_CAP = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +141,19 @@ def real_text(text: str) -> str:
     """A finite real, kept as typed so it can be read exactly downstream."""
     real(text)
     return text
+
+
+def _fraction(text: str) -> Fraction:
+    """The rational a decimal or num/den string denotes."""
+    m = _EXPONENT.search(text)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(EXPONENT_CAP)) or int(digits or 0) > EXPONENT_CAP:
+            raise ValueError(f"decimal exponent of {text[:40]!r} exceeds {EXPONENT_CAP}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 def precision_bits(text: str) -> int:
@@ -265,15 +283,12 @@ def cmd_cf_expand(args) -> Output:
     if (args.rational is None) == (args.real is None):
         raise OutOfRangeError("give exactly one of --rational or --real")
     if args.rational is not None:
-        try:
-            x = Fraction(args.rational)
-        except ZeroDivisionError:
-            raise ValueError(f"rational {args.rational!r} has a zero denominator") from None
+        x = _fraction(args.rational)
         word = contfrac.expand_rational(x.numerator, x.denominator, args.max_len)
         shown = args.rational
         bits = None
     else:
-        x = Fraction(args.real)
+        x = _fraction(args.real)
         bits = args.bits if args.bits > 0 else None
         word = contfrac.expand_real(x, precision_bits=bits, max_len=args.max_len)
         shown = args.real

@@ -163,7 +163,11 @@ def omega_table(bound: int, sv: PrimeSieve) -> np.ndarray:
 
     Requires sqrt(bound) <= sieve limit: after removing all prime-power
     divisors up to sqrt(bound), the remainder of k is 1 or a single prime.
+    The table and its int64 remainders take 9 bytes per integer, so bound
+    is held to SIEVE_CAP like a sieve limit.
     """
+    if bound > SIEVE_CAP:
+        raise OutOfRangeError(f"omega_table bound {bound} exceeds SIEVE_CAP = {SIEVE_CAP}")
     root = math.isqrt(bound)
     if root > sv.limit:
         raise OutOfRangeError(f"omega_table({bound}) needs primes to {root} > {sv.limit}")

@@ -3,21 +3,37 @@
 Direct enumeration of truncated tails with rigorous integer-tail remainder
 bounds, an independent route to the full prime sum through the Moebius /
 log-zeta identity, the recursive sum over constrained prime products, and
-asymptotic ratio tables.  Accumulation runs at 40 significant digits so
-tails near 1e-6 sit far above rounding noise.
+asymptotic ratio tables.
+
+Tails are accumulated exactly as Python integers in units of 2^-FIX_BITS.
+When s * 2^j is an integer a for some j <= 3, each term is the exact floor
+of 2^FIX_BITS * k^-s (one floor division, then j nested integer square
+roots), so the total is a lower bound within `terms` units of the true sum.
+Any other s takes one mpmath power per term at FIX_BITS + 20 bits, whose
+mantissa is shifted into the same units.  The total becomes a 40-digit
+value once, rounded down, and its slack, plus that rounding, is added to
+the remainder bound rounded up, so tails near 1e-6 keep about 40 correct
+digits and [value, upper] stays rigorous.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import DivergentSeriesError, OutOfRangeError
 from .primes import AlmostPrimeEnumeration, PrimeSieve, almost_primes, primes_in
 
 WORK_DPS = 40
+# Fixed-point sums count units of 2^-FIX_BITS; terms stream through Python
+# ints in chunks of FIX_CHUNK, so no object list spans a whole term array.
+FIX_BITS = 160
+FIX_CHUNK = 1 << 16
+# Exponents s * 2^j above this take the mpf route: k^a grows with a.
+_EXACT_MAX_POWER = 64
 
 
 @dataclass(frozen=True)
@@ -33,7 +49,8 @@ class TailSumResult:
 
     @property
     def upper(self) -> mpf:
-        return self.value + self.remainder_bound
+        with mp.workdps(WORK_DPS):
+            return mp.fadd(self.value, self.remainder_bound, rounding="u")
 
 
 @dataclass(frozen=True)
@@ -62,14 +79,74 @@ def _integer_tail_bound(cutoff: int, s: float) -> mpf:
         return bound * (1 + mpf(10) ** (5 - WORK_DPS))
 
 
-def _power_sum(ks: np.ndarray, s: float) -> mpf:
-    """Sum of k^-s over an ascending integer array, at working precision."""
+def _exact_root(s: float) -> tuple[int, int] | None:
+    """(a, j) with s * 2^j = a for the smallest j <= 3, if a is small enough."""
+    for j in range(4):
+        a = float(s) * (1 << j)  # exact: scaling by a power of two
+        if a.is_integer():
+            return (int(a), j) if a <= _EXACT_MAX_POWER else None
+    return None
+
+
+def _power_sum(ks: np.ndarray, s: float) -> int:
+    """Sum of floor(2^FIX_BITS * k^-s) over an integer array, in units.
+
+    Exact on the `_exact_root` route.  Otherwise each k^-s is an mpf of
+    FIX_BITS + 20 bits, exp(-s log k) with the log 40 bits wider, whose
+    mantissa is shifted to whole units; `_fixed_bracket` allows for that.
+    """
+    chunks = (ks[lo:lo + FIX_CHUNK].tolist() for lo in range(0, ks.size, FIX_CHUNK))
+    root = _exact_root(s)
+    total = 0
+    if root is not None:
+        a, j = root
+        num = 1 << (FIX_BITS << j)
+        for chunk in chunks:
+            terms = map(num.__floordiv__, map(pow, chunk, repeat(a)))
+            for _ in range(j):
+                terms = map(math.isqrt, terms)
+            total += sum(terms)
+        return total
+    prec = FIX_BITS + 20
+    neg_s = libmp.from_float(-float(s))
+    for k in chain.from_iterable(chunks):
+        log_k = libmp.mpf_log(libmp.from_int(k), prec + 40)
+        _, man, exp, _ = libmp.mpf_exp(libmp.mpf_mul(neg_s, log_k), prec, libmp.round_nearest)
+        shift = -exp - FIX_BITS
+        total += man >> shift if shift >= 0 else man << -shift
+    return total
+
+
+def _fixed_bracket(total: int, terms: int, s: float) -> tuple[int, int]:
+    """Integers (lower, upper) with lower <= 2^FIX_BITS * sum <= upper.
+
+    On the exact route every term is a floor, short of its true value by
+    less than one unit.  On the mpf route each term is also short by less
+    than one unit, give or take the power's error, at most 2^-20 k^-s +
+    2^-60 units; over n < 2^59 terms with k < 2^63 that is below
+    2^-20 ln(2^63) + n 2^-60 < 1, so one unit on each side covers it.
+    """
+    if terms == 0:
+        return 0, 0
+    if _exact_root(s) is not None:
+        return total, total + terms
+    return max(total - 1, 0), total + terms + 1
+
+
+def _tail_values(total: int, terms: int, s: float, cutoff: int) -> tuple[mpf, mpf]:
+    """(value, remainder_bound) at WORK_DPS for a fixed-point tail total.
+
+    The value is the lower end rounded down; the remainder bound adds the
+    integer tail past the cutoff and everything between the value and the
+    upper end of the fixed-point bracket, rounded up.
+    """
+    lower, upper = _fixed_bracket(total, terms, s)
     with mp.workdps(WORK_DPS):
-        if float(s).is_integer():
-            e = int(s)
-            return mp.fsum(mpf(1) / mpf(int(k) ** e) for k in ks)
-        ms = mpf(s)
-        return mp.fsum(mpf(int(k)) ** -ms for k in ks)
+        value = mp.fdiv(lower, 1 << FIX_BITS, rounding="d")
+        gap = upper - int(mp.ldexp(value, FIX_BITS))  # value * 2^FIX_BITS is an integer
+        bound = mp.fadd(_integer_tail_bound(cutoff, s), mp.ldexp(gap, -FIX_BITS),
+                        rounding="u")
+    return value, bound
 
 
 def pzeta_tail(ell: int, mode: str, s: float, M: float, cutoff: int,
@@ -88,12 +165,8 @@ def pzeta_tail(ell: int, mode: str, s: float, M: float, cutoff: int,
     ks = almost_primes(cfg, sv)
     lo = int(np.searchsorted(ks, math.ceil(M), side="left"))
     ks = ks[lo:]
-    value = _power_sum(ks, s)
-    return TailSumResult(
-        value=value,
-        remainder_bound=_integer_tail_bound(int(cutoff), s),
-        terms_used=int(ks.size),
-    )
+    value, bound = _tail_values(_power_sum(ks, s), int(ks.size), s, int(cutoff))
+    return TailSumResult(value=value, remainder_bound=bound, terms_used=int(ks.size))
 
 
 def mobius(k: int) -> int:
@@ -207,8 +280,9 @@ def asymptotic_table(ell: int, s: float, M_grid: list[float], cutoff: int,
                      sv: PrimeSieve, mode: str = "at-most") -> list[AsymptoticRatioRow]:
     """Normalized tail values across a threshold grid.
 
-    The enumeration runs once; per-threshold values are suffix sums over
-    the same ascending term sequence, so rows are mutually consistent.
+    The enumeration runs once; per-threshold values are exact integer
+    suffix sums over the same ascending term sequence, so each row equals
+    the pzeta_tail at its threshold.
     """
     _check_exponent(s)
     if not M_grid:
@@ -219,21 +293,21 @@ def asymptotic_table(ell: int, s: float, M_grid: list[float], cutoff: int,
         raise ValueError(f"cutoff {cutoff} below largest grid threshold")
     cfg = AlmostPrimeEnumeration(ell=ell, mode=mode, bound=int(cutoff))
     ks = almost_primes(cfg, sv)
-    bound = _integer_tail_bound(int(cutoff), s)
-    rows = []
     order = sorted(range(len(M_grid)), key=lambda i: M_grid[i], reverse=True)
-    partial = mpf(0)
+    partial = 0
     upper_idx = len(ks)
-    values: dict[int, mpf] = {}
+    tails: dict[int, tuple[mpf, mpf]] = {}
+    for i in order:
+        lo = int(np.searchsorted(ks, math.ceil(M_grid[i]), side="left"))
+        partial += _power_sum(ks[lo:upper_idx], s)
+        upper_idx = lo
+        tails[i] = _tail_values(partial, len(ks) - lo, s, int(cutoff))
+    rows = []
     with mp.workdps(WORK_DPS):
-        for i in order:
-            lo = int(np.searchsorted(ks, math.ceil(M_grid[i]), side="left"))
-            partial += _power_sum(ks[lo:upper_idx], s)
-            upper_idx = lo
-            values[i] = +partial
         for i, M in enumerate(M_grid):
+            value, bound = tails[i]
             mM = mpf(M)
-            ratio = values[i] * mM ** (mpf(s) - 1) * mp.log(mM) / mp.log(mp.log(mM)) ** (ell - 1)
-            rows.append(AsymptoticRatioRow(M=float(M), value=values[i],
+            ratio = value * mM ** (mpf(s) - 1) * mp.log(mM) / mp.log(mp.log(mM)) ** (ell - 1)
+            rows.append(AsymptoticRatioRow(M=float(M), value=value,
                                            ratio=+ratio, remainder_bound=bound))
     return rows

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -399,13 +400,18 @@ TOTALITY = [
      2, "ValueError:"),
     (["box-dim", "--covers", "0.5,0.5;0.5,0.5"], 2, "ValueError:"),
     (["box-dim", "--covers", "0.5,nan;0.25"], 2, "ValueError:"),
+    (["cf-expand", "--real", "1e-2000000", "--max-len", "3"], 2, "ValueError: decimal exponent"),
 ]
+# Every case is refused or answered at once; a slow one does work no cap limits.
+TOTALITY_SECONDS = 0.5
 
 
 @pytest.mark.parametrize("argv, code, err_start", TOTALITY,
                          ids=[" ".join(case[0]) for case in TOTALITY])
 def test_cli_is_total(capsys, argv, code, err_start):
+    start = time.perf_counter()
     got, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < TOTALITY_SECONDS
     assert got == code
     assert "Traceback" not in err
     if err_start is None:
@@ -432,6 +438,20 @@ def test_sieve_cap(capsys, monkeypatch):
     code, _, err = run_cli(capsys, tail + ["--cutoff", "1000"])
     assert code == 2
     assert err.startswith("ArgumentTypeError: must be finite")
+
+
+def test_enumeration_cap(capsys, monkeypatch):
+    # ell >= 2 sieves only to sqrt(cutoff), but its Omega table spans the cutoff
+    monkeypatch.setattr(primes, "SIEVE_CAP", 5000)
+    tail = ["pzeta-tail", "--ell", "2", "--s", "2", "--M", "10"]
+    table = ["pzeta-asymptotic", "--ell", "3", "--s", "2", "--grid", "10,100"]
+    assert run_cli(capsys, tail + ["--cutoff", "5000"])[0] == 0
+    assert run_cli(capsys, table + ["--cutoff", "5000"])[0] == 0
+    for argv in (tail + ["--cutoff", "5001"], table + ["--cutoff", "5001"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("OutOfRangeError: omega_table bound 5001 exceeds SIEVE_CAP")
 
 
 def test_guard_errors_share_a_base():

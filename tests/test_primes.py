@@ -79,6 +79,21 @@ def test_sieve_cap_checked_before_building(monkeypatch):
         PrimeSieve(1001)
 
 
+def test_omega_table_cap_checked_before_allocating(monkeypatch, sieve_small):
+    monkeypatch.setattr(primes, "SIEVE_CAP", 1000)
+    assert omega_table(1000, sieve_small).size == 1001
+    assert almost_primes(AlmostPrimeEnumeration(2, "at-most", 1000), sieve_small).size > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"array allocated: {args}")
+
+    monkeypatch.setattr(primes.np, "zeros", refuse)
+    with pytest.raises(OutOfRangeError, match="SIEVE_CAP"):
+        omega_table(1001, sieve_small)
+    with pytest.raises(OutOfRangeError, match="SIEVE_CAP"):
+        almost_primes(AlmostPrimeEnumeration(2, "at-most", 1001), sieve_small)
+
+
 def test_is_prime_out_of_range(sieve_small):
     with pytest.raises(OutOfRangeError):
         sieve_small.is_prime(100_001)

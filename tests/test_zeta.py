@@ -7,9 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import numpy as np
+
+from primecf import zeta
 from primecf.errors import DivergentSeriesError
 from primecf.primes import primes_in
 from primecf.zeta import (
+    FIX_BITS,
     asymptotic_table,
     mobius,
     pzeta_tail,
@@ -60,6 +64,23 @@ def oracle_tuple_sum(ell: int, M: float, r: int, cutoff: int, s: float, sv) -> m
 def close(a, b, tol) -> bool:
     with mp.workdps(60):
         return abs(mpf(a) - mpf(b)) < tol
+
+
+def exact_value(x: mpf) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def oracle_power_sum(ks, s: float) -> tuple[Fraction, Fraction]:
+    """Bracket of sum k^-s: exact for integer s, else 600-bit powers padded
+    by 2^-500, far below the 2^-FIX_BITS unit of the sums it checks."""
+    if s.is_integer():
+        total = sum(Fraction(1, k ** int(s)) for k in ks)
+        return total, total
+    with mp.workprec(600):
+        total = exact_value(mp.fsum(mpf(k) ** -mpf(s) for k in ks))
+    pad = Fraction(1, 2**500)
+    return total - pad, total + pad
 
 
 # -- truncated tails --------------------------------------------------------
@@ -136,6 +157,55 @@ def test_prime_tail_above_ten_matches_independent_route(sieve_big):
         want = pzeta_via_mobius(2) - mpf(head.numerator) / head.denominator
         assert abs(res.value - want) <= res.remainder_bound
     assert abs(float(res.value) - 0.0307281) < 2e-7
+
+
+# -- fixed-point accumulation ------------------------------------------------
+
+@pytest.mark.parametrize("s", [2.0, 3.0, 2.5, 2.25, 2.125, 2.3])
+@pytest.mark.parametrize("ks", [[], [2], list(range(2, 40)) + [97, 10**6 + 3, 10**9 - 1]],
+                         ids=["empty", "two", "multi-chunk"])
+def test_fixed_point_sum_brackets_true_sum(monkeypatch, s, ks):
+    # a chunk of 7 terms makes the longest input span six chunks
+    monkeypatch.setattr(zeta, "FIX_CHUNK", 7)
+    total = zeta._power_sum(np.array(ks, dtype=np.int64), s)
+    lower, upper = zeta._fixed_bracket(total, len(ks), s)
+    lo, hi = oracle_power_sum(ks, s)
+    unit = Fraction(1, 2**FIX_BITS)
+    assert lower * unit <= hi and lo <= upper * unit
+    exact_route = zeta._exact_root(s) is not None
+    assert exact_route == (s != 2.3)
+    assert upper - lower == (len(ks) if exact_route else len(ks) + 2 * bool(ks))
+
+
+def test_fixed_point_units_and_chunking():
+    two = np.array([2], dtype=np.int64)
+    assert zeta._power_sum(two, 2) == 2 ** (FIX_BITS - 2)
+    assert zeta._fixed_bracket(2 ** (FIX_BITS - 2), 1, 2) == (2 ** (FIX_BITS - 2),
+                                                              2 ** (FIX_BITS - 2) + 1)
+    ks = np.arange(2, zeta.FIX_CHUNK + 1000, dtype=np.int64)
+    for s in (2, 2.5):
+        whole = zeta._power_sum(ks, s)
+        assert whole == zeta._power_sum(ks[:500], s) + zeta._power_sum(ks[500:], s)
+    # exponents past the exact route's power limit take the mpf route
+    assert zeta._exact_root(65) is None and zeta._exact_root(64) == (64, 0)
+
+
+@pytest.mark.parametrize("ell,mode", [(1, "exactly"), (2, "at-most"), (3, "exactly")])
+def test_value_and_upper_bracket_exact_sum(sieve_small, ell, mode):
+    # compared as exact rationals, not within a tolerance
+    res = pzeta_tail(ell, mode, 3, 10, 500, sieve_small)
+    exact = oracle_tail_fraction(ell, mode, 3, 10, 500)
+    assert exact_value(res.value) <= exact < exact_value(res.upper)
+
+
+@pytest.mark.parametrize("s", [2, 2.5, 2.3])
+def test_upper_is_rounded_up(sieve_small, s):
+    results = [pzeta_tail(1, "at-most", s, 10, 100_000, sieve_small),
+               pzeta_tail(2, "exactly", s, 3, 5_000, sieve_small),
+               s_recursive(2, 40, 2, s, 3000, sieve_small)]
+    for res in results:
+        assert exact_value(res.upper) >= (exact_value(res.value)
+                                          + exact_value(res.remainder_bound))
 
 
 # -- moebius function -------------------------------------------------------
@@ -266,6 +336,15 @@ def test_table_rows_match_direct_tails(sieve_small):
     for row in rows:
         direct = pzeta_tail(2, "at-most", 2, row.M, 10_000, sieve_small)
         assert close(row.value, direct.value, mpf("1e-30"))
+        assert row.remainder_bound == direct.remainder_bound
+
+
+@pytest.mark.parametrize("s", [2, 2.5, 2.3])
+def test_table_rows_equal_direct_tails_exactly(sieve_small, s):
+    grid = [1000.0, 10.0, 100.0]
+    for row in asymptotic_table(2, s, grid, 5_000, sieve_small):
+        direct = pzeta_tail(2, "at-most", s, row.M, 5_000, sieve_small)
+        assert row.value == direct.value
         assert row.remainder_bound == direct.remainder_bound
 
 
