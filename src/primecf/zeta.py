@@ -5,15 +5,17 @@ bounds, an independent route to the full prime sum through the Moebius /
 log-zeta identity, the recursive sum over constrained prime products, and
 asymptotic ratio tables.
 
-Tails are accumulated exactly as Python integers in units of 2^-FIX_BITS.
-When s * 2^j is an integer a for some j <= 3, each term is the exact floor
-of 2^FIX_BITS * k^-s (one floor division, then j nested integer square
-roots), so the total is a lower bound within `terms` units of the true sum.
-Any other s takes one mpmath power per term at FIX_BITS + 20 bits, whose
-mantissa is shifted into the same units.  The total becomes a 40-digit
-value once, rounded down, and its slack, plus that rounding, is added to
-the remainder bound rounded up, so tails near 1e-6 keep about 40 correct
-digits and [value, upper] stays rigorous.
+Tails are accumulated exactly as Python integers in units of
+2^-(FIX_BITS + e), with e chosen so the largest term, at the smallest k,
+is about 2^FIX_BITS units.  When s * 2^j is an integer a <= 64 for some
+j <= 3, each term is the exact floor of its units (one floor division,
+then j nested integer square roots), so the total is a lower bound within
+`terms` units of the true sum.  Any other s takes one mpmath power per
+term at FIX_BITS + 20 bits, whose mantissa is shifted into the same units.
+The total becomes a 40-digit value once, rounded down, and its slack, plus
+that rounding, is added to the remainder bound rounded up, so every tail
+keeps about 40 correct digits, however small, and [value, upper] stays
+rigorous.
 """
 from __future__ import annotations
 
@@ -28,8 +30,9 @@ from .errors import DivergentSeriesError, OutOfRangeError
 from .primes import AlmostPrimeEnumeration, PrimeSieve, almost_primes, primes_in
 
 WORK_DPS = 40
-# Fixed-point sums count units of 2^-FIX_BITS; terms stream through Python
-# ints in chunks of FIX_CHUNK, so no object list spans a whole term array.
+# Fixed-point sums count units of 2^-(FIX_BITS + e), e scaled to the largest
+# term; terms stream through Python ints in chunks of FIX_CHUNK, so no object
+# list spans a whole term array.
 FIX_BITS = 160
 FIX_CHUNK = 1 << 16
 # Exponents s * 2^j above this take the mpf route: k^a grows with a.
@@ -88,63 +91,81 @@ def _exact_root(s: float) -> tuple[int, int] | None:
     return None
 
 
-def _power_sum(ks: np.ndarray, s: float) -> int:
-    """Sum of floor(2^FIX_BITS * k^-s) over an integer array, in units.
+def _mpf_power(s: float, prec: int):
+    """The map k -> k^-s as a raw mpmath value of prec bits, exp(-s log k).
 
-    Exact on the `_exact_root` route.  Otherwise each k^-s is an mpf of
-    FIX_BITS + 20 bits, exp(-s log k) with the log 40 bits wider, whose
-    mantissa is shifted to whole units; `_fixed_bracket` allows for that.
+    The log is b + 40 bits wider, with 2^b > s, so for k < 2^63 its error
+    moves the power by under 2^-(prec+30) relative; with up to one ulp
+    from the exponential the result is within 2^-(prec-2) relative.
     """
-    chunks = (ks[lo:lo + FIX_CHUNK].tolist() for lo in range(0, ks.size, FIX_CHUNK))
+    neg_s = libmp.from_float(-float(s))
+    log_prec = prec + 40 + math.ceil(s).bit_length()
+    log, exp, mul, from_int = libmp.mpf_log, libmp.mpf_exp, libmp.mpf_mul, libmp.from_int
+    nearest = libmp.round_nearest
+    return lambda k: exp(mul(neg_s, log(from_int(k), log_prec)), prec, nearest)
+
+
+def _unit_exponent(k: int, s: float) -> int:
+    """e with 2^(FIX_BITS-2) < 2^(FIX_BITS+e) * k^-s < 2^(FIX_BITS+1).
+
+    A 53-bit k^-s lies in [2^(m-1), 2^m) for m = exponent + bit count and
+    is within 2^-50 of the true power, so e = -m gives the range above.
+    """
+    _, _, exp, bc = _mpf_power(s, 53)(k)
+    return -(exp + bc)
+
+
+def _power_sum(ks: np.ndarray, s: float) -> tuple[int, int, int]:
+    """Integers (lower, upper, e) with lower <= 2^(FIX_BITS+e) * sum k^-s <= upper.
+
+    The unit 2^-(FIX_BITS+e) is scaled to the smallest k, so its term is
+    2^(FIX_BITS-2) to 2^(FIX_BITS+1) units and every term at most that.
+    On the `_exact_root` route each term is the exact floor of its units,
+    short by less than one, so upper = lower + n.  Otherwise each term is a
+    `_mpf_power` of FIX_BITS + 20 bits, within 2^-178 relative, so under
+    2^-17 units off before its mantissa is cut to whole units; over n terms
+    that is under r = n // 2^17 + 1 units, which widens the bracket by r on
+    each side.
+    """
+    n = int(ks.size)
+    if n == 0:
+        return 0, 0, 0
+    e = _unit_exponent(int(ks.min()), s)
+    unit = FIX_BITS + e
+    chunks = (ks[lo:lo + FIX_CHUNK].tolist() for lo in range(0, n, FIX_CHUNK))
     root = _exact_root(s)
     total = 0
     if root is not None:
         a, j = root
-        num = 1 << (FIX_BITS << j)
+        num = 1 << (unit << j)
         for chunk in chunks:
             terms = map(num.__floordiv__, map(pow, chunk, repeat(a)))
             for _ in range(j):
                 terms = map(math.isqrt, terms)
             total += sum(terms)
-        return total
-    prec = FIX_BITS + 20
-    neg_s = libmp.from_float(-float(s))
+        return total, total + n, e
+    power = _mpf_power(s, FIX_BITS + 20)
     for k in chain.from_iterable(chunks):
-        log_k = libmp.mpf_log(libmp.from_int(k), prec + 40)
-        _, man, exp, _ = libmp.mpf_exp(libmp.mpf_mul(neg_s, log_k), prec, libmp.round_nearest)
-        shift = -exp - FIX_BITS
+        _, man, exp, _ = power(k)
+        shift = -exp - unit  # negative when mpmath strips trailing zero bits
         total += man >> shift if shift >= 0 else man << -shift
-    return total
+    r = (n >> 17) + 1
+    return max(total - r, 0), total + n + r, e
 
 
-def _fixed_bracket(total: int, terms: int, s: float) -> tuple[int, int]:
-    """Integers (lower, upper) with lower <= 2^FIX_BITS * sum <= upper.
-
-    On the exact route every term is a floor, short of its true value by
-    less than one unit.  On the mpf route each term is also short by less
-    than one unit, give or take the power's error, at most 2^-20 k^-s +
-    2^-60 units; over n < 2^59 terms with k < 2^63 that is below
-    2^-20 ln(2^63) + n 2^-60 < 1, so one unit on each side covers it.
-    """
-    if terms == 0:
-        return 0, 0
-    if _exact_root(s) is not None:
-        return total, total + terms
-    return max(total - 1, 0), total + terms + 1
-
-
-def _tail_values(total: int, terms: int, s: float, cutoff: int) -> tuple[mpf, mpf]:
-    """(value, remainder_bound) at WORK_DPS for a fixed-point tail total.
+def _tail_values(lower: int, upper: int, e: int, s: float,
+                 cutoff: int) -> tuple[mpf, mpf]:
+    """(value, remainder_bound) at WORK_DPS for a bracket in units 2^-(FIX_BITS+e).
 
     The value is the lower end rounded down; the remainder bound adds the
     integer tail past the cutoff and everything between the value and the
-    upper end of the fixed-point bracket, rounded up.
+    upper end of the bracket, rounded up.
     """
-    lower, upper = _fixed_bracket(total, terms, s)
     with mp.workdps(WORK_DPS):
-        value = mp.fdiv(lower, 1 << FIX_BITS, rounding="d")
-        gap = upper - int(mp.ldexp(value, FIX_BITS))  # value * 2^FIX_BITS is an integer
-        bound = mp.fadd(_integer_tail_bound(cutoff, s), mp.ldexp(gap, -FIX_BITS),
+        scaled = mp.make_mpf(libmp.from_int(lower, mp.prec, libmp.round_down))
+        gap = mp.make_mpf(libmp.from_int(upper - int(scaled), mp.prec, libmp.round_up))
+        value = mp.ldexp(scaled, -(FIX_BITS + e))
+        bound = mp.fadd(_integer_tail_bound(cutoff, s), mp.ldexp(gap, -(FIX_BITS + e)),
                         rounding="u")
     return value, bound
 
@@ -165,7 +186,7 @@ def pzeta_tail(ell: int, mode: str, s: float, M: float, cutoff: int,
     ks = almost_primes(cfg, sv)
     lo = int(np.searchsorted(ks, math.ceil(M), side="left"))
     ks = ks[lo:]
-    value, bound = _tail_values(_power_sum(ks, s), int(ks.size), s, int(cutoff))
+    value, bound = _tail_values(*_power_sum(ks, s), s, int(cutoff))
     return TailSumResult(value=value, remainder_bound=bound, terms_used=int(ks.size))
 
 
@@ -281,8 +302,9 @@ def asymptotic_table(ell: int, s: float, M_grid: list[float], cutoff: int,
     """Normalized tail values across a threshold grid.
 
     The enumeration runs once; per-threshold values are exact integer
-    suffix sums over the same ascending term sequence, so each row equals
-    the pzeta_tail at its threshold.
+    suffix sums over the same ascending term sequence, in the unit of the
+    largest threshold with terms, so that row equals its pzeta_tail and
+    the others, in a finer unit, agree with theirs to about 40 digits.
     """
     _check_exponent(s)
     if not M_grid:
@@ -294,14 +316,19 @@ def asymptotic_table(ell: int, s: float, M_grid: list[float], cutoff: int,
     cfg = AlmostPrimeEnumeration(ell=ell, mode=mode, bound=int(cutoff))
     ks = almost_primes(cfg, sv)
     order = sorted(range(len(M_grid)), key=lambda i: M_grid[i], reverse=True)
-    partial = 0
+    lower = upper = e = 0
     upper_idx = len(ks)
     tails: dict[int, tuple[mpf, mpf]] = {}
     for i in order:
         lo = int(np.searchsorted(ks, math.ceil(M_grid[i]), side="left"))
-        partial += _power_sum(ks[lo:upper_idx], s)
+        seg_lower, seg_upper, seg_e = _power_sum(ks[lo:upper_idx], s)
         upper_idx = lo
-        tails[i] = _tail_values(partial, len(ks) - lo, s, int(cutoff))
+        # one shared unit, the finest so far: the shifts are exact
+        unit = max(e, seg_e)
+        lower = (lower << (unit - e)) + (seg_lower << (unit - seg_e))
+        upper = (upper << (unit - e)) + (seg_upper << (unit - seg_e))
+        e = unit
+        tails[i] = _tail_values(lower, upper, e, s, int(cutoff))
     rows = []
     with mp.workdps(WORK_DPS):
         for i, M in enumerate(M_grid):

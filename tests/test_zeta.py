@@ -167,27 +167,47 @@ def test_prime_tail_above_ten_matches_independent_route(sieve_big):
 def test_fixed_point_sum_brackets_true_sum(monkeypatch, s, ks):
     # a chunk of 7 terms makes the longest input span six chunks
     monkeypatch.setattr(zeta, "FIX_CHUNK", 7)
-    total = zeta._power_sum(np.array(ks, dtype=np.int64), s)
-    lower, upper = zeta._fixed_bracket(total, len(ks), s)
+    lower, upper, e = zeta._power_sum(np.array(ks, dtype=np.int64), s)
     lo, hi = oracle_power_sum(ks, s)
-    unit = Fraction(1, 2**FIX_BITS)
+    unit = Fraction(1, 2 ** (FIX_BITS + e))
     assert lower * unit <= hi and lo <= upper * unit
     exact_route = zeta._exact_root(s) is not None
     assert exact_route == (s != 2.3)
     assert upper - lower == (len(ks) if exact_route else len(ks) + 2 * bool(ks))
 
 
-def test_fixed_point_units_and_chunking():
+def test_fixed_point_units_and_chunking(monkeypatch):
+    # 2^-2 is 2^(FIX_BITS-1) units of 2^-(FIX_BITS+1)
     two = np.array([2], dtype=np.int64)
-    assert zeta._power_sum(two, 2) == 2 ** (FIX_BITS - 2)
-    assert zeta._fixed_bracket(2 ** (FIX_BITS - 2), 1, 2) == (2 ** (FIX_BITS - 2),
-                                                              2 ** (FIX_BITS - 2) + 1)
-    ks = np.arange(2, zeta.FIX_CHUNK + 1000, dtype=np.int64)
-    for s in (2, 2.5):
+    assert zeta._power_sum(two, 2) == (2 ** (FIX_BITS - 1), 2 ** (FIX_BITS - 1) + 1, 1)
+    # on the mpf route 2^-100 comes back as mantissa 1, shifted left into units
+    lower, upper, e = zeta._power_sum(two, 100)
+    assert zeta._exact_root(100) is None and e == 99
+    assert lower <= 2 ** (FIX_BITS - 1) <= upper <= lower + 3
+    # the unit follows the smallest k, whatever its place in the array
+    ks = np.arange(2, 3000, dtype=np.int64)
+    assert zeta._power_sum(ks[::-1].copy(), 2.5) == zeta._power_sum(ks, 2.5)
+    for s in (2, 2.5, 2.3):
         whole = zeta._power_sum(ks, s)
-        assert whole == zeta._power_sum(ks[:500], s) + zeta._power_sum(ks[500:], s)
+        monkeypatch.setattr(zeta, "FIX_CHUNK", 100)
+        assert zeta._power_sum(ks, s) == whole
+        monkeypatch.undo()
     # exponents past the exact route's power limit take the mpf route
     assert zeta._exact_root(65) is None and zeta._exact_root(64) == (64, 0)
+
+
+@pytest.mark.parametrize("s,M,cutoff", [(10, 99_000, 100_000), (100, 3, 200),
+                                        (64, 150, 400)])
+def test_tiny_tails_keep_forty_digits(sieve_small, s, M, cutoff):
+    # the unit scales with the first term, so tails far below 2^-160 keep
+    # their digits; the [value, upper] bracket still holds the exact sum
+    exact = oracle_tail_fraction(1, "at-most", s, M, cutoff)
+    res = pzeta_tail(1, "at-most", s, M, cutoff, sieve_small)
+    rows = asymptotic_table(1, s, [M, (M + cutoff) / 2], cutoff, sieve_small)
+    for value, bound in [(res.value, res.remainder_bound),
+                         (rows[0].value, rows[0].remainder_bound)]:
+        assert exact_value(value) <= exact <= exact_value(value) + exact_value(bound)
+        assert exact - exact_value(value) <= exact * Fraction(1, 10**38)
 
 
 @pytest.mark.parametrize("ell,mode", [(1, "exactly"), (2, "at-most"), (3, "exactly")])
@@ -340,12 +360,22 @@ def test_table_rows_match_direct_tails(sieve_small):
 
 
 @pytest.mark.parametrize("s", [2, 2.5, 2.3])
-def test_table_rows_equal_direct_tails_exactly(sieve_small, s):
+def test_table_rows_agree_with_direct_tails(sieve_small, s):
+    # rows share the unit of the largest threshold: that row equals its
+    # direct tail exactly, the others agree to about 40 digits and print
+    # the same 20, and each bracket holds the other's value
     grid = [1000.0, 10.0, 100.0]
     for row in asymptotic_table(2, s, grid, 5_000, sieve_small):
         direct = pzeta_tail(2, "at-most", s, row.M, 5_000, sieve_small)
-        assert row.value == direct.value
-        assert row.remainder_bound == direct.remainder_bound
+        if row.M == max(grid):
+            assert row.value == direct.value
+            assert row.remainder_bound == direct.remainder_bound
+        assert abs(exact_value(row.value) - exact_value(direct.value)) <= (
+            exact_value(direct.value) * Fraction(1, 10**38))
+        assert mp.nstr(row.value, 20) == mp.nstr(direct.value, 20)
+        assert row.value <= direct.upper
+        assert exact_value(direct.value) <= (exact_value(row.value)
+                                             + exact_value(row.remainder_bound))
 
 
 def test_table_ratio_definition(sieve_mid):
