@@ -277,15 +277,17 @@ class EBParams:
                 return ("prime", pos - nj, j)
         return ("digit", -1, -1)
 
-    def block_base(self, i: int) -> float:
-        return self.alphas[i] if i < self.ell - 1 else self.last_base
+    @property
+    def bases(self) -> tuple[float, ...]:
+        """Prime-window base per slot: alpha_0 .. alpha_(ell-2), then last_base."""
+        return (*self.alphas, self.last_base)
 
     def block_window(self, i: int, j: int) -> tuple[float, float]:
-        lo = self.block_base(i) ** self.n_schedule[j]
+        lo = self.bases[i] ** self.n_schedule[j]
         return lo, 2.0 * lo
 
 
-def _prime_block(params: EBParams, i: int, j: int, sv: PrimeSieve) -> np.ndarray:
+def _prime_block(params: EBParams, i: int, j: int, sv: PrimeSieve) -> tuple[int, ...]:
     lo, hi = params.block_window(i, j)
     if hi > sv.limit:
         raise ConstructionInfeasibleError(
@@ -297,7 +299,22 @@ def _prime_block(params: EBParams, i: int, j: int, sv: PrimeSieve) -> np.ndarray
         raise ConstructionInfeasibleError(
             f"no primes in window [{lo:.4g}, {hi:.4g}] for slot (i={i}, j={j})"
         )
-    return ps
+    return tuple(int(p) for p in ps)
+
+
+def _first_round_constant(base: float, i: int, n: int, sv: PrimeSieve) -> float:
+    """c_n(base) of slot i's first-round window, which must be dense."""
+    try:
+        c = prime_block_constant(base, n, sv)
+    except OutOfRangeError:
+        raise ConstructionInfeasibleError(
+            f"first-round window for slot i={i} beyond sieve") from None
+    if c == math.inf:
+        raise ConstructionInfeasibleError(f"first-round window for slot i={i} holds no prime")
+    if c >= 2:
+        raise ConstructionInfeasibleError(
+            f"window count constant >= 2 for slot i={i} at n={n}")
+    return c
 
 
 def make_eb_params(B: float, ell: int, s: float, delta: float, sv: PrimeSieve,
@@ -322,6 +339,7 @@ def make_eb_params(B: float, ell: int, s: float, delta: float, sv: PrimeSieve,
         raise ConstructionInfeasibleError(
             f"last prime-window base B/(alpha_0...alpha_(ell-2)) = {last_base:.4g} <= 1"
         )
+    bases = (*alphas, last_base)
     M_range = [M] if M is not None else list(range(2, 9))
     N_range = [N] if N is not None else list(range(1, 15))
     failure = "no candidates examined"
@@ -336,29 +354,19 @@ def make_eb_params(B: float, ell: int, s: float, delta: float, sv: PrimeSieve,
                 continue
             n1 = N_ + 1
             try:
-                bases = [alphas[i] if i < ell - 1 else last_base for i in range(ell)]
-                for i, base in enumerate(bases):
-                    lo = base ** n1
-                    if 2 * lo > sv.limit:
-                        raise ConstructionInfeasibleError(
-                            f"first-round window for slot i={i} beyond sieve"
-                        )
-                    if primes_in(lo, 2 * lo, sv).size == 0:
-                        raise ConstructionInfeasibleError(
-                            f"first-round window for slot i={i} holds no prime"
-                        )
-                    if prime_block_constant(base, n1, sv) >= 2:
-                        raise ConstructionInfeasibleError(
-                            f"window count constant >= 2 for slot i={i} at n={n1}"
-                        )
+                constants = [_first_round_constant(base, i, n1, sv)
+                             for i, base in enumerate(bases)]
             except ConstructionInfeasibleError as exc:
                 failure = str(exc)
                 continue
-            return _finish_eb_params(B, ell, s, delta, M_, N_, alphas, last_base, sv)
+            return _finish_eb_params(B, ell, s, delta, M_, N_, alphas, last_base,
+                                     constants)
     raise ConstructionInfeasibleError(f"no admissible (M, N): {failure}")
 
 
-def _finish_eb_params(B, ell, s, delta, M, N, alphas, last_base, sv) -> EBParams:
+def _finish_eb_params(B, ell, s, delta, M, N, alphas, last_base, constants) -> EBParams:
+    """Schedules, t_B(M, N) and the constraint record; `constants` holds the
+    vetted first-round window constants c_n(base_i), one per slot."""
     l_schedule = [1]
     while len(l_schedule) < 12:
         l_schedule.append(2 * l_schedule[-1] + 1)
@@ -367,7 +375,6 @@ def _finish_eb_params(B, ell, s, delta, M, N, alphas, last_base, sv) -> EBParams
         n_schedule.append(n_schedule[-1] + ell + lj * N)
     problem = PressureProblem(ell=ell, B=B, M=M, n=N)
     t_value = dimensional_number(problem, method="auto")
-    n1 = n_schedule[1]
 
     constraints: list[tuple[str, str, str]] = []
 
@@ -389,13 +396,8 @@ def _finish_eb_params(B, ell, s, delta, M, N, alphas, last_base, sv) -> EBParams
     record("alpha chain identity", chain_err <= 1e-12, f"rel err = {chain_err:.3g}")
     record("alpha full-product identity", full_err <= 1e-12, f"rel err = {full_err:.3g}")
     record("B alpha_0^s >= B^(2s)", margin >= -1e-12, f"margin = {margin:.3g}")
-    for i in range(ell):
-        base = alphas[i] if i < ell - 1 else last_base
-        try:
-            c = prime_block_constant(base, n1, sv)
-            record(f"c_n(base_{i}) < 2 at n1", c < 2, f"c = {c:.4g}")
-        except OutOfRangeError as exc:
-            record(f"c_n(base_{i}) < 2 at n1", False, str(exc))
+    for i, c in enumerate(constants):
+        record(f"c_n(base_{i}) < 2 at n1", c < 2, f"c = {c:.4g}")
 
     return EBParams(B=B, ell=ell, s=s, delta=delta, M=M, N=N, alphas=alphas,
                     last_base=last_base, l_schedule=tuple(l_schedule),
@@ -431,8 +433,20 @@ class _BlockWeights:
         return got
 
 
+def _hull(p: int, p_prev: int, q: int, q_prev: int,
+          digits: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+    """Exact endpoints of the union of the closures of the word (p/q,
+    p_prev/q_prev) extended by each of the ascending `digits`."""
+    t, u = digits[0], digits[-1] + 1
+    a = Fraction(t * p + p_prev, t * q + q_prev)
+    b = Fraction(u * p + p_prev, u * q + q_prev)
+    return (a, b) if a <= b else (b, a)
+
+
 @dataclass(frozen=True)
 class EBNode:
+    """A word of the tree; [lo, hi] is the hull of its children's closures."""
+
     word: tuple[int, ...]
     depth: int
     parent: int
@@ -441,16 +455,11 @@ class EBNode:
     q: int
     q_prev: int
     mu: float
+    lo: Fraction
+    hi: Fraction
 
     def interval_length(self) -> Fraction:
         return Fraction(1, self.q * (self.q + self.q_prev))
-
-    def endpoint(self, t: int) -> Fraction:
-        """Value of the word extended by digit t, at the child boundary."""
-        return Fraction(t * self.p + self.p_prev, t * self.q + self.q_prev)
-
-
-DigitSpec = tuple  # ("range", 1, M) or ("primes", (p1, p2, ...))
 
 
 @dataclass(frozen=True)
@@ -458,29 +467,17 @@ class EBTree:
     params: EBParams
     u: float
     levels: tuple[tuple[EBNode, ...], ...]
-    digit_specs: tuple[DigitSpec, ...]  # digit_specs[d-1] governs depth d
+    digit_sets: tuple[tuple[int, ...], ...]  # digit_sets[d-1]: the digits at depth d
 
     @property
     def depth(self) -> int:
         return len(self.levels)
 
-    def hull(self, node: EBNode) -> tuple[Fraction, Fraction]:
-        """Exact endpoints of the union of the node's child closures."""
-        spec = self.digit_specs[node.depth]  # digits at depth + 1
-        if spec[0] == "range":
-            dmin, dmax = spec[1], spec[2]
-        else:
-            dmin, dmax = spec[1][0], spec[1][-1]
-        a = node.endpoint(dmin)
-        b = node.endpoint(dmax + 1)
-        return (a, b) if a <= b else (b, a)
-
     def records(self) -> Iterator[tuple[int, tuple[int, ...], float, float, Fraction, Fraction]]:
         """(depth, word, mu, diam, lo, hi) per node, level by level."""
         for level in self.levels:
-            for node in level:
-                lo, hi = self.hull(node)
-                yield node.depth, node.word, node.mu, float(hi - lo), lo, hi
+            for n in level:
+                yield n.depth, n.word, n.mu, float(n.hi - n.lo), n.lo, n.hi
 
 
 def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve,
@@ -499,14 +496,11 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve,
         raise OutOfRangeError(f"depth_limit {depth_limit} beyond the prepared schedule")
     weights = _BlockWeights(params.M, params.N, params.alphas[0], params.s)
 
-    specs: list[DigitSpec] = []
-    for pos in range(1, depth_limit + 2):
-        role, i, j = params.position_role(pos)
-        if role == "prime":
-            ps = _prime_block(params, i, j, sv)
-            specs.append(("primes", tuple(int(p) for p in ps)))
-        else:
-            specs.append(("range", 1, params.M))
+    # one more position than the depth: the deepest nodes' hulls need it
+    roles = [params.position_role(pos) for pos in range(1, depth_limit + 2)]
+    digit_sets = tuple(_prime_block(params, i, j, sv) if role == "prime"
+                       else tuple(range(1, params.M + 1))
+                       for role, i, j in roles)
 
     # run starts: position of the first digit of the sub-block run that
     # contains pos, for sub-block offset bookkeeping
@@ -520,40 +514,38 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve,
     total = 0
     # (node, partial sub-block, carried product of closed factors)
     frontier: list[tuple[EBNode, tuple[int, ...], float]] = [
-        (EBNode((), 0, -1, 0, 1, 1, 0, 1.0), (), 1.0)
+        (EBNode((), 0, -1, 0, 1, 1, 0, 1.0, *_hull(0, 1, 1, 0, digit_sets[0])), (), 1.0)
     ]
     for pos in range(1, depth_limit + 1):
-        spec = specs[pos - 1]
-        role = spec[0]
-        digits = (range(spec[1], spec[2] + 1) if role == "range" else spec[1])
-        completes = role == "range" and run_offset(pos) % params.N == params.N - 1
-        nxt: list[tuple[EBNode, tuple[int, ...], float]] = []
-        for parent_idx, (par, partial, carried) in enumerate(frontier):
-            for d in digits:
-                word = par.word + (int(d),)
-                p = d * par.p + par.p_prev
-                q = d * par.q + par.q_prev
-                if role == "primes":
-                    new_partial = ()
-                    new_carried = carried / len(spec[1])
-                elif completes:
-                    new_partial = ()
-                    new_carried = carried * weights.weight(partial + (int(d),))
-                else:
-                    new_partial = partial + (int(d),)
-                    new_carried = carried
-                mu = new_carried * weights.sigma(new_partial)
-                node = EBNode(word, pos, parent_idx, p, par.p, q, par.q, mu)
-                nxt.append((node, new_partial, new_carried))
-        total += len(nxt)
+        digits, below = digit_sets[pos - 1], digit_sets[pos]
+        prime = roles[pos - 1][0] == "prime"
+        completes = not prime and run_offset(pos) % params.N == params.N - 1
+        total += len(frontier) * len(digits)
         if total > node_guard:
             raise EnumerationGuardError(
                 f"tree exceeds {node_guard} nodes at depth {pos}"
             )
+        nxt: list[tuple[EBNode, tuple[int, ...], float]] = []
+        for parent_idx, (par, partial, carried) in enumerate(frontier):
+            for d in digits:
+                p = d * par.p + par.p_prev
+                q = d * par.q + par.q_prev
+                if prime:
+                    new_partial = ()
+                    new_carried = carried / len(digits)
+                elif completes:
+                    new_partial = ()
+                    new_carried = carried * weights.weight(partial + (d,))
+                else:
+                    new_partial = partial + (d,)
+                    new_carried = carried
+                mu = new_carried * weights.sigma(new_partial)
+                node = EBNode(par.word + (d,), pos, parent_idx, p, par.p, q, par.q, mu,
+                              *_hull(p, par.p, q, par.q, below))
+                nxt.append((node, new_partial, new_carried))
         frontier = nxt
         levels.append(tuple(entry[0] for entry in frontier))
-    return EBTree(params=params, u=weights.u, levels=tuple(levels),
-                  digit_specs=tuple(specs))
+    return EBTree(params=params, u=weights.u, levels=tuple(levels), digit_sets=digit_sets)
 
 
 @dataclass(frozen=True)
@@ -573,11 +565,9 @@ def gap_check(tree: EBTree) -> GapReport:
     worst_word: tuple[int, ...] = ()
     pairs = 0
     for level in tree.levels:
-        hulls = sorted(
-            ((tree.hull(node), node) for node in level), key=lambda t: t[0][0]
-        )
-        for (h1, n1), (h2, n2) in zip(hulls, hulls[1:]):
-            gap = h2[0] - h1[1]
+        ordered = sorted(level, key=lambda node: node.lo)
+        for n1, n2 in zip(ordered, ordered[1:]):
+            gap = n2.lo - n1.hi
             pairs += 1
             for node in (n1, n2):
                 req = node.interval_length() / eight_m
@@ -597,21 +587,19 @@ class HolderReport:
     max_ratio: float
 
 
-def holder_check(tree: EBTree, params: EBParams | None = None) -> HolderReport:
+def holder_check(tree: EBTree) -> HolderReport:
     """max over nodes of mu(J) / diam(J)^(s(1-delta)-delta), per depth.
 
     A finite, depth-stable maximum is the empirical face of the mass
     bound behind the dimension estimate.
     """
-    prm = params if params is not None else tree.params
-    exponent = prm.s * (1 - prm.delta) - prm.delta
+    exponent = tree.params.s * (1 - tree.params.delta) - tree.params.delta
     per_depth: list[tuple[int, float]] = []
     overall = 0.0
     for level in tree.levels:
         best = 0.0
         for node in level:
-            lo, hi = tree.hull(node)
-            ratio = node.mu / float(hi - lo) ** exponent
+            ratio = node.mu / float(node.hi - node.lo) ** exponent
             best = max(best, ratio)
         per_depth.append((level[0].depth, best))
         overall = max(overall, best)

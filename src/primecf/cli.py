@@ -43,6 +43,9 @@ WINDOW_CAP = 10**6
 # Fraction builds 10**e for a decimal exponent e before any check can run;
 # exponents are held to Python's default int/str digit limit.
 EXPONENT_CAP = 4300
+# luczak_levels keeps one level per k until b^(k+1) leaves float range,
+# which for b near 1 is millions of levels.
+KMAX_CAP = 10**4
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
 
 
@@ -160,6 +163,13 @@ def precision_bits(text: str) -> int:
     k = int(text)
     if not 0 <= k <= BITS_CAP:
         raise argparse.ArgumentTypeError(f"must lie in [0, {BITS_CAP}], got {k}")
+    return k
+
+
+def kmax(text: str) -> int:
+    k = int(text)
+    if k > KMAX_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {KMAX_CAP}, got {k}")
     return k
 
 
@@ -540,7 +550,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         "luczak-dim", "doubly exponential construction levels and dimension ratios",
         cmd_luczak_dim,
         args=(("--b", _required(real_text)), ("--c", _required(real_text)),
-              ("--kmax", _required(int)), SIEVE),
+              ("--kmax", _required(kmax)), SIEVE),
         columns={"k": INTEGER, "log_m": NUMBER, "log_eps": NUMBER, "rosser_ok": BOOLEAN,
                  "block_lo": either("integer", "string"),
                  "block_hi": either("integer", "string"),
@@ -571,7 +581,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
                             "help": "semicolon-separated levels of comma-separated lengths"}),
               ("--b", {"type": real_text, "default": None}),
               ("--c", {"type": real_text, "default": None}),
-              ("--kmax", {"type": int, "default": 3}), SIEVE),
+              ("--kmax", {"type": kmax, "default": 3}), SIEVE),
         columns={"slope": NUMBER, "residual": NUMBER, "levels": INTEGER},
         echo=False,
     ),

@@ -74,11 +74,12 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
     highs: list[float] = []
     terms = 0
     if ell == 1:
-        for p in primes_in(math.ceil(threshold), cutoff, sv):
-            p = int(p)
-            t = 1.0 / (p * (p + 1))
-            lows.append(_down(t))
-            highs.append(_up(t))
+        # primes are int64 and at most SIEVE_CAP, so p(p+1) is exact; the
+        # float conversion and 1/x round as Python's int/float ops do
+        ps = primes_in(math.ceil(threshold), cutoff, sv)
+        t = 1.0 / (ps * (ps + 1)).astype(np.float64)
+        lows = np.nextafter(t, -np.inf).tolist()
+        highs = np.nextafter(t, np.inf).tolist()
         terms = len(lows)
         # integers past the cutoff dominate the skipped primes:
         # sum 1/(k(k+1)) over k > cutoff telescopes to 1/(cutoff+1)
@@ -106,7 +107,7 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
             lows.append(block * (1.0 - 1e-13))
             highs.append(block * (1.0 + 1e-13))
             terms += t.size
-        psq_hi = _up(math.fsum(_up(1.0 / (int(p) * int(p))) for p in pint))
+        psq_hi = _up(math.fsum(np.nextafter(1.0 / (pint * pint).astype(np.float64), np.inf)))
         # pairs with a factor beyond the cutoff: each length <= (p1 p2)^-2,
         # and sum_{p > cutoff} p^-2 <= 1/cutoff
         tail = _up(2.0 * (psq_hi + 1.0 / cutoff) * (1.0 / cutoff))

@@ -289,9 +289,13 @@ def hwx_dimension(ell: int, phi: Callable[[int], float], window: tuple[int, int]
     """
     exps = classify_growth(phi, window)
     b_hat = math.exp(exps.logb)
-    B_hat = math.exp(exps.logB)
     if b_hat >= B_INF_THRESHOLD:
         return DimensionReport(1.0 / (b_hat + 1.0), "B=inf", exps)
+    try:
+        B_hat = math.exp(exps.logB)
+    except OverflowError:
+        raise OutOfRangeError(
+            f"estimated B = exp({exps.logB:.6g}) exceeds float range") from None
     if B_hat <= B_ONE_THRESHOLD:
         return DimensionReport(1.0, "B=1", exps)
     problem = PressureProblem(ell=ell, B=B_hat, M=M, n=n)

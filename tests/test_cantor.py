@@ -305,12 +305,10 @@ def test_construction_constraint_record(eb):
 def test_tree_specs_and_shape(eb):
     params, tree = eb
     assert tree.depth == 5
-    assert len(tree.digit_specs) == 6
-    kinds = [spec[0] for spec in tree.digit_specs]
-    assert kinds == ["range", "primes", "primes", "range", "range", "range"]
+    # one ascending digit tuple per position, through depth + 1;
     # alpha_0^2 = 4.35 and last_base^2 = 3.68 both cover only {5, 7}
-    assert set(tree.digit_specs[1][1]) == {5, 7}
-    assert set(tree.digit_specs[2][1]) == {5, 7}
+    digits = tuple(range(1, params.M + 1))
+    assert tree.digit_sets == (digits, (5, 7), (5, 7), digits, digits, digits)
     assert [len(level) for level in tree.levels] == [3, 6, 12, 36, 108]
 
 
@@ -337,16 +335,32 @@ def test_tree_prime_split_is_uniform(eb):
         assert mus[0] == pytest.approx(mus[1], rel=1e-12)
 
 
+def _value(word) -> Fraction:
+    cf = continuants(word)
+    return Fraction(cf.p, cf.q)
+
+
 def test_tree_interval_arithmetic(eb):
     _, tree = eb
     node = tree.levels[2][5]
     cf = continuants(node.word)
     assert (node.p, node.q) == (cf.p, cf.q)
     assert node.interval_length() == Fraction(1, node.q * (node.q + node.q_prev))
-    lo, hi = tree.hull(node)
-    ends = sorted([node.endpoint(1), node.endpoint(tree.params.M + 1)])
-    assert (lo, hi) == tuple(ends)
-    assert 0 < lo < hi < 1
+    # the children at depth 4 take the digits 1..M
+    ends = sorted([_value(node.word + (1,)), _value(node.word + (tree.params.M + 1,))])
+    assert (node.lo, node.hi) == tuple(ends)
+    assert 0 < node.lo < node.hi < 1
+
+
+def test_tree_hulls_span_children(eb):
+    # every hull, prime positions included, is the exact span of the
+    # closures of the node's children
+    _, tree = eb
+    for level, digits in zip(tree.levels, tree.digit_sets[1:]):
+        for node in level:
+            ends = [_value(node.word + (d,)) for d in digits]
+            ends.append(_value(node.word + (digits[-1] + 1,)))
+            assert (node.lo, node.hi) == (min(ends), max(ends))
 
 
 def test_tree_gap_check(eb):

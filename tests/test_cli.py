@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -98,6 +99,28 @@ def test_readme_examples_verbatim(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, shlex.split(line))
         assert code == 0
         assert out == shown
+
+
+# sha256 of the exact or correctly rounded columns (depth, word, diam, lo,
+# hi) of every row plus gap_min; mu and holder_* go through libm exp/log.
+EB_PIN = "1be1ecba7a0182c55f038d3c646f37c0290ee76acd7580720187d32a7ffe8249"
+
+
+def test_eb_build_exact_columns_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("PRIMECF_SIEVE_LIMIT", raising=False)
+    code, out, _ = run_cli(capsys, ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53",
+                                    "--delta", "0.01", "--M", "3", "--depth", "6"])
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    summary = dict(kv.split("=", 1) for kv in lines[1][2:].split())
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    assert len(rows) == 489
+    digest = hashlib.sha256()
+    for row in rows:
+        cells = ",".join(row[k] for k in ("depth", "word", "diam", "lo", "hi"))
+        digest.update(cells.encode() + b"\n")
+    digest.update(f"gap_min={summary['gap_min']}".encode())
+    assert digest.hexdigest() == EB_PIN
 
 
 def test_cli_import_does_not_load_jsonschema():
@@ -401,7 +424,35 @@ TOTALITY = [
     (["box-dim", "--covers", "0.5,0.5;0.5,0.5"], 2, "ValueError:"),
     (["box-dim", "--covers", "0.5,nan;0.25"], 2, "ValueError:"),
     (["cf-expand", "--real", "1e-2000000", "--max-len", "3"], 2, "ValueError: decimal exponent"),
+    (["luczak-dim", "--b", "1.001", "--c", "2", "--kmax", "200000"],
+     2, _usage("luczak-dim", "--kmax: must be at most 10000")),
+    (["box-dim", "--b", "1.001", "--c", "2", "--kmax", "10001"],
+     2, _usage("box-dim", "--kmax: must be at most 10000")),
+    (["hwx-dim", "--ell", "1", "--phi", "exp(1000*n)", "--window", "10,20"], 0, None),
+    (["hwx-dim", "--ell", "1", "--phi", "exp(1000*n)", "--window", "400,420"],
+     3, "OutOfRangeError: estimated B"),
 ]
+def _non_finite_values(out: str) -> list[str]:
+    """Every CSV cell, `key=value` value and list entry of a CSV output
+    that reads as a NaN or infinite float; labels such as B=inf pass."""
+    values = []
+    for line in out.splitlines():
+        if line.startswith("#"):
+            values += [kv.split("=", 1)[1] for kv in line[1:].split() if "=" in kv]
+        else:
+            values += next(csv.reader([line]))
+    parts = [part for value in values for part in re.split(r"[\[\],;]", value)]
+    bad = []
+    for part in parts:
+        try:
+            x = float(part)
+        except ValueError:
+            continue
+        if not math.isfinite(x):
+            bad.append(part)
+    return bad
+
+
 # Every case is refused or answered at once; a slow one does work no cap limits.
 TOTALITY_SECONDS = 0.5
 
@@ -416,7 +467,7 @@ def test_cli_is_total(capsys, argv, code, err_start):
     assert "Traceback" not in err
     if err_start is None:
         assert err == ""
-        assert not re.search(r"\bnan\b|\binf\b", out, re.IGNORECASE)
+        assert _non_finite_values(out) == []
     else:
         assert out == ""
         assert err.splitlines()[-1].startswith(err_start)
