@@ -570,8 +570,10 @@ def gap_check(tree: EBTree) -> GapReport:
             gap = n2.lo - n1.hi
             pairs += 1
             for node in (n1, n2):
-                req = node.interval_length() / eight_m
-                normalized = float(gap / req)
+                # gap / (|I_n| / 8M) with |I_n| = 1/(q (q + q_prev)); int / int
+                # rounds correctly, as float(Fraction) does
+                normalized = (gap.numerator * eight_m * node.q * (node.q + node.q_prev)
+                              / gap.denominator)
                 if normalized < worst:
                     worst = normalized
                     worst_depth = node.depth

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 
@@ -135,43 +136,42 @@ def union_measure(prefix: Word | Iterable[int], a: int, b: int) -> Fraction:
     return Fraction(b + 1 - a, (a * c.q + c.q_prev) * ((b + 1) * c.q + c.q_prev))
 
 
-def expand_rational(num: int, den: int, max_len: int = 64) -> Word:
-    """Continued-fraction digits of num/den in [0, 1), truncated at max_len.
+def _euclid(num: int, den: int) -> Iterator[int]:
+    """Euclid's quotients of num/den for 0 <= num <= den: its canonical digits.
 
-    Full (untruncated) expansions are canonical: the Euclidean algorithm
-    never emits a trailing 1 for a fraction in lowest or non-lowest terms
-    (the final quotient always exceeds 1); a defensive fold is kept anyway.
+    The last quotient exceeds 1 unless num/den = 1 = [0; 1], so the stream
+    never ends in a foldable 1.
     """
+    while num:
+        a, r = divmod(den, num)
+        yield a
+        num, den = r, num
+
+
+def expand_rational(num: int, den: int, max_len: int = 64) -> Word:
+    """Canonical continued-fraction digits of num/den in [0, 1), cut at max_len."""
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     if not 0 <= num < den:
         raise ValueError(f"need 0 <= num < den, got {num}/{den}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    digits: list[int] = []
-    truncated = False
-    while num != 0:
-        if len(digits) == max_len:
-            truncated = True
-            break
-        a, r = divmod(den, num)
-        digits.append(a)
-        num, den = r, num
-    if not truncated and len(digits) > 1 and digits[-1] == 1:
-        digits.pop()
-        digits[-1] += 1
-    return Word(tuple(digits))
+    return Word(tuple(islice(_euclid(num, den), max_len)))
 
 
 def expand_real(x: Fraction, precision_bits: int | None = None, max_len: int = 64) -> Word:
     """Digit prefix certified correct for an uncertain observation of x.
 
-    With precision_bits = P, x stands for any real in [x, x + 2^-P]; a digit
-    is emitted only while the fundamental interval of the extended prefix
-    contains that whole interval strictly in its interior (so every real in
-    the interval shares the prefix, regardless of endpoint conventions).
-    With precision_bits = None, x is exact and the full canonical expansion
-    is returned.
+    With precision_bits = P, x stands for any real in [x, x + 2^-P], and the
+    result is the common prefix w of the canonical expansions of the two
+    ends, cut at max_len.  Every real between them starts with w: the reals
+    whose expansion starts with w are (p t + p')/(q t + q') for tails t in
+    (1, inf], with p/q, p'/q' the last two convergents of w.  That set is an
+    interval, closed at the convergent p/q (t = inf; unless w ends in a 1
+    after its first digit, when p/q has the shorter expansion) and open at
+    the mediant (p + p')/(q + q') (t = 1).  Being convex, it contains
+    [x, x + 2^-P] exactly when it contains both ends.  With precision_bits
+    = None, x is exact and the full canonical expansion is returned.
     """
     x = Fraction(x)
     if not 0 <= x < 1:
@@ -181,33 +181,12 @@ def expand_real(x: Fraction, precision_bits: int | None = None, max_len: int = 6
     if precision_bits < 1:
         raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
     x_hi = x + Fraction(1, 2 ** precision_bits)
-
     digits: list[int] = []
-    num, den = x.numerator, x.denominator
-    p_prev, p = 1, 0
-    q_prev, q = 0, 1
-    while num != 0 and len(digits) < max_len:
-        a, r = divmod(den, num)
-        cp, cq = a * p + p_prev, a * q + q_prev
-        mp_, mq = cp + p, cq + q
-        # Candidate interval endpoints: convergent cp/cq and mediant mp_/mq.
-        # The convergent end is attained (closed); the mediant end is not.
-        # Containment may touch the closed end but not the open one; all
-        # comparisons are integer cross-multiplications.
-        level = len(digits) + 1
-        if level % 2 == 1:
-            # interval (mediant, convergent]
-            ok = (mp_ * x.denominator < x.numerator * mq
-                  and x_hi.numerator * cq <= cp * x_hi.denominator)
-        else:
-            # interval [convergent, mediant)
-            ok = (cp * x.denominator <= x.numerator * cq
-                  and x_hi.numerator * mq < mp_ * x_hi.denominator)
-        if not ok:
+    ends = zip(_euclid(x.numerator, x.denominator), _euclid(x_hi.numerator, x_hi.denominator))
+    for a, b in islice(ends, max_len):
+        if a != b:
             break
         digits.append(a)
-        p_prev, p, q_prev, q = p, cp, q, cq
-        num, den = r, num
     return Word(tuple(digits))
 
 

@@ -87,15 +87,11 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
     else:
         pint = primes_in(2, cutoff, sv)
         ps = pint.astype(np.float64)
-        for p1 in pint:
-            p1 = int(p1)
-            start = int(np.searchsorted(ps, threshold / p1, side="left"))
-            # the float quotient can land the cut one off; settle the
-            # boundary with exact int-vs-float comparisons
-            while start < pint.size and int(pint[start]) * p1 < threshold:
-                start += 1
-            while start > 0 and int(pint[start - 1]) * p1 >= threshold:
-                start -= 1
+        # p1 p2 >= threshold  <=>  p2 >= ceil(ceil(threshold) / p1), in exact
+        # integers; capping at cutoff^2 + 1 (no pair reaches it) keeps int64
+        need = -(-min(math.ceil(threshold), cutoff * cutoff + 1) // pint)
+        starts = np.searchsorted(pint, need, side="left").tolist()
+        for p1, start in zip(pint.tolist(), starts):
             if start == ps.size:
                 continue
             prod = p1 * ps[start:]

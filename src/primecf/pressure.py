@@ -244,7 +244,8 @@ def classify_growth(phi: Callable[[int], float], window: tuple[int, int]) -> Gro
 
     Entries with phi(n) <= 1 admit neither ratio and are skipped (and
     reported); evaluation goes through mpmath so handles may return
-    values whose logarithm overflows float arithmetic.
+    values that overflow float arithmetic, but log phi(n) must be a finite
+    float, which keeps log log phi(n) <= 709.78 and exp(logb) in range.
     """
     n1, n2 = window
     if n2 < n1:
@@ -256,6 +257,8 @@ def classify_growth(phi: Callable[[int], float], window: tuple[int, int]) -> Gro
             skipped.append(n)
             continue
         lg = mp.log(val)
+        if not math.isfinite(lg):
+            raise OutOfRangeError(f"log phi(n) at n = {n} exceeds float range")
         ratios_B.append(float(lg) / n)
         llg = mp.log(lg)
         ratios_b.append(float(llg) / n)

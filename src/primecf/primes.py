@@ -178,16 +178,8 @@ def omega_table(bound: int, sv: PrimeSieve) -> np.ndarray:
         pe = p
         while pe <= bound:
             omega[pe::pe] += 1
+            rem[pe::pe] //= p
             pe *= p
-        view = rem[p::p]
-        view //= p
-        mask = view % p == 0
-        while mask.any():
-            sel = view[mask] // p
-            view[mask] = sel
-            nxt = mask.copy()
-            nxt[mask] = sel % p == 0
-            mask = nxt
     omega[2:] += (rem[2:] > 1).astype(np.int8)
     return omega
 

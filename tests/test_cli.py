@@ -123,6 +123,27 @@ def test_eb_build_exact_columns_pinned(capsys, monkeypatch):
     assert digest.hexdigest() == EB_PIN
 
 
+# sha256 of the whole stdout, computed when expand_real still certified each
+# digit by an interval-containment test, a route independent of the current
+# common prefix of two Euclid streams.
+CERTIFIED_DIGIT_PINS = [
+    (["mc-zero-one", "--ell", "2", "--phi", "n*log(n)**2", "--window", "10,200",
+      "--samples", "200", "--seed", "1"],
+     "9a98b14cfe07dea0c51f64df21766813b93755b413c423f76606aa7f7b8ce8fc"),
+    (["cf-expand", "--real", "0.318309886183790671537767526745", "--bits", "80"],
+     "43a70b555a45710a5a283d5a3481a935ec15c5cf0fd5e9d4a194fdb8884062d2"),
+]
+
+
+@pytest.mark.parametrize("argv, pin", CERTIFIED_DIGIT_PINS,
+                         ids=[case[0][0] for case in CERTIFIED_DIGIT_PINS])
+def test_certified_digit_outputs_pinned(capsys, monkeypatch, argv, pin):
+    monkeypatch.delenv("PRIMECF_SIEVE_LIMIT", raising=False)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
 def test_cli_import_does_not_load_jsonschema():
     code = "import sys, primecf.cli; print('jsonschema' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -431,6 +452,10 @@ TOTALITY = [
     (["hwx-dim", "--ell", "1", "--phi", "exp(1000*n)", "--window", "10,20"], 0, None),
     (["hwx-dim", "--ell", "1", "--phi", "exp(1000*n)", "--window", "400,420"],
      3, "OutOfRangeError: estimated B"),
+    (["hwx-dim", "--ell", "1", "--phi", "exp(exp(exp(n)))", "--window", "10,10"],
+     3, "OutOfRangeError: log phi(n) at n = 10"),
+    (["hwx-dim", "--ell", "1", "--phi", "exp(exp(n*200))", "--window", "10,12"],
+     3, "OutOfRangeError: log phi(n) at n = 10"),
 ]
 def _non_finite_values(out: str) -> list[str]:
     """Every CSV cell, `key=value` value and list entry of a CSV output

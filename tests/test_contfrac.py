@@ -143,6 +143,37 @@ def test_expand_real_interior_dyadic_certifies_fully():
     assert w.digits[:3] == (3, 7, 16)
 
 
+def _in_interval(iv, y):
+    above = iv.lo <= y if iv.closed_left else iv.lo < y
+    below = y <= iv.hi if iv.closed_right else y < iv.hi
+    return above and below
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=400))
+def test_expand_real_is_the_longest_certified_prefix(data, P, max_len):
+    # oracle without Euclid: fundamental intervals, and the next digit of x
+    # as floor of the tail t solving x = (p t + p')/(q t + q')
+    top = 1 << P
+    d = data.draw(st.integers(min_value=1, max_value=10 ** 6))
+    v = data.draw(st.one_of(st.integers(0, top - 1), st.sampled_from([0, top - 1]),
+                            st.integers(0, d - 1).map(lambda n: (n << P) // d)))
+    x, x_hi = Fraction(v, top), Fraction(v + 1, top)
+    w = expand_real(x, precision_bits=P, max_len=max_len)
+    assert len(w) <= max_len
+    if len(w):  # the empty word stands for all of [0, 1], x_hi = 1 included
+        iv = fundamental_interval(w)
+        assert _in_interval(iv, x) and _in_interval(iv, x_hi)
+    c = continuants(w)
+    if len(w) == max_len or x * c.q == c.p:
+        return
+    a = math.floor(Fraction(c.p_prev - c.q_prev * x, c.q * x - c.p))
+    child = fundamental_interval(w + (a,))
+    assert _in_interval(child, x)
+    assert not _in_interval(child, x_hi)
+
+
 # -- fundamental intervals --------------------------------------------------
 
 def test_fundamental_interval_examples():
