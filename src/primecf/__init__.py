@@ -73,7 +73,6 @@ from .primes import (
     is_prime_trial,
     prime_count,
     primes_in,
-    sieve,
 )
 from .zeta import (
     AsymptoticRatioRow,

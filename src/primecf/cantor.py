@@ -7,20 +7,21 @@ feeding the nested-interval dimension ratio, whose exact limit is
 1/(b+1).  The second is the bounded-alphabet set E_B: runs of digits
 at most M interrupted by scheduled runs of ell prime digits drawn from
 geometric windows, carrying a mass distribution mu defined block by
-block.  All c^(b^k)-scale arithmetic stays in log domain; everything a
-word enumeration touches is exact (integer continuants, rational
-endpoints).
+block.  All c^(b^k)-scale arithmetic stays in log domain; the first
+construction lists no words (a box-counting cover needs only each level's
+word count and its least-prime cylinder), and everything the second
+enumerates is exact (integer continuants, rational endpoints).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .contfrac import Word, continuants
+from .contfrac import continuants
 from .errors import (
     ConstructionInfeasibleError,
     EnumerationGuardError,
@@ -37,7 +38,6 @@ from .primes import PrimeSieve, primes_in
 
 # The explicit prime-count bound x/(2+log x) < pi(x) only starts at 55.
 ROSSER_FLOOR = 55
-_WORD_CAP = 20_000
 _NODE_GUARD = 1_000_000
 
 
@@ -49,15 +49,12 @@ _NODE_GUARD = 1_000_000
 class LuczakParams:
     b: float
     c: float
-    ell: int = 1
 
     def __post_init__(self):
         if not self.b > 1:
             raise ValueError(f"b must exceed 1, got {self.b}")
         if not self.c > 1:
             raise ValueError(f"c must exceed 1, got {self.c}")
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,8 @@ class CantorLevel:
     log_m bounds the child count from below, log_eps the gap between
     same-level intervals; the count bound is only backed by the explicit
     prime-count inequality once c^(b^k) >= 55 (rosser_ok).  When the
-    prime window fits inside the sieve, the true prime count (and, while
-    cheap, the actual digit words) ride along.
+    prime window fits inside the sieve, its integer ends and its true
+    prime count ride along.
     """
 
     k: int
@@ -77,11 +74,10 @@ class CantorLevel:
     rosser_ok: bool
     block: tuple[int, int] | None = None
     true_count: int | None = None
-    enumerated_words: tuple[Word, ...] | None = None
 
 
-def luczak_levels(params: LuczakParams, k_max: int, sv: PrimeSieve | None = None,
-                  word_cap: int = _WORD_CAP) -> list[CantorLevel]:
+def luczak_levels(params: LuczakParams, k_max: int,
+                  sv: PrimeSieve | None = None) -> list[CantorLevel]:
     """Levels 1..k_max of the prime Cantor construction for phi(n) = c^(b^n).
 
     Per level: m_k = c^(b^k) / (2 b^k log c) and
@@ -92,7 +88,6 @@ def luczak_levels(params: LuczakParams, k_max: int, sv: PrimeSieve | None = None
     b, c = params.b, params.c
     logc = math.log(c)
     levels: list[CantorLevel] = []
-    cum: list[tuple[int, ...]] | None = [()] if sv is not None else None
     for k in range(1, k_max + 1):
         try:
             log_eps = -(k + 1) * math.log(36.0) - 2.0 * (b ** (k + 1) - b) / (b - 1.0) * logc
@@ -107,22 +102,12 @@ def luczak_levels(params: LuczakParams, k_max: int, sv: PrimeSieve | None = None
         rosser_ok = logx >= math.log(ROSSER_FLOOR)
         block = None
         true_count = None
-        words = None
         if sv is not None and logx <= math.log(sv.limit / 3.0):
             x = c ** (b ** k)
-            ps = primes_in(x, 3.0 * x, sv)
             block = (math.ceil(x), math.floor(3.0 * x))
-            true_count = int(ps.size)
-            if cum is not None and true_count and len(cum) * true_count <= word_cap:
-                cum = [w + (int(p),) for w in cum for p in ps]
-                words = tuple(Word.of(w) for w in cum)
-            else:
-                cum = None
-        else:
-            cum = None
-        levels.append(CantorLevel(k=k, log_m=log_m, log_eps=log_eps,
-                                  rosser_ok=rosser_ok, block=block,
-                                  true_count=true_count, enumerated_words=words))
+            true_count = int(primes_in(x, 3.0 * x, sv).size)
+        levels.append(CantorLevel(k=k, log_m=log_m, log_eps=log_eps, rosser_ok=rosser_ok,
+                                  block=block, true_count=true_count))
     return levels
 
 
@@ -168,15 +153,14 @@ class BoxDimEstimate:
     levels: int
 
 
-def box_dimension_estimate(covers: Sequence[Sequence[float]]) -> BoxDimEstimate:
-    """Least-squares slope of log(count) against -log(max length) per level."""
+def box_dimension_estimate(covers: Sequence[tuple[int, float]]) -> BoxDimEstimate:
+    """Least-squares slope of log(count) against -log(largest) over (count, largest) pairs."""
     xs, ys = [], []
-    for level in covers:
-        lengths = list(level)
-        if not lengths or not all(0 < x < math.inf for x in lengths):
-            raise ValueError("each cover level needs positive finite lengths")
-        xs.append(-math.log(max(lengths)))
-        ys.append(math.log(len(lengths)))
+    for count, largest in covers:
+        if not (count >= 1 and 0 < largest < math.inf):
+            raise ValueError("each cover level needs a count >= 1 and a finite largest > 0")
+        xs.append(-math.log(largest))
+        ys.append(math.log(count))
     if len(set(xs)) < 2:
         raise ValueError("need covers at two or more distinct scales for a slope")
     coeffs, res = np.polyfit(xs, ys, 1, full=True)[:2]

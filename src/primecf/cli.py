@@ -33,7 +33,7 @@ from mpmath import mp
 
 from . import cantor, contfrac, measure, pressure, zeta
 from .errors import GuardError, OutOfRangeError
-from .primes import PrimeSieve
+from .primes import PrimeSieve, primes_in
 
 SIEVE_ENV = "PRIMECF_SIEVE_LIMIT"
 # Certified digits of a sample grow with its precision, and every entry
@@ -212,13 +212,24 @@ _PHI_NODES = (
 )
 
 
+class _PowCalls(ast.NodeTransformer):
+    """Turns each x ** y into _pow(x, y), so its size is checked first."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        return ast.Call(ast.Name("_pow", ast.Load()), [node.left, node.right], [])
+
+
 def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
     """A growth function n -> phi(n) from an arithmetic expression in n.
 
     Allowed: numbers, n, + - * / **, unary sign, and log/exp/sqrt calls.
     Evaluation runs in arbitrary precision, so doubly exponential
     expressions like 2**(2**n) stay finite.  An evaluation that divides
-    by zero or leaves the reals raises ValueError naming n.
+    by zero or leaves the reals raises ValueError naming n; an exp or **
+    whose log would pass float range is refused unevaluated (OutOfRangeError).
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -236,11 +247,20 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
             if (not isinstance(node.func, ast.Name) or node.func.id not in _PHI_FUNCS
                     or node.keywords):
                 raise argparse.ArgumentTypeError("phi may only call log/exp/sqrt")
-    code = compile(tree, "<phi>", "eval")
+    code = compile(ast.fix_missing_locations(_PowCalls().visit(tree)), "<phi>", "eval")
 
     def phi(n: int) -> mp.mpf:
+        def guard(log_size) -> None:
+            # a term costs time growing with its log; an infinite log costs nothing
+            if sys.float_info.max < log_size < mp.inf:
+                raise OutOfRangeError(f"log phi(n) at n = {n} exceeds float range")
+
+        # guard(...) returns None, so `guard(...) or term` evaluates to the term
+        namespace = {"__builtins__": {}, **_PHI_FUNCS, "n": mp.mpf(n),
+                     "exp": lambda x: guard(mp.re(x)) or mp.exp(x),
+                     "_pow": lambda x, y: guard(mp.re(y) * mp.log(abs(x))) or x ** y}
         try:
-            value = eval(code, {"__builtins__": {}, **_PHI_FUNCS, "n": mp.mpf(n)})
+            value = eval(code, namespace)
         except ZeroDivisionError:
             raise ValueError(f"phi {expr!r} divides by zero at n = {n}") from None
         if isinstance(value, mp.mpc) or mp.isnan(value):
@@ -404,9 +424,13 @@ def cmd_eb_build(args) -> Output:
 
 
 def cmd_box_dim(args) -> Output:
+    covers = []
     if args.covers:
-        covers = [[float(x) for x in level.split(",")]
-                  for level in args.covers.split(";")]
+        for level in args.covers.split(";"):
+            lengths = [float(x) for x in level.split(",")]
+            if not all(0 < x < math.inf for x in lengths):
+                raise ValueError("each cover level needs positive finite lengths")
+            covers.append((len(lengths), max(lengths)))
         inputs = {"covers": args.covers}
     else:
         if args.b is None or args.c is None:
@@ -414,15 +438,19 @@ def cmd_box_dim(args) -> Output:
         sieve = _resolve_sieve(args.sieve, 1_000_000)
         sv = PrimeSieve(sieve)
         params = cantor.LuczakParams(b=float(args.b), c=float(args.c))
-        levels = cantor.luczak_levels(params, args.kmax, sv)
-        covers = []
-        for lv in levels:
-            if lv.enumerated_words is None:
+        # continuants grow in every digit, so of a level's words (digit j a prime
+        # of block j) the one of least primes has the largest cylinder 1/(q (q + q'))
+        count, q, q_prev = 1, 1, 0
+        for lv in cantor.luczak_levels(params, args.kmax, sv):
+            if lv.block is None:
                 raise OutOfRangeError(
-                    f"level {lv.k} could not be enumerated within the sieve; "
-                    "lower --kmax or raise --sieve")
-            covers.append([float(contfrac.fundamental_interval(w).length)
-                           for w in lv.enumerated_words])
+                    f"level {lv.k} lies beyond the sieve; lower --kmax or raise --sieve")
+            count *= lv.true_count
+            q, q_prev = int(primes_in(*lv.block, sv)[0]) * q + q_prev, q
+            largest = 1 / (q * (q + q_prev))
+            if largest == 0.0:
+                raise OutOfRangeError(f"level {lv.k}: largest cylinder underflows; lower --kmax")
+            covers.append((count, largest))
         inputs = {"b": args.b, "c": args.c, "kmax": args.kmax, "sieve": sieve}
     est = cantor.box_dimension_estimate(covers)
     rows = [{"slope": est.slope, "residual": est.residual, "levels": est.levels}]

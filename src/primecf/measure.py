@@ -197,23 +197,12 @@ def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
         word, bits, refinements = _certified_digits(rng, cfg.precision_bits, depth)
         refined += refinements
         max_bits = max(max_bits, bits)
-        digits = list(word)
-        prime = [None] * len(digits)  # lazily certified primality per position
-
-        def is_p(idx: int) -> bool:
-            if prime[idx] is None:
-                prime[idx] = is_prime_trial(digits[idx], sv)
-            return prime[idx]
-
         hit_any = False
         for n in range(n1, n2 + 1):
-            block = range(n - 1, n - 1 + cfg.ell)
-            if not all(is_p(j) for j in block):
-                continue
-            prod = 1
-            for j in block:
-                prod *= digits[j]
-            if prod >= thresholds[n]:
+            # the cheap product test first: it fails far more often than primality
+            block = word[n - 1:n - 1 + cfg.ell]
+            if (math.prod(block) >= thresholds[n]
+                    and all(is_prime_trial(d, sv) for d in block)):
                 per_n[n] += 1
                 hit_any = True
         hit_count += hit_any

@@ -38,6 +38,7 @@ ENUMERATION_GUARD = 10_000_000
 # walk more words than this; both evaluators agree to ~1e-13 in the log.
 _AUTO_ENUMERATION_CAP = 200_000
 _NODES = 60
+_CHUNK = 1024  # digits per transfer-matrix chunk; its temporaries hold chunk (nodes+1)^2 floats
 
 S_FLOOR = 0.500001
 S_CEIL = 0.999999
@@ -135,8 +136,8 @@ def _transfer_matrix(M: int, s: float, nodes: int) -> tuple[np.ndarray, np.ndarr
     """Matrix T with (T v)_i = sum_a (a + x_i)^(-2s) * interp(v)(1/(a + x_i))."""
     x, w = _lobatto_nodes(nodes)
     T = np.zeros((nodes + 1, nodes + 1))
-    for lo in range(1, M + 1, 65536):
-        a = np.arange(lo, min(lo + 65536, M + 1), dtype=np.float64)
+    for lo in range(1, M + 1, _CHUNK):
+        a = np.arange(lo, min(lo + _CHUNK, M + 1), dtype=np.float64)
         base = a[:, None] + x[None, :]            # (chunk, nodes+1)
         coeff = base ** (-2.0 * s)
         y = 1.0 / base

@@ -79,11 +79,6 @@ def _build_table(limit: int) -> np.ndarray:
     return table
 
 
-def sieve(limit: int) -> PrimeSieve:
-    """Build a primality table covering [2, limit]."""
-    return PrimeSieve(limit)
-
-
 def prime_count(x: float, sv: PrimeSieve) -> int:
     """Number of primes <= x (x may be real, must not exceed the sieve)."""
     if x > sv.limit:

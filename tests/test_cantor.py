@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from mpmath import mp, mpf
 
+from primecf import cantor
 from primecf.cantor import (
+    BoxDimEstimate,
     LuczakParams,
     alpha_identity_errors,
     alpha_values,
@@ -18,7 +21,8 @@ from primecf.cantor import (
     make_eb_params,
     prime_block_constant,
 )
-from primecf.contfrac import continuants
+from primecf.cli import main
+from primecf.contfrac import continuants, fundamental_interval
 from primecf.errors import (
     ConstructionInfeasibleError,
     EnumerationGuardError,
@@ -68,31 +72,39 @@ def test_level_blocks_and_counts(sieve_mid):
     for lv in levels:
         if lv.true_count is not None:
             assert lv.true_count >= math.exp(lv.log_m)
-    # level 4 window [2^16, 3*2^16] still fits the sieve but the word
-    # product is past the cap by then
+    # level 4 window [2^16, 3*2^16] still fits the sieve
     assert levels[3].block == (65536, 196608)
-    assert levels[3].true_count is not None
-    assert levels[3].enumerated_words is None
+    assert levels[3].true_count == sum(1 for n in range(65536, 196609)
+                                       if oracle_is_prime(n))
 
 
-def test_level_words(sieve_mid):
-    levels = luczak_levels(LuczakParams(b=2.0, c=2.0), 3, sv=sieve_mid)
-    words = [lv.enumerated_words for lv in levels]
-    assert [len(w) for w in words] == [3, 27, 2187]
-    assert {w.digits for w in words[0]} == {(5,), (7,), (11,)}
-    for w in words[1]:
-        assert len(w.digits) == 2
-        assert w.digits[0] in (5, 7, 11)
-        assert 16 <= w.digits[1] <= 48 and oracle_is_prime(w.digits[1])
-    capped = luczak_levels(LuczakParams(b=2.0, c=2.0), 3, sv=sieve_mid, word_cap=10)
-    assert capped[1].enumerated_words is None
-    assert capped[1].true_count is not None
+@pytest.mark.parametrize("b,c,k_max", [(2.0, 2.0, 3), (2.0, 1.1, 4), (1.5, 3.0, 4),
+                                       (3.0, 1.2, 3)])
+def test_box_dim_covers_match_listed_words(monkeypatch, capsys, b, c, k_max):
+    # oracle: list every level-k word (digit j a prime of block j, found by
+    # trial division) and take the largest exact cylinder length
+    blocks = []
+    for k in range(1, k_max + 1):
+        x = c ** (b ** k)
+        blocks.append([p for p in range(math.ceil(x), math.floor(3 * x) + 1)
+                       if oracle_is_prime(p)])
+    want = []
+    for k in range(1, k_max + 1):
+        words = list(product(*blocks[:k]))
+        want.append((len(words),
+                     max(float(fundamental_interval(w).length) for w in words)))
+    seen = []
+    monkeypatch.setattr(cantor, "box_dimension_estimate",
+                        lambda covers: seen.append(covers) or BoxDimEstimate(0.0, 0.0, 0))
+    assert main(["box-dim", "--b", str(b), "--c", str(c), "--kmax", str(k_max),
+                 "--sieve", "1000000"]) == 0
+    capsys.readouterr()
+    assert seen == [want]
 
 
 def test_levels_without_sieve():
     levels = luczak_levels(LuczakParams(b=2.0, c=2.0), 4)
-    assert all(lv.block is None and lv.true_count is None
-               and lv.enumerated_words is None for lv in levels)
+    assert all(lv.block is None and lv.true_count is None for lv in levels)
 
 
 def test_level_validation():
@@ -102,8 +114,6 @@ def test_level_validation():
         LuczakParams(b=1.0, c=2.0)
     with pytest.raises(ValueError):
         LuczakParams(b=2.0, c=0.5)
-    with pytest.raises(ValueError):
-        LuczakParams(b=2.0, c=2.0, ell=0)
     with pytest.raises(OutOfRangeError):  # b^(k+1) overflows a float near k = 1023
         luczak_levels(LuczakParams(b=2.0, c=2.0), 2000)
 
@@ -148,7 +158,7 @@ def test_falconer_validation():
 # -- box dimension ---------------------------------------------------------------
 
 def test_box_dimension_thirds_cantor():
-    covers = [[3.0 ** -j] * 2 ** j for j in range(1, 6)]
+    covers = [(2 ** j, 3.0 ** -j) for j in range(1, 6)]
     est = box_dimension_estimate(covers)
     assert est.slope == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
     assert est.residual < 1e-9
@@ -156,16 +166,18 @@ def test_box_dimension_thirds_cantor():
 
 
 def test_box_dimension_validation():
-    with pytest.raises(ValueError):
-        box_dimension_estimate([[0.5, 0.25]])
-    with pytest.raises(ValueError):
-        box_dimension_estimate([[0.5], [0.0, 0.1]])
-    with pytest.raises(ValueError):
-        box_dimension_estimate([[0.5], []])
+    with pytest.raises(ValueError):  # one level
+        box_dimension_estimate([(2, 0.5)])
+    with pytest.raises(ValueError):  # a zero length
+        box_dimension_estimate([(1, 0.5), (2, 0.0)])
+    with pytest.raises(ValueError):  # an empty level
+        box_dimension_estimate([(1, 0.5), (0, 0.25)])
     with pytest.raises(ValueError):  # one scale twice: no slope to fit
-        box_dimension_estimate([[0.5, 0.5], [0.5, 0.5]])
+        box_dimension_estimate([(2, 0.5), (2, 0.5)])
     with pytest.raises(ValueError):
-        box_dimension_estimate([[0.5, math.nan], [0.25]])
+        box_dimension_estimate([(2, math.nan), (1, 0.25)])
+    with pytest.raises(ValueError):
+        box_dimension_estimate([(2, 0.5), (1, math.inf)])
 
 
 # -- window bases ----------------------------------------------------------------

@@ -144,6 +144,30 @@ def test_certified_digit_outputs_pinned(capsys, monkeypatch, argv, pin):
     assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
+# sha256 of the whole stdout, computed when box-dim still listed every
+# digit word of a level and measured each word's cylinder.
+BOX_DIM_PINS = [
+    (["box-dim", "--b", "2", "--c", "2", "--kmax", "3", "--sieve", "1000000"],
+     "d06629404ba64fb73b095588e4263f94d75fc891c4d66bb7e47c7f85c50eb943"),
+    (["box-dim", "--b", "2", "--c", "2", "--kmax", "3", "--sieve", "1000000",
+      "--format", "json"],
+     "980934d1c1a4788c3a472ece50565e0c495c1c9a74b40649c0d2f390c739e834"),
+    (["box-dim", "--b", "2", "--c", "1.1", "--kmax", "4", "--sieve", "100000"],
+     "965ed399e9ff94a7508588cbf57e1592deefcc4b7a372b7d378331faf08e90e7"),
+    (["box-dim", "--b", "2", "--c", "1.1", "--kmax", "4", "--sieve", "100000",
+      "--format", "json"],
+     "44cf1d047489681b46a9bc4cc3cd246fa659ce389aa2abc80f33001571660995"),
+]
+
+
+@pytest.mark.parametrize("argv, pin", BOX_DIM_PINS,
+                         ids=[" ".join(case[0][1:]) for case in BOX_DIM_PINS])
+def test_box_dim_outputs_pinned(capsys, argv, pin):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
 def test_cli_import_does_not_load_jsonschema():
     code = "import sys, primecf.cli; print('jsonschema' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -322,6 +346,11 @@ def test_box_dim_modes(capsys):
     assert code == 0
     _, _, rows = parse_csv(out)
     assert abs(float(rows[0]["slope"]) - 1 / 3) < 0.1
+    # each length is checked before a level shrinks to (count, largest)
+    for covers in ("0.5;0,0.1", "0.5;", "0.5,-1;0.25", "0.5,nan;0.25"):
+        code, out, err = run_cli(capsys, ["box-dim", "--covers", covers])
+        assert (code, out) == (2, "")
+        assert err.startswith("ValueError:")
 
 
 # -- failure surface -----------------------------------------------------------
@@ -456,6 +485,14 @@ TOTALITY = [
      3, "OutOfRangeError: log phi(n) at n = 10"),
     (["hwx-dim", "--ell", "1", "--phi", "exp(exp(n*200))", "--window", "10,12"],
      3, "OutOfRangeError: log phi(n) at n = 10"),
+    *[([cmd, "--ell", "1", "--phi", phi, "--window", f"{n},{n}", *more],
+       3, f"OutOfRangeError: log phi(n) at n = {n}")
+      for phi, n in (("exp(exp(exp(n)))", 12), ("3**(3**(3**n))", 8))
+      for cmd, more in (("hwx-dim", ()), ("bb-series", ()),
+                        ("mc-zero-one", ("--samples", "5")))],
+    (["box-dim", "--b", "2", "--c", "2", "--kmax", "4", "--sieve", "1000000"], 0, None),
+    (["box-dim", "--b", "1.001", "--c", "2", "--kmax", "1000", "--sieve", "1000000"],
+     3, "OutOfRangeError:"),
 ]
 def _non_finite_values(out: str) -> list[str]:
     """Every CSV cell, `key=value` value and list entry of a CSV output

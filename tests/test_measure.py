@@ -11,7 +11,7 @@ from primecf.measure import (
     level_set_measure,
     run_zero_one_experiment,
 )
-from primecf.primes import primes_in
+from primecf.primes import PrimeSieve, primes_in
 
 
 # -- independent oracles ----------------------------------------------------
@@ -164,6 +164,21 @@ def test_experiment_trivial_threshold_hits_everything(sieve_small):
                        phi=lambda n: 2.0, ell=1, seed=11)
     rep = run_zero_one_experiment(cfg, sieve_small)
     assert rep.hit_count == 100
+
+
+def test_experiment_tests_products_before_primality():
+    # primality is only certified up to limit^2 = 100 here: a digit above
+    # that is never looked up while its block's product stays below phi(n)
+    sv = PrimeSieve(10)
+
+    def run(threshold):
+        cfg = MCExperiment(sample_count=20, precision_bits=256, window=(1, 200),
+                           phi=lambda n: threshold, ell=1, seed=5)
+        return run_zero_one_experiment(cfg, sv)
+
+    assert run(1e300).hit_count == 0
+    with pytest.raises(OutOfRangeError):
+        run(2.0)
 
 
 def test_experiment_precision_exhaustion(sieve_small):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ from primecf.pressure import (
     B_INF_THRESHOLD,
     B_ONE_THRESHOLD,
     PressureProblem,
+    _transfer_matrix,
     classify_growth,
     dimensional_number,
     f_ell,
@@ -108,6 +110,20 @@ def test_collocation_agrees_with_enumeration(M, n, s):
     a = log_moment_enumerate(M, n, s)
     b = log_moment_collocate(M, n, s)
     assert b == pytest.approx(a, abs=1e-10)
+
+
+def test_transfer_matrix_memory_is_chunked():
+    # the (digits, nodes+1, nodes+1) temporaries are built a chunk at a time
+    tracemalloc.start()
+    try:
+        _transfer_matrix(5000, 0.75, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    # chunks sum to the same operator: one-digit words are enumerable
+    assert log_moment_collocate(5000, 1, 0.75) == pytest.approx(
+        log_moment_enumerate(5000, 1, 0.75), abs=1e-12)
 
 
 def test_enumeration_guard():
