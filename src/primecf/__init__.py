@@ -43,7 +43,6 @@ from .errors import (
     EnumerationGuardError,
     GuardError,
     OutOfRangeError,
-    PrecisionExhaustedError,
     UndefinedExponentError,
 )
 from .measure import (

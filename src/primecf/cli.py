@@ -226,7 +226,7 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
     """A growth function n -> phi(n) from an arithmetic expression in n.
 
     Allowed: numbers, n, + - * / **, unary sign, and log/exp/sqrt calls.
-    Evaluation runs in arbitrary precision, so doubly exponential
+    Evaluation runs in mpmath, powers of literals too, so doubly exponential
     expressions like 2**(2**n) stay finite.  An evaluation that divides
     by zero or leaves the reals raises ValueError naming n; an exp or **
     whose log would pass float range is refused unevaluated (OutOfRangeError).
@@ -258,7 +258,7 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
         # guard(...) returns None, so `guard(...) or term` evaluates to the term
         namespace = {"__builtins__": {}, **_PHI_FUNCS, "n": mp.mpf(n),
                      "exp": lambda x: guard(mp.re(x)) or mp.exp(x),
-                     "_pow": lambda x, y: guard(mp.re(y) * mp.log(abs(x))) or x ** y}
+                     "_pow": lambda x, y: guard(mp.re(y) * mp.log(abs(x))) or mp.power(x, y)}
         try:
             value = eval(code, namespace)
         except ZeroDivisionError:
@@ -559,7 +559,8 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
     Subcommand(
         "mc-zero-one", "Monte Carlo hit rates for the level sets", cmd_mc_zero_one,
         args=(ELL, PHI, WINDOW, ("--samples", _required(int)),
-              ("--bits", {"type": precision_bits, "default": 256}),
+              ("--bits", {"type": precision_bits, "default": 64,
+                          "help": "random bits per draw (more if undecided)"}),
               ("--seed", {"type": int, "default": 0}), SIEVE),
         columns={"n": INTEGER, "hits": INTEGER, "fraction": NUMBER},
         summary={"hit_fraction": NUMBER, "hit_count": INTEGER,

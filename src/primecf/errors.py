@@ -31,9 +31,5 @@ class ConstructionInfeasibleError(GuardError, RuntimeError):
     """No parameter choice satisfies the named feasibility inequality."""
 
 
-class PrecisionExhaustedError(GuardError, RuntimeError):
-    """Certified digits could not be produced within the retry budget."""
-
-
 class UndefinedExponentError(GuardError, ValueError):
     """Every sampled window entry was skipped; growth exponent undefined."""

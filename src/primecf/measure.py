@@ -1,4 +1,5 @@
-"""Lebesgue measure of prime-digit level sets, and zero-one-law experiments.
+"""Lebesgue measure of prime-digit level sets, and zero-one-law experiments
+on digit strings drawn from their exact law.
 
 The level set for a threshold t collects the x in [0,1) whose first ell
 digits are primes multiplying to at least t; its measure is a sum of
@@ -14,17 +15,13 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 from mpmath import mp, mpf
 
-from .contfrac import expand_real
-from .errors import OutOfRangeError, PrecisionExhaustedError
+from .errors import OutOfRangeError
 from .primes import PrimeSieve, is_prime_trial, primes_in
-
-_MAX_PRECISION_DOUBLINGS = 8
 
 
 def _down(v: float) -> float:
@@ -124,10 +121,8 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
 class MCExperiment:
     """A reproducible zero-one-law sampling run.
 
-    Every sample is a uniform dyadic rational with `precision_bits` bits;
-    its digit string must certify to depth window[1] + ell, otherwise the
-    sample is refined with doubled precision (appending fresh bits keeps
-    the value uniform).
+    Each sample is the digits, to depth window[1] + ell, of a uniform x (see
+    `_sample_digits`); `precision_bits` is the bits per draw, not a limit.
     """
 
     sample_count: int
@@ -155,27 +150,36 @@ class ZeroOneReport:
     hit_count: int
     sample_count: int
     per_n: tuple[tuple[int, int], ...]  # (n, number of samples hitting at n)
-    refinements: int                    # samples that needed extra precision
-    max_bits_used: int
+    refinements: int                    # samples with a digit that took 2+ draws
+    max_bits_used: int                  # the most bits any one digit took
 
 
-def _certified_digits(rng: random.Random, bits_needed: int, depth: int):
-    """Draw a uniform sample and certify `depth` digits, doubling as needed."""
-    P = bits_needed
-    value = rng.getrandbits(P)
-    while value == 0:
-        value = rng.getrandbits(P)
-    refinements = 0
-    for _ in range(_MAX_PRECISION_DOUBLINGS):
-        word = expand_real(Fraction(value, 1 << P), precision_bits=P, max_len=depth)
-        if len(word) >= depth:
-            return word, P, refinements
-        value = (value << P) | rng.getrandbits(P)
-        P *= 2
-        refinements = 1
-    raise PrecisionExhaustedError(
-        f"could not certify {depth} digits after {_MAX_PRECISION_DOUBLINGS} doublings"
-    )
+def _sample_digits(rng: random.Random, bits: int, depth: int) -> tuple[list[int], int]:
+    """The first `depth` digits of a uniform x in (0, 1], and the most bits one took.
+
+    Given continuants q = q_n, q' = q_{n-1}, P(a_{n+1} >= d) = (q + q')/(d q + q')
+    (Iosifescu & Kraaikamp 2002, ch. 1), so a_{n+1} = floor(((q + q')/u - q')/q)
+    for u uniform in (0, 1].  A draw U of K bits stands for u in
+    (U/2^K, (U+1)/2^K]: d is taken at the right end and holds on the whole
+    interval when U ((d+1) q + q') >= (q + q') 2^K; otherwise `bits` more
+    bits split the interval uniformly.  A fresh u per digit makes the law exact.
+    """
+    digits = []
+    q, q_prev = 1, 0
+    widest = bits
+    for _ in range(depth):
+        u, k = rng.getrandbits(bits), bits
+        while True:
+            top = (q + q_prev) << k
+            d = (top - q_prev * (u + 1)) // (q * (u + 1))
+            q_next = d * q + q_prev
+            if u * (q_next + q) >= top:
+                break
+            u, k = (u << bits) | rng.getrandbits(bits), k + bits
+        widest = max(widest, k)
+        digits.append(d)
+        q, q_prev = q_next, q
+    return digits, widest
 
 
 def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
@@ -186,33 +190,30 @@ def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
     is bit-identical for a fixed configuration regardless of ordering.
     """
     n1, n2 = cfg.window
-    depth = n2 + cfg.ell
-    thresholds = {n: float(cfg.phi(n)) for n in range(n1, n2 + 1)}
-    per_n = {n: 0 for n in range(n1, n2 + 1)}
+    thresholds = [float(cfg.phi(n)) for n in range(n1, n2 + 1)]
+    hits = [0] * n2  # hits[n - 1] counts the samples hitting at n
     hit_count = 0
-    refined = 0
-    max_bits = cfg.precision_bits
+    widths = []
     for i in range(cfg.sample_count):
         rng = random.Random(f"{cfg.seed}:{i}")
-        word, bits, refinements = _certified_digits(rng, cfg.precision_bits, depth)
-        refined += refinements
-        max_bits = max(max_bits, bits)
+        digits, width = _sample_digits(rng, cfg.precision_bits, n2 + cfg.ell)
+        widths.append(width)
         hit_any = False
-        for n in range(n1, n2 + 1):
+        for j, threshold in enumerate(thresholds, n1 - 1):
             # the cheap product test first: it fails far more often than primality
-            block = word[n - 1:n - 1 + cfg.ell]
-            if (math.prod(block) >= thresholds[n]
+            block = digits[j:j + cfg.ell]
+            if (math.prod(block) >= threshold
                     and all(is_prime_trial(d, sv) for d in block)):
-                per_n[n] += 1
+                hits[j] += 1
                 hit_any = True
         hit_count += hit_any
     return ZeroOneReport(
         hit_fraction=hit_count / cfg.sample_count,
         hit_count=hit_count,
         sample_count=cfg.sample_count,
-        per_n=tuple(sorted(per_n.items())),
-        refinements=refined,
-        max_bits_used=max_bits,
+        per_n=tuple(zip(range(n1, n2 + 1), hits[n1 - 1:])),
+        refinements=sum(width > cfg.precision_bits for width in widths),
+        max_bits_used=max(widths),
     )
 
 

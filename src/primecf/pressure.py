@@ -89,8 +89,8 @@ class PressureProblem:
     def __post_init__(self):
         if self.ell < 1:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
-        if not self.B > 1:
-            raise ValueError(f"B must exceed 1, got {self.B}")
+        if not 1 < self.B < math.inf:
+            raise ValueError(f"B must be finite and exceed 1, got {self.B}")
         if self.M < 1:
             raise ValueError(f"alphabet bound M must be >= 1, got {self.M}")
         if self.n < 1:
@@ -207,6 +207,8 @@ def dimensional_number(problem: PressureProblem, tol: float = 1e-9,
       - sum > 1 still at the ceiling: no root in range; bracket error
         carrying both end values.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     if problem.M == 1:
         return 0.0
     lo, hi = S_FLOOR, S_CEIL

@@ -123,13 +123,14 @@ def test_eb_build_exact_columns_pinned(capsys, monkeypatch):
     assert digest.hexdigest() == EB_PIN
 
 
-# sha256 of the whole stdout, computed when expand_real still certified each
-# digit by an interval-containment test, a route independent of the current
-# common prefix of two Euclid streams.
+# sha256 of the whole stdout.  The cf-expand pin was computed when
+# expand_real still certified each digit by an interval-containment test, a
+# route independent of the current common prefix of two Euclid streams; the
+# mc-zero-one pin fixes the stream of the exact conditional-law sampler.
 CERTIFIED_DIGIT_PINS = [
     (["mc-zero-one", "--ell", "2", "--phi", "n*log(n)**2", "--window", "10,200",
       "--samples", "200", "--seed", "1"],
-     "9a98b14cfe07dea0c51f64df21766813b93755b413c423f76606aa7f7b8ce8fc"),
+     "3bceb3c9b986c6e4fe2afdcfa008a75837de0556b43fc41de285b12e0dc5dd66"),
     (["cf-expand", "--real", "0.318309886183790671537767526745", "--bits", "80"],
      "43a70b555a45710a5a283d5a3481a935ec15c5cf0fd5e9d4a194fdb8884062d2"),
 ]
@@ -490,6 +491,10 @@ TOTALITY = [
       for phi, n in (("exp(exp(exp(n)))", 12), ("3**(3**(3**n))", 8))
       for cmd, more in (("hwx-dim", ()), ("bb-series", ()),
                         ("mc-zero-one", ("--samples", "5")))],
+    (["bb-series", "--ell", "1", "--phi", "10.0**400*n", "--window", "1,2"], 0, None),
+    (["hwx-dim", "--ell", "1", "--phi", "3**2**24*n", "--window", "10,20"], 0, None),
+    (["bb-series", "--ell", "1", "--phi", "sqrt(-n)**2", "--window", "1,2"],
+     2, "ValueError: phi 'sqrt(-n)**2' is not a real number at n = 1"),
     (["box-dim", "--b", "2", "--c", "2", "--kmax", "4", "--sieve", "1000000"], 0, None),
     (["box-dim", "--b", "1.001", "--c", "2", "--kmax", "1000", "--sieve", "1000000"],
      3, "OutOfRangeError:"),
@@ -573,8 +578,7 @@ def test_guard_errors_share_a_base():
                        ("UndefinedExponentError", ValueError),
                        ("EnumerationGuardError", RuntimeError),
                        ("BracketError", RuntimeError),
-                       ("ConstructionInfeasibleError", RuntimeError),
-                       ("PrecisionExhaustedError", RuntimeError)):
+                       ("ConstructionInfeasibleError", RuntimeError)):
         cls = getattr(errors, name)
         assert issubclass(cls, errors.GuardError)
         assert issubclass(cls, base)

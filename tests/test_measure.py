@@ -1,12 +1,16 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from primecf.errors import OutOfRangeError, PrecisionExhaustedError
+from primecf.contfrac import fundamental_interval
+from primecf.errors import OutOfRangeError
 from primecf.measure import (
     MCExperiment,
+    _sample_digits,
     borel_bernstein_table,
     level_set_measure,
     run_zero_one_experiment,
@@ -111,6 +115,37 @@ def test_level_set_validation(sieve_small):
 
 # -- sampling experiments -------------------------------------------------------
 
+def test_sampled_digit_pairs_follow_the_gauss_law():
+    # a uniform x starts with (a, b) with probability |I(a, b)|; 5 sigma
+    # at 40,000 samples, for every pair in {1..4}^2
+    rng = random.Random(20260815)
+    n = 40_000
+    pairs = Counter(tuple(_sample_digits(rng, 64, 3)[0][:2]) for _ in range(n))
+    for a in range(1, 5):
+        for b in range(1, 5):
+            p = float(fundamental_interval((a, b)).length)
+            assert abs(pairs[a, b] / n - p) < 5 * math.sqrt(p * (1 - p) / n), (a, b)
+
+
+class ScriptedBits:
+    """A generator whose getrandbits returns the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def getrandbits(self, k):
+        return self.draws.pop(0)
+
+
+@pytest.mark.parametrize("second, digit", [(0, 3), (65535, 2)])
+def test_undecided_draw_takes_more_bits(second, digit):
+    # 21845 / 2^16 < 1/3 < 21846 / 2^16: the first 16 bits leave the first
+    # digit 1/u between 2 and 3, and the next 16 bits pick the side of 1/3
+    rng = ScriptedBits(21845, second)
+    assert _sample_digits(rng, 16, 1) == ([digit], 32)
+    assert rng.draws == []
+
+
 def test_experiment_reproducible(sieve_small):
     cfg = MCExperiment(sample_count=60, precision_bits=128, window=(1, 4),
                        phi=lambda n: 10.0, ell=1, seed=7)
@@ -181,12 +216,15 @@ def test_experiment_tests_products_before_primality():
         run(2.0)
 
 
-def test_experiment_precision_exhaustion(sieve_small):
-    # 16 starting bits double at most 8 times: never enough for 2001 digits
+def test_experiment_deep_window_refines_narrow_draws(sieve_small):
+    # 2001 digits from 16-bit draws: some digit is left undecided by its
+    # first draw and takes more bits, and the run still finishes
     cfg = MCExperiment(sample_count=1, precision_bits=16, window=(1, 2000),
                        phi=lambda n: 2.0, ell=1, seed=1)
-    with pytest.raises(PrecisionExhaustedError):
-        run_zero_one_experiment(cfg, sieve_small)
+    rep = run_zero_one_experiment(cfg, sieve_small)
+    assert rep.refinements == 1
+    assert rep.max_bits_used > 16
+    assert rep.hit_count == 1
 
 
 def test_experiment_validation():

@@ -146,6 +146,9 @@ def test_partition_sum_validation():
         PressureProblem(ell=1, B=1.0, M=3, n=2)
     with pytest.raises(ValueError):
         PressureProblem(ell=0, B=2.0, M=3, n=2)
+    for B in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PressureProblem(ell=1, B=B, M=3, n=2)
 
 
 def test_partition_sum_definition():
@@ -192,6 +195,11 @@ def test_dimension_bisection_stops_at_float_resolution(tol):
     t = dimensional_number(problem, tol=tol)
     assert abs(t - dimensional_number(problem)) < 1e-9
     assert abs(t - dimensional_number(problem, tol=1e-15)) < 1e-15
+
+
+def test_dimension_refuses_nan_tolerance():
+    with pytest.raises(ValueError):
+        dimensional_number(PressureProblem(ell=1, B=2.0, M=5, n=3), tol=math.nan)
 
 
 def test_dimension_stable_under_depth_doubling():
