@@ -9,8 +9,9 @@ at most M interrupted by scheduled runs of ell prime digits drawn from
 geometric windows, carrying a mass distribution mu defined block by
 block.  All c^(b^k)-scale arithmetic stays in log domain; the first
 construction lists no words (a box-counting cover needs only each level's
-word count and its least-prime cylinder), and everything the second
-enumerates is exact (integer continuants, rational endpoints).
+word count and its least-prime cylinder).  The second takes its sub-block
+masses from the word enumeration of `pressure` and builds its tree exactly
+(integer continuants, rational endpoints).
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .contfrac import continuants
 from .errors import (
     ConstructionInfeasibleError,
     EnumerationGuardError,
@@ -33,6 +33,7 @@ from .pressure import (
     dimensional_number,
     log_moment_enumerate,
     partition_sum,
+    word_continuants,
 )
 from .primes import PrimeSieve, primes_in
 
@@ -251,15 +252,23 @@ class EBParams:
     t_value: float
     constraints: tuple[tuple[str, str, str], ...]
 
-    def position_role(self, pos: int) -> tuple[str, int, int]:
-        """('prime', i, j) when pos = n_j + i inside a prime run, else ('digit', -1, -1)."""
-        for j in range(1, len(self.n_schedule)):
-            nj = self.n_schedule[j]
-            if pos < nj:
+    def position_roles(self, count: int) -> tuple[list[tuple[str, int, int]], list[bool]]:
+        """Roles of positions 1..count, from one walk over l_schedule.
+
+        Run j holds l_j N digits ('digit', -1, -1), the last of every N
+        completing a sub-block; the ell prime slots ('prime', i, j + 1) at
+        n_(j+1) + i follow it.  Returns the roles and, per position,
+        whether it completes a sub-block.
+        """
+        roles, completes = [], []
+        for j, lj in enumerate(self.l_schedule):
+            if len(roles) >= count:
                 break
-            if pos <= nj + self.ell - 1:
-                return ("prime", pos - nj, j)
-        return ("digit", -1, -1)
+            roles += [("digit", -1, -1)] * (lj * self.N)
+            completes += ([False] * (self.N - 1) + [True]) * lj
+            roles += [("prime", i, j + 1) for i in range(self.ell)]
+            completes += [False] * self.ell
+        return roles[:count], completes[:count]
 
     @property
     def bases(self) -> tuple[float, ...]:
@@ -389,32 +398,14 @@ def _finish_eb_params(B, ell, s, delta, M, N, alphas, last_base, constants) -> E
                     constraints=tuple(constraints))
 
 
-class _BlockWeights:
-    """Per-sub-block masses w(b) = u^-1 (alpha_0^N q_N^2(b))^-s and their
-    partial-word closures sigma(d) = sum over completions of w(d ++ e)."""
-
-    def __init__(self, M: int, N: int, alpha0: float, s: float):
-        self.M = M
-        self.N = N
-        self.s = s
-        self.log_alpha_term = N * math.log(alpha0)
-        # exact enumeration of u through the same log-domain word walk
-        self.u = math.exp(-s * self.log_alpha_term + log_moment_enumerate(M, N, s))
-        self._memo: dict[tuple[int, ...], float] = {}
-
-    def weight(self, block: tuple[int, ...]) -> float:
-        q = continuants(block).q
-        return math.exp(-self.s * (self.log_alpha_term + 2.0 * math.log(q))) / self.u
-
-    def sigma(self, partial: tuple[int, ...]) -> float:
-        """Mass of all completions of a partial sub-block; sigma(()) = 1."""
-        if len(partial) == self.N:
-            return self.weight(partial)
-        got = self._memo.get(partial)
-        if got is None:
-            got = math.fsum(self.sigma(partial + (a,)) for a in range(1, self.M + 1))
-            self._memo[partial] = got
-        return got
+def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[np.ndarray]]:
+    """u and sigma[k][i], the mass of all completions of the k-digit prefix
+    with lexicographic index i; a sub-block b in {1..M}^N weighs
+    w(b) = u^-1 (alpha_0^N q_N^2(b))^-s, which is q_N(b)^-2s over sum q^-2s."""
+    log_moment = log_moment_enumerate(M, N, s)
+    u = math.exp(-s * (N * math.log(alpha0)) + log_moment)
+    w = np.exp(-2.0 * s * np.log(word_continuants(M, N).astype(np.float64)) - log_moment)
+    return u, [w.reshape(M ** k, -1).sum(axis=1) for k in range(N + 1)]
 
 
 def _hull(p: int, p_prev: int, q: int, q_prev: int,
@@ -464,72 +455,61 @@ class EBTree:
                 yield n.depth, n.word, n.mu, float(n.hi - n.lo), n.lo, n.hi
 
 
-def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve,
-                   node_guard: int = _NODE_GUARD) -> EBTree:
+def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree:
     """Enumerate admissible words to depth_limit and attach their masses.
 
     mu of a word multiplies the weights of its completed digit sub-blocks,
-    the uniform splits 1/#P of its prime positions, and the closure
-    sigma(partial) of an unfinished sub-block, which reproduces the
-    recursive definition (checkpoint products, uniform prime splits,
-    completion sums) in one pass.
+    the uniform splits 1/#P of its prime positions, and the closure of its
+    unfinished sub-block, which reproduces the recursive definition
+    (checkpoint products, uniform prime splits, completion sums) in one
+    pass.  The unfinished sub-block rides along as its length k and its
+    lexicographic index i among the k-digit words.
     """
     if depth_limit < 1:
         raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
     if depth_limit + 1 >= params.n_schedule[-1]:
         raise OutOfRangeError(f"depth_limit {depth_limit} beyond the prepared schedule")
-    weights = _BlockWeights(params.M, params.N, params.alphas[0], params.s)
+    M = params.M
+    u, sigma = _block_masses(M, params.N, params.alphas[0], params.s)
 
     # one more position than the depth: the deepest nodes' hulls need it
-    roles = [params.position_role(pos) for pos in range(1, depth_limit + 2)]
+    roles, completes = params.position_roles(depth_limit + 1)
     digit_sets = tuple(_prime_block(params, i, j, sv) if role == "prime"
-                       else tuple(range(1, params.M + 1))
+                       else tuple(range(1, M + 1))
                        for role, i, j in roles)
-
-    # run starts: position of the first digit of the sub-block run that
-    # contains pos, for sub-block offset bookkeeping
-    def run_offset(pos: int) -> int:
-        js = [j for j in range(len(params.n_schedule))
-              if params.n_schedule[j] + params.ell <= pos]
-        start = params.n_schedule[max(js)] + params.ell if js else 1
-        return pos - start
 
     levels: list[tuple[EBNode, ...]] = []
     total = 0
-    # (node, partial sub-block, carried product of closed factors)
-    frontier: list[tuple[EBNode, tuple[int, ...], float]] = [
-        (EBNode((), 0, -1, 0, 1, 1, 0, 1.0, *_hull(0, 1, 1, 0, digit_sets[0])), (), 1.0)
+    # (node, length k and index i of its unfinished sub-block, closed factors)
+    frontier: list[tuple[EBNode, int, int, float]] = [
+        (EBNode((), 0, -1, 0, 1, 1, 0, 1.0, *_hull(0, 1, 1, 0, digit_sets[0])), 0, 0, 1.0)
     ]
     for pos in range(1, depth_limit + 1):
         digits, below = digit_sets[pos - 1], digit_sets[pos]
         prime = roles[pos - 1][0] == "prime"
-        completes = not prime and run_offset(pos) % params.N == params.N - 1
         total += len(frontier) * len(digits)
-        if total > node_guard:
+        if total > _NODE_GUARD:
             raise EnumerationGuardError(
-                f"tree exceeds {node_guard} nodes at depth {pos}"
+                f"tree exceeds {_NODE_GUARD} nodes at depth {pos}"
             )
-        nxt: list[tuple[EBNode, tuple[int, ...], float]] = []
-        for parent_idx, (par, partial, carried) in enumerate(frontier):
+        nxt: list[tuple[EBNode, int, int, float]] = []
+        for parent_idx, (par, k, i, carried) in enumerate(frontier):
             for d in digits:
                 p = d * par.p + par.p_prev
                 q = d * par.q + par.q_prev
                 if prime:
-                    new_partial = ()
-                    new_carried = carried / len(digits)
-                elif completes:
-                    new_partial = ()
-                    new_carried = carried * weights.weight(partial + (d,))
+                    new_k, new_i, new_carried = 0, 0, carried / len(digits)
+                elif completes[pos - 1]:
+                    new_k, new_i, new_carried = 0, 0, carried * sigma[-1][i * M + d - 1]
                 else:
-                    new_partial = partial + (d,)
-                    new_carried = carried
-                mu = new_carried * weights.sigma(new_partial)
+                    new_k, new_i, new_carried = k + 1, i * M + d - 1, carried
+                mu = float(new_carried * sigma[new_k][new_i])
                 node = EBNode(par.word + (d,), pos, parent_idx, p, par.p, q, par.q, mu,
                               *_hull(p, par.p, q, par.q, below))
-                nxt.append((node, new_partial, new_carried))
+                nxt.append((node, new_k, new_i, new_carried))
         frontier = nxt
         levels.append(tuple(entry[0] for entry in frontier))
-    return EBTree(params=params, u=weights.u, levels=tuple(levels), digit_sets=digit_sets)
+    return EBTree(params=params, u=u, levels=tuple(levels), digit_sets=digit_sets)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ The central object is the partition sum
     sum over words a in {1..M}^n of  B^(-n f_ell(s)) * q_n(a)^(-2s),
 
 whose root in s (sum = 1) is the dimensional number t_B^(ell)(M, n).
-Two evaluators are provided: exact depth-first enumeration (guarded), and
+Two evaluators are provided: exact enumeration (guarded; its word list
+`word_continuants` also gives the E_B sub-block masses in `cantor`), and
 a barycentric collocation scheme for the identity
 
     sum over words of q_n^(-2s)  =  g_n(0),
@@ -34,6 +35,9 @@ from .errors import (
 from .contfrac import continuants
 
 ENUMERATION_GUARD = 10_000_000
+# Largest M and n a PressureProblem admits: a bisection builds ~33 transfer
+# matrices of M digits and applies each n times; at the cap it takes < 30 s.
+PROBLEM_CAP = 10_000
 # Collocation is preferred inside bisection loops once enumeration would
 # walk more words than this; both evaluators agree to ~1e-13 in the log.
 _AUTO_ENUMERATION_CAP = 200_000
@@ -95,20 +99,20 @@ class PressureProblem:
             raise ValueError(f"alphabet bound M must be >= 1, got {self.M}")
         if self.n < 1:
             raise ValueError(f"word depth n must be >= 1, got {self.n}")
+        if max(self.M, self.n) > PROBLEM_CAP:
+            raise OutOfRangeError(
+                f"M = {self.M} and n = {self.n} must both be at most {PROBLEM_CAP}")
 
 
-def log_moment_enumerate(M: int, n: int, s: float) -> float:
-    """log of sum over words in {1..M}^n of q_n^(-2s), by exact enumeration.
-
-    Continuant pairs are carried exactly as int64 arrays level by level;
-    the final reduction runs in log domain so no term can underflow.
+def word_continuants(M: int, n: int) -> np.ndarray:
+    """q_n of every word in {1..M}^n as int64, in lexicographic order (the
+    first digit most significant), built by prepending each digit d to each
+    word w: q(d w) = d q(w) + q(w without its first digit).
     """
-    if M == 1:
-        q = continuants((1,) * n).q
-        return -2.0 * s * math.log(q)
-    if M ** n > ENUMERATION_GUARD:
+    # M = 1 counts as 2: q <= 2^n for it, so the guard also keeps q in int64
+    if max(M, 2) ** n > ENUMERATION_GUARD:
         raise EnumerationGuardError(
-            f"{M}^{n} words exceed the enumeration guard {ENUMERATION_GUARD}"
+            f"{{1..{M}}}^{n} is beyond the enumeration guard {ENUMERATION_GUARD}"
         )
     digits = np.arange(1, M + 1, dtype=np.int64)
     q = digits.copy()
@@ -117,7 +121,19 @@ def log_moment_enumerate(M: int, n: int, s: float) -> float:
         new_q = (digits[:, None] * q[None, :] + q_prev[None, :]).ravel()
         q_prev = np.tile(q, M)
         q = new_q
-    logs = -2.0 * s * np.log(q.astype(np.float64))
+    return q
+
+
+def log_moment_enumerate(M: int, n: int, s: float) -> float:
+    """log of sum over words in {1..M}^n of q_n^(-2s), by exact enumeration.
+
+    The reduction over `word_continuants` runs in log domain so no term
+    can underflow.
+    """
+    if M == 1:
+        q = continuants((1,) * n).q
+        return -2.0 * s * math.log(q)
+    logs = -2.0 * s * np.log(word_continuants(M, n).astype(np.float64))
     peak = logs.max()
     return float(peak + np.log(np.exp(logs - peak).sum()))
 

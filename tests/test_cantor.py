@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -261,16 +262,29 @@ def test_construction_parameters(eb):
                for j in range(len(ls)))
 
 
-def test_construction_roles(eb):
+def test_construction_roles(eb, sieve_mid):
     params, _ = eb
     # n_schedule starts (-1, 2, 7, ...): primes at 2, 3 and 7, 8
-    roles = {pos: params.position_role(pos) for pos in range(1, 9)}
+    walk, completes = params.position_roles(8)
+    roles = dict(enumerate(walk, start=1))
+    assert len(roles) == len(completes) == 8
     assert roles[1] == ("digit", -1, -1)
     assert roles[2] == ("prime", 0, 1)
     assert roles[3] == ("prime", 1, 1)
     assert roles[4] == roles[5] == roles[6] == ("digit", -1, -1)
     assert roles[7] == ("prime", 0, 2)
     assert roles[8] == ("prime", 1, 2)
+    # N = 1: every digit completes a sub-block
+    assert completes == [role[0] == "digit" for role in walk]
+    # N = 2: runs of 2, 6 and 14 digits, each followed by a prime pair at n_j
+    params2 = make_eb_params(4.0, 2, 0.53, 0.01, sieve_mid, M=4, N=2)
+    walk, completes = params2.position_roles(30)
+    primes = [pos for pos, role in enumerate(walk, start=1) if role[0] == "prime"]
+    assert primes == [3, 4, 11, 12, 27, 28]
+    assert params2.n_schedule[1:4] == (3, 11, 27)
+    assert walk[26] == ("prime", 0, 3) and walk[27] == ("prime", 1, 3)
+    assert [pos for pos, done in enumerate(completes, start=1) if done] == [
+        2, 6, 8, 10, 14, 16, 18, 20, 22, 24, 26, 30]
 
 
 def test_construction_auto_search(sieve_mid):
@@ -395,10 +409,54 @@ def test_tree_holder_band(eb, sieve_mid):
     assert [d for d, _ in h5.per_depth] == [1, 2, 3, 4, 5]
 
 
-def test_tree_guards(eb, sieve_mid):
+def test_tree_mass_matches_definition(sieve_mid):
+    # N = 3 leaves sub-blocks of one and two digits unfinished
+    params = make_eb_params(4.0, 2, 0.53, 0.01, sieve_mid, M=5, N=3)
+    tree = eb_prefix_tree(params, 6, sieve_mid)
+    M, N, s = params.M, params.N, params.s
+    scale = params.alphas[0] ** N
+    raw = {b: (scale * continuants(b).q ** 2) ** -s
+           for b in product(range(1, M + 1), repeat=N)}
+    u = math.fsum(raw.values())
+    assert tree.u == pytest.approx(u, rel=1e-12)
+    weight = {b: r / u for b, r in raw.items()}
+
+    prime_positions = {nj + i for nj in params.n_schedule[1:] for i in range(params.ell)}
+    unfinished = 0
+    for level in tree.levels:
+        for node in level:
+            factors, partial = [], ()
+            for pos, d in enumerate(node.word, start=1):
+                if pos in prime_positions:
+                    factors.append(1 / len(tree.digit_sets[pos - 1]))
+                    continue
+                partial += (d,)
+                if len(partial) == N:
+                    factors.append(weight[partial])
+                    partial = ()
+            if partial:
+                unfinished += 1
+                factors.append(math.fsum(weight[partial + e] for e in
+                                         product(range(1, M + 1), repeat=N - len(partial))))
+            assert node.mu == pytest.approx(math.prod(factors), rel=1e-12)
+    assert unfinished > 0
+
+
+def test_tree_time_is_bounded_by_its_nodes(sieve_mid):
+    # 8^7 sub-block words behind a depth-1 tree of 8 nodes
+    params = make_eb_params(4.0, 2, 0.53, 0.01, sieve_mid, M=8, N=7)
+    start = time.perf_counter()
+    tree = eb_prefix_tree(params, 1, sieve_mid)
+    assert time.perf_counter() - start < 5.0
+    assert len(tree.levels[0]) == 8
+    assert sum(node.mu for node in tree.levels[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tree_guards(eb, sieve_mid, monkeypatch):
     params, _ = eb
-    with pytest.raises(EnumerationGuardError):
-        eb_prefix_tree(params, 5, sieve_mid, node_guard=10)
+    monkeypatch.setattr(cantor, "_NODE_GUARD", 10)
+    with pytest.raises(EnumerationGuardError, match="tree exceeds 10 nodes at depth 3"):
+        eb_prefix_tree(params, 5, sieve_mid)
     with pytest.raises(ValueError):
         eb_prefix_tree(params, 0, sieve_mid)
     with pytest.raises(OutOfRangeError):

@@ -498,6 +498,14 @@ TOTALITY = [
     (["box-dim", "--b", "2", "--c", "2", "--kmax", "4", "--sieve", "1000000"], 0, None),
     (["box-dim", "--b", "1.001", "--c", "2", "--kmax", "1000", "--sieve", "1000000"],
      3, "OutOfRangeError:"),
+    (["pressure-dim", "--ell", "1", "--B", "2", "--M", "10001", "--n", "8"],
+     3, "OutOfRangeError: M = 10001 and n = 8 must both be at most 10000"),
+    (["pressure-dim", "--ell", "1", "--B", "2", "--M", "5", "--n", "1000000000"],
+     3, "OutOfRangeError: M = 5 and n = 1000000000 must both be at most 10000"),
+    (["hwx-dim", "--ell", "1", "--phi", "2.5**n", "--window", "10,300", "--M", "20000"],
+     3, "OutOfRangeError: M = 20000 and n = 8 must both be at most 10000"),
+    (["hwx-dim", "--ell", "1", "--phi", "2.5**n", "--window", "10,300", "--n", "1000000000"],
+     3, "OutOfRangeError: M = 20 and n = 1000000000 must both be at most 10000"),
 ]
 def _non_finite_values(out: str) -> list[str]:
     """Every CSV cell, `key=value` value and list entry of a CSV output

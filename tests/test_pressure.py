@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from primecf.errors import BracketError, EnumerationGuardError, OutOfRangeError,
 from primecf.pressure import (
     B_INF_THRESHOLD,
     B_ONE_THRESHOLD,
+    PROBLEM_CAP,
     PressureProblem,
     _transfer_matrix,
     classify_growth,
@@ -23,6 +25,7 @@ from primecf.pressure import (
     log_moment_collocate,
     log_moment_enumerate,
     partition_sum,
+    word_continuants,
 )
 
 
@@ -100,6 +103,14 @@ def test_enumerated_moment_matches_brute_force(M, n, s):
     assert log_moment_enumerate(M, n, s) == pytest.approx(oracle_log_moment(M, n, s), abs=1e-12)
 
 
+@pytest.mark.parametrize("M,n", [(1, 4), (2, 5), (3, 4), (5, 3), (7, 1)])
+def test_word_continuants_in_lexicographic_order(M, n):
+    # the first digit is the most significant index: prefix runs are contiguous
+    got = word_continuants(M, n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [continuants(w).q for w in product(range(1, M + 1), repeat=n)]
+
+
 def test_single_digit_alphabet_moment():
     # only word is (1,)*n, with continuant q = Fibonacci(n + 1)
     assert log_moment_enumerate(1, 5, 0.6) == pytest.approx(-1.2 * math.log(8), abs=1e-14)
@@ -129,6 +140,11 @@ def test_transfer_matrix_memory_is_chunked():
 def test_enumeration_guard():
     with pytest.raises(EnumerationGuardError):
         log_moment_enumerate(20, 8, 0.6)
+    with pytest.raises(EnumerationGuardError):
+        word_continuants(20, 8)
+    # one word, but its q = Fibonacci(101) would wrap around in int64
+    with pytest.raises(EnumerationGuardError):
+        word_continuants(1, 100)
     prob = PressureProblem(ell=1, B=2.0, M=20, n=8)
     with pytest.raises(EnumerationGuardError):
         partition_sum(prob, 0.6, method="enumerate")
@@ -149,6 +165,10 @@ def test_partition_sum_validation():
     for B in (math.inf, math.nan):
         with pytest.raises(ValueError):
             PressureProblem(ell=1, B=B, M=3, n=2)
+    PressureProblem(ell=1, B=2.0, M=PROBLEM_CAP, n=PROBLEM_CAP)
+    for M, n in ((PROBLEM_CAP + 1, 8), (5, PROBLEM_CAP + 1)):
+        with pytest.raises(OutOfRangeError):
+            PressureProblem(ell=1, B=2.0, M=M, n=n)
 
 
 def test_partition_sum_definition():
