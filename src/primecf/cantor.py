@@ -31,7 +31,7 @@ from .pressure import (
     ENUMERATION_GUARD,
     PressureProblem,
     dimensional_number,
-    log_moment_enumerate,
+    log_sum_exp,
     partition_sum,
     word_continuants,
 )
@@ -326,6 +326,8 @@ def make_eb_params(B: float, ell: int, s: float, delta: float, sv: PrimeSieve,
         raise ValueError(f"the construction needs ell >= 2, got {ell}")
     if not (0 < delta and 0.5 < s - 2 * delta and s < 1):
         raise ValueError(f"need 1/2 < s - 2*delta < s < 1, got s={s}, delta={delta}")
+    if not B > 1:
+        raise ValueError(f"B must be finite and exceed 1, got {B}")
     alphas = alpha_values(B, ell, s)
     last_base = B / math.prod(alphas)
     if not last_base > 1:
@@ -402,9 +404,10 @@ def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[
     """u and sigma[k][i], the mass of all completions of the k-digit prefix
     with lexicographic index i; a sub-block b in {1..M}^N weighs
     w(b) = u^-1 (alpha_0^N q_N^2(b))^-s, which is q_N(b)^-2s over sum q^-2s."""
-    log_moment = log_moment_enumerate(M, N, s)
+    logs = -2.0 * s * np.log(word_continuants(M, N).astype(np.float64))
+    log_moment = log_sum_exp(logs)
     u = math.exp(-s * (N * math.log(alpha0)) + log_moment)
-    w = np.exp(-2.0 * s * np.log(word_continuants(M, N).astype(np.float64)) - log_moment)
+    w = np.exp(logs - log_moment)
     return u, [w.reshape(M ** k, -1).sum(axis=1) for k in range(N + 1)]
 
 

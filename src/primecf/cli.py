@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -35,7 +34,6 @@ from . import cantor, contfrac, measure, pressure, zeta
 from .errors import GuardError, OutOfRangeError
 from .primes import PrimeSieve, primes_in
 
-SIEVE_ENV = "PRIMECF_SIEVE_LIMIT"
 # Certified digits of a sample grow with its precision, and every entry
 # of a window is evaluated and tabulated, so both are capped.
 BITS_CAP = 1 << 20
@@ -99,7 +97,13 @@ def _emit(command: str, fmt: str, inputs: dict, rows: list[dict],
           summary: dict | None = None, notes: list[str] | None = None,
           extra: dict[str, list[dict]] | None = None) -> str:
     """Render one run.  `extra` holds further top-level JSON blocks; CSV
-    output carries their content in `notes` instead."""
+    output carries their content in `notes` instead.  A real whose double
+    is not finite is refused: neither format can print it as a number."""
+    for block in (rows, [summary or {}], *(extra or {}).values()):
+        for record in block:
+            for name, v in record.items():
+                if isinstance(v, (float, mp.mpf)) and not math.isfinite(v):
+                    raise OutOfRangeError(f"{name} = {mp.nstr(v, 5)} has no finite double")
     if fmt == "json":
         obj = {
             "schema": f"{command}.schema.json",
@@ -191,18 +195,10 @@ def grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
 
 
-def _sieve_default() -> int:
-    raw = os.environ.get(SIEVE_ENV, "0")
-    return int(real(raw))
-
-
 def _resolve_sieve(requested: int, minimum: int) -> int:
-    """The sieve limit actually used: the flag, the environment default,
-    or the smallest limit the computation needs."""
-    if requested > 0:
-        return requested
-    env = _sieve_default()
-    return max(env, minimum)
+    """The sieve limit actually used: the flag, or the smallest limit the
+    computation needs."""
+    return requested if requested > 0 else minimum
 
 
 _PHI_FUNCS: dict[str, Callable] = {"log": mp.log, "exp": mp.exp, "sqrt": mp.sqrt}
@@ -505,8 +501,7 @@ PHI = ("--phi", {"type": str, "required": True,
                  "help": "expression in n, e.g. 'n*log(n)' or '2**(2**n)'"})
 WINDOW = ("--window", _required(window))
 TOL = ("--tol", {"type": real, "default": 1e-9})
-SIEVE = ("--sieve", {"type": int, "default": 0,
-                     "help": f"0 = ${SIEVE_ENV} or the smallest limit needed"})
+SIEVE = ("--sieve", {"type": int, "default": 0, "help": "0 = the smallest limit needed"})
 
 COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
     Subcommand(
@@ -579,7 +574,8 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         "luczak-dim", "doubly exponential construction levels and dimension ratios",
         cmd_luczak_dim,
         args=(("--b", _required(real_text)), ("--c", _required(real_text)),
-              ("--kmax", _required(kmax)), SIEVE),
+              ("--kmax", _required(kmax)),
+              ("--sieve", {"type": int, "default": 0, "help": "0 = no prime counts"})),
         columns={"k": INTEGER, "log_m": NUMBER, "log_eps": NUMBER, "rosser_ok": BOOLEAN,
                  "block_lo": either("integer", "string"),
                  "block_hi": either("integer", "string"),

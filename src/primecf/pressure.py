@@ -124,18 +124,18 @@ def word_continuants(M: int, n: int) -> np.ndarray:
     return q
 
 
-def log_moment_enumerate(M: int, n: int, s: float) -> float:
-    """log of sum over words in {1..M}^n of q_n^(-2s), by exact enumeration.
+def log_sum_exp(logs: np.ndarray) -> float:
+    """log of sum exp(logs), shifted by the peak so no term can underflow."""
+    peak = logs.max()
+    return float(peak + np.log(np.exp(logs - peak).sum()))
 
-    The reduction over `word_continuants` runs in log domain so no term
-    can underflow.
-    """
+
+def log_moment_enumerate(M: int, n: int, s: float) -> float:
+    """log of sum over words in {1..M}^n of q_n^(-2s), by exact enumeration."""
     if M == 1:
         q = continuants((1,) * n).q
         return -2.0 * s * math.log(q)
-    logs = -2.0 * s * np.log(word_continuants(M, n).astype(np.float64))
-    peak = logs.max()
-    return float(peak + np.log(np.exp(logs - peak).sum()))
+    return log_sum_exp(-2.0 * s * np.log(word_continuants(M, n).astype(np.float64)))
 
 
 def _lobatto_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,10 +148,10 @@ def _lobatto_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _transfer_matrix(M: int, s: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _transfer_matrix(M: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Matrix T with (T v)_i = sum_a (a + x_i)^(-2s) * interp(v)(1/(a + x_i))."""
-    x, w = _lobatto_nodes(nodes)
-    T = np.zeros((nodes + 1, nodes + 1))
+    x, w = _lobatto_nodes(_NODES)
+    T = np.zeros((_NODES + 1, _NODES + 1))
     for lo in range(1, M + 1, _CHUNK):
         a = np.arange(lo, min(lo + _CHUNK, M + 1), dtype=np.float64)
         base = a[:, None] + x[None, :]            # (chunk, nodes+1)
@@ -168,7 +168,7 @@ def _transfer_matrix(M: int, s: float, nodes: int) -> tuple[np.ndarray, np.ndarr
     return T, x
 
 
-def log_moment_collocate(M: int, n: int, s: float, nodes: int = _NODES) -> float:
+def log_moment_collocate(M: int, n: int, s: float) -> float:
     """log of sum over words in {1..M}^n of q_n^(-2s), without enumeration.
 
     Applies the digit-transfer recursion to polynomial interpolants of the
@@ -177,8 +177,8 @@ def log_moment_collocate(M: int, n: int, s: float, nodes: int = _NODES) -> float
     """
     if M == 1:
         return log_moment_enumerate(1, n, s)
-    T, x = _transfer_matrix(M, s, nodes)
-    v = np.ones(nodes + 1)
+    T, x = _transfer_matrix(M, s)
+    v = np.ones(_NODES + 1)
     shift = 0.0
     for _ in range(n):
         v = T @ v
@@ -267,8 +267,8 @@ def classify_growth(phi: Callable[[int], float], window: tuple[int, int]) -> Gro
     float, which keeps log log phi(n) <= 709.78 and exp(logb) in range.
     """
     n1, n2 = window
-    if n2 < n1:
-        raise ValueError(f"empty window {window}")
+    if not 1 <= n1 <= n2:
+        raise ValueError(f"window must satisfy 1 <= n1 <= n2, got {window}")
     ratios_B, ratios_b, skipped = [], [], []
     for n in range(n1, n2 + 1):
         val = mpf(phi(n))

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from mpmath import mp, mpf
 
-from primecf import cantor
+from primecf import cantor, pressure
 from primecf.cantor import (
     BoxDimEstimate,
     LuczakParams,
@@ -29,6 +29,7 @@ from primecf.errors import (
     EnumerationGuardError,
     OutOfRangeError,
 )
+from primecf.pressure import word_continuants
 from primecf.primes import PrimeSieve
 
 
@@ -300,6 +301,10 @@ def test_construction_validation(sieve_mid):
         make_eb_params(4.0, 2, 0.52, 0.01, sieve_mid)
     with pytest.raises(ValueError):
         make_eb_params(4.0, 2, 1.01, 0.01, sieve_mid)
+    # B <= 0 once made complex alphas or divided by zero; B = 1 a base of 1
+    for B in (-1.0, 0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="B must be finite and exceed 1"):
+            make_eb_params(B, 2, 0.53, 0.01, sieve_mid)
 
 
 def test_construction_infeasible_scale(sieve_mid):
@@ -450,6 +455,21 @@ def test_tree_time_is_bounded_by_its_nodes(sieve_mid):
     assert time.perf_counter() - start < 5.0
     assert len(tree.levels[0]) == 8
     assert sum(node.mu for node in tree.levels[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tree_enumerates_sub_blocks_once(sieve_mid, monkeypatch):
+    # the block masses and their normalizer read one word enumeration
+    params = make_eb_params(4.0, 2, 0.53, 0.01, sieve_mid, M=5, N=3)
+    calls = []
+
+    def counted(M, n):
+        calls.append((M, n))
+        return word_continuants(M, n)
+
+    monkeypatch.setattr(pressure, "word_continuants", counted)
+    monkeypatch.setattr(cantor, "word_continuants", counted)
+    eb_prefix_tree(params, 2, sieve_mid)
+    assert calls == [(5, 3)]
 
 
 def test_tree_guards(eb, sieve_mid, monkeypatch):

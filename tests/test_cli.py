@@ -12,6 +12,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from primecf import errors, primes
@@ -90,8 +92,7 @@ def test_reproducible_and_schema_valid(capsys, command):
     jsonschema.validate(instance=obj, schema=schema_for(command))
 
 
-def test_readme_examples_verbatim(capsys, monkeypatch):
-    monkeypatch.delenv("PRIMECF_SIEVE_LIMIT", raising=False)
+def test_readme_examples_verbatim(capsys):
     examples = re.findall(r"```\n\$ primecf (.*?)\n(.*?)```", README.read_text(), re.DOTALL)
     assert [shlex.split(line)[0] for line, _ in examples] == [
         "cf-expand", "pzeta-tail", "hwx-dim"]
@@ -106,8 +107,7 @@ def test_readme_examples_verbatim(capsys, monkeypatch):
 EB_PIN = "1be1ecba7a0182c55f038d3c646f37c0290ee76acd7580720187d32a7ffe8249"
 
 
-def test_eb_build_exact_columns_pinned(capsys, monkeypatch):
-    monkeypatch.delenv("PRIMECF_SIEVE_LIMIT", raising=False)
+def test_eb_build_exact_columns_pinned(capsys):
     code, out, _ = run_cli(capsys, ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53",
                                     "--delta", "0.01", "--M", "3", "--depth", "6"])
     assert code == 0
@@ -138,8 +138,7 @@ CERTIFIED_DIGIT_PINS = [
 
 @pytest.mark.parametrize("argv, pin", CERTIFIED_DIGIT_PINS,
                          ids=[case[0][0] for case in CERTIFIED_DIGIT_PINS])
-def test_certified_digit_outputs_pinned(capsys, monkeypatch, argv, pin):
-    monkeypatch.delenv("PRIMECF_SIEVE_LIMIT", raising=False)
+def test_certified_digit_outputs_pinned(capsys, argv, pin):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == pin
@@ -405,21 +404,18 @@ def test_guard_errors_exit_three(capsys):
     assert err.startswith("OutOfRangeError:")
 
 
-def test_sieve_environment_default(capsys, monkeypatch):
-    monkeypatch.setenv("PRIMECF_SIEVE_LIMIT", "123456")
-    code, out, _ = run_cli(capsys, ["pzeta-tail", "--ell", "1", "--s", "2",
-                                    "--M", "10", "--cutoff", "1000"])
-    assert code == 0
-    assert "sieve=123456" in out.splitlines()[0]
-    # explicit flag wins over the environment
-    code, out, _ = run_cli(capsys, ["pzeta-tail", "--ell", "1", "--s", "2",
-                                    "--M", "10", "--cutoff", "1000",
-                                    "--sieve", "2000"])
-    assert "sieve=2000" in out.splitlines()[0]
-    monkeypatch.setenv("PRIMECF_SIEVE_LIMIT", "2e3")
-    code, out, _ = run_cli(capsys, ["pzeta-tail", "--ell", "1", "--s", "2",
-                                    "--M", "10", "--cutoff", "1000"])
-    assert "sieve=2000" in out.splitlines()[0]
+def test_sieve_ignores_the_environment(capsys, monkeypatch):
+    # the output is a function of argv alone; --sieve is the one way to set it
+    runs = (["pzeta-tail", "--ell", "1", "--s", "2", "--M", "10", "--cutoff", "1000"],
+            ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01",
+             "--M", "3", "--depth", "2"])
+    for argv in runs:
+        monkeypatch.delenv("PRIMECF_SIEVE_LIMIT", raising=False)
+        want = run_cli(capsys, argv)
+        assert want[0] == 0
+        for value in ("123456", ""):
+            monkeypatch.setenv("PRIMECF_SIEVE_LIMIT", value)
+            assert run_cli(capsys, argv) == want
 
 
 def _usage(command: str, message: str) -> str:
@@ -464,6 +460,13 @@ TOTALITY = [
     (["luczak-dim", "--b", "2", "--c", "2", "--kmax", "2000"], 3, "OutOfRangeError:"),
     (["hwx-dim", "--ell", "1", "--phi", "n*log(n)**2", "--window", "0,10"],
      2, "ValueError:"),
+    (["hwx-dim", "--ell", "1", "--phi", "n+2", "--window", "0,30"],
+     2, "ValueError: window must satisfy 1 <= n1 <= n2"),
+    *[(["eb-build", "--B", B, "--ell", "2", "--s", "0.53", "--delta", "0.01"],
+       2, "ValueError: B must be finite and exceed 1") for B in ("-1", "0")],
+    *[(["pzeta-asymptotic", "--ell", "400", "--s", "2", "--grid", "3", "--cutoff", "10",
+        "--format", fmt], 3, "OutOfRangeError: ratio = 4.252e+409 has no finite double")
+      for fmt in ("csv", "json")],
     (["bb-series", "--ell", "1", "--phi", "1/(n-3)", "--window", "1,10"],
      2, "ValueError:"),
     (["mc-zero-one", "--ell", "1", "--phi", "1/(n-3)", "--window", "1,10",
@@ -509,7 +512,8 @@ TOTALITY = [
 ]
 def _non_finite_values(out: str) -> list[str]:
     """Every CSV cell, `key=value` value and list entry of a CSV output
-    that reads as a NaN or infinite float; labels such as B=inf pass."""
+    that reads as a NaN or infinite float; labels such as B=inf pass, and
+    so do integers, which print exactly at any size."""
     values = []
     for line in out.splitlines():
         if line.startswith("#"):
@@ -519,6 +523,8 @@ def _non_finite_values(out: str) -> list[str]:
     parts = [part for value in values for part in re.split(r"[\[\],;]", value)]
     bad = []
     for part in parts:
+        if re.fullmatch(r"[-+]?\d+", part.strip()):
+            continue
         try:
             x = float(part)
         except ValueError:
@@ -552,18 +558,10 @@ def test_sieve_cap(capsys, monkeypatch):
     monkeypatch.setattr(primes, "SIEVE_CAP", 5000)
     tail = ["pzeta-tail", "--ell", "1", "--s", "2", "--M", "10"]
     assert run_cli(capsys, tail + ["--cutoff", "5000"])[0] == 0
-    for argv, env in ((tail + ["--cutoff", "5001"], None),
-                      (tail + ["--cutoff", "1000", "--sieve", "5001"], None),
-                      (tail + ["--cutoff", "1000"], "5001")):
-        if env:
-            monkeypatch.setenv("PRIMECF_SIEVE_LIMIT", env)
+    for argv in (tail + ["--cutoff", "5001"], tail + ["--cutoff", "1000", "--sieve", "5001"]):
         code, _, err = run_cli(capsys, argv)
         assert code == 3
         assert err.startswith("OutOfRangeError: sieve limit 5001 exceeds SIEVE_CAP")
-    monkeypatch.setenv("PRIMECF_SIEVE_LIMIT", "inf")
-    code, _, err = run_cli(capsys, tail + ["--cutoff", "1000"])
-    assert code == 2
-    assert err.startswith("ArgumentTypeError: must be finite")
 
 
 def test_enumeration_cap(capsys, monkeypatch):
@@ -616,3 +614,109 @@ def test_phi_parser_accepts_growth_expressions():
 def test_phi_parser_rejects_non_arithmetic(expr):
     with pytest.raises(argparse.ArgumentTypeError):
         parse_phi(expr)
+
+
+# -- totality under generated arguments ----------------------------------------
+
+# Bounded so every call is cheap when it succeeds; the edges include windows
+# from n = 0, B <= 0 and ell up to 500, where a ratio can pass double range.
+PHIS = ("2", "n", "n+2", "n*n", "n*log(n)", "n*log(n)**2", "2**n", "2.5**n",
+        "2**(2**n)", "exp(n*n)", "1/(n-3)", "log(n-5)", "sqrt(-n)**2", "10.0**400*n",
+        "exp(exp(exp(n)))")
+FUZZ_SECONDS = 5.0
+
+
+def _flags(command: str, **flags) -> st.SearchStrategy:
+    """argv for `command` from one strategy per flag: None leaves the flag
+    out, True gives it bare, a tuple joins with commas.  Values ride in
+    `--flag=value`, so argparse takes a negative number as a value."""
+    def render(values: dict) -> list[str]:
+        argv = [command]
+        for flag, v in values.items():
+            name = "--" + flag.replace("_", "-")
+            if v is True:
+                argv.append(name)
+            elif v is not None and v is not False:
+                text = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                argv.append(f"{name}={text}")
+        return argv
+    return st.fixed_dictionaries(flags).map(render)
+
+
+def _opt(strategy: st.SearchStrategy) -> st.SearchStrategy:
+    return st.none() | strategy
+
+
+_ELL = st.integers(1, 4)
+_BIG_ELL = st.integers(1, 500)
+_S = st.floats(0.5, 6)
+_CUTOFF = st.integers(0, 10**4)
+_SIEVE = _opt(st.sampled_from((0, 1000, 100_000)))
+_PHI = st.sampled_from(PHIS)
+_WINDOW = st.tuples(st.integers(0, 20), st.integers(-1, 50)).map(lambda w: (w[0], w[0] + w[1]))
+_FORMAT = st.sampled_from(("csv", "json"))
+_REAL = st.floats(-1, 1e4)
+_BASE = st.floats(0.9, 4)
+_B = st.floats(-2, 1) | st.floats(1.5, 20)
+
+FUZZ_ARGV = st.one_of(
+    _flags("pzeta-tail", ell=_BIG_ELL, mode=_opt(st.sampled_from(("at-most", "exactly"))),
+           s=_S, M=_REAL, cutoff=_CUTOFF, sieve=_SIEVE, format=_FORMAT),
+    _flags("pzeta-asymptotic", ell=_BIG_ELL, s=_S,
+           grid=st.lists(st.floats(3, 1e4), min_size=1, max_size=3).map(tuple),
+           cutoff=_opt(_CUTOFF), format=_FORMAT),
+    _flags("cf-expand", rational=st.tuples(st.integers(-5, 10**6), st.integers(-5, 10**6))
+           .map(lambda f: f"{f[0]}/{f[1]}"), max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
+    _flags("cf-expand", real=st.floats(-1, 2).map(repr), bits=_opt(st.integers(0, 256)),
+           max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
+    _flags("interval-measure", ell=_ELL, threshold=_REAL, cutoff=_CUTOFF, sieve=_SIEVE,
+           format=_FORMAT),
+    _flags("pressure-dim", ell=_ELL, B=_B, M=st.integers(0, 8),
+           n=st.integers(0, 6), tol=_opt(st.floats(-1, 0.1)),
+           method=_opt(st.sampled_from(("auto", "enumerate", "collocate"))), format=_FORMAT),
+    _flags("hwx-dim", ell=_ELL, phi=_PHI, window=_WINDOW, M=_opt(st.integers(0, 8)),
+           n=_opt(st.integers(0, 6)), format=_FORMAT),
+    _flags("mc-zero-one", ell=_ELL, phi=_PHI, window=_WINDOW, samples=st.integers(0, 20),
+           bits=_opt(st.integers(0, 128)), seed=st.integers(0, 9), sieve=_SIEVE,
+           format=_FORMAT),
+    _flags("bb-series", ell=_ELL, phi=_PHI, prime=st.booleans(), window=_WINDOW,
+           format=_FORMAT),
+    _flags("luczak-dim", b=_BASE, c=_BASE, kmax=st.integers(0, 10), sieve=_SIEVE,
+           format=_FORMAT),
+    # --depth 0 (through the first prime run) can build the tree to its node
+    # guard, which no time cap bounds yet
+    _flags("eb-build", B=_B, ell=st.integers(2, 3), s=st.floats(0.52, 0.9),
+           delta=st.floats(0.001, 0.01), M=_opt(st.integers(0, 4)), N=_opt(st.integers(0, 4)),
+           depth=st.integers(1, 4), sieve=_SIEVE, format=_FORMAT),
+    _flags("box-dim", covers=_opt(st.lists(st.lists(st.floats(-0.1, 1), min_size=1, max_size=4)
+                                           .map(lambda xs: ",".join(map(repr, xs))),
+                                           min_size=1, max_size=4).map(";".join)),
+           b=_opt(_BASE), c=_opt(_BASE), kmax=_opt(st.integers(0, 10)), sieve=_SIEVE,
+           format=_FORMAT),
+)
+
+
+def _strict_json(out: str):
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON number {constant}")
+    return json.loads(out, parse_constant=refuse)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=FUZZ_ARGV)
+@example(argv=["hwx-dim", "--ell=1", "--phi=n+2", "--window=0,30"])
+@example(argv=["eb-build", "--B=-1", "--ell=2", "--s=0.53", "--delta=0.01"])
+@example(argv=["pzeta-asymptotic", "--ell=400", "--s=2", "--grid=3", "--cutoff=10",
+               "--format=json"])
+def test_cli_total_on_generated_argv(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < FUZZ_SECONDS
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 0:
+        if "--format=json" in argv:
+            _strict_json(out)
+        else:
+            assert _non_finite_values(out) == []

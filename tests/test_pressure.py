@@ -127,7 +127,7 @@ def test_transfer_matrix_memory_is_chunked():
     # the (digits, nodes+1, nodes+1) temporaries are built a chunk at a time
     tracemalloc.start()
     try:
-        _transfer_matrix(5000, 0.75, 60)
+        _transfer_matrix(5000, 0.75)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,6 +260,8 @@ def test_growth_undefined_and_empty():
         classify_growth(lambda n: 1.0, (5, 10))
     with pytest.raises(ValueError):
         classify_growth(lambda n: 2.0, (10, 5))
+    with pytest.raises(ValueError):
+        classify_growth(lambda n: 2.0, (0, 5))
 
 
 # -- dimension by regime --------------------------------------------------------

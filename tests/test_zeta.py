@@ -270,13 +270,14 @@ def test_prime_sum_pinned_values():
     assert close(pzeta_via_mobius(4), mpf("0.0769931398"), mpf("5e-11"))
 
 
-def test_prime_sum_depth_behaviour():
-    # k = 1 alone gives log zeta(s); extra depth only adds 2^(-ks)-size terms
-    with mp.workdps(50):
-        assert abs(pzeta_via_mobius(2, depth=1) - mp.log(zeta_em(2))) < mpf("1e-35")
-        assert abs(pzeta_via_mobius(2, depth=20) - pzeta_via_mobius(2)) < mpf("1e-12")
-    with pytest.raises(ValueError):
-        pzeta_via_mobius(2, depth=0)
+def test_prime_sum_matches_primezeta():
+    # the Moebius depth grows like 1/s and k s is not rounded to a double,
+    # so near s = 1 the sum keeps every digit of its working precision
+    for s in (1.01, 1.05, 1.1, 1.5, 2, 2.3, 4):
+        got = pzeta_via_mobius(s)
+        with mp.workdps(70):
+            want = mp.primezeta(mpf(s))
+            assert abs(got - want) < mpf("1e-40") * want
     with pytest.raises(DivergentSeriesError):
         pzeta_via_mobius(1.0)
 
