@@ -39,7 +39,7 @@ from .primes import PrimeSieve, primes_in
 
 # The explicit prime-count bound x/(2+log x) < pi(x) only starts at 55.
 ROSSER_FLOOR = 55
-_NODE_GUARD = 1_000_000
+_NODE_GUARD = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +481,16 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
                        else tuple(range(1, M + 1))
                        for role, i, j in roles)
 
+    # every node takes every digit of its position, so the tree's size is
+    # known before any level is built
+    level, total = 1, 0
+    for pos in range(1, depth_limit + 1):
+        level *= len(digit_sets[pos - 1])
+        total += level
+        if total > _NODE_GUARD:
+            raise EnumerationGuardError(f"tree exceeds {_NODE_GUARD} nodes at depth {pos}")
+
     levels: list[tuple[EBNode, ...]] = []
-    total = 0
     # (node, length k and index i of its unfinished sub-block, closed factors)
     frontier: list[tuple[EBNode, int, int, float]] = [
         (EBNode((), 0, -1, 0, 1, 1, 0, 1.0, *_hull(0, 1, 1, 0, digit_sets[0])), 0, 0, 1.0)
@@ -490,11 +498,6 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
     for pos in range(1, depth_limit + 1):
         digits, below = digit_sets[pos - 1], digit_sets[pos]
         prime = roles[pos - 1][0] == "prime"
-        total += len(frontier) * len(digits)
-        if total > _NODE_GUARD:
-            raise EnumerationGuardError(
-                f"tree exceeds {_NODE_GUARD} nodes at depth {pos}"
-            )
         nxt: list[tuple[EBNode, int, int, float]] = []
         for parent_idx, (par, k, i, carried) in enumerate(frontier):
             for d in digits:

@@ -8,9 +8,10 @@ raised by guards print their class name to stderr and exit nonzero.
 
 Each subcommand is declared once, in COMMANDS: its arguments (the keyword
 arguments of `add_argument`, whose `type` callables carry the range and
-finiteness checks), its handler, and the typed columns of its rows and
-summary.  The parser, the input echo and the JSON schema of the output
-(`schema_for`) are all built from that table.
+finiteness checks), its handler, and the kind of each column of its rows
+and summary.  The parser, the input echo, the JSON schema of the output
+(`schema_for`) and every printed cell and JSON value are all built from
+that table.
 """
 from __future__ import annotations
 
@@ -25,9 +26,8 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
-import numpy as np
 from mpmath import mp
 
 from . import cantor, contfrac, measure, pressure, zeta
@@ -51,84 +51,52 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
 # formatting
 
 
-def _cell(v) -> str:
-    """One CSV cell: rationals exact, reals at 20 significant digits."""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    if isinstance(v, tuple):
-        return "[" + ",".join(str(int(d)) for d in v) + "]"
-    if isinstance(v, mp.mpf):
-        return mp.nstr(v, 20)
-    return format(float(v), ".20g")
-
-
 def _echo(v) -> str:
-    """Input echo for the comment line: round-trip floats, plain ints."""
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, tuple):
-        return ",".join(_echo(x) for x in v)
-    return str(v)
+    """Input echo for the comment line; str of a float round-trips."""
+    return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, (bool, int, float, str)) or v is None:
-        return v
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, mp.mpf):
-        return float(v)
-    if isinstance(v, (tuple, list)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return float(v)
+def _render(fields: dict[str, Kind], records: list[dict], fmt: str) -> Iterator[dict]:
+    """Each record's declared fields, in declared order, as CSV cells or JSON
+    values.  A real whose double is not finite is refused: neither format
+    can print it as a number."""
+    for record in records:
+        values = {}
+        for name, kind in fields.items():
+            v = record[name]
+            if kind.finite and v != "" and not math.isfinite(v):
+                raise OutOfRangeError(f"{name} = {mp.nstr(v, 5)} has no finite double")
+            values[name] = kind.cell(v) if fmt == "csv" else kind.json(v)
+        yield values
 
 
-def _emit(command: str, fmt: str, inputs: dict, rows: list[dict],
-          summary: dict | None = None, notes: list[str] | None = None,
-          extra: dict[str, list[dict]] | None = None) -> str:
-    """Render one run.  `extra` holds further top-level JSON blocks; CSV
-    output carries their content in `notes` instead.  A real whose double
-    is not finite is refused: neither format can print it as a number."""
-    for block in (rows, [summary or {}], *(extra or {}).values()):
-        for record in block:
-            for name, v in record.items():
-                if isinstance(v, (float, mp.mpf)) and not math.isfinite(v):
-                    raise OutOfRangeError(f"{name} = {mp.nstr(v, 5)} has no finite double")
+def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> str:
+    """Render one run, every value through the kind declared for it: the
+    summary, the `extra` blocks (which CSV output carries in `out.notes`
+    instead), then the rows.  A refused value leaves no output."""
+    summary = None if out.summary is None else next(_render(sub.summary, [out.summary], fmt))
+    extra = {key: list(_render(sub.extra[key], block, fmt))
+             for key, block in (out.extra or {}).items()}
+    rows = _render(sub.columns, out.rows, fmt)
     if fmt == "json":
-        obj = {
-            "schema": f"{command}.schema.json",
-            "command": command,
-            "inputs": _jsonable(inputs),
-            "rows": [_jsonable(r) for r in rows],
-        }
+        obj = {"schema": f"{sub.name}.schema.json", "command": sub.name,
+               "inputs": inputs, "rows": list(rows)}
         if summary is not None:
-            obj["summary"] = _jsonable(summary)
-        for key, block in (extra or {}).items():
-            obj[key] = [_jsonable(r) for r in block]
+            obj["summary"] = summary
+        obj.update(extra)
         return json.dumps(obj, indent=2) + "\n"
     buf = io.StringIO()
-    buf.write("# " + command + " "
+    buf.write("# " + sub.name + " "
               + " ".join(f"{k}={_echo(v)}" for k, v in inputs.items()) + "\n")
     if summary:
-        buf.write("# " + " ".join(f"{k}={_cell(v)}" for k, v in summary.items()) + "\n")
-    for line in notes or []:
+        buf.write("# " + " ".join(f"{k}={v}" for k, v in summary.items()) + "\n")
+    for line in out.notes or []:
         buf.write("# " + line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    if rows:
-        columns = list(rows[0].keys())
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_cell(r[c]) for c in columns])
+    if out.rows:
+        writer.writerow(sub.columns)
+        # rows stream into the text; no rendered copy of them is kept
+        writer.writerows(r.values() for r in rows)
     return buf.getvalue()
 
 
@@ -309,20 +277,19 @@ def cmd_cf_expand(args) -> Output:
     if (args.rational is None) == (args.real is None):
         raise OutOfRangeError("give exactly one of --rational or --real")
     if args.rational is not None:
+        if args.bits:
+            raise ValueError("--bits certifies the digits of a --real; a --rational is exact")
         x = _fraction(args.rational)
         word = contfrac.expand_rational(x.numerator, x.denominator, args.max_len)
         shown = args.rational
-        bits = None
     else:
         x = _fraction(args.real)
-        bits = args.bits if args.bits > 0 else None
-        word = contfrac.expand_real(x, precision_bits=bits, max_len=args.max_len)
+        word = contfrac.expand_real(x, precision_bits=args.bits or None, max_len=args.max_len)
         shown = args.real
     back = contfrac.continuants(word)
     rows = [{"digits": tuple(word), "length": len(word),
              "reconstructed": back.value if len(word) else Fraction(0)}]
-    return Output(rows, inputs={"input": shown, "bits": 0 if bits is None else bits,
-                                "max_len": args.max_len})
+    return Output(rows, inputs={"input": shown, "bits": args.bits, "max_len": args.max_len})
 
 
 def cmd_interval_measure(args) -> Output:
@@ -457,37 +424,60 @@ def cmd_box_dim(args) -> Output:
 # the table
 
 
-# column types, as JSON-schema fragments
-NUMBER = {"type": "number"}
-INTEGER = {"type": "integer"}
-STRING = {"type": "string"}
-BOOLEAN = {"type": "boolean"}
-FRACTION = {"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"}
-DIGITS = {"type": "array", "items": {"type": "integer", "minimum": 1}}
+@dataclass(frozen=True)
+class Kind:
+    """A column type: its JSON-schema fragment, how a value prints as a CSV
+    cell and as a JSON value, and whether its values need a finite double."""
+
+    schema: dict
+    cell: Callable[[object], str]
+    json: Callable[[object], object]
+    finite: bool = False
 
 
-def enum(*values: str) -> dict:
-    return {"type": "string", "enum": list(values)}
+def _num_den(v: Fraction) -> str:
+    return f"{v.numerator}/{v.denominator}"
 
 
-def either(*types: str) -> dict:
-    return {"type": list(types)}
+def _blank_or(kind: Kind) -> Kind:
+    """`kind`, or a blank ("") where a row has no value."""
+    return Kind({"type": [kind.schema["type"], "string"]},
+                lambda v: v if v == "" else kind.cell(v),
+                lambda v: v if v == "" else kind.json(v), kind.finite)
+
+
+# reals at 20 significant digits, rationals exact as num/den
+NUMBER = Kind({"type": "number"}, lambda v: format(v, ".20g"), float, finite=True)
+MPF = Kind({"type": "number"}, lambda v: mp.nstr(v, 20), float, finite=True)
+INTEGER = Kind({"type": "integer"}, str, int)
+STRING = Kind({"type": "string"}, str, str)
+BOOLEAN = Kind({"type": "boolean"}, lambda v: "true" if v else "false", bool)
+FRACTION = Kind({"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"}, _num_den, _num_den)
+DIGITS = Kind({"type": "array", "items": {"type": "integer", "minimum": 1}},
+              lambda v: "[" + ",".join(map(str, v)) + "]", list)
+BLANK_OR_INTEGER = _blank_or(INTEGER)
+BLANK_OR_NUMBER = _blank_or(NUMBER)
+
+
+def enum(*values: str) -> Kind:
+    return Kind({"type": "string", "enum": list(values)}, str, str)
 
 
 @dataclass(frozen=True)
 class Subcommand:
     """One subcommand.  `args` pairs each flag with its `add_argument`
     keyword arguments, in echo order; `columns`, `summary` and `extra`
-    type the fields of the rows, of the summary and of each further JSON
-    block.  With echo=False the handler supplies the whole input echo."""
+    give the kind of each field of the rows, of the summary and of each
+    further JSON block, in output order.  With echo=False the handler
+    supplies the whole input echo."""
 
     name: str
     help: str
     handler: Callable[[argparse.Namespace], Output]
     args: tuple[tuple[str, dict], ...]
-    columns: dict[str, dict]
-    summary: dict[str, dict] | None = None
-    extra: dict[str, dict[str, dict]] | None = None
+    columns: dict[str, Kind]
+    summary: dict[str, Kind] | None = None
+    extra: dict[str, dict[str, Kind]] | None = None
     echo: bool = True
 
 
@@ -508,7 +498,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         "pzeta-tail", "truncated almost-prime zeta tail with bound", cmd_pzeta_tail,
         args=(ELL, MODE, ("--s", _required(real)), ("--M", _required(real)),
               ("--cutoff", _required(int)), SIEVE),
-        columns={"value": NUMBER, "remainder_bound": NUMBER, "upper": NUMBER,
+        columns={"value": MPF, "remainder_bound": MPF, "upper": MPF,
                  "terms_used": INTEGER},
     ),
     Subcommand(
@@ -516,8 +506,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         cmd_pzeta_asymptotic,
         args=(ELL, MODE, ("--s", _required(real)), ("--grid", _required(grid)),
               ("--cutoff", {"type": int, "default": 0}), SIEVE),
-        columns={"M": NUMBER, "value": NUMBER, "ratio": NUMBER,
-                 "remainder_bound": NUMBER},
+        columns={"M": NUMBER, "value": MPF, "ratio": MPF, "remainder_bound": MPF},
     ),
     Subcommand(
         "cf-expand", "continued-fraction digits of a rational", cmd_cf_expand,
@@ -577,10 +566,8 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
               ("--kmax", _required(kmax)),
               ("--sieve", {"type": int, "default": 0, "help": "0 = no prime counts"})),
         columns={"k": INTEGER, "log_m": NUMBER, "log_eps": NUMBER, "rosser_ok": BOOLEAN,
-                 "block_lo": either("integer", "string"),
-                 "block_hi": either("integer", "string"),
-                 "true_count": either("integer", "string"),
-                 "ratio": either("number", "string")},
+                 "block_lo": BLANK_OR_INTEGER, "block_hi": BLANK_OR_INTEGER,
+                 "true_count": BLANK_OR_INTEGER, "ratio": BLANK_OR_NUMBER},
         summary={"limit": FRACTION, "limit_float": NUMBER},
     ),
     Subcommand(
@@ -617,10 +604,10 @@ def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-def _object(fields: dict[str, dict]) -> dict:
+def _object(fields: dict[str, Kind]) -> dict:
     return {
         "type": "object",
-        "properties": copy.deepcopy(fields),
+        "properties": {name: copy.deepcopy(kind.schema) for name, kind in fields.items()},
         "required": sorted(fields),
         "additionalProperties": False,
     }
@@ -673,7 +660,7 @@ def _run(args: argparse.Namespace) -> str:
     inputs = out.inputs
     if cmd.echo:
         inputs = {_dest(flag): getattr(args, _dest(flag)) for flag, _ in cmd.args} | inputs
-    return _emit(cmd.name, args.format, inputs, out.rows, out.summary, out.notes, out.extra)
+    return _emit(cmd, args.format, inputs, out)
 
 
 def main(argv=None) -> int:

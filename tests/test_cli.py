@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from primecf import errors, primes
-from primecf.cli import main, parse_phi, schema_for
+from primecf.cli import COMMANDS, main, parse_phi, schema_for
 from primecf.contfrac import expand_rational
 from primecf.measure import level_set_measure
 from primecf.primes import PrimeSieve
@@ -75,6 +75,30 @@ INVOCATIONS = {
 }
 
 
+def _cell_fits(cell: str, schema: dict) -> bool:
+    """Whether a CSV cell reads back as a value of the declared kind whose
+    JSON-schema fragment is `schema`; a blank fits only a blank-or-... kind."""
+    types = schema["type"]
+    if isinstance(types, list):
+        return cell == "" or _cell_fits(cell, {"type": types[0]})
+    if types == "number":
+        try:
+            return math.isfinite(float(cell))
+        except ValueError:
+            return False
+    if types == "string":
+        if "enum" in schema:
+            return cell in schema["enum"]
+        return re.search(schema.get("pattern", "."), cell) is not None
+    pattern = {"integer": r"-?\d+", "boolean": "true|false", "array": r"\[(\d+(,\d+)*)?\]"}
+    return re.fullmatch(pattern[types], cell) is not None
+
+
+def _summary_line(comment: str) -> dict:
+    """key=value pairs of a summary comment; a value may hold spaces."""
+    return dict(kv.split("=", 1) for kv in re.split(r" (?=\w+=)", comment[2:]))
+
+
 @pytest.mark.parametrize("command", sorted(INVOCATIONS))
 def test_reproducible_and_schema_valid(capsys, command):
     argv = [command, *INVOCATIONS[command]]
@@ -82,6 +106,18 @@ def test_reproducible_and_schema_valid(capsys, command):
     code2, csv2, _ = run_cli(capsys, argv + ["--format", "csv"])
     assert code1 == code2 == 0
     assert csv1 == csv2
+    sub = COMMANDS[command]
+    comments, header, rows = parse_csv(csv1)
+    assert header == list(sub.columns)
+    assert rows
+    for row in rows:
+        for name, cell in row.items():
+            assert _cell_fits(cell, sub.columns[name].schema), (name, cell)
+    if sub.summary is not None:
+        summary = _summary_line(comments[1])
+        assert list(summary) == list(sub.summary)
+        for name, cell in summary.items():
+            assert _cell_fits(cell, sub.summary[name].schema), (name, cell)
     code3, json1, _ = run_cli(capsys, argv + ["--format", "json"])
     code4, json2, _ = run_cli(capsys, argv + ["--format", "json"])
     assert code3 == code4 == 0
@@ -104,12 +140,24 @@ def test_readme_examples_verbatim(capsys):
 
 # sha256 of the exact or correctly rounded columns (depth, word, diam, lo,
 # hi) of every row plus gap_min; mu and holder_* go through libm exp/log.
+# EB_JSON_PIN hashes the same in JSON: the raw "rows" block without its
+# "mu" lines, then the raw "gap_min" line.
 EB_PIN = "1be1ecba7a0182c55f038d3c646f37c0290ee76acd7580720187d32a7ffe8249"
+EB_JSON_PIN = "e475bb21814ddae7760135e43ff54c5bb58a4f4f33c07eabbd9d3245e4149ad7"
+EB_PIN_ARGV = ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01",
+               "--M", "3", "--depth", "6"]
 
 
 def test_eb_build_exact_columns_pinned(capsys):
-    code, out, _ = run_cli(capsys, ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53",
-                                    "--delta", "0.01", "--M", "3", "--depth", "6"])
+    code, out, _ = run_cli(capsys, EB_PIN_ARGV + ["--format", "json"])
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    start = lines.index('  "rows": [\n')
+    kept = [line for line in lines[start:lines.index("  ],\n", start) + 1]
+            if '"mu":' not in line]
+    kept += [line for line in lines if line.lstrip().startswith('"gap_min":')]
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == EB_JSON_PIN
+    code, out, _ = run_cli(capsys, EB_PIN_ARGV)
     assert code == 0
     lines = out.splitlines(keepends=True)
     summary = dict(kv.split("=", 1) for kv in lines[1][2:].split())
@@ -166,6 +214,37 @@ def test_box_dim_outputs_pinned(capsys, argv, pin):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
+# sha256 of the whole stdout of INVOCATIONS.  These commands compute with
+# mpmath, exact integers and IEEE float operations only (no libm call), so
+# their bytes pin the output layer on every platform.
+OUTPUT_PINS = {
+    ("pzeta-tail", "csv"): "599dca900864f28b0d784d8f00ddf7afeee86a371a3090a8329877cf8a1373ff",
+    ("pzeta-tail", "json"): "5b6c6e315bc7df77ae8571392d7371e52ab521c2309c1380ea9ec9680190da7b",
+    ("pzeta-asymptotic", "csv"):
+        "d3213e3161079fee22b8c794a63e74fee6daa9d123b915b24ab6702b20429c8d",
+    ("pzeta-asymptotic", "json"):
+        "a37da94075c4bcc543bd22a1f6952a98fe48fc76746858c52c18b0a5cc1f5e85",
+    ("cf-expand", "csv"): "726d7e96a686d58b1305c6939bc1dc344663a76b782147cefe1354327980c566",
+    ("cf-expand", "json"): "a169789a26d52fbb7b882c7bed045f288453807f1f49816c7e78ec95274b09a8",
+    ("interval-measure", "csv"):
+        "fc7a391c2ed5205dc011310e3bef62abec326dd62dd351525d682e4a33af667e",
+    ("interval-measure", "json"):
+        "4b91212393ebdc399d5af3d262d928e73ee3199d7880fa1bb5f90af7aa597a8b",
+    ("mc-zero-one", "csv"): "43ea7b1dbadd1b5e4dc2c86701ad85b2fa4ed1def9868e76190acee2a0c7ad4c",
+    ("mc-zero-one", "json"): "cf1900f1a60c761ebf0bb347c758657e0141c1631b4ec77e85608a801e66e7a1",
+    ("bb-series", "csv"): "152582052d23fb4f7ace03f6f07b403bfa5bee1a21845b2047b85dc830cd37bd",
+    ("bb-series", "json"): "8cb689fa94ede3bbe5fa375918d0b6825589a1b5b0ab1c9277d6572bade374f8",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(OUTPUT_PINS),
+                         ids=[" ".join(key) for key in sorted(OUTPUT_PINS)])
+def test_output_layer_pinned(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, [command, *INVOCATIONS[command], "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_PINS[command, fmt]
 
 
 def test_cli_import_does_not_load_jsonschema():
@@ -509,6 +588,11 @@ TOTALITY = [
      3, "OutOfRangeError: M = 20000 and n = 8 must both be at most 10000"),
     (["hwx-dim", "--ell", "1", "--phi", "2.5**n", "--window", "10,300", "--n", "1000000000"],
      3, "OutOfRangeError: M = 20 and n = 1000000000 must both be at most 10000"),
+    (["eb-build", "--ell", "2", "--B", "15.646926843825895", "--s", "0.5253252669063687",
+      "--delta", "0.0014717595201200195", "--N", "3"], 3, "EnumerationGuardError: tree exceeds"),
+    (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", "--M", "8",
+      "--N", "1", "--depth", "7"], 3, "EnumerationGuardError: tree exceeds"),
+    (["cf-expand", "--rational", "1/3", "--bits", "80"], 2, "ValueError: --bits"),
 ]
 def _non_finite_values(out: str) -> list[str]:
     """Every CSV cell, `key=value` value and list entry of a CSV output
@@ -684,7 +768,7 @@ FUZZ_ARGV = st.one_of(
     _flags("luczak-dim", b=_BASE, c=_BASE, kmax=st.integers(0, 10), sieve=_SIEVE,
            format=_FORMAT),
     # --depth 0 (through the first prime run) can build the tree to its node
-    # guard, which no time cap bounds yet
+    # guard, about 3 s, too close to FUZZ_SECONDS
     _flags("eb-build", B=_B, ell=st.integers(2, 3), s=st.floats(0.52, 0.9),
            delta=st.floats(0.001, 0.01), M=_opt(st.integers(0, 4)), N=_opt(st.integers(0, 4)),
            depth=st.integers(1, 4), sieve=_SIEVE, format=_FORMAT),
