@@ -39,12 +39,15 @@ from .primes import PrimeSieve, primes_in
 BITS_CAP = 1 << 20
 WINDOW_CAP = 10**6
 # Fraction builds 10**e for a decimal exponent e before any check can run;
-# exponents are held to Python's default int/str digit limit.
+# exponents are held to Python's default int/str digit limit, and so are
+# the digit runs int() reads and the numerator and denominator of the
+# result, which bound every digit and convergent cf-expand prints.
 EXPONENT_CAP = 4300
 # luczak_levels keeps one level per k until b^(k+1) leaves float range,
 # which for b near 1 is millions of levels.
 KMAX_CAP = 10**4
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +123,20 @@ def real_text(text: str) -> str:
 
 def _fraction(text: str) -> Fraction:
     """The rational a decimal or num/den string denotes."""
+    too_long = ValueError(f"rational {text[:40]!r} needs more than {EXPONENT_CAP} decimal digits")
+    if any(len(run.replace("_", "")) > EXPONENT_CAP for run in _DIGIT_RUN.findall(text)):
+        raise too_long
     m = _EXPONENT.search(text)
     if m:
-        digits = m.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(EXPONENT_CAP)) or int(digits or 0) > EXPONENT_CAP:
+        if int(m.group(1)) > EXPONENT_CAP:
             raise ValueError(f"decimal exponent of {text[:40]!r} exceeds {EXPONENT_CAP}")
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
+    if max(abs(x.numerator), x.denominator) >= 10 ** EXPONENT_CAP:
+        raise too_long
+    return x
 
 
 def precision_bits(text: str) -> int:

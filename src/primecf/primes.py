@@ -99,18 +99,6 @@ def primes_in(lo: float, hi: float, sv: PrimeSieve) -> np.ndarray:
     return sv.primes[start:stop]
 
 
-def mertens_sum(x: float, sv: PrimeSieve) -> float:
-    """Sum of 1/p over primes p <= x.
-
-    Terms are added in ascending order through math.fsum, so the result is
-    the correctly rounded double of the term sequence.
-    """
-    if x < 2:
-        raise ValueError(f"mertens_sum needs x >= 2, got {x}")
-    ps = primes_in(2, x, sv)
-    return math.fsum(1.0 / ps.astype(np.float64))
-
-
 def is_prime_trial(n: int, sv: PrimeSieve) -> bool:
     """Primality of n by table lookup, or trial division when n > limit.
 

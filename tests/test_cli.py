@@ -307,6 +307,29 @@ def test_cf_expand_real_paths(capsys):
     assert run_cli(capsys, ["cf-expand"])[0] == 3
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--rational", "1" * 4301), ("--rational", "1/" + "1" * 4301),
+    ("--real", "0." + "0" * 4300 + "1"), ("--real", "1e" + "0" * 4300 + "1"),
+    ("--rational", "1e4300"), ("--rational", "-1e4300"),
+])
+def test_cf_expand_refuses_unprintable_rationals(capsys, flag, text):
+    # a digit run int() will not read, or a numerator or denominator that
+    # str() will not print, is refused before any digit is computed
+    code, out, err = run_cli(capsys, ["cf-expand", f"{flag}={text}"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        f"ValueError: rational {text[:40]!r} needs more than 4300 decimal digits")
+
+
+def test_cf_expand_prints_digits_at_the_limit(capsys):
+    # 10^4299 has 4300 decimal digits, the most str() of an int prints
+    code, out, _ = run_cli(capsys, ["cf-expand", "--real", "1e-4299", "--max-len", "2"])
+    assert code == 0
+    row = parse_csv(out)[2][0]
+    assert row["digits"] == "[1" + "0" * 4299 + "]"
+    assert row["reconstructed"] == "1/1" + "0" * 4299
+
+
 def test_interval_measure_cells(capsys):
     code, out, _ = run_cli(capsys, ["interval-measure", "--ell", "1",
                                     "--threshold", "10", "--cutoff", "1000"])
@@ -593,6 +616,10 @@ TOTALITY = [
     (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", "--M", "8",
       "--N", "1", "--depth", "7"], 3, "EnumerationGuardError: tree exceeds"),
     (["cf-expand", "--rational", "1/3", "--bits", "80"], 2, "ValueError: --bits"),
+    # the first digit, 10^4300, has more digits than str() of an int prints
+    *[(["cf-expand", "--real", real, "--max-len", "2", *fmt], 2,
+       f"ValueError: rational {real!r} needs more than 4300 decimal digits")
+      for real in ("1e-4300", "0.1e-4299") for fmt in ((), ("--format", "json"))],
 ]
 def _non_finite_values(out: str) -> list[str]:
     """Every CSV cell, `key=value` value and list entry of a CSV output
@@ -767,11 +794,12 @@ FUZZ_ARGV = st.one_of(
            format=_FORMAT),
     _flags("luczak-dim", b=_BASE, c=_BASE, kmax=st.integers(0, 10), sieve=_SIEVE,
            format=_FORMAT),
-    # --depth 0 (through the first prime run) can build the tree to its node
-    # guard, about 3 s, too close to FUZZ_SECONDS
+    # the node guard holds every tree to 10^5 nodes; a tree near it, such as
+    # --B=9.68 --ell=2 --s=0.531 --delta=0.00384 --N=4 --depth=5, takes 3 to
+    # 4.5 s in either format on a 2-vCPU host, under FUZZ_SECONDS but near it
     _flags("eb-build", B=_B, ell=st.integers(2, 3), s=st.floats(0.52, 0.9),
            delta=st.floats(0.001, 0.01), M=_opt(st.integers(0, 4)), N=_opt(st.integers(0, 4)),
-           depth=st.integers(1, 4), sieve=_SIEVE, format=_FORMAT),
+           depth=st.integers(0, 6), sieve=_SIEVE, format=_FORMAT),
     _flags("box-dim", covers=_opt(st.lists(st.lists(st.floats(-0.1, 1), min_size=1, max_size=4)
                                            .map(lambda xs: ",".join(map(repr, xs))),
                                            min_size=1, max_size=4).map(";".join)),

@@ -15,6 +15,8 @@ from primecf.pressure import (
     B_INF_THRESHOLD,
     B_ONE_THRESHOLD,
     PROBLEM_CAP,
+    S_CEIL,
+    S_FLOOR,
     PressureProblem,
     _transfer_matrix,
     classify_growth,
@@ -43,6 +45,31 @@ def oracle_log_moment(M: int, n: int, s: float) -> float:
     for word in product(range(1, M + 1), repeat=n):
         total += continuants(word).q ** (-2.0 * s)
     return math.log(total)
+
+
+def oracle_transfer_matrix(M: int, s: float) -> np.ndarray:
+    """The collocation operator by barycentric Lagrange interpolation through
+    the 61 Chebyshev-Lobatto nodes on [0, 1], a few hundred digits at a time."""
+    nodes = 60
+    j = np.arange(nodes + 1)
+    x = (1 - np.cos(np.pi * j / nodes)) / 2
+    w = np.where(j % 2 == 0, 1.0, -1.0)
+    w[0] /= 2
+    w[-1] /= 2
+    T = np.zeros((nodes + 1, nodes + 1))
+    for lo in range(1, M + 1, 256):
+        a = np.arange(lo, min(lo + 256, M + 1), dtype=np.float64)
+        base = a[:, None] + x[None, :]
+        y = 1.0 / base
+        diff = y[:, :, None] - x[None, None, :]
+        exact = diff == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            basis = w / diff
+            basis /= basis.sum(axis=2, keepdims=True)
+        hit = exact.any(axis=2)
+        basis[hit] = exact[hit]
+        T += np.einsum("ai,aij->ij", base ** (-2.0 * s), basis)
+    return T
 
 
 # -- exponent recursion -------------------------------------------------------
@@ -123,18 +150,48 @@ def test_collocation_agrees_with_enumeration(M, n, s):
     assert b == pytest.approx(a, abs=1e-10)
 
 
-def test_transfer_matrix_memory_is_chunked():
-    # the (digits, nodes+1, nodes+1) temporaries are built a chunk at a time
+@pytest.mark.parametrize("M", [1, 2, 20, 1000, 1500])
+@pytest.mark.parametrize("s", [S_FLOOR, 0.75, S_CEIL])
+def test_transfer_matrix_matches_barycentric_oracle(M, s):
+    T, x = _transfer_matrix(M, s)
+    want = oracle_transfer_matrix(M, s)
+    assert x[0] == 0.0 and x[-1] == 1.0
+    assert np.abs(T - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_transfer_matrix_spectral_radius_gives_dim_E2():
+    # Hensley / Jenkinson-Pollicott: dim of the reals with all digits in {1, 2}
+    # is the s where the transfer operator has spectral radius 1
+    def log_radius(s):
+        return math.log(np.abs(np.linalg.eigvals(_transfer_matrix(2, s)[0])).max())
+    lo, hi = 0.5, 0.6
+    assert log_radius(lo) > 0 > log_radius(hi)
+    while lo < (lo + hi) / 2 < hi:
+        mid = (lo + hi) / 2
+        if log_radius(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    assert lo == pytest.approx(0.5312805062772051416, abs=1e-13)
+
+
+def _traced_peak(M: int, s: float) -> int:
     tracemalloc.start()
     try:
-        _transfer_matrix(5000, 0.75)
-        peak = tracemalloc.get_traced_memory()[1]
+        _transfer_matrix(M, s)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2**20
-    # chunks sum to the same operator: one-digit words are enumerable
+
+
+def test_transfer_matrix_memory_is_chunked():
+    # one (nodes+1, digits) array per Chebyshev degree in flight, never a
+    # (digits, nodes+1, nodes+1) tensor
+    assert _traced_peak(5000, 0.75) < 100 * 2**20
+    # the digit sums give the same operator: one-digit words are enumerable
     assert log_moment_collocate(5000, 1, 0.75) == pytest.approx(
         log_moment_enumerate(5000, 1, 0.75), abs=1e-12)
+    assert _traced_peak(PROBLEM_CAP, 0.75) < 64 * 2**20
 
 
 def test_enumeration_guard():

@@ -12,7 +12,6 @@ from primecf.primes import (
     PrimeSieve,
     almost_primes,
     is_prime_trial,
-    mertens_sum,
     omega_table,
     prime_count,
     primes_in,
@@ -152,26 +151,6 @@ def test_short_interval_standin(sieve_mid):
     empty = cum[xs - 1] - cum[los - 1] == 0
     failing = xs[empty]
     assert failing.size > 0 and failing.max() == 48_731
-
-
-# -- reciprocal sums --------------------------------------------------------
-
-def test_mertens_small_values(sieve_small):
-    assert mertens_sum(2, sieve_small) == 0.5
-    assert mertens_sum(10, sieve_small) == pytest.approx(
-        1 / 2 + 1 / 3 + 1 / 5 + 1 / 7, abs=1e-15)
-    with pytest.raises(ValueError):
-        mertens_sum(1.5, sieve_small)
-
-
-def test_mertens_constant_stability(sieve_big):
-    # sum 1/p - log log x settles near its limiting constant
-    drifts = [mertens_sum(10 ** k, sieve_big) - math.log(math.log(10 ** k))
-              for k in (5, 6, 7)]
-    assert drifts[2] == pytest.approx(0.2615, abs=0.02)
-    for a in drifts:
-        for b in drifts:
-            assert abs(a - b) < 0.05
 
 
 # -- trial primality beyond the table ---------------------------------------
