@@ -61,7 +61,6 @@ from .pressure import (
     classify_growth,
     dimensional_number,
     f_ell,
-    f_ell_closed,
     hwx_dimension,
     partition_sum,
 )
@@ -70,7 +69,6 @@ from .primes import (
     PrimeSieve,
     almost_primes,
     is_prime_trial,
-    prime_count,
     primes_in,
 )
 from .zeta import (
@@ -79,7 +77,6 @@ from .zeta import (
     asymptotic_table,
     pzeta_tail,
     pzeta_via_mobius,
-    s_recursive,
     zeta_em,
 )
 

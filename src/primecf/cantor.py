@@ -344,7 +344,7 @@ def make_eb_params(B: float, ell: int, s: float, delta: float, sv: PrimeSieve,
                 failure = f"M^N = {M_}^{N_} exceeds the enumeration guard"
                 break
             problem = PressureProblem(ell=ell, B=B, M=M_, n=N_)
-            if partition_sum(problem, s, method="auto") <= 0:
+            if partition_sum(problem, s) <= 0:
                 failure = f"s = {s} not below t_B(M={M_}, N={N_})"
                 continue
             n1 = N_ + 1
@@ -369,7 +369,7 @@ def _finish_eb_params(B, ell, s, delta, M, N, alphas, last_base, constants) -> E
     for lj in l_schedule:
         n_schedule.append(n_schedule[-1] + ell + lj * N)
     problem = PressureProblem(ell=ell, B=B, M=M, n=N)
-    t_value = dimensional_number(problem, method="auto")
+    t_value = dimensional_number(problem)
 
     constraints: list[tuple[str, str, str]] = []
 
@@ -412,18 +412,23 @@ def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[
 
 
 def _hull(p: int, p_prev: int, q: int, q_prev: int,
-          digits: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+          digits: tuple[int, ...]) -> tuple[Fraction, Fraction, float]:
     """Exact endpoints of the union of the closures of the word (p/q,
-    p_prev/q_prev) extended by each of the ascending `digits`."""
+    p_prev/q_prev) extended by each of the ascending `digits`, and the
+    double nearest its length."""
     t, u = digits[0], digits[-1] + 1
     a = Fraction(t * p + p_prev, t * q + q_prev)
     b = Fraction(u * p + p_prev, u * q + q_prev)
-    return (a, b) if a <= b else (b, a)
+    lo, hi = (a, b) if a <= b else (b, a)
+    # p q_prev - p_prev q = +-1, so hi - lo = (u - t) / ((tq + q_prev)(uq + q_prev));
+    # int / int rounds correctly, as float(Fraction) does
+    return lo, hi, (u - t) / ((t * q + q_prev) * (u * q + q_prev))
 
 
 @dataclass(frozen=True)
 class EBNode:
-    """A word of the tree; [lo, hi] is the hull of its children's closures."""
+    """A word of the tree; [lo, hi] is the hull of its children's closures,
+    and diam the double nearest hi - lo."""
 
     word: tuple[int, ...]
     depth: int
@@ -435,9 +440,7 @@ class EBNode:
     mu: float
     lo: Fraction
     hi: Fraction
-
-    def interval_length(self) -> Fraction:
-        return Fraction(1, self.q * (self.q + self.q_prev))
+    diam: float
 
 
 @dataclass(frozen=True)
@@ -455,7 +458,7 @@ class EBTree:
         """(depth, word, mu, diam, lo, hi) per node, level by level."""
         for level in self.levels:
             for n in level:
-                yield n.depth, n.word, n.mu, float(n.hi - n.lo), n.lo, n.hi
+                yield n.depth, n.word, n.mu, n.diam, n.lo, n.hi
 
 
 def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree:
@@ -571,7 +574,7 @@ def holder_check(tree: EBTree) -> HolderReport:
     for level in tree.levels:
         best = 0.0
         for node in level:
-            ratio = node.mu / float(node.hi - node.lo) ** exponent
+            ratio = node.mu / node.diam ** exponent
             best = max(best, ratio)
         per_depth.append((level[0].depth, best))
         overall = max(overall, best)

@@ -317,8 +317,7 @@ def cmd_pressure_dim(args) -> Output:
 
 def cmd_hwx_dim(args) -> Output:
     phi = parse_phi(args.phi)
-    rep = pressure.hwx_dimension(args.ell, phi, args.window, M=args.M, n=args.n,
-                                 tolerance=args.tol)
+    rep = pressure.hwx_dimension(args.ell, phi, args.window, M=args.M, n=args.n, tol=args.tol)
     rows = [{"value": rep.value, "case": rep.case,
              "logB": rep.exponents.logB, "logb": rep.exponents.logb,
              "skipped": len(rep.exponents.skipped)}]

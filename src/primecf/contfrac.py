@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class Word:
 
     def __getitem__(self, i):
         return self.digits[i]
-
-    def __add__(self, other: "Word | Iterable[int]") -> "Word":
-        return Word(self.digits + Word.of(other).digits)
 
     def delete(self, k: int) -> "Word":
         """Word with the k-th digit removed (1-based position)."""

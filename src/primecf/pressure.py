@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -72,17 +71,6 @@ def f_ell(ell: int, s):
     for _ in range(ell - 1):
         f = s * f / (1 - s + f)
     return f
-
-
-def f_ell_closed(ell: int, s):
-    """Closed form s^ell (2s - 1) / (s^ell - (1-s)^ell), valid for s != 1/2."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if not 0 < s < 1:
-        raise OutOfRangeError(f"f_ell_closed needs 0 < s < 1, got {s}")
-    if s == Fraction(1, 2) or s == 0.5:
-        raise ValueError("closed form is 0/0 at s = 1/2; use f_ell")
-    return s ** ell * (2 * s - 1) / (s ** ell - (1 - s) ** ell)
 
 
 @dataclass(frozen=True)
@@ -206,7 +194,7 @@ def log_moment_collocate(M: int, n: int, s: float) -> float:
     return shift + math.log(v[0])
 
 
-def partition_sum(problem: PressureProblem, s: float, method: str = "enumerate") -> float:
+def partition_sum(problem: PressureProblem, s: float, method: str = "auto") -> float:
     """log of the weighted word sum: -n f_ell(s) log B + log sum q_n^(-2s).
 
     `method`: "enumerate" walks the words exactly (guarded at 10^7),
@@ -318,7 +306,7 @@ class DimensionReport:
 
 
 def hwx_dimension(ell: int, phi: Callable[[int], float], window: tuple[int, int],
-                  M: int = 20, n: int = 8, tolerance: float = 1e-9) -> DimensionReport:
+                  M: int = 20, n: int = 8, tol: float = 1e-9) -> DimensionReport:
     """Dimension of the large-prime-digit set for phi, by growth regime.
 
     Doubly exponential phi (estimated b above the threshold) gives
@@ -338,4 +326,4 @@ def hwx_dimension(ell: int, phi: Callable[[int], float], window: tuple[int, int]
     if B_hat <= B_ONE_THRESHOLD:
         return DimensionReport(1.0, "B=1", exps)
     problem = PressureProblem(ell=ell, B=B_hat, M=M, n=n)
-    return DimensionReport(dimensional_number(problem, tol=tolerance), "1<B<inf", exps)
+    return DimensionReport(dimensional_number(problem, tol=tol), "1<B<inf", exps)

@@ -1,6 +1,6 @@
 """Sieve-backed prime services.
 
-Primality tables, prime counting, interval queries, reciprocal sums, and
+Primality tables, interval queries, trial division past the table, and
 enumeration of integers with a bounded number of prime factors (counted
 with multiplicity).  Everything downstream that touches a prime goes
 through this module so the certified range is explicit.
@@ -48,11 +48,6 @@ class PrimeSieve:
             self._prime_array = arr
         return self._prime_array
 
-    def is_prime(self, k: int) -> bool:
-        if not 0 <= k <= self.limit:
-            raise OutOfRangeError(f"{k} outside sieved range [0, {self.limit}]")
-        return bool(self._table[k])
-
     def __repr__(self) -> str:
         return f"PrimeSieve(limit={self.limit})"
 
@@ -77,15 +72,6 @@ def _build_table(limit: int) -> np.ndarray:
                 seg[start - lo :: p] = False
         table[lo:hi] = seg
     return table
-
-
-def prime_count(x: float, sv: PrimeSieve) -> int:
-    """Number of primes <= x (x may be real, must not exceed the sieve)."""
-    if x > sv.limit:
-        raise OutOfRangeError(f"prime_count({x}) exceeds sieve limit {sv.limit}")
-    if x < 2:
-        return 0
-    return int(np.searchsorted(sv.primes, math.floor(x), side="right"))
 
 
 def primes_in(lo: float, hi: float, sv: PrimeSieve) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 Direct enumeration of truncated tails with rigorous integer-tail remainder
 bounds, an independent route to the full prime sum through the Moebius /
-log-zeta identity, the recursive sum over constrained prime products, and
-asymptotic ratio tables.
+log-zeta identity, and asymptotic ratio tables.
 
 Tails are accumulated exactly as Python integers in units of
 2^-(FIX_BITS + e), with e chosen so the largest term, at the smallest k,
@@ -26,8 +25,8 @@ from itertools import chain, repeat
 import numpy as np
 from mpmath import libmp, mp, mpf
 
-from .errors import DivergentSeriesError, OutOfRangeError
-from .primes import AlmostPrimeEnumeration, PrimeSieve, almost_primes, primes_in
+from .errors import DivergentSeriesError
+from .primes import AlmostPrimeEnumeration, PrimeSieve, almost_primes
 
 WORK_DPS = 40
 # Fixed-point sums count units of 2^-(FIX_BITS + e), e scaled to the largest
@@ -253,52 +252,6 @@ def pzeta_via_mobius(s: float) -> mpf:
                 continue
             total += mpf(mu) / k * mp.log(zeta_em(k * ms))
         return +total
-
-
-def s_recursive(ell: int, M: float, r: int, s: float, cutoff: int,
-                sv: PrimeSieve) -> TailSumResult:
-    """Sum of (p_1 ... p_ell)^-s over prime tuples with product >= M, p_i >= r.
-
-    Computed through the recursion S(l, M) = sum_{p >= r} p^-s S(l-1, M/p)
-    with base S(0, M) = [M <= 1], each factor truncated at the cutoff.
-    Tuples whose partial product already exceeds M close in one step via a
-    precomputed suffix sum, so the work is proportional to the number of
-    prefixes with product below M, not to cutoff^ell.
-    """
-    _check_exponent(s)
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
-    if r < 2:
-        raise ValueError(f"prime floor r must be >= 2, got {r}")
-    if cutoff < r:
-        raise ValueError(f"cutoff {cutoff} below prime floor r = {r}")
-    ps = primes_in(r, cutoff, sv)
-    nodes = 0
-    with mp.workdps(WORK_DPS):
-        ms = mpf(s)
-        pows = [mpf(int(p)) ** -ms for p in ps]
-        suffix = [mpf(0)] * (len(pows) + 1)
-        for i in range(len(pows) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + pows[i]
-        T = suffix[0]
-
-        def rec(l: int, m: float) -> mpf:
-            nonlocal nodes
-            nodes += 1
-            if l == 0:
-                return mpf(1 if m <= 1 else 0)
-            if m <= 1:
-                return T ** l
-            idx = int(np.searchsorted(ps, m, side="left"))  # first p >= m
-            total = suffix[idx] * T ** (l - 1)
-            for j in range(idx):
-                total += pows[j] * rec(l - 1, m / int(ps[j]))
-            return total
-
-        value = rec(ell, M)
-        tail = _integer_tail_bound(cutoff, s)
-        bound = ell * tail * (T + tail) ** max(ell - 1, 0) if ell else mpf(0)
-    return TailSumResult(value=value, remainder_bound=bound, terms_used=nodes)
 
 
 def asymptotic_table(ell: int, s: float, M_grid: list[float], cutoff: int,

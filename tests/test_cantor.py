@@ -376,7 +376,6 @@ def test_tree_interval_arithmetic(eb):
     node = tree.levels[2][5]
     cf = continuants(node.word)
     assert (node.p, node.q) == (cf.p, cf.q)
-    assert node.interval_length() == Fraction(1, node.q * (node.q + node.q_prev))
     # the children at depth 4 take the digits 1..M
     ends = sorted([_value(node.word + (1,)), _value(node.word + (tree.params.M + 1,))])
     assert (node.lo, node.hi) == tuple(ends)
@@ -392,6 +391,15 @@ def test_tree_hulls_span_children(eb):
             ends = [_value(node.word + (d,)) for d in digits]
             ends.append(_value(node.word + (digits[-1] + 1,)))
             assert (node.lo, node.hi) == (min(ends), max(ends))
+
+
+def test_tree_diameters_round_the_exact_hull(eb):
+    # diam comes from the continuants alone; it must be the double nearest
+    # the exact hull length, as float(Fraction) rounds it
+    _, tree = eb
+    for level in tree.levels:
+        for node in level:
+            assert node.diam == float(node.hi - node.lo)
 
 
 def test_tree_gap_check(eb):

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from primecf import errors, primes
+from primecf import errors, measure, primes
 from primecf.cli import COMMANDS, main, parse_phi, schema_for
 from primecf.contfrac import expand_rational
 from primecf.measure import level_set_measure
@@ -616,6 +616,9 @@ TOTALITY = [
     (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", "--M", "8",
       "--N", "1", "--depth", "7"], 3, "EnumerationGuardError: tree exceeds"),
     (["cf-expand", "--rational", "1/3", "--bits", "80"], 2, "ValueError: --bits"),
+    *[(["interval-measure", "--ell", "2", "--threshold", "3", "--cutoff", "1000000",
+        "--format", fmt], 3, "EnumerationGuardError: 6161936004 prime pairs to sum exceed")
+      for fmt in ("csv", "json")],
     # the first digit, 10^4300, has more digits than str() of an int prints
     *[(["cf-expand", "--real", real, "--max-len", "2", *fmt], 2,
        f"ValueError: rational {real!r} needs more than 4300 decimal digits")
@@ -687,6 +690,19 @@ def test_enumeration_cap(capsys, monkeypatch):
         assert code == 3
         assert out == ""
         assert err.startswith("OutOfRangeError: omega_table bound 5001 exceeds SIEVE_CAP")
+
+
+def test_pair_cap(capsys, monkeypatch):
+    argv = ["interval-measure", "--ell", "2", "--threshold", "50", "--cutoff", "1000"]
+    code, want, _ = run_cli(capsys, argv)
+    assert code == 0
+    pairs = int(want.splitlines()[-1].split(",")[-1])
+    monkeypatch.setattr(measure, "PAIR_CAP", pairs)
+    assert run_cli(capsys, argv) == (0, want, "")
+    monkeypatch.setattr(measure, "PAIR_CAP", pairs - 1)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"EnumerationGuardError: {pairs} prime pairs to sum exceed PAIR_CAP")
 
 
 def test_guard_errors_share_a_base():
@@ -795,8 +811,9 @@ FUZZ_ARGV = st.one_of(
     _flags("luczak-dim", b=_BASE, c=_BASE, kmax=st.integers(0, 10), sieve=_SIEVE,
            format=_FORMAT),
     # the node guard holds every tree to 10^5 nodes; a tree near it, such as
-    # --B=9.68 --ell=2 --s=0.531 --delta=0.00384 --N=4 --depth=5, takes 3 to
-    # 4.5 s in either format on a 2-vCPU host, under FUZZ_SECONDS but near it
+    # --B=9.68 --ell=2 --s=0.531 --delta=0.00384 --N=4 --depth=5, takes 2.8 s
+    # in CSV and 3.6 s in JSON (medians of 3 in-process runs on a 2-vCPU
+    # host), under FUZZ_SECONDS but near it
     _flags("eb-build", B=_B, ell=st.integers(2, 3), s=st.floats(0.52, 0.9),
            delta=st.floats(0.001, 0.01), M=_opt(st.integers(0, 4)), N=_opt(st.integers(0, 4)),
            depth=st.integers(0, 6), sieve=_SIEVE, format=_FORMAT),

@@ -169,7 +169,7 @@ def test_expand_real_is_the_longest_certified_prefix(data, P, max_len):
     if len(w) == max_len or x * c.q == c.p:
         return
     a = math.floor(Fraction(c.p_prev - c.q_prev * x, c.q * x - c.p))
-    child = fundamental_interval(w + (a,))
+    child = fundamental_interval(w.digits + (a,))
     assert _in_interval(child, x)
     assert not _in_interval(child, x_hi)
 

@@ -22,7 +22,6 @@ from primecf.pressure import (
     classify_growth,
     dimensional_number,
     f_ell,
-    f_ell_closed,
     hwx_dimension,
     log_moment_collocate,
     log_moment_enumerate,
@@ -38,6 +37,11 @@ def oracle_f(ell: int, s):
     for _ in range(ell - 1):
         f = s * f / (1 - s + f)
     return f
+
+
+def oracle_f_closed(ell: int, s):
+    """The paper's closed form s^ell (2s - 1) / (s^ell - (1-s)^ell), s != 1/2."""
+    return s ** ell * (2 * s - 1) / (s ** ell - (1 - s) ** ell)
 
 
 def oracle_log_moment(M: int, n: int, s: float) -> float:
@@ -79,8 +83,7 @@ def oracle_transfer_matrix(M: int, s: float) -> np.ndarray:
        st.integers(min_value=1, max_value=6))
 def test_closed_form_equals_recursion_exactly(s, ell):
     assume(s != Fraction(1, 2))
-    assert f_ell_closed(ell, s) == oracle_f(ell, s)
-    assert f_ell(ell, s) == oracle_f(ell, s)
+    assert f_ell(ell, s) == oracle_f_closed(ell, s) == oracle_f(ell, s)
 
 
 def test_second_level_is_square():
@@ -116,10 +119,6 @@ def test_exponent_validation():
         f_ell(2, 0.0)
     with pytest.raises(OutOfRangeError):
         f_ell(2, 1.0)
-    with pytest.raises(ValueError):
-        f_ell_closed(3, 0.5)
-    with pytest.raises(ValueError):
-        f_ell_closed(3, Fraction(1, 2))
 
 
 # -- moment sums --------------------------------------------------------------

