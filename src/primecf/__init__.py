@@ -28,7 +28,6 @@ from .cantor import (
 from .contfrac import (
     ContinuantPair,
     FundamentalInterval,
-    Word,
     check_continuant_bounds,
     continuants,
     expand_rational,
@@ -65,7 +64,6 @@ from .pressure import (
     partition_sum,
 )
 from .primes import (
-    AlmostPrimeEnumeration,
     PrimeSieve,
     almost_primes,
     is_prime_trial,

@@ -284,19 +284,12 @@ def cmd_pzeta_asymptotic(args) -> Output:
 def cmd_cf_expand(args) -> Output:
     if (args.rational is None) == (args.real is None):
         raise OutOfRangeError("give exactly one of --rational or --real")
-    if args.rational is not None:
-        if args.bits:
-            raise ValueError("--bits certifies the digits of a --real; a --rational is exact")
-        x = _fraction(args.rational)
-        word = contfrac.expand_rational(x.numerator, x.denominator, args.max_len)
-        shown = args.rational
-    else:
-        x = _fraction(args.real)
-        word = contfrac.expand_real(x, precision_bits=args.bits or None, max_len=args.max_len)
-        shown = args.real
-    back = contfrac.continuants(word)
-    rows = [{"digits": tuple(word), "length": len(word),
-             "reconstructed": back.value if len(word) else Fraction(0)}]
+    if args.rational is not None and args.bits:
+        raise ValueError("--bits certifies the digits of a --real; a --rational is exact")
+    shown = args.real if args.rational is None else args.rational
+    word = contfrac.expand_real(_fraction(shown), args.bits or None, args.max_len)
+    rows = [{"digits": word, "length": len(word),
+             "reconstructed": contfrac.continuants(word).value}]
     return Output(rows, inputs={"input": shown, "bits": args.bits, "max_len": args.max_len})
 
 

@@ -7,43 +7,21 @@ nothing in this module rounds.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite string of partial quotients; every digit is >= 1."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        for d in self.digits:
-            if not isinstance(d, int) or d < 1:
-                raise ValueError(f"digits must be integers >= 1, got {d!r}")
-
-    @classmethod
-    def of(cls, digits: "Word | Iterable[int]") -> "Word":
-        if isinstance(digits, Word):
-            return digits
-        return cls(tuple(int(d) for d in digits))
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        return self.digits[i]
-
-    def delete(self, k: int) -> "Word":
-        """Word with the k-th digit removed (1-based position)."""
-        if not 1 <= k <= len(self.digits):
-            raise ValueError(f"position {k} outside word of length {len(self.digits)}")
-        return Word(self.digits[: k - 1] + self.digits[k:])
+def _digits(word: Iterable[int]) -> tuple[int, ...]:
+    """The word as a tuple of ints.  Every digit must be an integer >= 1,
+    numpy's included; a float is refused, not truncated."""
+    digits = tuple(word)
+    for d in digits:
+        if not isinstance(d, numbers.Integral) or d < 1:
+            raise ValueError(f"digits must be integers >= 1, got {d!r}")
+    return tuple(map(int, digits))
 
 
 @dataclass(frozen=True)
@@ -68,11 +46,11 @@ class ContinuantPair:
         return self.p * self.q_prev - self.p_prev * self.q
 
 
-def continuants(word: Word | Iterable[int]) -> ContinuantPair:
+def continuants(word: Iterable[int]) -> ContinuantPair:
     """Run the continuant recurrence across the whole word."""
     p_prev, p = 1, 0
     q_prev, q = 0, 1
-    for a in Word.of(word):
+    for a in _digits(word):
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
     return ContinuantPair(p=p, q=q, p_prev=p_prev, q_prev=q_prev)
@@ -90,7 +68,7 @@ class FundamentalInterval:
     lo: Fraction
     hi: Fraction
     level: int
-    word: Word
+    word: tuple[int, ...]
 
     @property
     def length(self) -> Fraction:
@@ -105,14 +83,14 @@ class FundamentalInterval:
         return self.level % 2 == 1
 
 
-def fundamental_interval(word: Word | Iterable[int]) -> FundamentalInterval:
+def fundamental_interval(word: Iterable[int]) -> FundamentalInterval:
     """Exact endpoints of the interval of reals sharing this digit prefix.
 
     The endpoints are p/q and (p + p_prev)/(q + q_prev); the length is
     1/(q (q + q_prev)).
     """
-    w = Word.of(word)
-    if len(w) == 0:
+    w = _digits(word)
+    if not w:
         return FundamentalInterval(Fraction(0), Fraction(1), 0, w)
     c = continuants(w)
     a = Fraction(c.p, c.q)
@@ -121,7 +99,7 @@ def fundamental_interval(word: Word | Iterable[int]) -> FundamentalInterval:
     return FundamentalInterval(lo, hi, len(w), w)
 
 
-def union_measure(prefix: Word | Iterable[int], a: int, b: int) -> Fraction:
+def union_measure(prefix: Iterable[int], a: int, b: int) -> Fraction:
     """Lebesgue measure of the union of child intervals with next digit in [a, b].
 
     Children with consecutive digits tile the parent contiguously, so the
@@ -145,7 +123,7 @@ def _euclid(num: int, den: int) -> Iterator[int]:
         num, den = r, num
 
 
-def expand_rational(num: int, den: int, max_len: int = 64) -> Word:
+def expand_rational(num: int, den: int, max_len: int = 64) -> tuple[int, ...]:
     """Canonical continued-fraction digits of num/den in [0, 1), cut at max_len."""
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
@@ -153,10 +131,11 @@ def expand_rational(num: int, den: int, max_len: int = 64) -> Word:
         raise ValueError(f"need 0 <= num < den, got {num}/{den}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    return Word(tuple(islice(_euclid(num, den), max_len)))
+    return tuple(islice(_euclid(num, den), max_len))
 
 
-def expand_real(x: Fraction, precision_bits: int | None = None, max_len: int = 64) -> Word:
+def expand_real(x: Fraction, precision_bits: int | None = None,
+                max_len: int = 64) -> tuple[int, ...]:
     """Digit prefix certified correct for an uncertain observation of x.
 
     With precision_bits = P, x stands for any real in [x, x + 2^-P], and the
@@ -184,14 +163,14 @@ def expand_real(x: Fraction, precision_bits: int | None = None, max_len: int = 6
         if a != b:
             break
         digits.append(a)
-    return Word(tuple(digits))
+    return tuple(digits)
 
 
 @dataclass(frozen=True)
 class ContinuantBoundsReport:
     """Attained ratios for the digit-deletion and split continuant bounds."""
 
-    word: Word
+    word: tuple[int, ...]
     k: int
     delete_ratio: Fraction
     delete_lo: Fraction
@@ -211,7 +190,7 @@ class ContinuantBoundsReport:
         return self.delete_ok and self.splits_ok
 
 
-def check_continuant_bounds(word: Word | Iterable[int], k: int) -> ContinuantBoundsReport:
+def check_continuant_bounds(word: Iterable[int], k: int) -> ContinuantBoundsReport:
     """Exact ratios for two continuant inequalities.
 
     Deleting the k-th digit a_k divides the continuant by a factor in
@@ -219,18 +198,18 @@ def check_continuant_bounds(word: Word | Iterable[int], k: int) -> ContinuantBou
     q(bc) / (q(b) q(c)) in [1, 2].  Ratios are returned so callers can see
     how sharp each bound is, not just that it holds.
     """
-    w = Word.of(word)
-    if len(w) == 0:
+    w = _digits(word)
+    if not w:
         raise ValueError("word must be non-empty")
     if not 1 <= k <= len(w):
         raise ValueError(f"position {k} outside word of length {len(w)}")
     q_full = continuants(w).q
-    q_del = continuants(w.delete(k)).q
+    q_del = continuants(w[: k - 1] + w[k:]).q
     a_k = w[k - 1]
     splits = []
     for i in range(1, len(w)):
-        qb = continuants(Word(w.digits[:i])).q
-        qc = continuants(Word(w.digits[i:])).q
+        qb = continuants(w[:i]).q
+        qc = continuants(w[i:]).q
         splits.append((i, Fraction(q_full, qb * qc)))
     return ContinuantBoundsReport(
         word=w,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,16 +60,14 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
     integer-tail bound.  Exact mode is limited to ell in {1, 2}; deeper
     products are only reachable through the Monte Carlo experiment.  An
     ell = 2 request with more than PAIR_CAP pairs is refused before any
-    term is summed.
+    term is summed.  Any threshold >= 2 is measured, but the paper's
+    measure criterion holds only for thresholds >= 3.
     """
     if ell not in (1, 2):
         raise ValueError(f"exact level-set mode supports ell in {{1, 2}}, got {ell};"
                          " use the Monte Carlo experiment for deeper products")
     if not 2 <= threshold < math.inf:
         raise OutOfRangeError(f"threshold must be finite and >= 2, got {threshold}")
-    if threshold < 3:
-        warnings.warn(f"threshold {threshold} < 3: the measure criterion is only"
-                      " valid from 3 up", stacklevel=2)
     if cutoff < 2 or cutoff > sv.limit:
         raise OutOfRangeError(f"cutoff {cutoff} outside sieve range [2, {sv.limit}]")
 

@@ -8,7 +8,6 @@ through this module so the certified range is explicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,8 @@ from .errors import OutOfRangeError
 _SEGMENT = 1 << 22
 # The largest sieve limit: the table takes one byte per integer, so 1 GB.
 SIEVE_CAP = 10**9
+# The largest Omega table: 9 bytes per integer (see omega_table), so 0.9 GB.
+OMEGA_CAP = 10**8
 
 
 class PrimeSieve:
@@ -106,37 +107,16 @@ def is_prime_trial(n: int, sv: PrimeSieve) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AlmostPrimeEnumeration:
-    """Request for integers with a bounded count of prime factors.
-
-    mode "exactly": Omega(k) == ell; mode "at-most": 1 <= Omega(k) <= ell.
-    1 has no prime factor and is never emitted.
-    """
-
-    ell: int
-    mode: str
-    bound: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
-        if self.mode not in ("exactly", "at-most"):
-            raise ValueError(f"mode must be 'exactly' or 'at-most', got {self.mode!r}")
-        if self.bound < 2:
-            raise ValueError(f"bound must be >= 2, got {self.bound}")
-
-
 def omega_table(bound: int, sv: PrimeSieve) -> np.ndarray:
     """Omega(k) (prime factors with multiplicity) for every k in [0, bound].
 
     Requires sqrt(bound) <= sieve limit: after removing all prime-power
     divisors up to sqrt(bound), the remainder of k is 1 or a single prime.
     The table and its int64 remainders take 9 bytes per integer, so bound
-    is held to SIEVE_CAP like a sieve limit.
+    is held to OMEGA_CAP, checked before anything is allocated.
     """
-    if bound > SIEVE_CAP:
-        raise OutOfRangeError(f"omega_table bound {bound} exceeds SIEVE_CAP = {SIEVE_CAP}")
+    if bound > OMEGA_CAP:
+        raise OutOfRangeError(f"omega_table bound {bound} exceeds OMEGA_CAP = {OMEGA_CAP}")
     root = math.isqrt(bound)
     if root > sv.limit:
         raise OutOfRangeError(f"omega_table({bound}) needs primes to {root} > {sv.limit}")
@@ -153,23 +133,31 @@ def omega_table(bound: int, sv: PrimeSieve) -> np.ndarray:
     return omega
 
 
-def almost_primes(cfg: AlmostPrimeEnumeration, sv: PrimeSieve) -> np.ndarray:
-    """Ascending array of k <= bound matching the enumeration request."""
-    if cfg.bound > sv.limit * sv.limit:
+def almost_primes(ell: int, mode: str, bound: int, sv: PrimeSieve) -> np.ndarray:
+    """Ascending array of k <= bound with a bounded count of prime factors.
+
+    mode "exactly": Omega(k) == ell; mode "at-most": 1 <= Omega(k) <= ell.
+    1 has no prime factor and is never emitted.
+    """
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    if mode not in ("exactly", "at-most"):
+        raise ValueError(f"mode must be 'exactly' or 'at-most', got {mode!r}")
+    if bound > sv.limit * sv.limit:
         raise OutOfRangeError(
-            f"bound {cfg.bound} exceeds certified range limit^2 = {sv.limit ** 2}"
+            f"bound {bound} exceeds certified range limit^2 = {sv.limit ** 2}"
         )
-    if cfg.ell == 1:
+    if ell == 1:
         # Omega(k) = 1 means k prime; both modes coincide.
-        if cfg.bound > sv.limit:
+        if bound > sv.limit:
             raise OutOfRangeError(
-                f"prime enumeration to {cfg.bound} exceeds sieve limit {sv.limit}"
+                f"prime enumeration to {bound} exceeds sieve limit {sv.limit}"
             )
-        return primes_in(2, cfg.bound, sv)
-    omega = omega_table(cfg.bound, sv)
-    if cfg.mode == "exactly":
-        hits = omega == cfg.ell
+        return primes_in(2, bound, sv)
+    omega = omega_table(bound, sv)
+    if mode == "exactly":
+        hits = omega == ell
     else:
-        hits = (omega >= 1) & (omega <= cfg.ell)
+        hits = (omega >= 1) & (omega <= ell)
     hits[:2] = False
     return np.flatnonzero(hits).astype(np.int64)

@@ -25,8 +25,8 @@ from itertools import chain, repeat
 import numpy as np
 from mpmath import libmp, mp, mpf
 
-from .errors import DivergentSeriesError
-from .primes import AlmostPrimeEnumeration, PrimeSieve, almost_primes
+from .errors import DivergentSeriesError, EnumerationGuardError
+from .primes import PrimeSieve, almost_primes
 
 WORK_DPS = 40
 # Fixed-point sums count units of 2^-(FIX_BITS + e), e scaled to the largest
@@ -36,6 +36,10 @@ FIX_BITS = 160
 FIX_CHUNK = 1 << 16
 # Exponents s * 2^j above this take the mpf route: k^a grows with a.
 _EXACT_MAX_POWER = 64
+# The most terms one tail sum computes on the mpf route, about 11 us each:
+# at the cap, pzeta-tail --ell 1 --s 2.3 --M 2 --cutoff 4256233 (300,000
+# primes) takes 3.3 s in-process on a 2-vCPU host.
+MPF_TERM_CAP = 3 * 10**5
 
 
 @dataclass(frozen=True)
@@ -169,24 +173,49 @@ def _tail_values(lower: int, upper: int, e: int, s: float,
     return value, bound
 
 
+def _tails(ell: int, mode: str, s: float, thresholds: list[float], cutoff: int,
+           sv: PrimeSieve) -> list[tuple[mpf, mpf, int]]:
+    """(value, remainder_bound, terms) of the tail over M <= k <= cutoff,
+    for each threshold M.
+
+    The enumeration runs once.  Each tail is an exact integer suffix sum
+    over the ascending terms, in the unit of the largest threshold with
+    terms, so the other tails, in a finer unit than their own, agree with
+    a lone-threshold sum to about 40 digits.  The remainder bound covers
+    everything past the cutoff, which the integer tail dominates.
+    """
+    ks = almost_primes(ell, mode, cutoff, sv)
+    starts = [int(np.searchsorted(ks, math.ceil(M), side="left")) for M in thresholds]
+    n = len(ks) - min(starts)
+    if _exact_root(s) is None and n > MPF_TERM_CAP:
+        raise EnumerationGuardError(
+            f"{n} terms on the mpf power route exceed MPF_TERM_CAP = {MPF_TERM_CAP}")
+    lower = upper = e = 0
+    upper_idx = len(ks)
+    tails: list[tuple[mpf, mpf, int]] = [None] * len(thresholds)
+    for i in sorted(range(len(thresholds)), key=lambda i: thresholds[i], reverse=True):
+        lo = starts[i]
+        seg_lower, seg_upper, seg_e = _power_sum(ks[lo:upper_idx], s)
+        upper_idx = lo
+        # one shared unit, the finest so far: the shifts are exact
+        unit = max(e, seg_e)
+        lower = (lower << (unit - e)) + (seg_lower << (unit - seg_e))
+        upper = (upper << (unit - e)) + (seg_upper << (unit - seg_e))
+        e = unit
+        tails[i] = (*_tail_values(lower, upper, e, s, cutoff), len(ks) - lo)
+    return tails
+
+
 def pzeta_tail(ell: int, mode: str, s: float, M: float, cutoff: int,
                sv: PrimeSieve) -> TailSumResult:
-    """Sum of k^-s over almost primes k with M <= k <= cutoff.
-
-    The remainder bound covers everything past the cutoff: the summed set
-    is a subset of the integers, so the integer tail dominates it.
-    """
+    """Sum of k^-s over almost primes k with M <= k <= cutoff (see `_tails`)."""
     _check_exponent(s)
     if not M >= 2:
         raise ValueError(f"threshold M must be >= 2, got {M}")
     if not cutoff >= M:
         raise ValueError(f"cutoff {cutoff} below threshold M = {M}")
-    cfg = AlmostPrimeEnumeration(ell=ell, mode=mode, bound=int(cutoff))
-    ks = almost_primes(cfg, sv)
-    lo = int(np.searchsorted(ks, math.ceil(M), side="left"))
-    ks = ks[lo:]
-    value, bound = _tail_values(*_power_sum(ks, s), s, int(cutoff))
-    return TailSumResult(value=value, remainder_bound=bound, terms_used=int(ks.size))
+    value, bound, terms = _tails(ell, mode, s, [M], int(cutoff), sv)[0]
+    return TailSumResult(value=value, remainder_bound=bound, terms_used=terms)
 
 
 def mobius(k: int) -> int:
@@ -256,13 +285,7 @@ def pzeta_via_mobius(s: float) -> mpf:
 
 def asymptotic_table(ell: int, s: float, M_grid: list[float], cutoff: int,
                      sv: PrimeSieve, mode: str = "at-most") -> list[AsymptoticRatioRow]:
-    """Normalized tail values across a threshold grid.
-
-    The enumeration runs once; per-threshold values are exact integer
-    suffix sums over the same ascending term sequence, in the unit of the
-    largest threshold with terms, so that row equals its pzeta_tail and
-    the others, in a finer unit, agree with theirs to about 40 digits.
-    """
+    """Normalized tail values across a threshold grid (see `_tails`)."""
     _check_exponent(s)
     if not M_grid:
         raise ValueError("M_grid must be non-empty")
@@ -270,26 +293,10 @@ def asymptotic_table(ell: int, s: float, M_grid: list[float], cutoff: int,
         raise ValueError("grid thresholds must be >= 3 so log log M is positive")
     if not cutoff >= max(M_grid):
         raise ValueError(f"cutoff {cutoff} below largest grid threshold")
-    cfg = AlmostPrimeEnumeration(ell=ell, mode=mode, bound=int(cutoff))
-    ks = almost_primes(cfg, sv)
-    order = sorted(range(len(M_grid)), key=lambda i: M_grid[i], reverse=True)
-    lower = upper = e = 0
-    upper_idx = len(ks)
-    tails: dict[int, tuple[mpf, mpf]] = {}
-    for i in order:
-        lo = int(np.searchsorted(ks, math.ceil(M_grid[i]), side="left"))
-        seg_lower, seg_upper, seg_e = _power_sum(ks[lo:upper_idx], s)
-        upper_idx = lo
-        # one shared unit, the finest so far: the shifts are exact
-        unit = max(e, seg_e)
-        lower = (lower << (unit - e)) + (seg_lower << (unit - seg_e))
-        upper = (upper << (unit - e)) + (seg_upper << (unit - seg_e))
-        e = unit
-        tails[i] = _tail_values(lower, upper, e, s, int(cutoff))
+    tails = _tails(ell, mode, s, M_grid, int(cutoff), sv)
     rows = []
     with mp.workdps(WORK_DPS):
-        for i, M in enumerate(M_grid):
-            value, bound = tails[i]
+        for M, (value, bound, _) in zip(M_grid, tails):
             mM = mpf(M)
             ratio = value * mM ** (mpf(s) - 1) * mp.log(mM) / mp.log(mp.log(mM)) ** (ell - 1)
             rows.append(AsymptoticRatioRow(M=float(M), value=value,

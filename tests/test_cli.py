@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from primecf import errors, measure, primes
+from primecf import errors, measure, primes, zeta
 from primecf.cli import COMMANDS, main, parse_phi, schema_for
 from primecf.contfrac import expand_rational
 from primecf.measure import level_set_measure
@@ -619,6 +619,19 @@ TOTALITY = [
     *[(["interval-measure", "--ell", "2", "--threshold", "3", "--cutoff", "1000000",
         "--format", fmt], 3, "EnumerationGuardError: 6161936004 prime pairs to sum exceed")
       for fmt in ("csv", "json")],
+    # more mpf powers (s = 2.3 has no exact root) than MPF_TERM_CAP, and an
+    # Omega table past OMEGA_CAP, refused before any is computed
+    *[(argv + ["--format", fmt], 3, f"EnumerationGuardError: {terms} terms on the mpf power")
+      for argv, terms in (
+          (["pzeta-tail", "--ell", "1", "--s", "2.3", "--M", "2", "--cutoff", "5000000"],
+           348513),
+          (["pzeta-asymptotic", "--ell", "2", "--s", "2.3", "--grid", "3,100",
+            "--cutoff", "1200000"], 342791))
+      for fmt in ("csv", "json")],
+    *[([cmd, "--ell", "2", "--s", "2", *grid, "--cutoff", "1000000000", "--format", fmt],
+       3, "OutOfRangeError: omega_table bound 1000000000 exceeds OMEGA_CAP")
+      for cmd, grid in (("pzeta-tail", ("--M", "10")), ("pzeta-asymptotic", ("--grid", "10")))
+      for fmt in ("csv", "json")],
     # the first digit, 10^4300, has more digits than str() of an int prints
     *[(["cf-expand", "--real", real, "--max-len", "2", *fmt], 2,
        f"ValueError: rational {real!r} needs more than 4300 decimal digits")
@@ -680,7 +693,7 @@ def test_sieve_cap(capsys, monkeypatch):
 
 def test_enumeration_cap(capsys, monkeypatch):
     # ell >= 2 sieves only to sqrt(cutoff), but its Omega table spans the cutoff
-    monkeypatch.setattr(primes, "SIEVE_CAP", 5000)
+    monkeypatch.setattr(primes, "OMEGA_CAP", 5000)
     tail = ["pzeta-tail", "--ell", "2", "--s", "2", "--M", "10"]
     table = ["pzeta-asymptotic", "--ell", "3", "--s", "2", "--grid", "10,100"]
     assert run_cli(capsys, tail + ["--cutoff", "5000"])[0] == 0
@@ -689,7 +702,7 @@ def test_enumeration_cap(capsys, monkeypatch):
         code, out, err = run_cli(capsys, argv)
         assert code == 3
         assert out == ""
-        assert err.startswith("OutOfRangeError: omega_table bound 5001 exceeds SIEVE_CAP")
+        assert err.startswith("OutOfRangeError: omega_table bound 5001 exceeds OMEGA_CAP")
 
 
 def test_pair_cap(capsys, monkeypatch):
@@ -703,6 +716,27 @@ def test_pair_cap(capsys, monkeypatch):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
     assert err.startswith(f"EnumerationGuardError: {pairs} prime pairs to sum exceed PAIR_CAP")
+
+
+def test_mpf_term_cap(capsys, monkeypatch):
+    # s = 2.3 has no exact root, so every term is an mpf power
+    tail = ["pzeta-tail", "--ell", "2", "--s", "2.3", "--M", "100", "--cutoff", "3000"]
+    table = ["pzeta-asymptotic", "--ell", "2", "--s", "2.3", "--grid", "100,1000",
+             "--cutoff", "3000"]
+    code, want, _ = run_cli(capsys, tail)
+    assert code == 0
+    terms = int(want.splitlines()[-1].split(",")[-1])
+    code, want_table, _ = run_cli(capsys, table)
+    assert code == 0
+    monkeypatch.setattr(zeta, "MPF_TERM_CAP", terms)
+    assert run_cli(capsys, tail) == (0, want, "")
+    assert run_cli(capsys, table) == (0, want_table, "")
+    monkeypatch.setattr(zeta, "MPF_TERM_CAP", terms - 1)
+    for argv in (tail, table):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"EnumerationGuardError: {terms} terms on the mpf power route"
+                              f" exceed MPF_TERM_CAP = {terms - 1}")
 
 
 def test_guard_errors_share_a_base():

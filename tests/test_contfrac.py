@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecf.contfrac import (
-    Word,
     check_continuant_bounds,
     continuants,
     expand_rational,
@@ -18,26 +18,26 @@ from primecf.contfrac import (
 words = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=10)
 
 
-# -- words ------------------------------------------------------------------
+# -- digit validation --------------------------------------------------------
 
-def test_word_validation():
-    Word((1, 2, 3))
-    Word(())
-    with pytest.raises(ValueError):
-        Word((0, 1))
-    with pytest.raises(ValueError):
-        Word((1, -2))
+def test_continuants_refuses_bad_digits():
+    assert continuants((1, 2, 3)).q == 10
+    for bad in ((0, 1), (1, -2)):
+        with pytest.raises(ValueError, match="digits must be integers >= 1"):
+            continuants(bad)
 
 
-def test_word_delete():
-    w = Word((3, 7, 16))
-    assert w.delete(1).digits == (7, 16)
-    assert w.delete(2).digits == (3, 16)
-    assert w.delete(3).digits == (3, 7)
-    with pytest.raises(ValueError):
-        w.delete(0)
-    with pytest.raises(ValueError):
-        w.delete(4)
+def test_non_integer_digits_are_refused_not_truncated():
+    # a float digit, even 2.0, was once cut to its integer part
+    calls = (continuants, fundamental_interval, lambda w: union_measure(w, 1, 2),
+             lambda w: check_continuant_bounds(w, 1))
+    for call in calls:
+        for bad in ([2.7, 1.9], [1.5], [np.float64(2.0)], [Fraction(3)], ["3"]):
+            with pytest.raises(ValueError, match="digits must be integers >= 1"):
+                call(bad)
+        call([np.int64(2), np.int32(1)])
+    assert continuants([np.int64(3), np.int8(7), 16]) == continuants((3, 7, 16))
+    assert fundamental_interval(np.array([2, 1, 3])).word == (2, 1, 3)
 
 
 # -- continuants ------------------------------------------------------------
@@ -69,9 +69,9 @@ def test_continuant_growth_floor(digits):
 # -- expansion --------------------------------------------------------------
 
 def test_expand_rational_examples():
-    assert expand_rational(113, 355).digits == (3, 7, 16)
-    assert expand_rational(0, 1).digits == ()
-    assert expand_rational(1, 2).digits == (2,)
+    assert expand_rational(113, 355) == (3, 7, 16)
+    assert expand_rational(0, 1) == ()
+    assert expand_rational(1, 2) == (2,)
     with pytest.raises(ValueError):
         expand_rational(1, 0)
     with pytest.raises(ValueError):
@@ -80,12 +80,12 @@ def test_expand_rational_examples():
 
 def test_expand_rational_canonical_no_trailing_one():
     # 2/3 = [1, 2] canonically, never [1, 1, 1]
-    assert expand_rational(2, 3).digits == (1, 2)
+    assert expand_rational(2, 3) == (1, 2)
     for d in range(2, 200):
         for n in range(1, d):
             w = expand_rational(n, d)
             if len(w) > 1:
-                assert w.digits[-1] >= 2, (n, d)
+                assert w[-1] >= 2, (n, d)
 
 
 def test_expand_rational_round_trip_exhaustive():
@@ -99,13 +99,13 @@ def test_expand_rational_truncation():
     # golden-ratio convergent: all-ones word longer than the cap
     c = continuants([1] * 30)
     w = expand_rational(c.p, c.q, max_len=10)
-    assert w.digits == (1,) * 10
+    assert w == (1,) * 10
 
 
 def test_expand_real_exact_mode():
-    assert expand_real(Fraction(113, 355)).digits == (3, 7, 16)
-    assert expand_real(Fraction(1, 2)).digits == (2,)
-    assert expand_real(Fraction(0)).digits == ()
+    assert expand_real(Fraction(113, 355)) == (3, 7, 16)
+    assert expand_real(Fraction(1, 2)) == (2,)
+    assert expand_real(Fraction(0)) == ()
     with pytest.raises(ValueError):
         expand_real(Fraction(3, 2))
 
@@ -117,7 +117,7 @@ def test_expand_real_golden_ratio_certified():
     x = Fraction(scaled - (1 << P), 1 << (P + 1))
     w = expand_real(x, precision_bits=P, max_len=200)
     assert len(w) >= 80
-    assert set(w.digits) == {1}
+    assert set(w) == {1}
 
 
 def test_expand_real_certifies_only_common_prefix():
@@ -126,12 +126,12 @@ def test_expand_real_certifies_only_common_prefix():
     P = 64
     x = Fraction((113 << P) // 355, 1 << P)
     w = expand_real(x, precision_bits=P)
-    assert tuple(w.digits) == (3, 7, 16)[: len(w)]
+    assert w == (3, 7, 16)[: len(w)]
     assert len(w) >= 2
     # every real in [x, x + 2^-P] starts with the certified digits
     for probe in (x, x + Fraction(1, 1 << (P + 1)), x + Fraction(1, 1 << P)):
         full = expand_real(probe, max_len=len(w) + 2)
-        assert full.digits[: len(w)] == w.digits
+        assert full[: len(w)] == w
 
 
 def test_expand_real_interior_dyadic_certifies_fully():
@@ -140,7 +140,7 @@ def test_expand_real_interior_dyadic_certifies_fully():
     P = 64
     x = Fraction((mid.numerator << P) // mid.denominator, 1 << P)
     w = expand_real(x, precision_bits=P)
-    assert w.digits[:3] == (3, 7, 16)
+    assert w[:3] == (3, 7, 16)
 
 
 def _in_interval(iv, y):
@@ -169,7 +169,7 @@ def test_expand_real_is_the_longest_certified_prefix(data, P, max_len):
     if len(w) == max_len or x * c.q == c.p:
         return
     a = math.floor(Fraction(c.p_prev - c.q_prev * x, c.q * x - c.p))
-    child = fundamental_interval(w.digits + (a,))
+    child = fundamental_interval(w + (a,))
     assert _in_interval(child, x)
     assert not _in_interval(child, x_hi)
 
@@ -217,19 +217,19 @@ def test_closed_endpoint_is_word_value(digits):
 # -- union measures ---------------------------------------------------------
 
 def test_union_measure_examples():
-    assert union_measure(Word(()), 1, 1) == Fraction(1, 2)
-    assert union_measure(Word(()), 2, 3) == Fraction(1, 4)
+    assert union_measure((), 1, 1) == Fraction(1, 2)
+    assert union_measure((), 2, 3) == Fraction(1, 4)
     assert Fraction(1, 6) + Fraction(1, 12) == Fraction(1, 4)
     total = sum(fundamental_interval([1, j]).length for j in range(1, 6))
-    assert union_measure(Word((1,)), 1, 5) == total
+    assert union_measure((1,), 1, 5) == total
     with pytest.raises(ValueError):
-        union_measure(Word(()), 3, 2)
+        union_measure((), 3, 2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(words, st.integers(min_value=1, max_value=30))
 def test_union_measure_is_sum_of_members(digits, b):
-    prefix = Word(tuple(digits))
+    prefix = tuple(digits)
     total = sum(fundamental_interval(tuple(digits) + (j,)).length
                 for j in range(1, b + 1))
     assert union_measure(prefix, 1, b) == total
@@ -240,26 +240,34 @@ def test_union_measure_is_sum_of_members(digits, b):
 def test_union_measure_partition_gap(digits, b):
     # |I(a)| - union(a, 1, b) = 1/(q ((b+1) q + q')) exactly
     c = continuants(digits)
-    gap = fundamental_interval(digits).length - union_measure(Word(tuple(digits)), 1, b)
+    gap = fundamental_interval(digits).length - union_measure(tuple(digits), 1, b)
     assert gap == Fraction(1, c.q * ((b + 1) * c.q + c.q_prev))
 
 
 # -- continuant inequality suite ---------------------------------------------
 
 def test_continuant_bounds_examples():
-    rep = check_continuant_bounds(Word((1, 1, 1, 1)), 2)
+    rep = check_continuant_bounds((1, 1, 1, 1), 2)
     assert rep.delete_ratio == Fraction(5, 3)
     assert rep.ok
-    rep = check_continuant_bounds(Word((5,)), 1)
+    rep = check_continuant_bounds((5,), 1)
     assert rep.delete_ratio == Fraction(5, 1)
     assert rep.ok
+    # deleting the first, a middle and the last digit of 113/355 = [3, 7, 16]
+    for k, rest in ((1, (7, 16)), (2, (3, 16)), (3, (3, 7))):
+        rep = check_continuant_bounds((3, 7, 16), k)
+        assert rep.word == (3, 7, 16)
+        assert rep.delete_ratio == Fraction(355, continuants(rest).q)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="position"):
+            check_continuant_bounds((3, 7, 16), k)
 
 
 @settings(max_examples=400, deadline=None)
 @given(words, st.data())
 def test_continuant_bounds_random(digits, data):
     k = data.draw(st.integers(min_value=1, max_value=len(digits)))
-    rep = check_continuant_bounds(Word(tuple(digits)), k)
+    rep = check_continuant_bounds(tuple(digits), k)
     assert rep.ok
     a_k = digits[k - 1]
     assert Fraction(a_k + 1, 2) <= rep.delete_ratio <= a_k + 1

@@ -109,8 +109,6 @@ def test_level_set_validation(sieve_small):
         level_set_measure(1, 10, 1_000_000, sieve_small)
     with pytest.raises(OutOfRangeError):
         level_set_measure(1, 10, 1, sieve_small)
-    with pytest.warns(UserWarning):
-        level_set_measure(1, 2.5, 100, sieve_small)
 
 
 # -- sampling experiments -------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from primecf import primes
 from primecf.errors import OutOfRangeError
 from primecf.primes import (
-    AlmostPrimeEnumeration,
     PrimeSieve,
     almost_primes,
     is_prime_trial,
@@ -78,18 +77,19 @@ def test_sieve_cap_checked_before_building(monkeypatch):
 
 
 def test_omega_table_cap_checked_before_allocating(monkeypatch, sieve_small):
-    monkeypatch.setattr(primes, "SIEVE_CAP", 1000)
+    assert primes.OMEGA_CAP == 10**8
+    monkeypatch.setattr(primes, "OMEGA_CAP", 1000)
     assert omega_table(1000, sieve_small).size == 1001
-    assert almost_primes(AlmostPrimeEnumeration(2, "at-most", 1000), sieve_small).size > 0
+    assert almost_primes(2, "at-most", 1000, sieve_small).size > 0
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"array allocated: {args}")
 
     monkeypatch.setattr(primes.np, "zeros", refuse)
-    with pytest.raises(OutOfRangeError, match="SIEVE_CAP"):
+    with pytest.raises(OutOfRangeError, match="bound 1001 exceeds OMEGA_CAP = 1000"):
         omega_table(1001, sieve_small)
-    with pytest.raises(OutOfRangeError, match="SIEVE_CAP"):
-        almost_primes(AlmostPrimeEnumeration(2, "at-most", 1001), sieve_small)
+    with pytest.raises(OutOfRangeError, match="bound 1001 exceeds OMEGA_CAP = 1000"):
+        almost_primes(2, "at-most", 1001, sieve_small)
 
 
 def test_prime_count_known_values(sieve_small):
@@ -177,11 +177,11 @@ def test_omega_table_needs_root_in_sieve():
 
 
 def test_almost_primes_examples(sieve_small):
-    got = almost_primes(AlmostPrimeEnumeration(2, "exactly", 25), sieve_small)
+    got = almost_primes(2, "exactly", 25, sieve_small)
     assert list(got) == [4, 6, 9, 10, 14, 15, 21, 22, 25]
-    got = almost_primes(AlmostPrimeEnumeration(1, "exactly", 10), sieve_small)
+    got = almost_primes(1, "exactly", 10, sieve_small)
     assert list(got) == [2, 3, 5, 7]
-    got = almost_primes(AlmostPrimeEnumeration(2, "at-most", 10), sieve_small)
+    got = almost_primes(2, "at-most", 10, sieve_small)
     assert list(got) == [2, 3, 4, 5, 6, 7, 9, 10]  # 8 = 2^3 out, 1 out
 
 
@@ -189,8 +189,7 @@ def test_almost_primes_examples(sieve_small):
                                       (2, "exactly"), (2, "at-most"),
                                       (3, "exactly"), (3, "at-most")])
 def test_almost_primes_against_factorization(sieve_small, ell, mode):
-    got = set(int(k) for k in almost_primes(
-        AlmostPrimeEnumeration(ell, mode, 3000), sieve_small))
+    got = set(int(k) for k in almost_primes(ell, mode, 3000, sieve_small))
     for k in range(1, 3001):
         om = oracle_omega(k)
         member = om == ell if mode == "exactly" else 1 <= om <= ell
@@ -198,23 +197,23 @@ def test_almost_primes_against_factorization(sieve_small, ell, mode):
 
 
 def test_almost_primes_modes_coincide_for_primes(sieve_small):
-    a = almost_primes(AlmostPrimeEnumeration(1, "exactly", 500), sieve_small)
-    b = almost_primes(AlmostPrimeEnumeration(1, "at-most", 500), sieve_small)
+    a = almost_primes(1, "exactly", 500, sieve_small)
+    b = almost_primes(1, "at-most", 500, sieve_small)
     assert np.array_equal(a, b)
 
 
 def test_almost_primes_certified_range():
     sv = PrimeSieve(100)
     with pytest.raises(OutOfRangeError):
-        almost_primes(AlmostPrimeEnumeration(2, "at-most", 100 * 100 + 1), sv)
+        almost_primes(2, "at-most", 100 * 100 + 1, sv)
     with pytest.raises(OutOfRangeError):
-        almost_primes(AlmostPrimeEnumeration(1, "at-most", 101), sv)
+        almost_primes(1, "at-most", 101, sv)
 
 
-def test_enumeration_request_validation():
-    with pytest.raises(ValueError):
-        AlmostPrimeEnumeration(0, "exactly", 10)
-    with pytest.raises(ValueError):
-        AlmostPrimeEnumeration(1, "sometimes", 10)
-    with pytest.raises(ValueError):
-        AlmostPrimeEnumeration(1, "exactly", 1)
+def test_enumeration_request_validation(sieve_small):
+    with pytest.raises(ValueError, match="ell must be >= 1"):
+        almost_primes(0, "exactly", 10, sieve_small)
+    with pytest.raises(ValueError, match="mode must be"):
+        almost_primes(1, "sometimes", 10, sieve_small)
+    with pytest.raises(ValueError, match="mode must be"):
+        almost_primes(2, "sometimes", 10, sieve_small)
