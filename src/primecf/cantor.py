@@ -11,7 +11,8 @@ block.  All c^(b^k)-scale arithmetic stays in log domain; the first
 construction lists no words (a box-counting cover needs only each level's
 word count and its least-prime cylinder).  The second takes its sub-block
 masses from the word enumeration of `pressure` and builds its tree exactly
-(integer continuants, rational endpoints).
+in plain ints: continuants, and each endpoint a coprime (numerator,
+denominator) pair read off them.
 """
 from __future__ import annotations
 
@@ -400,7 +401,7 @@ def _finish_eb_params(B, ell, s, delta, M, N, alphas, last_base, constants) -> E
                     constraints=tuple(constraints))
 
 
-def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[np.ndarray]]:
+def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[list[float]]]:
     """u and sigma[k][i], the mass of all completions of the k-digit prefix
     with lexicographic index i; a sub-block b in {1..M}^N weighs
     w(b) = u^-1 (alpha_0^N q_N^2(b))^-s, which is q_N(b)^-2s over sum q^-2s."""
@@ -408,27 +409,16 @@ def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[
     log_moment = log_sum_exp(logs)
     u = math.exp(-s * (N * math.log(alpha0)) + log_moment)
     w = np.exp(logs - log_moment)
-    return u, [w.reshape(M ** k, -1).sum(axis=1) for k in range(N + 1)]
+    return u, [w.reshape(M ** k, -1).sum(axis=1).tolist() for k in range(N + 1)]
 
 
-def _hull(p: int, p_prev: int, q: int, q_prev: int,
-          digits: tuple[int, ...]) -> tuple[Fraction, Fraction, float]:
-    """Exact endpoints of the union of the closures of the word (p/q,
-    p_prev/q_prev) extended by each of the ascending `digits`, and the
-    double nearest its length."""
-    t, u = digits[0], digits[-1] + 1
-    a = Fraction(t * p + p_prev, t * q + q_prev)
-    b = Fraction(u * p + p_prev, u * q + q_prev)
-    lo, hi = (a, b) if a <= b else (b, a)
-    # p q_prev - p_prev q = +-1, so hi - lo = (u - t) / ((tq + q_prev)(uq + q_prev));
-    # int / int rounds correctly, as float(Fraction) does
-    return lo, hi, (u - t) / ((t * q + q_prev) * (u * q + q_prev))
+Ratio = tuple[int, int]  # (numerator, denominator), coprime, denominator > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EBNode:
-    """A word of the tree; [lo, hi] is the hull of its children's closures,
-    and diam the double nearest hi - lo."""
+    """A word of the tree: its continuants p/q and p_prev/q_prev, its mass
+    mu, and diam, the double nearest the length of its hull (see `_hull`)."""
 
     word: tuple[int, ...]
     depth: int
@@ -438,9 +428,25 @@ class EBNode:
     q: int
     q_prev: int
     mu: float
-    lo: Fraction
-    hi: Fraction
     diam: float
+
+
+def _hull(node: EBNode, digits: tuple[int, ...]) -> tuple[Ratio, Ratio]:
+    """Exact ends (lo, hi) of the union of the closures of `node`'s word
+    extended by each of the ascending `digits`, those of the next position.
+
+    The ends are x(t) and x(u) for x(d) = (d p + p_prev) / (d q + q_prev),
+    t the least digit and u the greatest plus one.  x moves with the sign
+    of p q_prev - p_prev q = (-1)^(depth - 1): it falls in d at even depth
+    and rises at odd depth, so lo is x(u) at even depth and x(t) at odd,
+    with no comparison.  (d p + p_prev) q - (d q + q_prev) p is that
+    determinant negated, +-1, so each (numerator, denominator) pair is
+    coprime.
+    """
+    t, u = digits[0], digits[-1] + 1
+    a = (t * node.p + node.p_prev, t * node.q + node.q_prev)
+    b = (u * node.p + node.p_prev, u * node.q + node.q_prev)
+    return (a, b) if node.depth % 2 else (b, a)
 
 
 @dataclass(frozen=True)
@@ -454,11 +460,11 @@ class EBTree:
     def depth(self) -> int:
         return len(self.levels)
 
-    def records(self) -> Iterator[tuple[int, tuple[int, ...], float, float, Fraction, Fraction]]:
+    def records(self) -> Iterator[tuple[int, tuple[int, ...], float, float, Ratio, Ratio]]:
         """(depth, word, mu, diam, lo, hi) per node, level by level."""
-        for level in self.levels:
+        for level, below in zip(self.levels, self.digit_sets[1:]):
             for n in level:
-                yield n.depth, n.word, n.mu, n.diam, n.lo, n.hi
+                yield n.depth, n.word, n.mu, n.diam, *_hull(n, below)
 
 
 def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree:
@@ -495,11 +501,13 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
 
     levels: list[tuple[EBNode, ...]] = []
     # (node, length k and index i of its unfinished sub-block, closed factors)
+    d_min, d_past = digit_sets[0][0], digit_sets[0][-1] + 1
     frontier: list[tuple[EBNode, int, int, float]] = [
-        (EBNode((), 0, -1, 0, 1, 1, 0, 1.0, *_hull(0, 1, 1, 0, digit_sets[0])), 0, 0, 1.0)
+        (EBNode((), 0, -1, 0, 1, 1, 0, 1.0, (d_past - d_min) / (d_min * d_past)), 0, 0, 1.0)
     ]
     for pos in range(1, depth_limit + 1):
         digits, below = digit_sets[pos - 1], digit_sets[pos]
+        d_min, d_past = below[0], below[-1] + 1  # the digits at the hull's ends
         prime = roles[pos - 1][0] == "prime"
         nxt: list[tuple[EBNode, int, int, float]] = []
         for parent_idx, (par, k, i, carried) in enumerate(frontier):
@@ -512,9 +520,12 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
                     new_k, new_i, new_carried = 0, 0, carried * sigma[-1][i * M + d - 1]
                 else:
                     new_k, new_i, new_carried = k + 1, i * M + d - 1, carried
-                mu = float(new_carried * sigma[new_k][new_i])
-                node = EBNode(par.word + (d,), pos, parent_idx, p, par.p, q, par.q, mu,
-                              *_hull(p, par.p, q, par.q, below))
+                # p q_prev - p_prev q = +-1, so the hull's length is (d_past -
+                # d_min) / ((d_min q + q_prev)(d_past q + q_prev)); int / int
+                # rounds correctly
+                node = EBNode(par.word + (d,), pos, parent_idx, p, par.p, q, par.q,
+                              new_carried * sigma[new_k][new_i],
+                              (d_past - d_min) / ((d_min * q + par.q) * (d_past * q + par.q)))
                 nxt.append((node, new_k, new_i, new_carried))
         frontier = nxt
         levels.append(tuple(entry[0] for entry in frontier))
@@ -529,24 +540,48 @@ class GapReport:
     pairs_checked: int
 
 
+def _ascending(tree: EBTree) -> Iterator[list[EBNode]]:
+    """Each level of the tree in ascending order of its hulls, built from
+    the order of the level above without a comparison.
+
+    Every node takes every digit of its position, so the children of
+    parent i fill positions i w .. i w + w - 1 of the next level, w the
+    digit count.  Same-depth hulls lie in disjoint cylinders nested in
+    their parents', so the parents' order carries over, and a word's
+    children ascend with their digit at even depth and descend at odd
+    depth (see `_hull`).
+    """
+    order = [0]  # the root
+    for level, digits in zip(tree.levels, tree.digit_sets):
+        w = len(digits)
+        js = range(w - 1, -1, -1) if level[0].depth % 2 else range(w)
+        order = [i * w + j for i in order for j in js]
+        yield [level[k] for k in order]
+
+
 def gap_check(tree: EBTree) -> GapReport:
     """Exact gaps between same-depth fundamental sets, normalized by the
-    requirement diam(I_n)/(8M); every value >= 1 means the bound holds."""
+    requirement diam(I_n)/(8M); every value >= 1 means the bound holds.
+
+    Nothing is sorted: neighbours come from `_ascending`, which orders a
+    level by digit parity (a word's children ascend with their digit at
+    even depth and descend at odd depth).  Each gap lo2 - hi1 is one
+    numerator and denominator of exact ints, scaled and divided once.
+    """
     eight_m = 8 * tree.params.M
     worst = math.inf
     worst_depth = 0
     worst_word: tuple[int, ...] = ()
     pairs = 0
-    for level in tree.levels:
-        ordered = sorted(level, key=lambda node: node.lo)
-        for n1, n2 in zip(ordered, ordered[1:]):
-            gap = n2.lo - n1.hi
+    for ordered, below in zip(_ascending(tree), tree.digit_sets[1:]):
+        ends = [(node, *_hull(node, below)) for node in ordered]
+        for (n1, _, (c, d)), (n2, (a, b), _) in zip(ends, ends[1:]):
+            num, den = (a * d - c * b) * eight_m, b * d
             pairs += 1
             for node in (n1, n2):
                 # gap / (|I_n| / 8M) with |I_n| = 1/(q (q + q_prev)); int / int
-                # rounds correctly, as float(Fraction) does
-                normalized = (gap.numerator * eight_m * node.q * (node.q + node.q_prev)
-                              / gap.denominator)
+                # rounds correctly, whatever common factor num and den share
+                normalized = num * node.q * (node.q + node.q_prev) / den
                 if normalized < worst:
                     worst = normalized
                     worst_depth = node.depth

@@ -289,7 +289,7 @@ def cmd_cf_expand(args) -> Output:
     shown = args.real if args.rational is None else args.rational
     word = contfrac.expand_real(_fraction(shown), args.bits or None, args.max_len)
     rows = [{"digits": word, "length": len(word),
-             "reconstructed": contfrac.continuants(word).value}]
+             "reconstructed": contfrac.continuants(word).value.as_integer_ratio()}]
     return Output(rows, inputs={"input": shown, "bits": args.bits, "max_len": args.max_len})
 
 
@@ -355,7 +355,7 @@ def cmd_luczak_dim(args) -> Output:
             "true_count": "" if lv.true_count is None else lv.true_count,
             "ratio": ratios.get(lv.k, ""),
         })
-    return Output(rows, {"limit": limit, "limit_float": float(limit)})
+    return Output(rows, {"limit": limit.as_integer_ratio(), "limit_float": float(limit)})
 
 
 def cmd_eb_build(args) -> Output:
@@ -435,8 +435,8 @@ class Kind:
     finite: bool = False
 
 
-def _num_den(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+def _num_den(v: tuple[int, int]) -> str:
+    return f"{v[0]}/{v[1]}"
 
 
 def _blank_or(kind: Kind) -> Kind:
@@ -446,7 +446,8 @@ def _blank_or(kind: Kind) -> Kind:
                 lambda v: v if v == "" else kind.json(v), kind.finite)
 
 
-# reals at 20 significant digits, rationals exact as num/den
+# reals at 20 significant digits, rationals exact as num/den from a
+# (numerator, denominator) pair
 NUMBER = Kind({"type": "number"}, lambda v: format(v, ".20g"), float, finite=True)
 MPF = Kind({"type": "number"}, lambda v: mp.nstr(v, 20), float, finite=True)
 INTEGER = Kind({"type": "integer"}, str, int)

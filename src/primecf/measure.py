@@ -96,12 +96,26 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         if pairs > PAIR_CAP:
             raise EnumerationGuardError(
                 f"{pairs} prime pairs to sum exceed PAIR_CAP = {PAIR_CAP}")
+        # per-prime steps run in place on slices of two buffers allocated
+        # once, in the order q2 = p1 p2 + 1, t = 1 / (q2 (q2 + p2)); each
+        # buffer starts on a 64-byte boundary, since fresh temporaries land
+        # wherever the heap leaves them, and the same loop ran 0.96 s or
+        # 1.08 s on a 2-vCPU host by that alone (same ops and order, so the
+        # same doubles)
+        stride = -(-ps.size // 8) * 8
+        raw = np.empty(2 * stride + 8)
+        off = (-raw.ctypes.data % 64) // 8
+        q2_buf, t_buf = raw[off:off + ps.size], raw[off + stride:off + stride + ps.size]
         for p1, start in zip(pint.tolist(), starts):
             if start == ps.size:
                 continue
-            prod = p1 * ps[start:]
-            q2 = prod + 1.0
-            t = 1.0 / (q2 * (q2 + ps[start:]))
+            tail = ps[start:]
+            q2, t = q2_buf[:tail.size], t_buf[:tail.size]
+            np.multiply(tail, p1, out=q2)
+            q2 += 1.0
+            np.add(q2, tail, out=t)
+            t *= q2
+            np.divide(1.0, t, out=t)
             block = float(np.sum(t))
             # four float ops per term plus pairwise summation keep the
             # relative error well under 1e-13; pad outward by that much

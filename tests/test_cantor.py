@@ -371,6 +371,18 @@ def _value(word) -> Fraction:
     return Fraction(cf.p, cf.q)
 
 
+def _exact(pair) -> Fraction:
+    num, den = pair
+    assert den > 0 and math.gcd(num, den) == 1
+    return Fraction(num, den)
+
+
+def _ends(tree) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
+    """Each word's hull ends, from the (numerator, denominator) pairs that
+    `records` yields, checked to be in lowest terms."""
+    return {word: (_exact(lo), _exact(hi)) for _, word, _, _, lo, hi in tree.records()}
+
+
 def test_tree_interval_arithmetic(eb):
     _, tree = eb
     node = tree.levels[2][5]
@@ -378,28 +390,90 @@ def test_tree_interval_arithmetic(eb):
     assert (node.p, node.q) == (cf.p, cf.q)
     # the children at depth 4 take the digits 1..M
     ends = sorted([_value(node.word + (1,)), _value(node.word + (tree.params.M + 1,))])
-    assert (node.lo, node.hi) == tuple(ends)
-    assert 0 < node.lo < node.hi < 1
+    lo, hi = _ends(tree)[node.word]
+    assert (lo, hi) == tuple(ends)
+    assert 0 < lo < hi < 1
 
 
 def test_tree_hulls_span_children(eb):
     # every hull, prime positions included, is the exact span of the
     # closures of the node's children
     _, tree = eb
+    hulls = _ends(tree)
     for level, digits in zip(tree.levels, tree.digit_sets[1:]):
         for node in level:
             ends = [_value(node.word + (d,)) for d in digits]
             ends.append(_value(node.word + (digits[-1] + 1,)))
-            assert (node.lo, node.hi) == (min(ends), max(ends))
+            assert hulls[node.word] == (min(ends), max(ends))
 
 
 def test_tree_diameters_round_the_exact_hull(eb):
     # diam comes from the continuants alone; it must be the double nearest
     # the exact hull length, as float(Fraction) rounds it
     _, tree = eb
+    hulls = _ends(tree)
     for level in tree.levels:
         for node in level:
-            assert node.diam == float(node.hi - node.lo)
+            lo, hi = hulls[node.word]
+            assert node.diam == float(hi - lo)
+
+
+def oracle_gap_check(tree) -> cantor.GapReport:
+    """gap_check by sorting each level on its exact Fraction lo."""
+    hulls = _ends(tree)
+    eight_m = 8 * tree.params.M
+    worst, worst_depth, worst_word, pairs = math.inf, 0, (), 0
+    for level in tree.levels:
+        ordered = sorted(level, key=lambda node: hulls[node.word][0])
+        for n1, n2 in zip(ordered, ordered[1:]):
+            gap = hulls[n2.word][0] - hulls[n1.word][1]
+            pairs += 1
+            for node in (n1, n2):
+                normalized = (gap.numerator * eight_m * node.q * (node.q + node.q_prev)
+                              / gap.denominator)
+                if normalized < worst:
+                    worst, worst_depth, worst_word = normalized, node.depth, node.word
+    return cantor.GapReport(min_normalized=worst, worst_depth=worst_depth,
+                            worst_word=worst_word, pairs_checked=pairs)
+
+
+@pytest.fixture(scope="module")
+def trees(eb, sieve_mid):
+    # ell = 3 puts its first prime run at positions 5, 6, 7: both parities
+    params = make_eb_params(4.0, 3, 0.6, 0.01, sieve_mid)
+    roles, _ = params.position_roles(7)
+    assert [role[0] for role in roles[4:]] == ["prime"] * 3
+    return {"ell2": eb[1], "ell3": eb_prefix_tree(params, 6, sieve_mid)}
+
+
+@pytest.mark.parametrize("name", ["ell2", "ell3"])
+def test_tree_gap_check_matches_sorted_oracle(trees, name):
+    assert gap_check(trees[name]) == oracle_gap_check(trees[name])
+
+
+@pytest.mark.parametrize("name", ["ell2", "ell3"])
+def test_tree_parity_order_is_sorted_order(trees, name):
+    tree = trees[name]
+    hulls = _ends(tree)
+    for level, ordered in zip(tree.levels, cantor._ascending(tree), strict=True):
+        assert ordered == sorted(level, key=lambda node: hulls[node.word][0])
+        # hulls of one depth are disjoint, and strictly ordered
+        assert all(hulls[a.word][1] < hulls[b.word][0] for a, b in zip(ordered, ordered[1:]))
+
+
+def test_tree_is_built_and_checked_in_plain_ints(eb, sieve_mid, monkeypatch):
+    # endpoints come from continuants and same-depth order from digit
+    # parity: no Fraction is built and no level is sorted
+    params, _ = eb
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction or a sort in the E_B tree")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    monkeypatch.setattr(cantor, "sorted", refuse, raising=False)
+    tree = eb_prefix_tree(params, 5, sieve_mid)
+    assert gap_check(tree).pairs_checked == sum(len(level) - 1 for level in tree.levels)
+    assert len(list(tree.records())) == 165
 
 
 def test_tree_gap_check(eb):

@@ -141,11 +141,28 @@ def test_readme_examples_verbatim(capsys):
 # sha256 of the exact or correctly rounded columns (depth, word, diam, lo,
 # hi) of every row plus gap_min; mu and holder_* go through libm exp/log.
 # EB_JSON_PIN hashes the same in JSON: the raw "rows" block without its
-# "mu" lines, then the raw "gap_min" line.
+# "mu" lines, then the raw "gap_min" line.  EB3_PIN, of the benchmark's
+# 44,530-row ell = 3 tree, was computed when each endpoint was a Fraction
+# and gap_check sorted every level by it.
 EB_PIN = "1be1ecba7a0182c55f038d3c646f37c0290ee76acd7580720187d32a7ffe8249"
 EB_JSON_PIN = "e475bb21814ddae7760135e43ff54c5bb58a4f4f33c07eabbd9d3245e4149ad7"
+EB3_PIN = "ff63c15ecdce76b307e4b827bd5a3f5b9c73a6c87fe9af11bbdcfca6320b135d"
 EB_PIN_ARGV = ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01",
                "--M", "3", "--depth", "6"]
+EB3_PIN_ARGV = ["eb-build", "--B", "4", "--ell", "3", "--s", "0.6", "--delta", "0.01"]
+
+
+def _exact_columns_digest(out: str) -> tuple[int, str]:
+    """Row count and sha256 of a CSV eb-build's exact columns plus gap_min."""
+    lines = out.splitlines(keepends=True)
+    summary = dict(kv.split("=", 1) for kv in lines[1][2:].split())
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    digest = hashlib.sha256()
+    for row in rows:
+        cells = ",".join(row[k] for k in ("depth", "word", "diam", "lo", "hi"))
+        digest.update(cells.encode() + b"\n")
+    digest.update(f"gap_min={summary['gap_min']}".encode())
+    return len(rows), digest.hexdigest()
 
 
 def test_eb_build_exact_columns_pinned(capsys):
@@ -159,16 +176,10 @@ def test_eb_build_exact_columns_pinned(capsys):
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == EB_JSON_PIN
     code, out, _ = run_cli(capsys, EB_PIN_ARGV)
     assert code == 0
-    lines = out.splitlines(keepends=True)
-    summary = dict(kv.split("=", 1) for kv in lines[1][2:].split())
-    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
-    assert len(rows) == 489
-    digest = hashlib.sha256()
-    for row in rows:
-        cells = ",".join(row[k] for k in ("depth", "word", "diam", "lo", "hi"))
-        digest.update(cells.encode() + b"\n")
-    digest.update(f"gap_min={summary['gap_min']}".encode())
-    assert digest.hexdigest() == EB_PIN
+    assert _exact_columns_digest(out) == (489, EB_PIN)
+    code, out, _ = run_cli(capsys, EB3_PIN_ARGV)
+    assert code == 0
+    assert _exact_columns_digest(out) == (44_530, EB3_PIN)
 
 
 # sha256 of the whole stdout.  The cf-expand pin was computed when
@@ -845,9 +856,9 @@ FUZZ_ARGV = st.one_of(
     _flags("luczak-dim", b=_BASE, c=_BASE, kmax=st.integers(0, 10), sieve=_SIEVE,
            format=_FORMAT),
     # the node guard holds every tree to 10^5 nodes; a tree near it, such as
-    # --B=9.68 --ell=2 --s=0.531 --delta=0.00384 --N=4 --depth=5, takes 2.8 s
-    # in CSV and 3.6 s in JSON (medians of 3 in-process runs on a 2-vCPU
-    # host), under FUZZ_SECONDS but near it
+    # --B=9.68 --ell=2 --s=0.531 --delta=0.00384 --N=4 --depth=5, takes
+    # 2.1-2.3 s in CSV and 3.1-3.3 s in JSON (medians of 3 in-process runs,
+    # two rounds, on a 2-vCPU host), under FUZZ_SECONDS
     _flags("eb-build", B=_B, ell=st.integers(2, 3), s=st.floats(0.52, 0.9),
            delta=st.floats(0.001, 0.01), M=_opt(st.integers(0, 4)), N=_opt(st.integers(0, 4)),
            depth=st.integers(0, 6), sieve=_SIEVE, format=_FORMAT),

@@ -97,6 +97,25 @@ def test_bracket_nesting_and_width(sieve_small):
         assert res.exact_upper >= ref2.exact_upper - 1e-15
 
 
+# float.hex of (exact_lower, exact_upper) and the term count of the ell = 2
+# bracket, computed when each per-prime block was summed from fresh numpy
+# temporaries; the in-place buffers must give the same doubles.  At
+# threshold 10^6 and cutoff 3000, 67 primes have no partner.
+LEVEL_TWO_PINS = [
+    (3, 2000, "0x1.ebc03fdefac69p-4", "0x1.ed9aedad78664p-4", 91809),
+    (1000, 2000, "0x1.c76f4cdf90976p-12", "0x1.d10e8dae622ebp-11", 91222),
+    (10**6, 3000, "0x1.aaedfd6c6d94ep-26", "0x1.3c6084c09d92ep-12", 103006),
+    (50, 100_000, "0x1.5c8575f11ed99p-7", "0x1.5cd1563738c0ap-7", 92006434),
+]
+
+
+@pytest.mark.parametrize("threshold, cutoff, lower, upper, terms", LEVEL_TWO_PINS)
+def test_double_digit_bracket_bits_pinned(sieve_small, threshold, cutoff, lower, upper,
+                                          terms):
+    res = level_set_measure(2, threshold, cutoff, sieve_small)
+    assert (res.exact_lower.hex(), res.exact_upper.hex(), res.terms) == (lower, upper, terms)
+
+
 def test_level_set_validation(sieve_small):
     with pytest.raises(ValueError):
         level_set_measure(3, 10, 100, sieve_small)
