@@ -422,7 +422,6 @@ class EBNode:
 
     word: tuple[int, ...]
     depth: int
-    parent: int
     p: int
     p_prev: int
     q: int
@@ -503,14 +502,14 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
     # (node, length k and index i of its unfinished sub-block, closed factors)
     d_min, d_past = digit_sets[0][0], digit_sets[0][-1] + 1
     frontier: list[tuple[EBNode, int, int, float]] = [
-        (EBNode((), 0, -1, 0, 1, 1, 0, 1.0, (d_past - d_min) / (d_min * d_past)), 0, 0, 1.0)
+        (EBNode((), 0, 0, 1, 1, 0, 1.0, (d_past - d_min) / (d_min * d_past)), 0, 0, 1.0)
     ]
     for pos in range(1, depth_limit + 1):
         digits, below = digit_sets[pos - 1], digit_sets[pos]
         d_min, d_past = below[0], below[-1] + 1  # the digits at the hull's ends
         prime = roles[pos - 1][0] == "prime"
         nxt: list[tuple[EBNode, int, int, float]] = []
-        for parent_idx, (par, k, i, carried) in enumerate(frontier):
+        for par, k, i, carried in frontier:
             for d in digits:
                 p = d * par.p + par.p_prev
                 q = d * par.q + par.q_prev
@@ -523,7 +522,7 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
                 # p q_prev - p_prev q = +-1, so the hull's length is (d_past -
                 # d_min) / ((d_min q + q_prev)(d_past q + q_prev)); int / int
                 # rounds correctly
-                node = EBNode(par.word + (d,), pos, parent_idx, p, par.p, q, par.q,
+                node = EBNode(par.word + (d,), pos, p, par.p, q, par.q,
                               new_carried * sigma[new_k][new_i],
                               (d_past - d_min) / ((d_min * q + par.q) * (d_past * q + par.q)))
                 nxt.append((node, new_k, new_i, new_carried))
@@ -559,9 +558,10 @@ def _ascending(tree: EBTree) -> Iterator[list[EBNode]]:
         yield [level[k] for k in order]
 
 
-def gap_check(tree: EBTree) -> GapReport:
-    """Exact gaps between same-depth fundamental sets, normalized by the
-    requirement diam(I_n)/(8M); every value >= 1 means the bound holds.
+def _normalized_gaps(tree: EBTree) -> Iterator[tuple[EBNode, float]]:
+    """Each gap between neighbouring same-depth hulls, normalized by the
+    requirement diam(I_n)/(8M) of either neighbour: (node, value) for the
+    lower neighbour and then the upper, pair by pair up each level.
 
     Nothing is sorted: neighbours come from `_ascending`, which orders a
     level by digit parity (a word's children ascend with their digit at
@@ -569,25 +569,33 @@ def gap_check(tree: EBTree) -> GapReport:
     numerator and denominator of exact ints, scaled and divided once.
     """
     eight_m = 8 * tree.params.M
-    worst = math.inf
-    worst_depth = 0
-    worst_word: tuple[int, ...] = ()
-    pairs = 0
     for ordered, below in zip(_ascending(tree), tree.digit_sets[1:]):
         ends = [(node, *_hull(node, below)) for node in ordered]
         for (n1, _, (c, d)), (n2, (a, b), _) in zip(ends, ends[1:]):
             num, den = (a * d - c * b) * eight_m, b * d
-            pairs += 1
-            for node in (n1, n2):
-                # gap / (|I_n| / 8M) with |I_n| = 1/(q (q + q_prev)); int / int
-                # rounds correctly, whatever common factor num and den share
-                normalized = num * node.q * (node.q + node.q_prev) / den
-                if normalized < worst:
-                    worst = normalized
-                    worst_depth = node.depth
-                    worst_word = node.word
+            # gap / (|I_n| / 8M) with |I_n| = 1/(q (q + q_prev)); int / int
+            # rounds correctly, whatever common factor num and den share
+            yield n1, num * n1.q * (n1.q + n1.q_prev) / den
+            yield n2, num * n2.q * (n2.q + n2.q_prev) / den
+
+
+def gap_check(tree: EBTree) -> GapReport:
+    """Exact gaps between same-depth fundamental sets, normalized by the
+    requirement diam(I_n)/(8M) (see `_normalized_gaps`); every value >= 1
+    means the bound holds.
+    """
+    worst = math.inf
+    worst_depth = 0
+    worst_word: tuple[int, ...] = ()
+    values = 0
+    for node, normalized in _normalized_gaps(tree):
+        values += 1
+        if normalized < worst:
+            worst = normalized
+            worst_depth = node.depth
+            worst_word = node.word
     return GapReport(min_normalized=worst, worst_depth=worst_depth,
-                     worst_word=worst_word, pairs_checked=pairs)
+                     worst_word=worst_word, pairs_checked=values // 2)
 
 
 @dataclass(frozen=True)

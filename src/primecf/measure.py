@@ -8,13 +8,24 @@ at a factor cutoff and the omitted tuples are covered by an integer-tail
 bound, so the reported pair [exact_lower, exact_upper] is a rigorous
 bracket: every float is nudged outward before accumulation and the
 correctly-rounded totals are nudged once more.
+
+The zero-one experiment draws each digit from its exact conditional law in
+integers (`_sample_digits`, the law's one definition).  Most digits are
+found faster in a float64 pass over a block of samples (`_float_digits`):
+it carries r = q_{n-1}/q_n, whose error grows by at most 2^-52 a step
+because r <- 1/(d + r) is a contraction, and takes a digit only where a
+margin of (x + 2)(n + 16) 2^-48 around x (at least four times the error
+bound) shows that the integer sampler takes the same digit from the same
+draw.  A sample with a digit the margin does not settle is finished by
+`_sample_digits` from that digit on, so every report equals the integer
+sampler's.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
@@ -26,6 +37,18 @@ from .primes import PrimeSieve, is_prime_trial, primes_in
 # cap, --threshold 3 --cutoff 253992 (499,969,600 pairs) takes 2.2 to 2.4 s
 # and 38 MB in-process on a 2-vCPU host.
 PAIR_CAP = 5 * 10**8
+# The most digit draws (samples times depth) one zero-one run may take.
+# At the cap, 24,875 samples at depth 201 take 5.2 s in-process on a 2-vCPU
+# host (12.6 s with every sample resampled by _sample_digits, 16.5 s with the
+# integer sampler alone); 2.5 million samples at depth 2 take 38 s (54 s),
+# most of it seeding their streams.
+DRAW_CAP = 5 * 10**6
+# Digits and samples the block sampler draws at once, so its arrays and
+# per-sample objects stay small whatever the sample count and window.
+CHUNK_DIGITS = 1 << 14
+CHUNK_SAMPLES = 1 << 10
+# The fewest samples per chunk worth a float pass (see _sample_block).
+BLOCK_MIN = 16
 
 
 def _down(v: float) -> float:
@@ -176,7 +199,8 @@ class ZeroOneReport:
     max_bits_used: int                  # the most bits any one digit took
 
 
-def _sample_digits(rng: random.Random, bits: int, depth: int) -> tuple[list[int], int]:
+def _sample_digits(rng: random.Random, bits: int, depth: int,
+                   prefix: Sequence[int] = ()) -> tuple[list[int], int]:
     """The first `depth` digits of a uniform x in (0, 1], and the most bits one took.
 
     Given continuants q = q_n, q' = q_{n-1}, P(a_{n+1} >= d) = (q + q')/(d q + q')
@@ -185,11 +209,17 @@ def _sample_digits(rng: random.Random, bits: int, depth: int) -> tuple[list[int]
     (U/2^K, (U+1)/2^K]: d is taken at the right end and holds on the whole
     interval when U ((d+1) q + q') >= (q + q') 2^K; otherwise `bits` more
     bits split the interval uniformly.  A fresh u per digit makes the law exact.
+    With r = q'/q the digit is floor(x), x = (1 + r) 2^K/(U + 1) - r, and
+    it holds when y = (1 + r) 2^K/U - r <= d + 1, the form `_float_digits`
+    certifies in floats.  A nonempty `prefix` holds digits that `rng` has
+    already supplied, one `bits`-bit draw each; sampling resumes after them.
     """
-    digits = []
+    digits = list(prefix)
     q, q_prev = 1, 0
+    for d in digits:
+        q, q_prev = d * q + q_prev, q
     widest = bits
-    for _ in range(depth):
+    for _ in range(depth - len(digits)):
         u, k = rng.getrandbits(bits), bits
         while True:
             top = (q + q_prev) << k
@@ -204,38 +234,228 @@ def _sample_digits(rng: random.Random, bits: int, depth: int) -> tuple[list[int]
     return digits, widest
 
 
+def _stream(seed: int, i: int) -> random.Random:
+    """Sample i's random stream."""
+    return random.Random(f"{seed}:{i}")
+
+
+def _top_draws(seed: int, indices: range, bits: int, depth: int) -> np.ndarray:
+    """The top min(bits, 64) bits of the first `depth` draws of each sample's
+    stream, as a (samples, depth) uint64 array."""
+    if bits in (32, 64):
+        # getrandbits fills 32-bit words lowest first, so one draw of
+        # bits * depth bits is the successive draws, the first lowest
+        size = bits * depth
+        raw = b"".join(_stream(seed, i).getrandbits(size).to_bytes(size // 8, "little")
+                       for i in indices)
+        v = np.frombuffer(raw, f"<u{bits // 8}")
+    else:
+        shift = max(bits - 64, 0)
+        draws: list[int] = []
+        for i in indices:
+            rng = _stream(seed, i)
+            draws += [rng.getrandbits(bits) >> shift for _ in range(depth)]
+        v = np.array(draws, dtype=np.uint64)
+    return v.reshape(len(indices), depth)
+
+
+def _float_digits(seed: int, indices: range, bits: int,
+                  depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digits `_sample_digits` draws for the samples `indices`, in
+    float64, with the number of leading digits per sample certified to be them.
+
+    Returns a (depth, samples) array and the counts.  Of each draw U only
+    the top L = min(bits, 64) bits V are read: (U + 1)/2^bits is at most
+    a = (V + 1)/2^L and U/2^bits is at least b = V/2^L, with equality when
+    bits <= 64.  Step n carries r = q'/q in float64 and computes x~ and y~,
+    the float values of x(a) and y(b), where x(t) = (1 + r)/t - r with the
+    exact r; the x and y of `_sample_digits` are x((U + 1)/2^bits) >= x(a)
+    and y(U/2^bits) <= y(b).  The digit d = floor(x~) is certified when
+
+        x~ - d > m(x~)  and  y~ <= d + 1 - m(y~),  m(z) = (z + 2) (n + 16) 2^-48.
+
+    Then x > d and x < y <= d + 1, so `_sample_digits` takes the same d
+    from the same single draw.  The first test fails once x~ >= 2^44, where
+    m exceeds 1, so a certified d is below 2^44 and exact in float64.
+
+    The margin: r starts at 0 and r <- 1/(d + r) is a contraction
+    (|dr'/dr| = 1/(d + r)^2 <= 1), so each step adds at most its own two
+    roundings, 2^-52 in all (r <= 1), to the error in r: after n steps
+    |r~ - r| <= n 2^-51.  a and b carry two roundings each and x~ three
+    more, so |x~ - x(a)| <= (x(a) + 2)(n + 2) 2^-51 <= (x~ + 2)(n + 2) 2^-50,
+    the relative error being below 2^-20 while n < DRAW_CAP < 2^24; the
+    same holds for y~.  The tests below, rearranged as x~ (1 - e) - 2e > d
+    and y~ (1 + e) + 2e <= d + 1 with e = (n + 16) 2^-48, round by at most
+    (z + 2) 2^-52 more, and (n + 2) 2^-50 + 2^-52 < e leaves room for it.
+    """
+    scale = 2.0 ** -min(bits, 64)
+    b = _top_draws(seed, indices, bits, depth).T.astype(np.float64, order="C")
+    b *= scale
+    a = b + scale
+    ok = np.zeros(a.shape, dtype=bool)
+    r = np.zeros(len(indices))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(depth):
+            e = (n + 16) * 2.0**-48
+            t = 1.0 + r
+            x = t / a[n]
+            x -= r
+            y = t / b[n]
+            y -= r
+            # row n of a is not read again: it takes digit n
+            d = np.floor(x, out=a[n])
+            np.logical_and(x * (1 - e) - 2 * e > d, y * (1 + e) + 2 * e <= d + 1, out=ok[n])
+            r = 1.0 / (d + r)
+            if n % 64 == 63 and not ok[:n + 1].all(axis=0).any():
+                break
+    certified = np.where(ok.all(axis=0), depth, ok.argmin(axis=0))
+    return a, certified
+
+
+def _sample_block(seed: int, indices: range, bits: int,
+                  depth: int) -> tuple[np.ndarray, dict[int, list[int]], list[int]]:
+    """The digits `_sample_digits` draws for the samples `indices`.
+
+    Returns a (samples, depth) float64 array of the digits (exact below
+    2^53, NaN above), the exact digit lists of the samples `_sample_digits`
+    resampled, keyed by row, and their widest draws in bits; every other
+    digit took one draw.
+
+    With BLOCK_MIN samples or more, `_float_digits` draws them all at once,
+    one draw per digit from each sample's own stream.  A sample with an
+    uncertified digit is then resampled by `_sample_digits` from that digit
+    on: its stream skips the draws of the certified prefix, whose
+    continuants are rebuilt exactly.  Fewer samples share too little of the
+    float pass's per-digit cost, and all of them are resampled from the start.
+    """
+    if len(indices) >= BLOCK_MIN:
+        digits, certified = _float_digits(seed, indices, bits, depth)
+        digits = digits.T
+    else:
+        digits = np.empty((len(indices), depth))
+        certified = np.zeros(len(indices), dtype=np.int64)
+    exact: dict[int, list[int]] = {}
+    widths = []
+    for row in np.flatnonzero(certified < depth).tolist():
+        start = int(certified[row])
+        rng = _stream(seed, indices[row])
+        for _ in range(start):  # the certified prefix's draws
+            rng.getrandbits(bits)
+        prefix = [int(d) for d in digits[row, :start].tolist()]
+        exact[row], width = _sample_digits(rng, bits, depth, prefix)
+        widths.append(width)
+        digits[row] = np.fromiter((d if d < 2**53 else math.nan for d in exact[row]),
+                                  np.float64, depth)
+    return digits, exact, widths
+
+
+def _window_products(digits: np.ndarray, ell: int, start: int, width: int) -> np.ndarray:
+    """Per row, the product of the ell digits from each of the positions
+    start .. start + width - 1.
+
+    Cut into runs of ell digits, each window is a suffix of one run times a
+    prefix of the next, or one whole run (van Herk, Gil and Werman): two
+    partial products of at most ell factors, at a cost linear in the depth
+    whatever ell is.
+    """
+    if ell == 1:
+        return digits[:, start:start + width]
+    rows, depth = digits.shape
+    runs = np.ones((rows, -(-depth // ell), ell))
+    runs.reshape(rows, -1)[:, :depth] = digits
+    prefix = np.cumprod(runs, axis=2)
+    backward = np.cumprod(runs[:, :, ::-1], axis=2)  # [r, o]: run r from offset ell-1-o on
+    del runs
+    k = np.arange(start, start + width)
+    last = k + ell - 1
+    suffix = backward[:, k // ell, ell - 1 - k % ell]
+    return np.where(k % ell == 0, suffix, suffix * prefix[:, last // ell, last % ell])
+
+
+def _window_all(mask: np.ndarray, ell: int, start: int, width: int) -> np.ndarray:
+    """Per row, whether `mask` holds at all ell positions from each of the
+    positions start .. start + width - 1, by counting misses."""
+    misses = np.zeros((mask.shape[0], mask.shape[1] + 1), dtype=np.int32)
+    np.cumsum(~mask, axis=1, out=misses[:, 1:])
+    return misses[:, start + ell:start + ell + width] == misses[:, start:start + width]
+
+
+def _window_hits(digits: np.ndarray, exact: dict[int, list[int]], thresholds: list[float],
+                 n1: int, ell: int, sv: PrimeSieve) -> np.ndarray:
+    """hit[i, j]: row i's ell digits from position n1 + j are all prime and
+    multiply to at least thresholds[j].
+
+    The product test comes first, as in a scalar loop over (row, n).  Float
+    products decide every block they are sure of: two partial products of
+    ell <= DRAW_CAP < 2^24 exact factors are within 2^-28 of the exact one,
+    so only products within 2^-20 of the threshold, or NaN, are tested again
+    in integers; an infinite product exceeds any threshold whose band is
+    finite.  The sieve table is read for every digit in it, since a read
+    cannot fail; blocks that pass with a digit past the sieve go to
+    `is_prime_trial` one at a time, in (row, n) order, so an out-of-range
+    digit raises where the scalar loop would, and only if it would.
+    """
+    start, width = n1 - 1, len(thresholds)
+    thr = np.array(thresholds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = _window_products(digits, ell, start, width)
+        upper = thr * (1 + 2.0**-20)
+        passed = (prod >= upper) & np.isfinite(upper)
+        unsure = ~passed & ~(prod < thr * (1 - 2.0**-20))
+
+    def block(i: int, j: int) -> Iterator[int]:
+        row = exact.get(i)
+        if row is None:
+            return map(int, digits[i, start + j:start + j + ell])
+        return (row[k] for k in range(start + j, start + j + ell))
+
+    for i, j in zip(*np.nonzero(unsure)):
+        passed[i, j] = math.prod(block(i, j)) >= thresholds[j]
+    in_sieve = digits <= sv.limit
+    prime = np.zeros_like(in_sieve)
+    prime[in_sieve] = sv.table[digits[in_sieve].astype(np.int64)]
+    blocks_in_sieve = _window_all(in_sieve, ell, start, width)
+    hit = passed & blocks_in_sieve & _window_all(prime, ell, start, width)
+    for i, j in zip(*np.nonzero(passed & ~blocks_in_sieve)):
+        hit[i, j] = all(is_prime_trial(d, sv) for d in block(i, j))
+    return hit
+
+
 def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
     """Empirical frequency of a window hit: some n in [n1, n2] whose ell
     consecutive digits are all prime with product >= phi(n).
 
     Samples are independent with per-index derived seeds, so the report
-    is bit-identical for a fixed configuration regardless of ordering.
+    is bit-identical for a fixed configuration regardless of ordering.  A
+    run of more than DRAW_CAP digit draws is refused before any is drawn.
+    Samples are drawn by `_sample_block` in chunks of at most CHUNK_DIGITS
+    digits and CHUNK_SAMPLES samples.
     """
     n1, n2 = cfg.window
+    depth = n2 + cfg.ell
+    draws = cfg.sample_count * depth
+    if draws > DRAW_CAP:
+        raise EnumerationGuardError(f"{draws} digit draws exceed DRAW_CAP = {DRAW_CAP}")
     thresholds = [float(cfg.phi(n)) for n in range(n1, n2 + 1)]
-    hits = [0] * n2  # hits[n - 1] counts the samples hitting at n
+    hits = np.zeros(len(thresholds), dtype=np.int64)
     hit_count = 0
-    widths = []
-    for i in range(cfg.sample_count):
-        rng = random.Random(f"{cfg.seed}:{i}")
-        digits, width = _sample_digits(rng, cfg.precision_bits, n2 + cfg.ell)
-        widths.append(width)
-        hit_any = False
-        for j, threshold in enumerate(thresholds, n1 - 1):
-            # the cheap product test first: it fails far more often than primality
-            block = digits[j:j + cfg.ell]
-            if (math.prod(block) >= threshold
-                    and all(is_prime_trial(d, sv) for d in block)):
-                hits[j] += 1
-                hit_any = True
-        hit_count += hit_any
+    refinements, widest = 0, cfg.precision_bits
+    step = min(CHUNK_SAMPLES, max(1, CHUNK_DIGITS // depth))
+    for start in range(0, cfg.sample_count, step):
+        indices = range(start, min(start + step, cfg.sample_count))
+        digits, exact, widths = _sample_block(cfg.seed, indices, cfg.precision_bits, depth)
+        hit = _window_hits(digits, exact, thresholds, n1, cfg.ell, sv)
+        hits += hit.sum(axis=0)
+        hit_count += int(hit.any(axis=1).sum())
+        refinements += sum(width > cfg.precision_bits for width in widths)
+        widest = max([widest, *widths])
     return ZeroOneReport(
         hit_fraction=hit_count / cfg.sample_count,
         hit_count=hit_count,
         sample_count=cfg.sample_count,
-        per_n=tuple(zip(range(n1, n2 + 1), hits[n1 - 1:])),
-        refinements=sum(width > cfg.precision_bits for width in widths),
-        max_bits_used=max(widths),
+        per_n=tuple(zip(range(n1, n2 + 1), hits.tolist())),
+        refinements=refinements,
+        max_bits_used=widest,
     )
 
 

@@ -186,10 +186,12 @@ def test_criterion_10_prefix_tree_miniature(sieve_mid):
         tree = eb_prefix_tree(params, 5, sieve_mid)
         root_mass = sum(node.mu for node in tree.levels[0])
         assert root_mass == pytest.approx(1.0, abs=1e-12)
-        for level, children in zip(tree.levels, tree.levels[1:]):
+        for level, children, digits in zip(tree.levels, tree.levels[1:],
+                                           tree.digit_sets[1:]):
+            # every node takes every digit, so child k has parent k // w
             sums = [0.0] * len(level)
-            for child in children:
-                sums[child.parent] += child.mu
+            for k, child in enumerate(children):
+                sums[k // len(digits)] += child.mu
             for idx, node in enumerate(level):
                 assert sums[idx] == pytest.approx(node.mu, abs=1e-12)
         gaps = gap_check(tree)

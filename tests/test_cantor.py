@@ -348,22 +348,24 @@ def test_tree_mass_is_additive(eb):
     for level in tree.levels:
         assert sum(node.mu for node in level) == pytest.approx(1.0, abs=1e-12)
         assert all(node.mu > 0 for node in level)
-    for d in range(tree.depth - 1):
-        children: dict[int, float] = {}
-        for node in tree.levels[d + 1]:
-            children[node.parent] = children.get(node.parent, 0.0) + node.mu
-        for idx, parent in enumerate(tree.levels[d]):
-            assert children[idx] == pytest.approx(parent.mu, abs=1e-12)
+    # every node takes every digit of its position, so child k of a level
+    # with w digits per node has parent k // w
+    for level, children, digits in zip(tree.levels, tree.levels[1:], tree.digit_sets[1:]):
+        sums = [0.0] * len(level)
+        for k, child in enumerate(children):
+            sums[k // len(digits)] += child.mu
+        for total, parent in zip(sums, level, strict=True):
+            assert total == pytest.approx(parent.mu, abs=1e-12)
 
 
 def test_tree_prime_split_is_uniform(eb):
     _, tree = eb
-    by_parent: dict[int, list[float]] = {}
-    for node in tree.levels[1]:  # depth 2 = first prime position
-        by_parent.setdefault(node.parent, []).append(node.mu)
-    for mus in by_parent.values():
-        assert len(mus) == 2
-        assert mus[0] == pytest.approx(mus[1], rel=1e-12)
+    # depth 2 = first prime position, two primes: child k has parent k // 2
+    assert len(tree.digit_sets[1]) == 2
+    level = tree.levels[1]
+    for first, second in zip(level[::2], level[1::2], strict=True):
+        assert first.word[:-1] == second.word[:-1]
+        assert first.mu == pytest.approx(second.mu, rel=1e-12)
 
 
 def _value(word) -> Fraction:
@@ -449,6 +451,23 @@ def trees(eb, sieve_mid):
 @pytest.mark.parametrize("name", ["ell2", "ell3"])
 def test_tree_gap_check_matches_sorted_oracle(trees, name):
     assert gap_check(trees[name]) == oracle_gap_check(trees[name])
+
+
+@pytest.mark.parametrize("name", ["ell2", "ell3"])
+def test_every_normalized_gap_is_correctly_rounded(trees, name):
+    # every value, not only the minimum gap_check reports, is the double
+    # nearest the exact normalized gap, as float(Fraction) rounds it
+    tree = trees[name]
+    hulls = _ends(tree)
+    eight_m = 8 * tree.params.M
+    want = []
+    for level in tree.levels:
+        ordered = sorted(level, key=lambda node: hulls[node.word][0])
+        for n1, n2 in zip(ordered, ordered[1:]):
+            gap = hulls[n2.word][0] - hulls[n1.word][1]
+            want += [(node.word, float(gap * eight_m * node.q * (node.q + node.q_prev)))
+                     for node in (n1, n2)]
+    assert [(node.word, value) for node, value in cantor._normalized_gaps(tree)] == want
 
 
 @pytest.mark.parametrize("name", ["ell2", "ell3"])

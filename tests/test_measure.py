@@ -6,16 +6,20 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from primecf import measure
 from primecf.contfrac import fundamental_interval
 from primecf.errors import OutOfRangeError
 from primecf.measure import (
     MCExperiment,
+    ZeroOneReport,
+    _sample_block,
     _sample_digits,
+    _top_draws,
     borel_bernstein_table,
     level_set_measure,
     run_zero_one_experiment,
 )
-from primecf.primes import PrimeSieve, primes_in
+from primecf.primes import PrimeSieve, is_prime_trial, primes_in
 
 
 # -- independent oracles ----------------------------------------------------
@@ -242,6 +246,156 @@ def test_experiment_deep_window_refines_narrow_draws(sieve_small):
     assert rep.refinements == 1
     assert rep.max_bits_used > 16
     assert rep.hit_count == 1
+
+
+# -- the block sampler against the scalar one ----------------------------------
+
+def oracle_report(cfg: MCExperiment, sv) -> ZeroOneReport:
+    """run_zero_one_experiment as one scalar loop over `_sample_digits`."""
+    n1, n2 = cfg.window
+    thresholds = [float(cfg.phi(n)) for n in range(n1, n2 + 1)]
+    hits = [0] * len(thresholds)
+    hit_count, widths = 0, []
+    for i in range(cfg.sample_count):
+        digits, width = _sample_digits(random.Random(f"{cfg.seed}:{i}"),
+                                       cfg.precision_bits, n2 + cfg.ell)
+        widths.append(width)
+        hit_any = False
+        for j, threshold in enumerate(thresholds):
+            block = digits[n1 - 1 + j:n1 - 1 + j + cfg.ell]
+            if math.prod(block) >= threshold and all(is_prime_trial(d, sv) for d in block):
+                hits[j] += 1
+                hit_any = True
+        hit_count += hit_any
+    return ZeroOneReport(
+        hit_fraction=hit_count / cfg.sample_count, hit_count=hit_count,
+        sample_count=cfg.sample_count, per_n=tuple(zip(range(n1, n2 + 1), hits)),
+        refinements=sum(w > cfg.precision_bits for w in widths), max_bits_used=max(widths))
+
+
+def block_rows(seed: int, count: int, bits: int, depth: int) -> list[tuple[list[int], int]]:
+    """(digits, widest draw) of samples 0..count-1 as `_sample_block` draws them."""
+    digits, exact, widths = _sample_block(seed, range(count), bits, depth)
+    width = dict(zip(exact, widths, strict=True))
+    rows = []
+    for k in range(count):
+        row = [int(d) for d in digits[k].tolist()]
+        if k in exact:
+            assert row == exact[k]
+        rows.append((row, width.get(k, bits)))
+    return rows
+
+
+def scalar_rows(seed: int, count: int, bits: int, depth: int) -> list[tuple[list[int], int]]:
+    return [_sample_digits(random.Random(f"{seed}:{i}"), bits, depth) for i in range(count)]
+
+
+@pytest.mark.parametrize("bits", [16, 32, 48, 64, 96, 256])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_block_sampler_equals_sample_digits(bits, ell):
+    # every digit and every widest draw, sample by sample; at 16 bits most
+    # samples resume in _sample_digits after a certified prefix
+    depth = 60 + ell
+    for seed in (1, 7, 20261019):
+        assert block_rows(seed, 40, bits, depth) == scalar_rows(seed, 40, bits, depth)
+
+
+def test_block_sampler_deep_narrow_window():
+    # the 2001 digits of test_experiment_deep_window_refines_narrow_draws,
+    # with enough samples for the float pass to run
+    count = measure.BLOCK_MIN
+    rows = block_rows(1, count, 16, 2001)
+    assert rows == scalar_rows(1, count, 16, 2001)
+    assert rows[0][1] > 16
+
+
+def test_block_sampler_certifies_wide_draws():
+    # at 64 bits no digit of these samples needs the scalar sampler
+    digits, exact, widths = _sample_block(3, range(200), 64, 201)
+    assert exact == {} and widths == []
+    assert digits.shape == (200, 201)
+
+
+class ScriptedWords:
+    """A stream whose getrandbits(64 m) joins its next m words, first lowest."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        return sum(self.words.pop(0) << (64 * j) for j in range(k // 64))
+
+
+def test_block_sampler_margin_near_digit_boundaries(monkeypatch):
+    # a first digit a, then a draw U within a few units of a boundary of the
+    # second digit: U + 1 = (1 + 1/a) 2^64 / (k + 1/a) puts x at k exactly.
+    # With no margin the float pass takes a wrong digit in many of these;
+    # with it, each is certified right or resampled
+    scripts = []
+    for a in (1, 2, 3):
+        first = int(2**64 / (a + 0.5))
+        for k in range(40, 60):
+            edge = -(-(a + 1) * 2**64 // (a * k + 1)) - 1
+            scripts += [[first, edge + off] + [2**63] * 8 for off in range(-3, 4)]
+    monkeypatch.setattr(measure, "_stream", lambda seed, i: ScriptedWords(scripts[i]))
+    digits, _, _ = _sample_block(0, range(len(scripts)), 64, 2)
+    for k, script in enumerate(scripts):
+        want, _ = _sample_digits(ScriptedWords(script), 64, 2)
+        assert [int(d) for d in digits[k].tolist()] == want, k
+
+
+@pytest.mark.parametrize("bits", [16, 32, 48, 64, 96, 256])
+def test_draws_are_read_as_the_stream_gives_them(bits):
+    # one getrandbits(bits * depth) stands for depth successive draws when
+    # bits is 32 or 64; above 64 bits only the top 64 are read
+    got = _top_draws(5, range(3, 6), bits, 7)
+    for row, i in zip(got.tolist(), range(3, 6)):
+        rng = random.Random(f"5:{i}")
+        assert row == [rng.getrandbits(bits) >> max(bits - 64, 0) for _ in range(7)]
+
+
+ORACLE_CASES = [
+    # (samples, bits, window, ell, seed, phi, sieve limit)
+    (150, 64, (1, 30), 2, 1, lambda n: 6.0, 10**6),  # 2 * 3 attains it
+    (150, 64, (1, 30), 2, 1, lambda n: 6.0 * (1 + 2.0**-40), 10**6),  # within the float band
+    (100, 64, (2, 40), 1, 2, lambda n: float(n), 10**6),
+    (100, 64, (2, 40), 3, 2, lambda n: float(n), 10**6),
+    (80, 48, (1, 25), 4, 3, lambda n: float(n * n), 10**6),
+    (60, 64, (1, 20), 1, 4, lambda n: math.inf, 10**6),
+    (60, 64, (1, 20), 2, 4, lambda n: math.nan, 10**6),
+    (60, 64, (1, 20), 2, 4, lambda n: -1.0, 10**6),
+    (60, 64, (1, 40), 1, 5, lambda n: 2.0, 1000),  # digits past 1000 by trial division
+    (200, 16, (10, 60), 2, 6, lambda n: n * math.log(n) ** 2, 10**6),
+    (30, 1000, (1, 30), 1, 7, lambda n: 3.0, 10**6),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_experiment_equals_scalar_loop(case, monkeypatch):
+    samples, bits, window, ell, seed, phi, limit = ORACLE_CASES[case]
+    sv = PrimeSieve(limit)
+    cfg = MCExperiment(sample_count=samples, precision_bits=bits, window=window,
+                       phi=phi, ell=ell, seed=seed)
+    want = oracle_report(cfg, sv)
+    assert run_zero_one_experiment(cfg, sv) == want
+    # small chunks, and no float pass at all: every sample resampled
+    monkeypatch.setattr(measure, "CHUNK_SAMPLES", measure.BLOCK_MIN + 1)
+    assert run_zero_one_experiment(cfg, sv) == want
+    monkeypatch.setattr(measure, "BLOCK_MIN", samples + 1)
+    assert run_zero_one_experiment(cfg, sv) == want
+
+
+def test_sampled_digits_follow_the_gauss_kuzmin_law_at_depth():
+    # P(a_30 = k) is log2(1 + 1/(k (k + 2))) up to about 0.3^30 (Wirsing);
+    # 5 sigma at 50,000 samples for k = 1..4
+    n, depth, step = 50_000, 30, measure.CHUNK_SAMPLES
+    counts = Counter()
+    for start in range(0, n, step):
+        digits, _, _ = _sample_block(20261019, range(start, min(n, start + step)), 64, depth)
+        counts.update(digits[:, depth - 1].tolist())
+    for k in range(1, 5):
+        p = math.log2(1 + 1 / (k * (k + 2)))
+        assert abs(counts[k] / n - p) < 5 * math.sqrt(p * (1 - p) / n), k
 
 
 def test_experiment_validation():
