@@ -20,13 +20,14 @@ import ast
 import copy
 import csv
 import io
+import itertools
 import json
 import math
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from mpmath import mp
 
@@ -59,7 +60,7 @@ def _echo(v) -> str:
     return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
 
 
-def _render(fields: dict[str, Kind], records: list[dict], fmt: str) -> Iterator[dict]:
+def _render(fields: dict[str, Kind], records: Iterable[dict], fmt: str) -> Iterator[dict]:
     """Each record's declared fields, in declared order, as CSV cells or JSON
     values.  A real whose double is not finite is refused: neither format
     can print it as a number."""
@@ -96,10 +97,11 @@ def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> str:
     for line in out.notes or []:
         buf.write("# " + line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    if out.rows:
+    first = next(rows, None)
+    if first is not None:
         writer.writerow(sub.columns)
         # rows stream into the text; no rendered copy of them is kept
-        writer.writerows(r.values() for r in rows)
+        writer.writerows(r.values() for r in itertools.chain([first], rows))
     return buf.getvalue()
 
 
@@ -250,9 +252,10 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
 class Output:
     """What a handler computed.  `inputs` holds the values it resolved
     itself (sieve, cutoff, depth), which replace the parsed ones in the
-    echo, or, for a subcommand declared with echo=False, the whole echo."""
+    echo, or, for a subcommand declared with echo=False, the whole echo.
+    `rows` may be an iterator, read once as the output is rendered."""
 
-    rows: list[dict]
+    rows: Iterable[dict]
     summary: dict | None = None
     inputs: dict = field(default_factory=dict)
     notes: list[str] | None = None
@@ -375,8 +378,10 @@ def cmd_eb_build(args) -> Output:
         "gap_min": gap.min_normalized, "holder_exponent": hold.exponent,
         "holder_max": hold.max_ratio,
     }
-    rows = [{"depth": d, "word": w, "mu": mu, "diam": diam, "lo": lo, "hi": hi}
-            for d, w, mu, diam, lo, hi in tree.records()]
+    # one row per tree node, made as it is rendered: a list of them all
+    # would be the largest thing the command holds
+    rows = ({"depth": d, "word": w, "mu": mu, "diam": diam, "lo": lo, "hi": hi}
+            for d, w, mu, diam, lo, hi in tree.records())
     return Output(
         rows, summary, inputs={"depth": depth, "sieve": sieve},
         notes=[f"constraint {name} {status}: {detail}"

@@ -37,18 +37,21 @@ from .primes import PrimeSieve, is_prime_trial, primes_in
 # cap, --threshold 3 --cutoff 253992 (499,969,600 pairs) takes 2.2 to 2.4 s
 # and 38 MB in-process on a 2-vCPU host.
 PAIR_CAP = 5 * 10**8
-# The most digit draws (samples times depth) one zero-one run may take.
-# At the cap, 24,875 samples at depth 201 take 5.2 s in-process on a 2-vCPU
-# host (12.6 s with every sample resampled by _sample_digits, 16.5 s with the
-# integer sampler alone); 2.5 million samples at depth 2 take 38 s (54 s),
-# most of it seeding their streams.
-DRAW_CAP = 5 * 10**6
-# Digits and samples the block sampler draws at once, so its arrays and
-# per-sample objects stay small whatever the sample count and window.
+# The most draws one zero-one run may take: its samples times their depth
+# plus SEED_DRAWS, as seeding a sample's stream and setting it up costs
+# about as much as SEED_DRAWS draws (12 us against 0.3 to 1.2 us a draw on
+# a 2-vCPU host).  At the cap there, in-process, 46,082 samples at depth 201
+# take 4.1 s (19.4 s with every sample resampled by _sample_digits), 555,555
+# at depth 2 take 7.6 s (19.3 s) and 9,832 at depth 1001 take 13.2 s (32.1 s).
+# A sample deeper than CHUNK_DIGITS is drawn alone, at about 20 us a digit.
+DRAW_CAP = 10**7
+SEED_DRAWS = 16
+# Digits the block sampler draws at once, so its arrays and per-sample
+# objects stay small whatever the sample count and window.
 CHUNK_DIGITS = 1 << 14
-CHUNK_SAMPLES = 1 << 10
-# The fewest samples per chunk worth a float pass (see _sample_block).
-BLOCK_MIN = 16
+# Step n of the float pass keeps a digit outside a relative margin of
+# (n + 16) MARGIN (derived in _float_digits).
+MARGIN = 2.0**-48
 
 
 def _down(v: float) -> float:
@@ -296,7 +299,7 @@ def _float_digits(seed: int, indices: range, bits: int,
     r = np.zeros(len(indices))
     with np.errstate(divide="ignore", invalid="ignore"):
         for n in range(depth):
-            e = (n + 16) * 2.0**-48
+            e = (n + 16) * MARGIN
             t = 1.0 + r
             x = t / a[n]
             x -= r
@@ -321,19 +324,13 @@ def _sample_block(seed: int, indices: range, bits: int,
     resampled, keyed by row, and their widest draws in bits; every other
     digit took one draw.
 
-    With BLOCK_MIN samples or more, `_float_digits` draws them all at once,
-    one draw per digit from each sample's own stream.  A sample with an
-    uncertified digit is then resampled by `_sample_digits` from that digit
-    on: its stream skips the draws of the certified prefix, whose
-    continuants are rebuilt exactly.  Fewer samples share too little of the
-    float pass's per-digit cost, and all of them are resampled from the start.
+    `_float_digits` draws them all at once, one draw per digit from each
+    sample's own stream.  A sample with an uncertified digit is then
+    resampled by `_sample_digits` from that digit on: its stream skips the
+    draws of the certified prefix, whose continuants are rebuilt exactly.
     """
-    if len(indices) >= BLOCK_MIN:
-        digits, certified = _float_digits(seed, indices, bits, depth)
-        digits = digits.T
-    else:
-        digits = np.empty((len(indices), depth))
-        certified = np.zeros(len(indices), dtype=np.int64)
+    digits, certified = _float_digits(seed, indices, bits, depth)
+    digits = digits.T
     exact: dict[int, list[int]] = {}
     widths = []
     for row in np.flatnonzero(certified < depth).tolist():
@@ -347,29 +344,6 @@ def _sample_block(seed: int, indices: range, bits: int,
         digits[row] = np.fromiter((d if d < 2**53 else math.nan for d in exact[row]),
                                   np.float64, depth)
     return digits, exact, widths
-
-
-def _window_products(digits: np.ndarray, ell: int, start: int, width: int) -> np.ndarray:
-    """Per row, the product of the ell digits from each of the positions
-    start .. start + width - 1.
-
-    Cut into runs of ell digits, each window is a suffix of one run times a
-    prefix of the next, or one whole run (van Herk, Gil and Werman): two
-    partial products of at most ell factors, at a cost linear in the depth
-    whatever ell is.
-    """
-    if ell == 1:
-        return digits[:, start:start + width]
-    rows, depth = digits.shape
-    runs = np.ones((rows, -(-depth // ell), ell))
-    runs.reshape(rows, -1)[:, :depth] = digits
-    prefix = np.cumprod(runs, axis=2)
-    backward = np.cumprod(runs[:, :, ::-1], axis=2)  # [r, o]: run r from offset ell-1-o on
-    del runs
-    k = np.arange(start, start + width)
-    last = k + ell - 1
-    suffix = backward[:, k // ell, ell - 1 - k % ell]
-    return np.where(k % ell == 0, suffix, suffix * prefix[:, last // ell, last % ell])
 
 
 def _window_all(mask: np.ndarray, ell: int, start: int, width: int) -> np.ndarray:
@@ -386,19 +360,22 @@ def _window_hits(digits: np.ndarray, exact: dict[int, list[int]], thresholds: li
     multiply to at least thresholds[j].
 
     The product test comes first, as in a scalar loop over (row, n).  Float
-    products decide every block they are sure of: two partial products of
-    ell <= DRAW_CAP < 2^24 exact factors are within 2^-28 of the exact one,
-    so only products within 2^-20 of the threshold, or NaN, are tested again
-    in integers; an infinite product exceeds any threshold whose band is
-    finite.  The sieve table is read for every digit in it, since a read
-    cannot fail; blocks that pass with a digit past the sieve go to
-    `is_prime_trial` one at a time, in (row, n) order, so an out-of-range
-    digit raises where the scalar loop would, and only if it would.
+    products decide every block they are sure of: the ell - 1 roundings of
+    a product of ell <= DRAW_CAP < 2^24 exact factors leave it within 2^-28
+    of the exact one, so only products within 2^-20 of the threshold, or
+    NaN, are tested again in integers; an infinite product exceeds any
+    threshold whose band is finite.  The sieve table is read for every
+    digit in it, since a read cannot fail; blocks that pass with a digit
+    past the sieve go to `is_prime_trial` one at a time, in (row, n) order,
+    so an out-of-range digit raises where the scalar loop would, and only
+    if it would.
     """
     start, width = n1 - 1, len(thresholds)
     thr = np.array(thresholds)
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = _window_products(digits, ell, start, width)
+        prod = digits[:, start:start + width].copy()
+        for k in range(1, ell):
+            prod *= digits[:, start + k:start + k + width]
         upper = thr * (1 + 2.0**-20)
         passed = (prod >= upper) & np.isfinite(upper)
         unsure = ~passed & ~(prod < thr * (1 - 2.0**-20))
@@ -427,20 +404,23 @@ def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
 
     Samples are independent with per-index derived seeds, so the report
     is bit-identical for a fixed configuration regardless of ordering.  A
-    run of more than DRAW_CAP digit draws is refused before any is drawn.
+    run of more than DRAW_CAP draws, counting SEED_DRAWS a sample for
+    seeding, is refused before any is drawn.
     Samples are drawn by `_sample_block` in chunks of at most CHUNK_DIGITS
-    digits and CHUNK_SAMPLES samples.
+    digits, or one sample.
     """
     n1, n2 = cfg.window
     depth = n2 + cfg.ell
-    draws = cfg.sample_count * depth
+    draws = cfg.sample_count * (depth + SEED_DRAWS)
     if draws > DRAW_CAP:
-        raise EnumerationGuardError(f"{draws} digit draws exceed DRAW_CAP = {DRAW_CAP}")
+        raise EnumerationGuardError(
+            f"{draws} draws ({cfg.sample_count} samples x ({depth} digits + {SEED_DRAWS}"
+            f" for seeding)) exceed DRAW_CAP = {DRAW_CAP}")
     thresholds = [float(cfg.phi(n)) for n in range(n1, n2 + 1)]
     hits = np.zeros(len(thresholds), dtype=np.int64)
     hit_count = 0
     refinements, widest = 0, cfg.precision_bits
-    step = min(CHUNK_SAMPLES, max(1, CHUNK_DIGITS // depth))
+    step = max(1, CHUNK_DIGITS // depth)
     for start in range(0, cfg.sample_count, step):
         indices = range(start, min(start + step, cfg.sample_count))
         digits, exact, widths = _sample_block(cfg.seed, indices, cfg.precision_bits, depth)

@@ -643,14 +643,14 @@ TOTALITY = [
        3, "OutOfRangeError: omega_table bound 1000000000 exceeds OMEGA_CAP")
       for cmd, grid in (("pzeta-tail", ("--M", "10")), ("pzeta-asymptotic", ("--grid", "10")))
       for fmt in ("csv", "json")],
-    # 5000-digit blocks: window products cost one pass over the digits
+    # 5000-digit blocks, each window product 4999 multiplies
     (["mc-zero-one", "--ell", "5000", "--phi", "2", "--window", "1,2000", "--samples", "2"],
      0, None),
-    # digit draws (samples times n2 + ell) past DRAW_CAP, refused before any
+    # draws (samples times n2 + ell + SEED_DRAWS) past DRAW_CAP, refused before any
     *[(["mc-zero-one", "--ell", ell, "--phi", "2", "--window", "1,1", "--samples", samples,
-        "--format", fmt], 3, f"EnumerationGuardError: {draws} digit draws exceed DRAW_CAP")
-      for ell, samples, draws in (("1", "1000000000", 2000000000),
-                                  ("1000000000", "1", 1000000001))
+        "--format", fmt], 3, f"EnumerationGuardError: {draws} draws ({samples} samples x")
+      for ell, samples, draws in (("1", "1000000000", 18000000000),
+                                  ("1000000000", "1", 1000000017))
       for fmt in ("csv", "json")],
     # the first digit, 10^4300, has more digits than str() of an int prints
     *[(["cf-expand", "--real", real, "--max-len", "2", *fmt], 2,
@@ -740,7 +740,7 @@ def test_pair_cap(capsys, monkeypatch):
 
 def test_draw_cap(capsys, monkeypatch):
     argv = ["mc-zero-one", "--ell", "2", "--phi", "n", "--window", "3,40", "--samples", "30"]
-    draws = 30 * (40 + 2)
+    draws = 30 * (40 + 2 + measure.SEED_DRAWS)
     code, want, _ = run_cli(capsys, argv)
     assert code == 0
     monkeypatch.setattr(measure, "DRAW_CAP", draws)
@@ -748,7 +748,8 @@ def test_draw_cap(capsys, monkeypatch):
     monkeypatch.setattr(measure, "DRAW_CAP", draws - 1)
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
-    assert err.startswith(f"EnumerationGuardError: {draws} digit draws exceed DRAW_CAP")
+    assert err == (f"EnumerationGuardError: {draws} draws (30 samples x (42 digits"
+                   f" + {measure.SEED_DRAWS} for seeding)) exceed DRAW_CAP = {draws - 1}\n")
 
 
 def test_mpf_term_cap(capsys, monkeypatch):

@@ -301,9 +301,8 @@ def test_block_sampler_equals_sample_digits(bits, ell):
 
 
 def test_block_sampler_deep_narrow_window():
-    # the 2001 digits of test_experiment_deep_window_refines_narrow_draws,
-    # with enough samples for the float pass to run
-    count = measure.BLOCK_MIN
+    # the 2001 digits of test_experiment_deep_window_refines_narrow_draws
+    count = 16
     rows = block_rows(1, count, 16, 2001)
     assert rows == scalar_rows(1, count, 16, 2001)
     assert rows[0][1] > 16
@@ -338,10 +337,12 @@ def test_block_sampler_margin_near_digit_boundaries(monkeypatch):
             edge = -(-(a + 1) * 2**64 // (a * k + 1)) - 1
             scripts += [[first, edge + off] + [2**63] * 8 for off in range(-3, 4)]
     monkeypatch.setattr(measure, "_stream", lambda seed, i: ScriptedWords(scripts[i]))
+    want = [_sample_digits(ScriptedWords(script), 64, 2)[0] for script in scripts]
     digits, _, _ = _sample_block(0, range(len(scripts)), 64, 2)
-    for k, script in enumerate(scripts):
-        want, _ = _sample_digits(ScriptedWords(script), 64, 2)
-        assert [int(d) for d in digits[k].tolist()] == want, k
+    assert [[int(d) for d in row] for row in digits.tolist()] == want
+    monkeypatch.setattr(measure, "MARGIN", 0.0)
+    digits, _, _ = _sample_block(0, range(len(scripts)), 64, 2)
+    assert [[int(d) for d in row] for row in digits.tolist()] != want
 
 
 @pytest.mark.parametrize("bits", [16, 32, 48, 64, 96, 256])
@@ -378,17 +379,23 @@ def test_experiment_equals_scalar_loop(case, monkeypatch):
                        phi=phi, ell=ell, seed=seed)
     want = oracle_report(cfg, sv)
     assert run_zero_one_experiment(cfg, sv) == want
-    # small chunks, and no float pass at all: every sample resampled
-    monkeypatch.setattr(measure, "CHUNK_SAMPLES", measure.BLOCK_MIN + 1)
+    # chunks of 17 samples, of one sample, and no digit certified by the
+    # float pass: every sample resampled from its first digit
+    depth = window[1] + ell
+    monkeypatch.setattr(measure, "CHUNK_DIGITS", 17 * depth)
     assert run_zero_one_experiment(cfg, sv) == want
-    monkeypatch.setattr(measure, "BLOCK_MIN", samples + 1)
+    monkeypatch.setattr(measure, "CHUNK_DIGITS", 1)
+    assert run_zero_one_experiment(cfg, sv) == want
+    monkeypatch.setattr(measure, "MARGIN", 1.0)
+    assert len(_sample_block(seed, range(samples), bits, depth)[1]) == samples
     assert run_zero_one_experiment(cfg, sv) == want
 
 
 def test_sampled_digits_follow_the_gauss_kuzmin_law_at_depth():
     # P(a_30 = k) is log2(1 + 1/(k (k + 2))) up to about 0.3^30 (Wirsing);
     # 5 sigma at 50,000 samples for k = 1..4
-    n, depth, step = 50_000, 30, measure.CHUNK_SAMPLES
+    n, depth = 50_000, 30
+    step = measure.CHUNK_DIGITS // depth
     counts = Counter()
     for start in range(0, n, step):
         digits, _, _ = _sample_block(20261019, range(start, min(n, start + step)), 64, depth)
