@@ -148,6 +148,13 @@ def precision_bits(text: str) -> int:
     return k
 
 
+def sieve_limit(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
+    return k
+
+
 def kmax(text: str) -> int:
     k = int(text)
     if k > KMAX_CAP:
@@ -176,7 +183,7 @@ def grid(text: str) -> tuple[float, ...]:
 def _resolve_sieve(requested: int, minimum: int) -> int:
     """The sieve limit actually used: the flag, or the smallest limit the
     computation needs."""
-    return requested if requested > 0 else minimum
+    return requested or minimum
 
 
 _PHI_FUNCS: dict[str, Callable] = {"log": mp.log, "exp": mp.exp, "sqrt": mp.sqrt}
@@ -497,7 +504,8 @@ PHI = ("--phi", {"type": str, "required": True,
                  "help": "expression in n, e.g. 'n*log(n)' or '2**(2**n)'"})
 WINDOW = ("--window", _required(window))
 TOL = ("--tol", {"type": real, "default": 1e-9})
-SIEVE = ("--sieve", {"type": int, "default": 0, "help": "0 = the smallest limit needed"})
+SIEVE = ("--sieve", {"type": sieve_limit, "default": 0,
+                     "help": "0 = the smallest limit needed"})
 
 COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
     Subcommand(
@@ -570,7 +578,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         cmd_luczak_dim,
         args=(("--b", _required(real_text)), ("--c", _required(real_text)),
               ("--kmax", _required(kmax)),
-              ("--sieve", {"type": int, "default": 0, "help": "0 = no prime counts"})),
+              ("--sieve", {"type": sieve_limit, "default": 0, "help": "0 = no prime counts"})),
         columns={"k": INTEGER, "log_m": NUMBER, "log_eps": NUMBER, "rosser_ok": BOOLEAN,
                  "block_lo": BLANK_OR_INTEGER, "block_hi": BLANK_OR_INTEGER,
                  "true_count": BLANK_OR_INTEGER, "ratio": BLANK_OR_NUMBER},

@@ -10,20 +10,21 @@ bracket: every float is nudged outward before accumulation and the
 correctly-rounded totals are nudged once more.
 
 The zero-one experiment draws each digit from its exact conditional law in
-integers (`_sample_digits`, the law's one definition).  Most digits are
-found faster in a float64 pass over a block of samples (`_float_digits`):
-it carries r = q_{n-1}/q_n, whose error grows by at most 2^-52 a step
-because r <- 1/(d + r) is a contraction, and takes a digit only where a
-margin of (x + 2)(n + 16) 2^-48 around x (at least four times the error
-bound) shows that the integer sampler takes the same digit from the same
-draw.  A sample with a digit the margin does not settle is finished by
-`_sample_digits` from that digit on, so every report equals the integer
-sampler's.
+integers (`_sample_digits`, the law's one definition), digit n of sample i
+from the words W(seed, i, n, 0), W(seed, i, n, 1), ... of a counter-based
+function (`_words`).  Most digits are found faster in a float64 pass over a
+block of samples (`_float_digits`): it carries r = q_{n-1}/q_n, whose error
+grows by at most 2^-52 a step because r <- 1/(d + r) is a contraction, and
+takes a digit only where a margin of (x + 2)(n + 16) 2^-48 around x (at
+least four times the error bound) shows that the integer sampler takes the
+same digit from the same draw.  A sample with a digit the margin does not
+settle is finished by `_sample_digits` from that digit on, so every report
+equals the integer sampler's.
 """
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -37,15 +38,12 @@ from .primes import PrimeSieve, is_prime_trial, primes_in
 # cap, --threshold 3 --cutoff 253992 (499,969,600 pairs) takes 2.2 to 2.4 s
 # and 38 MB in-process on a 2-vCPU host.
 PAIR_CAP = 5 * 10**8
-# The most draws one zero-one run may take: its samples times their depth
-# plus SEED_DRAWS, as seeding a sample's stream and setting it up costs
-# about as much as SEED_DRAWS draws (12 us against 0.3 to 1.2 us a draw on
-# a 2-vCPU host).  At the cap there, in-process, 46,082 samples at depth 201
-# take 4.1 s (19.4 s with every sample resampled by _sample_digits), 555,555
-# at depth 2 take 7.6 s (19.3 s) and 9,832 at depth 1001 take 13.2 s (32.1 s).
+# The most digits one zero-one run may draw: its samples times their depth.
+# At the cap, in-process on a 2-vCPU host, 49,751 samples at depth 201 take
+# 3.4 s (24.3 s with every sample resampled by _sample_digits), 5,000,000 at
+# depth 2 take 2.8 s (53.1 s) and 9,990 at depth 1001 take 12.0 s (34.7 s).
 # A sample deeper than CHUNK_DIGITS is drawn alone, at about 20 us a digit.
 DRAW_CAP = 10**7
-SEED_DRAWS = 16
 # Digits the block sampler draws at once, so its arrays and per-sample
 # objects stay small whatever the sample count and window.
 CHUNK_DIGITS = 1 << 14
@@ -190,6 +188,8 @@ class MCExperiment:
             raise ValueError(f"window must satisfy 1 <= n1 <= n2, got {self.window}")
         if self.ell < 1:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -202,64 +202,65 @@ class ZeroOneReport:
     max_bits_used: int                  # the most bits any one digit took
 
 
-def _sample_digits(rng: random.Random, bits: int, depth: int,
+def _words(seed: int, i, n, w) -> np.ndarray:
+    """Word w of digit n's bit string in sample i, f(f(f(f(seed + g) + i g)
+    + n g) + w g) mod 2^64 with f the SplitMix64 finalizer, g = 0x9e3779b97f4a7c15
+    (Steele, Lea & Flood, OOPSLA 2014); the counters broadcast as uint64 arrays."""
+    u = np.uint64
+    z = u(seed)
+    with np.errstate(over="ignore"):
+        for x in (1, i, n, w):
+            z = z + np.asarray(x, dtype=u) * u(0x9E3779B97F4A7C15)
+            z = (z ^ z >> u(30)) * u(0xBF58476D1CE4E5B9)
+            z = (z ^ z >> u(27)) * u(0x94D049BB133111EB)
+            z = z ^ z >> u(31)
+    return z
+
+
+def _draws(seed: int, i: int, first: np.ndarray) -> Callable[[int, int], int]:
+    """Sample i's draws, given first[n] = W(seed, i, n, 0): draw(n, k) is the
+    first k bits of digit n's bit string W(seed, i, n, 0) W(seed, i, n, 1) ..."""
+    def draw(n: int, k: int) -> int:
+        u = int(first[n])
+        if k > 64:
+            for word in _words(seed, i, n, np.arange(1, -(-k // 64))).tolist():
+                u = u << 64 | word
+        return u >> -k % 64
+    return draw
+
+
+def _sample_digits(draw: Callable[[int, int], int], bits: int, depth: int,
                    prefix: Sequence[int] = ()) -> tuple[list[int], int]:
     """The first `depth` digits of a uniform x in (0, 1], and the most bits one took.
 
     Given continuants q = q_n, q' = q_{n-1}, P(a_{n+1} >= d) = (q + q')/(d q + q')
     (Iosifescu & Kraaikamp 2002, ch. 1), so a_{n+1} = floor(((q + q')/u - q')/q)
-    for u uniform in (0, 1].  A draw U of K bits stands for u in
-    (U/2^K, (U+1)/2^K]: d is taken at the right end and holds on the whole
-    interval when U ((d+1) q + q') >= (q + q') 2^K; otherwise `bits` more
-    bits split the interval uniformly.  A fresh u per digit makes the law exact.
-    With r = q'/q the digit is floor(x), x = (1 + r) 2^K/(U + 1) - r, and
-    it holds when y = (1 + r) 2^K/U - r <= d + 1, the form `_float_digits`
-    certifies in floats.  A nonempty `prefix` holds digits that `rng` has
-    already supplied, one `bits`-bit draw each; sampling resumes after them.
+    for u uniform in (0, 1].  The first K bits U = draw(n, K) of digit n's
+    bit string stand for u in (U/2^K, (U+1)/2^K]: d is taken at the right
+    end and holds on the whole interval when U ((d+1) q + q') >= (q + q') 2^K;
+    otherwise K grows by `bits`.  A fresh u per digit makes the law exact,
+    and d is the digit of the whole bit string whatever `bits` is.  With
+    r = q'/q the digit is floor(x), x = (1 + r) 2^K/(U + 1) - r, and it holds
+    when y = (1 + r) 2^K/U - r <= d + 1, the form `_float_digits` certifies
+    in floats.  Sampling resumes after the digits of `prefix`.
     """
     digits = list(prefix)
     q, q_prev = 1, 0
     for d in digits:
         q, q_prev = d * q + q_prev, q
     widest = bits
-    for _ in range(depth - len(digits)):
-        u, k = rng.getrandbits(bits), bits
-        while True:
+    for n in range(len(digits), depth):
+        for k in itertools.count(bits, bits):
+            u = draw(n, k)
             top = (q + q_prev) << k
             d = (top - q_prev * (u + 1)) // (q * (u + 1))
             q_next = d * q + q_prev
             if u * (q_next + q) >= top:
                 break
-            u, k = (u << bits) | rng.getrandbits(bits), k + bits
         widest = max(widest, k)
         digits.append(d)
         q, q_prev = q_next, q
     return digits, widest
-
-
-def _stream(seed: int, i: int) -> random.Random:
-    """Sample i's random stream."""
-    return random.Random(f"{seed}:{i}")
-
-
-def _top_draws(seed: int, indices: range, bits: int, depth: int) -> np.ndarray:
-    """The top min(bits, 64) bits of the first `depth` draws of each sample's
-    stream, as a (samples, depth) uint64 array."""
-    if bits in (32, 64):
-        # getrandbits fills 32-bit words lowest first, so one draw of
-        # bits * depth bits is the successive draws, the first lowest
-        size = bits * depth
-        raw = b"".join(_stream(seed, i).getrandbits(size).to_bytes(size // 8, "little")
-                       for i in indices)
-        v = np.frombuffer(raw, f"<u{bits // 8}")
-    else:
-        shift = max(bits - 64, 0)
-        draws: list[int] = []
-        for i in indices:
-            rng = _stream(seed, i)
-            draws += [rng.getrandbits(bits) >> shift for _ in range(depth)]
-        v = np.array(draws, dtype=np.uint64)
-    return v.reshape(len(indices), depth)
 
 
 def _float_digits(seed: int, indices: range, bits: int,
@@ -268,12 +269,13 @@ def _float_digits(seed: int, indices: range, bits: int,
     float64, with the number of leading digits per sample certified to be them.
 
     Returns a (depth, samples) array and the counts.  Of each draw U only
-    the top L = min(bits, 64) bits V are read: (U + 1)/2^bits is at most
-    a = (V + 1)/2^L and U/2^bits is at least b = V/2^L, with equality when
-    bits <= 64.  Step n carries r = q'/q in float64 and computes x~ and y~,
-    the float values of x(a) and y(b), where x(t) = (1 + r)/t - r with the
-    exact r; the x and y of `_sample_digits` are x((U + 1)/2^bits) >= x(a)
-    and y(U/2^bits) <= y(b).  The digit d = floor(x~) is certified when
+    its top L = min(bits, 64) bits V, the top of W(seed, i, n, 0), are read:
+    (U + 1)/2^bits is at most a = (V + 1)/2^L and U/2^bits is at least
+    b = V/2^L, with equality when bits <= 64.  Step n carries r = q'/q in
+    float64 and computes x~ and y~, the float values of x(a) and y(b), where
+    x(t) = (1 + r)/t - r with the exact r; the x and y of `_sample_digits`
+    are x((U + 1)/2^bits) >= x(a) and y(U/2^bits) <= y(b).  The digit
+    d = floor(x~) is certified when
 
         x~ - d > m(x~)  and  y~ <= d + 1 - m(y~),  m(z) = (z + 2) (n + 16) 2^-48.
 
@@ -292,7 +294,8 @@ def _float_digits(seed: int, indices: range, bits: int,
     (z + 2) 2^-52 more, and (n + 2) 2^-50 + 2^-52 < e leaves room for it.
     """
     scale = 2.0 ** -min(bits, 64)
-    b = _top_draws(seed, indices, bits, depth).T.astype(np.float64, order="C")
+    words = _words(seed, np.arange(indices.start, indices.stop), np.arange(depth)[:, None], 0)
+    b = (words >> np.uint64(64 - min(bits, 64))).astype(np.float64)
     b *= scale
     a = b + scale
     ok = np.zeros(a.shape, dtype=bool)
@@ -324,22 +327,19 @@ def _sample_block(seed: int, indices: range, bits: int,
     resampled, keyed by row, and their widest draws in bits; every other
     digit took one draw.
 
-    `_float_digits` draws them all at once, one draw per digit from each
-    sample's own stream.  A sample with an uncertified digit is then
-    resampled by `_sample_digits` from that digit on: its stream skips the
-    draws of the certified prefix, whose continuants are rebuilt exactly.
+    `_float_digits` draws them all at once.  A sample with an uncertified
+    digit is then resampled by `_sample_digits` from that digit on, after
+    the certified prefix, whose continuants are rebuilt exactly.
     """
     digits, certified = _float_digits(seed, indices, bits, depth)
     digits = digits.T
     exact: dict[int, list[int]] = {}
     widths = []
-    for row in np.flatnonzero(certified < depth).tolist():
-        start = int(certified[row])
-        rng = _stream(seed, indices[row])
-        for _ in range(start):  # the certified prefix's draws
-            rng.getrandbits(bits)
-        prefix = [int(d) for d in digits[row, :start].tolist()]
-        exact[row], width = _sample_digits(rng, bits, depth, prefix)
+    rows = np.flatnonzero(certified < depth)
+    first = _words(seed, rows[:, None] + indices.start, np.arange(depth), 0)
+    for row, words in zip(rows.tolist(), first):
+        prefix = digits[row, :certified[row]].astype(np.int64).tolist()
+        exact[row], width = _sample_digits(_draws(seed, indices[row], words), bits, depth, prefix)
         widths.append(width)
         digits[row] = np.fromiter((d if d < 2**53 else math.nan for d in exact[row]),
                                   np.float64, depth)
@@ -402,20 +402,19 @@ def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
     """Empirical frequency of a window hit: some n in [n1, n2] whose ell
     consecutive digits are all prime with product >= phi(n).
 
-    Samples are independent with per-index derived seeds, so the report
+    Each draw is a pure function of (seed, sample, digit), so the report
     is bit-identical for a fixed configuration regardless of ordering.  A
-    run of more than DRAW_CAP draws, counting SEED_DRAWS a sample for
-    seeding, is refused before any is drawn.
+    run of more than DRAW_CAP digits is refused before any is drawn.
     Samples are drawn by `_sample_block` in chunks of at most CHUNK_DIGITS
     digits, or one sample.
     """
     n1, n2 = cfg.window
     depth = n2 + cfg.ell
-    draws = cfg.sample_count * (depth + SEED_DRAWS)
+    draws = cfg.sample_count * depth
     if draws > DRAW_CAP:
         raise EnumerationGuardError(
-            f"{draws} draws ({cfg.sample_count} samples x ({depth} digits + {SEED_DRAWS}"
-            f" for seeding)) exceed DRAW_CAP = {DRAW_CAP}")
+            f"{draws} draws ({cfg.sample_count} samples x {depth} digits)"
+            f" exceed DRAW_CAP = {DRAW_CAP}")
     thresholds = [float(cfg.phi(n)) for n in range(n1, n2 + 1)]
     hits = np.zeros(len(thresholds), dtype=np.int64)
     hit_count = 0

@@ -185,11 +185,12 @@ def test_eb_build_exact_columns_pinned(capsys):
 # sha256 of the whole stdout.  The cf-expand pin was computed when
 # expand_real still certified each digit by an interval-containment test, a
 # route independent of the current common prefix of two Euclid streams; the
-# mc-zero-one pin fixes the stream of the exact conditional-law sampler.
+# mc-zero-one pin fixes the counter-based word stream of the exact
+# conditional-law sampler.
 CERTIFIED_DIGIT_PINS = [
     (["mc-zero-one", "--ell", "2", "--phi", "n*log(n)**2", "--window", "10,200",
       "--samples", "200", "--seed", "1"],
-     "3bceb3c9b986c6e4fe2afdcfa008a75837de0556b43fc41de285b12e0dc5dd66"),
+     "93626e6adff2b9b27f7ccedad13c863cc544efe5b232a661c1adac48c924babd"),
     (["cf-expand", "--real", "0.318309886183790671537767526745", "--bits", "80"],
      "43a70b555a45710a5a283d5a3481a935ec15c5cf0fd5e9d4a194fdb8884062d2"),
 ]
@@ -243,8 +244,8 @@ OUTPUT_PINS = {
         "fc7a391c2ed5205dc011310e3bef62abec326dd62dd351525d682e4a33af667e",
     ("interval-measure", "json"):
         "4b91212393ebdc399d5af3d262d928e73ee3199d7880fa1bb5f90af7aa597a8b",
-    ("mc-zero-one", "csv"): "43ea7b1dbadd1b5e4dc2c86701ad85b2fa4ed1def9868e76190acee2a0c7ad4c",
-    ("mc-zero-one", "json"): "cf1900f1a60c761ebf0bb347c758657e0141c1631b4ec77e85608a801e66e7a1",
+    ("mc-zero-one", "csv"): "e8eab1c0030bf2094e576350cec8c9832e5496a89c7168448d034a52f60550b8",
+    ("mc-zero-one", "json"): "7063a853202fc751fd912870a4b3ba321cc09cb0d387e96ce43334d4e1382f15",
     ("bb-series", "csv"): "152582052d23fb4f7ace03f6f07b403bfa5bee1a21845b2047b85dc830cd37bd",
     ("bb-series", "json"): "8cb689fa94ede3bbe5fa375918d0b6825589a1b5b0ab1c9277d6572bade374f8",
 }
@@ -646,12 +647,19 @@ TOTALITY = [
     # 5000-digit blocks, each window product 4999 multiplies
     (["mc-zero-one", "--ell", "5000", "--phi", "2", "--window", "1,2000", "--samples", "2"],
      0, None),
-    # draws (samples times n2 + ell + SEED_DRAWS) past DRAW_CAP, refused before any
+    # draws (samples times n2 + ell) past DRAW_CAP, refused before any
     *[(["mc-zero-one", "--ell", ell, "--phi", "2", "--window", "1,1", "--samples", samples,
         "--format", fmt], 3, f"EnumerationGuardError: {draws} draws ({samples} samples x")
-      for ell, samples, draws in (("1", "1000000000", 18000000000),
-                                  ("1000000000", "1", 1000000017))
+      for ell, samples, draws in (("1", "1000000000", 2000000000),
+                                  ("1000000000", "1", 1000000001))
       for fmt in ("csv", "json")],
+    # a seed outside the word function's 64-bit counter
+    *[(["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,2", "--samples", "5",
+        "--seed", seed], 2, f"ValueError: seed must lie in [0, 2^64), got {seed}")
+      for seed in ("-5", "99999999999999999999999999")],
+    *[(argv + ["--sieve", "-4"], 2, _usage(argv[0], "--sieve: must be >= 0, got -4"))
+      for argv in (["interval-measure", "--ell", "1", "--threshold", "10", "--cutoff", "100"],
+                   ["luczak-dim", "--b", "2", "--c", "2", "--kmax", "3"])],
     # the first digit, 10^4300, has more digits than str() of an int prints
     *[(["cf-expand", "--real", real, "--max-len", "2", *fmt], 2,
        f"ValueError: rational {real!r} needs more than 4300 decimal digits")
@@ -740,7 +748,7 @@ def test_pair_cap(capsys, monkeypatch):
 
 def test_draw_cap(capsys, monkeypatch):
     argv = ["mc-zero-one", "--ell", "2", "--phi", "n", "--window", "3,40", "--samples", "30"]
-    draws = 30 * (40 + 2 + measure.SEED_DRAWS)
+    draws = 30 * (40 + 2)
     code, want, _ = run_cli(capsys, argv)
     assert code == 0
     monkeypatch.setattr(measure, "DRAW_CAP", draws)
@@ -748,8 +756,8 @@ def test_draw_cap(capsys, monkeypatch):
     monkeypatch.setattr(measure, "DRAW_CAP", draws - 1)
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
-    assert err == (f"EnumerationGuardError: {draws} draws (30 samples x (42 digits"
-                   f" + {measure.SEED_DRAWS} for seeding)) exceed DRAW_CAP = {draws - 1}\n")
+    assert err == (f"EnumerationGuardError: {draws} draws (30 samples x 42 digits)"
+                   f" exceed DRAW_CAP = {draws - 1}\n")
 
 
 def test_mpf_term_cap(capsys, monkeypatch):

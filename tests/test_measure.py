@@ -1,8 +1,9 @@
 import math
-import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -12,9 +13,10 @@ from primecf.errors import OutOfRangeError
 from primecf.measure import (
     MCExperiment,
     ZeroOneReport,
+    _draws,
     _sample_block,
     _sample_digits,
-    _top_draws,
+    _words,
     borel_bernstein_table,
     level_set_measure,
     run_zero_one_experiment,
@@ -136,35 +138,37 @@ def test_level_set_validation(sieve_small):
 
 # -- sampling experiments -------------------------------------------------------
 
+def stream(seed: int, i: int, depth: int):
+    """Sample i's draw function, as `_sample_block` hands it to `_sample_digits`
+    (through the module, so a patched word function is used)."""
+    return _draws(seed, i, measure._words(seed, i, np.arange(depth), 0))
+
+
 def test_sampled_digit_pairs_follow_the_gauss_law():
     # a uniform x starts with (a, b) with probability |I(a, b)|; 5 sigma
-    # at 40,000 samples, for every pair in {1..4}^2
-    rng = random.Random(20260815)
+    # at 40,000 samples, for every pair in {1..4}^2, sample i drawn from
+    # its own counters (20260815, i)
     n = 40_000
-    pairs = Counter(tuple(_sample_digits(rng, 64, 3)[0][:2]) for _ in range(n))
+    pairs = Counter(tuple(_sample_digits(stream(20260815, i, 3), 64, 3)[0][:2])
+                    for i in range(n))
     for a in range(1, 5):
         for b in range(1, 5):
             p = float(fundamental_interval((a, b)).length)
             assert abs(pairs[a, b] / n - p) < 5 * math.sqrt(p * (1 - p) / n), (a, b)
 
 
-class ScriptedBits:
-    """A generator whose getrandbits returns the given draws in order."""
-
-    def __init__(self, *draws):
-        self.draws = list(draws)
-
-    def getrandbits(self, k):
-        return self.draws.pop(0)
-
-
 @pytest.mark.parametrize("second, digit", [(0, 3), (65535, 2)])
 def test_undecided_draw_takes_more_bits(second, digit):
     # 21845 / 2^16 < 1/3 < 21846 / 2^16: the first 16 bits leave the first
     # digit 1/u between 2 and 3, and the next 16 bits pick the side of 1/3
-    rng = ScriptedBits(21845, second)
-    assert _sample_digits(rng, 16, 1) == ([digit], 32)
-    assert rng.draws == []
+    asked = []
+
+    def draw(n, k):
+        asked.append((n, k))
+        return (21845 << 16 | second) >> (32 - k)
+
+    assert _sample_digits(draw, 16, 1) == ([digit], 32)
+    assert asked == [(0, 16), (0, 32)]
 
 
 def test_experiment_reproducible(sieve_small):
@@ -257,7 +261,7 @@ def oracle_report(cfg: MCExperiment, sv) -> ZeroOneReport:
     hits = [0] * len(thresholds)
     hit_count, widths = 0, []
     for i in range(cfg.sample_count):
-        digits, width = _sample_digits(random.Random(f"{cfg.seed}:{i}"),
+        digits, width = _sample_digits(stream(cfg.seed, i, n2 + cfg.ell),
                                        cfg.precision_bits, n2 + cfg.ell)
         widths.append(width)
         hit_any = False
@@ -287,7 +291,7 @@ def block_rows(seed: int, count: int, bits: int, depth: int) -> list[tuple[list[
 
 
 def scalar_rows(seed: int, count: int, bits: int, depth: int) -> list[tuple[list[int], int]]:
-    return [_sample_digits(random.Random(f"{seed}:{i}"), bits, depth) for i in range(count)]
+    return [_sample_digits(stream(seed, i, depth), bits, depth) for i in range(count)]
 
 
 @pytest.mark.parametrize("bits", [16, 32, 48, 64, 96, 256])
@@ -315,16 +319,6 @@ def test_block_sampler_certifies_wide_draws():
     assert digits.shape == (200, 201)
 
 
-class ScriptedWords:
-    """A stream whose getrandbits(64 m) joins its next m words, first lowest."""
-
-    def __init__(self, words):
-        self.words = list(words)
-
-    def getrandbits(self, k):
-        return sum(self.words.pop(0) << (64 * j) for j in range(k // 64))
-
-
 def test_block_sampler_margin_near_digit_boundaries(monkeypatch):
     # a first digit a, then a draw U within a few units of a boundary of the
     # second digit: U + 1 = (1 + 1/a) 2^64 / (k + 1/a) puts x at k exactly.
@@ -335,9 +329,16 @@ def test_block_sampler_margin_near_digit_boundaries(monkeypatch):
         first = int(2**64 / (a + 0.5))
         for k in range(40, 60):
             edge = -(-(a + 1) * 2**64 // (a * k + 1)) - 1
-            scripts += [[first, edge + off] + [2**63] * 8 for off in range(-3, 4)]
-    monkeypatch.setattr(measure, "_stream", lambda seed, i: ScriptedWords(scripts[i]))
-    want = [_sample_digits(ScriptedWords(script), 64, 2)[0] for script in scripts]
+            scripts += [[first, edge + off] for off in range(-3, 4)]
+    heads = np.array(scripts, dtype=np.uint64)
+
+    def scripted(seed, i, n, w):
+        # word 0 of digit n is scripted; every later word is 2^63
+        i, n, w = (np.asarray(x).astype(np.int64) for x in (i, n, w))
+        return np.where(w == 0, heads[i, n], np.uint64(2**63))
+
+    monkeypatch.setattr(measure, "_words", scripted)
+    want = [_sample_digits(stream(0, i, 2), 64, 2)[0] for i in range(len(scripts))]
     digits, _, _ = _sample_block(0, range(len(scripts)), 64, 2)
     assert [[int(d) for d in row] for row in digits.tolist()] == want
     monkeypatch.setattr(measure, "MARGIN", 0.0)
@@ -345,14 +346,67 @@ def test_block_sampler_margin_near_digit_boundaries(monkeypatch):
     assert [[int(d) for d in row] for row in digits.tolist()] != want
 
 
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalizer(z: int) -> int:
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+def word(seed: int, i: int, n: int, w: int) -> int:
+    """W(seed, i, n, w) in plain Python ints."""
+    z = seed
+    for x in (1, i, n, w):
+        z = splitmix64_finalizer((z + x * GAMMA) % 2**64)
+    return z
+
+
+def test_word_function_known_answers():
+    # the first stage is SplitMix64's first output: seeded with 0 its
+    # outputs are e220a8397b1dcdaf, 6e789e6aa1b965f4, 06c45d188009454f
+    assert [splitmix64_finalizer(k * GAMMA % 2**64) for k in (1, 2, 3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    cap = measure.DRAW_CAP
+    cases = [(0, 0, 0, 0), (0, 1, 2, 3), (2**63, 5, 7, 1), (2**64 - 1, 0, 0, 0),
+             (2**64 - 1, cap - 1, cap, 3), (2**63, cap, cap - 1, 16), (20261019, 2**40, 1, 0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning, no float promotion
+        for seed, i, n, w in cases:
+            scalar = _words(seed, i, n, w)
+            array = _words(seed, np.array([i, i]), np.array([[n], [n]]), np.array([w]))
+            assert array.dtype == np.uint64 and array.shape == (2, 2)
+            assert {int(scalar), *array.ravel().tolist()} == {word(seed, i, n, w)}
+    # the definition itself, pinned
+    assert [word(*case) for case in cases[:5]] == [
+        0x1957A7604E215178, 0xB9241DAE6834A7C4, 0xA7420DE6F7128628,
+        0x92A152CB66AF0C17, 0x36C798379CB8DD74]
+
+
 @pytest.mark.parametrize("bits", [16, 32, 48, 64, 96, 256])
 def test_draws_are_read_as_the_stream_gives_them(bits):
-    # one getrandbits(bits * depth) stands for depth successive draws when
-    # bits is 32 or 64; above 64 bits only the top 64 are read
-    got = _top_draws(5, range(3, 6), bits, 7)
-    for row, i in zip(got.tolist(), range(3, 6)):
-        rng = random.Random(f"5:{i}")
-        assert row == [rng.getrandbits(bits) >> max(bits - 64, 0) for _ in range(7)]
+    # a k-bit draw of digit n is the first k bits of the words
+    # W(5, i, n, 0) W(5, i, n, 1) ..., most significant first, and a
+    # refinement appends the next bits
+    for i in range(3, 6):
+        draw = stream(5, i, 7)
+        for n in range(7):
+            string = 0
+            for w in range(12):
+                string = string << 64 | word(5, i, n, w)
+            for k in (bits, 2 * bits, 3 * bits):
+                assert draw(n, k) == string >> (64 * 12 - k), (i, n, k)
+
+
+def test_block_digits_do_not_depend_on_bits():
+    # a digit is that of its whole bit string; --bits only changes how
+    # many bits are read, so only the widest draw differs
+    for seed in (1, 7, 20261019):
+        rows = {bits: block_rows(seed, 40, bits, 61) for bits in (16, 32, 48, 64, 96, 256)}
+        digits = {bits: [row for row, _ in rows[bits]] for bits in rows}
+        assert all(digits[bits] == digits[64] for bits in digits)
+        assert any(width > 16 for _, width in rows[16])
 
 
 ORACLE_CASES = [
