@@ -27,13 +27,14 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
-
-from mpmath import mp
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import cantor, contfrac, measure, pressure, zeta
 from .errors import GuardError, OutOfRangeError
 from .primes import PrimeSieve, primes_in
+
+if TYPE_CHECKING:
+    from mpmath import mp
 
 # Certified digits of a sample grow with its precision, and every entry
 # of a window is evaluated and tabulated, so both are capped.
@@ -60,6 +61,13 @@ def _echo(v) -> str:
     return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
 
 
+def _nstr(v, digits: int) -> str:
+    """`v` at `digits` significant digits, as mpmath prints it.  mpmath is
+    imported here, on first use, so commands that print no mpf skip it."""
+    from mpmath import mp
+    return mp.nstr(v, digits)
+
+
 def _render(fields: dict[str, Kind], records: Iterable[dict], fmt: str) -> Iterator[dict]:
     """Each record's declared fields, in declared order, as CSV cells or JSON
     values.  A real whose double is not finite is refused: neither format
@@ -69,7 +77,7 @@ def _render(fields: dict[str, Kind], records: Iterable[dict], fmt: str) -> Itera
         for name, kind in fields.items():
             v = record[name]
             if kind.finite and v != "" and not math.isfinite(v):
-                raise OutOfRangeError(f"{name} = {mp.nstr(v, 5)} has no finite double")
+                raise OutOfRangeError(f"{name} = {_nstr(v, 5)} has no finite double")
             values[name] = kind.cell(v) if fmt == "csv" else kind.json(v)
         yield values
 
@@ -186,7 +194,6 @@ def _resolve_sieve(requested: int, minimum: int) -> int:
     return requested or minimum
 
 
-_PHI_FUNCS: dict[str, Callable] = {"log": mp.log, "exp": mp.exp, "sqrt": mp.sqrt}
 _PHI_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Call,
     ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd,
@@ -212,6 +219,9 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
     by zero or leaves the reals raises ValueError naming n; an exp or **
     whose log would pass float range is refused unevaluated (OutOfRangeError).
     """
+    from mpmath import mp  # imported here: only the phi commands need it
+
+    funcs = {"log": mp.log, "exp": mp.exp, "sqrt": mp.sqrt}
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
@@ -222,10 +232,10 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
                 f"unsupported syntax in phi expression: {type(node).__name__}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise argparse.ArgumentTypeError(f"non-numeric constant {node.value!r}")
-        if isinstance(node, ast.Name) and node.id != "n" and node.id not in _PHI_FUNCS:
+        if isinstance(node, ast.Name) and node.id != "n" and node.id not in funcs:
             raise argparse.ArgumentTypeError(f"unknown name {node.id!r} in phi")
         if isinstance(node, ast.Call):
-            if (not isinstance(node.func, ast.Name) or node.func.id not in _PHI_FUNCS
+            if (not isinstance(node.func, ast.Name) or node.func.id not in funcs
                     or node.keywords):
                 raise argparse.ArgumentTypeError("phi may only call log/exp/sqrt")
     code = compile(ast.fix_missing_locations(_PowCalls().visit(tree)), "<phi>", "eval")
@@ -237,7 +247,7 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
                 raise OutOfRangeError(f"log phi(n) at n = {n} exceeds float range")
 
         # guard(...) returns None, so `guard(...) or term` evaluates to the term
-        namespace = {"__builtins__": {}, **_PHI_FUNCS, "n": mp.mpf(n),
+        namespace = {"__builtins__": {}, **funcs, "n": mp.mpf(n),
                      "exp": lambda x: guard(mp.re(x)) or mp.exp(x),
                      "_pow": lambda x, y: guard(mp.re(y) * mp.log(abs(x))) or mp.power(x, y)}
         try:
@@ -461,7 +471,7 @@ def _blank_or(kind: Kind) -> Kind:
 # reals at 20 significant digits, rationals exact as num/den from a
 # (numerator, denominator) pair
 NUMBER = Kind({"type": "number"}, lambda v: format(v, ".20g"), float, finite=True)
-MPF = Kind({"type": "number"}, lambda v: mp.nstr(v, 20), float, finite=True)
+MPF = Kind({"type": "number"}, lambda v: _nstr(v, 20), float, finite=True)
 INTEGER = Kind({"type": "integer"}, str, int)
 STRING = Kind({"type": "string"}, str, str)
 BOOLEAN = Kind({"type": "boolean"}, lambda v: "true" if v else "false", bool)

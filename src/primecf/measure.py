@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import EnumerationGuardError, OutOfRangeError
 from .primes import PrimeSieve, is_prime_trial, primes_in
@@ -463,6 +462,8 @@ def borel_bernstein_table(phi: Callable[[int], float], ell: int, prime_mode: boo
     to 0.0 gracefully instead of overflowing.  Note the log-log numerator
     is signed for phi < e; the theorems assume phi >= 3.
     """
+    from mpmath import mp, mpf  # imported here: no other measure route needs it
+
     n1, n2 = window
     if n2 < n1:
         raise ValueError(f"empty window {window}")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import (
     BracketError,
@@ -271,6 +270,8 @@ def classify_growth(phi: Callable[[int], float], window: tuple[int, int]) -> Gro
     values that overflow float arithmetic, but log phi(n) must be a finite
     float, which keeps log log phi(n) <= 709.78 and exp(logb) in range.
     """
+    from mpmath import mp, mpf  # imported here: no other pressure route needs it
+
     n1, n2 = window
     if not 1 <= n1 <= n2:
         raise ValueError(f"window must satisfy 1 <= n1 <= n2, got {window}")
