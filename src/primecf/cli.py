@@ -29,15 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from . import cantor, contfrac, measure, pressure, zeta
+from . import cantor, contfrac, measure, pressure, primes, zeta
 from .errors import GuardError, OutOfRangeError
-from .primes import PrimeSieve, primes_in
 
 if TYPE_CHECKING:
     from mpmath import mp
 
-# Certified digits of a sample grow with its precision, and every entry
-# of a window is evaluated and tabulated, so both are capped.
+# The digits cf-expand certifies for a 2^-bits ball grow with bits, and
+# every entry of a window is evaluated and tabulated, so both are capped.
 BITS_CAP = 1 << 20
 WINDOW_CAP = 10**6
 # Fraction builds 10**e for a decimal exponent e before any check can run;
@@ -156,7 +155,7 @@ def precision_bits(text: str) -> int:
     return k
 
 
-def sieve_limit(text: str) -> int:
+def nonnegative(text: str) -> int:
     k = int(text)
     if k < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
@@ -282,7 +281,7 @@ class Output:
 def cmd_pzeta_tail(args) -> Output:
     minimum = args.cutoff if args.ell == 1 else math.isqrt(args.cutoff) + 1
     sieve = _resolve_sieve(args.sieve, minimum)
-    sv = PrimeSieve(sieve)
+    sv = primes.PrimeSieve(sieve)
     res = zeta.pzeta_tail(args.ell, args.mode, args.s, args.M, args.cutoff, sv)
     rows = [{"value": res.value, "remainder_bound": res.remainder_bound,
              "upper": res.upper, "terms_used": res.terms_used}]
@@ -293,7 +292,7 @@ def cmd_pzeta_asymptotic(args) -> Output:
     cutoff = args.cutoff if args.cutoff > 0 else int(max(args.grid))
     minimum = cutoff if args.ell == 1 else math.isqrt(cutoff) + 1
     sieve = _resolve_sieve(args.sieve, minimum)
-    sv = PrimeSieve(sieve)
+    sv = primes.PrimeSieve(sieve)
     table = zeta.asymptotic_table(args.ell, args.s, list(args.grid), cutoff, sv,
                                   mode=args.mode)
     rows = [{"M": r.M, "value": r.value, "ratio": r.ratio,
@@ -315,7 +314,7 @@ def cmd_cf_expand(args) -> Output:
 
 def cmd_interval_measure(args) -> Output:
     sieve = _resolve_sieve(args.sieve, args.cutoff)
-    sv = PrimeSieve(sieve)
+    sv = primes.PrimeSieve(sieve)
     res = measure.level_set_measure(args.ell, args.threshold, args.cutoff, sv)
     rows = [{"lower": res.exact_lower, "upper": res.exact_upper,
              "width": res.width, "terms": res.terms}]
@@ -339,10 +338,10 @@ def cmd_hwx_dim(args) -> Output:
 
 def cmd_mc_zero_one(args) -> Output:
     sieve = _resolve_sieve(args.sieve, 1_000_000)
-    sv = PrimeSieve(sieve)
+    sv = primes.PrimeSieve(sieve)
     phi = parse_phi(args.phi)
     cfg = measure.MCExperiment(
-        sample_count=args.samples, precision_bits=args.bits, window=args.window,
+        sample_count=args.samples, window=args.window,
         phi=lambda n: float(phi(n)), ell=args.ell, seed=args.seed)
     rep = measure.run_zero_one_experiment(cfg, sv)
     rows = [{"n": n, "hits": c, "fraction": c / args.samples}
@@ -361,7 +360,7 @@ def cmd_bb_series(args) -> Output:
 
 def cmd_luczak_dim(args) -> Output:
     params = cantor.LuczakParams(b=float(args.b), c=float(args.c))
-    sv = PrimeSieve(args.sieve) if args.sieve > 0 else None
+    sv = primes.PrimeSieve(args.sieve) if args.sieve > 0 else None
     levels = cantor.luczak_levels(params, args.kmax, sv)
     ratios = {r.k: r.ratio for r in cantor.falconer_lower_bound(params, args.kmax)}
     limit = cantor.falconer_limit(Fraction(args.b))
@@ -380,7 +379,7 @@ def cmd_luczak_dim(args) -> Output:
 
 def cmd_eb_build(args) -> Output:
     sieve = _resolve_sieve(args.sieve, 1_000_000)
-    sv = PrimeSieve(sieve)
+    sv = primes.PrimeSieve(sieve)
     params = cantor.make_eb_params(args.B, args.ell, args.s, args.delta, sv,
                                    M=args.M if args.M > 0 else None,
                                    N=args.N if args.N > 0 else None)
@@ -421,7 +420,7 @@ def cmd_box_dim(args) -> Output:
         if args.b is None or args.c is None:
             raise OutOfRangeError("give --covers, or --b/--c/--kmax for a built construction")
         sieve = _resolve_sieve(args.sieve, 1_000_000)
-        sv = PrimeSieve(sieve)
+        sv = primes.PrimeSieve(sieve)
         params = cantor.LuczakParams(b=float(args.b), c=float(args.c))
         # continuants grow in every digit, so of a level's words (digit j a prime
         # of block j) the one of least primes has the largest cylinder 1/(q (q + q'))
@@ -431,7 +430,7 @@ def cmd_box_dim(args) -> Output:
                 raise OutOfRangeError(
                     f"level {lv.k} lies beyond the sieve; lower --kmax or raise --sieve")
             count *= lv.true_count
-            q, q_prev = int(primes_in(*lv.block, sv)[0]) * q + q_prev, q
+            q, q_prev = int(primes.primes_in(*lv.block, sv)[0]) * q + q_prev, q
             largest = 1 / (q * (q + q_prev))
             if largest == 0.0:
                 raise OutOfRangeError(f"level {lv.k}: largest cylinder underflows; lower --kmax")
@@ -514,7 +513,7 @@ PHI = ("--phi", {"type": str, "required": True,
                  "help": "expression in n, e.g. 'n*log(n)' or '2**(2**n)'"})
 WINDOW = ("--window", _required(window))
 TOL = ("--tol", {"type": real, "default": 1e-9})
-SIEVE = ("--sieve", {"type": sieve_limit, "default": 0,
+SIEVE = ("--sieve", {"type": nonnegative, "default": 0,
                      "help": "0 = the smallest limit needed"})
 
 COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
@@ -529,7 +528,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         "pzeta-asymptotic", "normalized tail ratios along a threshold grid",
         cmd_pzeta_asymptotic,
         args=(ELL, MODE, ("--s", _required(real)), ("--grid", _required(grid)),
-              ("--cutoff", {"type": int, "default": 0}), SIEVE),
+              ("--cutoff", {"type": nonnegative, "default": 0}), SIEVE),
         columns={"M": NUMBER, "value": MPF, "ratio": MPF, "remainder_bound": MPF},
     ),
     Subcommand(
@@ -567,8 +566,6 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
     Subcommand(
         "mc-zero-one", "Monte Carlo hit rates for the level sets", cmd_mc_zero_one,
         args=(ELL, PHI, WINDOW, ("--samples", _required(int)),
-              ("--bits", {"type": precision_bits, "default": 64,
-                          "help": "random bits per draw (more if undecided)"}),
               ("--seed", {"type": int, "default": 0}), SIEVE),
         columns={"n": INTEGER, "hits": INTEGER, "fraction": NUMBER},
         summary={"hit_fraction": NUMBER, "hit_count": INTEGER,
@@ -588,7 +585,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         cmd_luczak_dim,
         args=(("--b", _required(real_text)), ("--c", _required(real_text)),
               ("--kmax", _required(kmax)),
-              ("--sieve", {"type": sieve_limit, "default": 0, "help": "0 = no prime counts"})),
+              ("--sieve", {"type": nonnegative, "default": 0, "help": "0 = no prime counts"})),
         columns={"k": INTEGER, "log_m": NUMBER, "log_eps": NUMBER, "rosser_ok": BOOLEAN,
                  "block_lo": BLANK_OR_INTEGER, "block_hi": BLANK_OR_INTEGER,
                  "true_count": BLANK_OR_INTEGER, "ratio": BLANK_OR_NUMBER},
@@ -598,9 +595,9 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         "eb-build", "bounded-alphabet prime-run set with mass", cmd_eb_build,
         args=(("--B", _required(real)), ELL, ("--s", _required(real)),
               ("--delta", _required(real)),
-              ("--M", {"type": int, "default": 0, "help": "0 = search"}),
-              ("--N", {"type": int, "default": 0, "help": "0 = search"}),
-              ("--depth", {"type": int, "default": 0,
+              ("--M", {"type": nonnegative, "default": 0, "help": "0 = search"}),
+              ("--N", {"type": nonnegative, "default": 0, "help": "0 = search"}),
+              ("--depth", {"type": nonnegative, "default": 0,
                            "help": "0 = through first prime run"}),
               SIEVE),
         columns={"depth": INTEGER, "word": DIGITS, "mu": NUMBER, "diam": NUMBER,

@@ -17,7 +17,7 @@ block of samples (`_float_digits`): it carries r = q_{n-1}/q_n, whose error
 grows by at most 2^-52 a step because r <- 1/(d + r) is a contraction, and
 takes a digit only where a margin of (x + 2)(n + 16) 2^-48 around x (at
 least four times the error bound) shows that the integer sampler takes the
-same digit from the same draw.  A sample with a digit the margin does not
+same digit from the same first word.  A sample with a digit the margin does not
 settle is finished by `_sample_digits` from that digit on, so every report
 equals the integer sampler's.
 """
@@ -167,11 +167,10 @@ class MCExperiment:
     """A reproducible zero-one-law sampling run.
 
     Each sample is the digits, to depth window[1] + ell, of a uniform x (see
-    `_sample_digits`); `precision_bits` is the bits per draw, not a limit.
+    `_sample_digits`).
     """
 
     sample_count: int
-    precision_bits: int
     window: tuple[int, int]
     phi: Callable[[int], float]
     ell: int
@@ -180,8 +179,6 @@ class MCExperiment:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.precision_bits < 16:
-            raise ValueError(f"precision_bits must be >= 16, got {self.precision_bits}")
         n1, n2 = self.window
         if not 1 <= n1 <= n2:
             raise ValueError(f"window must satisfy 1 <= n1 <= n2, got {self.window}")
@@ -197,7 +194,7 @@ class ZeroOneReport:
     hit_count: int
     sample_count: int
     per_n: tuple[tuple[int, int], ...]  # (n, number of samples hitting at n)
-    refinements: int                    # samples with a digit that took 2+ draws
+    refinements: int                    # samples with a digit that took 2+ words
     max_bits_used: int                  # the most bits any one digit took
 
 
@@ -217,40 +214,38 @@ def _words(seed: int, i, n, w) -> np.ndarray:
 
 
 def _draws(seed: int, i: int, first: np.ndarray) -> Callable[[int, int], int]:
-    """Sample i's draws, given first[n] = W(seed, i, n, 0): draw(n, k) is the
-    first k bits of digit n's bit string W(seed, i, n, 0) W(seed, i, n, 1) ..."""
-    def draw(n: int, k: int) -> int:
-        u = int(first[n])
-        if k > 64:
-            for word in _words(seed, i, n, np.arange(1, -(-k // 64))).tolist():
-                u = u << 64 | word
-        return u >> -k % 64
+    """Sample i's words, given first[n] = W(seed, i, n, 0): draw(n, w) is
+    word w of digit n's bit string, W(seed, i, n, w)."""
+    def draw(n: int, w: int) -> int:
+        return int(first[n] if w == 0 else _words(seed, i, n, w))
     return draw
 
 
-def _sample_digits(draw: Callable[[int, int], int], bits: int, depth: int,
+def _sample_digits(draw: Callable[[int, int], int], depth: int,
                    prefix: Sequence[int] = ()) -> tuple[list[int], int]:
     """The first `depth` digits of a uniform x in (0, 1], and the most bits one took.
 
     Given continuants q = q_n, q' = q_{n-1}, P(a_{n+1} >= d) = (q + q')/(d q + q')
     (Iosifescu & Kraaikamp 2002, ch. 1), so a_{n+1} = floor(((q + q')/u - q')/q)
-    for u uniform in (0, 1].  The first K bits U = draw(n, K) of digit n's
-    bit string stand for u in (U/2^K, (U+1)/2^K]: d is taken at the right
-    end and holds on the whole interval when U ((d+1) q + q') >= (q + q') 2^K;
-    otherwise K grows by `bits`.  A fresh u per digit makes the law exact,
-    and d is the digit of the whole bit string whatever `bits` is.  With
-    r = q'/q the digit is floor(x), x = (1 + r) 2^K/(U + 1) - r, and it holds
-    when y = (1 + r) 2^K/U - r <= d + 1, the form `_float_digits` certifies
-    in floats.  Sampling resumes after the digits of `prefix`.
+    for u uniform in (0, 1].  The first K = 64 w bits U of digit n's bit
+    string, its words draw(n, 0) .. draw(n, w - 1), stand for u in
+    (U/2^K, (U+1)/2^K]: d is taken at the right end and holds on the whole
+    interval when U ((d+1) q + q') >= (q + q') 2^K; otherwise the next word
+    is appended.  A fresh u per digit makes the law exact, and d is the
+    digit of the whole bit string.  With r = q'/q the digit is floor(x),
+    x = (1 + r) 2^K/(U + 1) - r, and it holds when y = (1 + r) 2^K/U - r
+    <= d + 1, the form `_float_digits` certifies in floats.  Sampling
+    resumes after the digits of `prefix`.
     """
     digits = list(prefix)
     q, q_prev = 1, 0
     for d in digits:
         q, q_prev = d * q + q_prev, q
-    widest = bits
+    widest = 64
     for n in range(len(digits), depth):
-        for k in itertools.count(bits, bits):
-            u = draw(n, k)
+        u = 0
+        for k in itertools.count(64, 64):
+            u = u << 64 | draw(n, k // 64 - 1)
             top = (q + q_prev) << k
             d = (top - q_prev * (u + 1)) // (q * (u + 1))
             q_next = d * q + q_prev
@@ -262,24 +257,21 @@ def _sample_digits(draw: Callable[[int, int], int], bits: int, depth: int,
     return digits, widest
 
 
-def _float_digits(seed: int, indices: range, bits: int,
-                  depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _float_digits(seed: int, indices: range, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """The digits `_sample_digits` draws for the samples `indices`, in
     float64, with the number of leading digits per sample certified to be them.
 
-    Returns a (depth, samples) array and the counts.  Of each draw U only
-    its top L = min(bits, 64) bits V, the top of W(seed, i, n, 0), are read:
-    (U + 1)/2^bits is at most a = (V + 1)/2^L and U/2^bits is at least
-    b = V/2^L, with equality when bits <= 64.  Step n carries r = q'/q in
-    float64 and computes x~ and y~, the float values of x(a) and y(b), where
-    x(t) = (1 + r)/t - r with the exact r; the x and y of `_sample_digits`
-    are x((U + 1)/2^bits) >= x(a) and y(U/2^bits) <= y(b).  The digit
-    d = floor(x~) is certified when
+    Returns a (depth, samples) array and the counts.  Of each digit only
+    its first word U = W(seed, i, n, 0) is read, as a = (U + 1)/2^64 and
+    b = U/2^64.  Step n carries r = q'/q in float64 and computes x~ and y~,
+    the float values of x(a) and y(b), where x(t) = (1 + r)/t - r with the
+    exact r; these are the x and y of the first word in `_sample_digits`.
+    The digit d = floor(x~) is certified when
 
         x~ - d > m(x~)  and  y~ <= d + 1 - m(y~),  m(z) = (z + 2) (n + 16) 2^-48.
 
     Then x > d and x < y <= d + 1, so `_sample_digits` takes the same d
-    from the same single draw.  The first test fails once x~ >= 2^44, where
+    from the first word alone.  The first test fails once x~ >= 2^44, where
     m exceeds 1, so a certified d is below 2^44 and exact in float64.
 
     The margin: r starts at 0 and r <- 1/(d + r) is a contraction
@@ -292,11 +284,10 @@ def _float_digits(seed: int, indices: range, bits: int,
     and y~ (1 + e) + 2e <= d + 1 with e = (n + 16) 2^-48, round by at most
     (z + 2) 2^-52 more, and (n + 2) 2^-50 + 2^-52 < e leaves room for it.
     """
-    scale = 2.0 ** -min(bits, 64)
     words = _words(seed, np.arange(indices.start, indices.stop), np.arange(depth)[:, None], 0)
-    b = (words >> np.uint64(64 - min(bits, 64))).astype(np.float64)
-    b *= scale
-    a = b + scale
+    b = words.astype(np.float64)
+    b *= 2.0**-64
+    a = b + 2.0**-64
     ok = np.zeros(a.shape, dtype=bool)
     r = np.zeros(len(indices))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -317,20 +308,20 @@ def _float_digits(seed: int, indices: range, bits: int,
     return a, certified
 
 
-def _sample_block(seed: int, indices: range, bits: int,
+def _sample_block(seed: int, indices: range,
                   depth: int) -> tuple[np.ndarray, dict[int, list[int]], list[int]]:
     """The digits `_sample_digits` draws for the samples `indices`.
 
     Returns a (samples, depth) float64 array of the digits (exact below
     2^53, NaN above), the exact digit lists of the samples `_sample_digits`
-    resampled, keyed by row, and their widest draws in bits; every other
-    digit took one draw.
+    resampled, keyed by row, and for each of them the most bits one of its
+    digits took; every other digit took one 64-bit word.
 
     `_float_digits` draws them all at once.  A sample with an uncertified
     digit is then resampled by `_sample_digits` from that digit on, after
     the certified prefix, whose continuants are rebuilt exactly.
     """
-    digits, certified = _float_digits(seed, indices, bits, depth)
+    digits, certified = _float_digits(seed, indices, depth)
     digits = digits.T
     exact: dict[int, list[int]] = {}
     widths = []
@@ -338,7 +329,7 @@ def _sample_block(seed: int, indices: range, bits: int,
     first = _words(seed, rows[:, None] + indices.start, np.arange(depth), 0)
     for row, words in zip(rows.tolist(), first):
         prefix = digits[row, :certified[row]].astype(np.int64).tolist()
-        exact[row], width = _sample_digits(_draws(seed, indices[row], words), bits, depth, prefix)
+        exact[row], width = _sample_digits(_draws(seed, indices[row], words), depth, prefix)
         widths.append(width)
         digits[row] = np.fromiter((d if d < 2**53 else math.nan for d in exact[row]),
                                   np.float64, depth)
@@ -417,15 +408,15 @@ def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
     thresholds = [float(cfg.phi(n)) for n in range(n1, n2 + 1)]
     hits = np.zeros(len(thresholds), dtype=np.int64)
     hit_count = 0
-    refinements, widest = 0, cfg.precision_bits
+    refinements, widest = 0, 64
     step = max(1, CHUNK_DIGITS // depth)
     for start in range(0, cfg.sample_count, step):
         indices = range(start, min(start + step, cfg.sample_count))
-        digits, exact, widths = _sample_block(cfg.seed, indices, cfg.precision_bits, depth)
+        digits, exact, widths = _sample_block(cfg.seed, indices, depth)
         hit = _window_hits(digits, exact, thresholds, n1, cfg.ell, sv)
         hits += hit.sum(axis=0)
         hit_count += int(hit.any(axis=1).sum())
-        refinements += sum(width > cfg.precision_bits for width in widths)
+        refinements += sum(width > 64 for width in widths)
         widest = max([widest, *widths])
     return ZeroOneReport(
         hit_fraction=hit_count / cfg.sample_count,

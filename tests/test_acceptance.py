@@ -214,15 +214,14 @@ def test_criterion_11_zero_one_law_surrogate(sieve_small):
         bracket = sum(level_set_measure(1, phi(n), 10_000, sieve_small).exact_upper
                       for n in range(10, 201))
         convergent = run_zero_one_experiment(
-            MCExperiment(sample_count=10_000, precision_bits=256,
-                         window=(10, 200), phi=phi, ell=1, seed=20260815),
+            MCExperiment(sample_count=10_000, window=(10, 200), phi=phi, ell=1,
+                         seed=20260815),
             sieve_small)
         sigma = math.sqrt(bracket * (1 - bracket) / convergent.sample_count)
         assert convergent.hit_fraction <= bracket + 3 * sigma
         divergent = run_zero_one_experiment(
-            MCExperiment(sample_count=10_000, precision_bits=256,
-                         window=(10, 200), phi=lambda n: 2.0, ell=1,
-                         seed=20260815),
+            MCExperiment(sample_count=10_000, window=(10, 200), phi=lambda n: 2.0,
+                         ell=1, seed=20260815),
             sieve_small)
         assert divergent.hit_fraction >= 0.999
     assert sw.elapsed < 300
@@ -240,7 +239,7 @@ CLI_INVOCATIONS = [
     ["pressure-dim", "--ell", "1", "--B", "2", "--M", "5", "--n", "3"],
     ["hwx-dim", "--ell", "1", "--phi", "2**(2**n)", "--window", "10,20"],
     ["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,2",
-     "--samples", "20", "--bits", "64", "--seed", "3", "--sieve", "100000"],
+     "--samples", "20", "--seed", "3", "--sieve", "100000"],
     ["bb-series", "--ell", "1", "--phi", "n*n", "--window", "2,10"],
     ["luczak-dim", "--b", "2", "--c", "2", "--kmax", "3", "--sieve", "100000"],
     ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01",

@@ -65,8 +65,7 @@ INVOCATIONS = {
     "pressure-dim": ["--ell", "1", "--B", "2", "--M", "5", "--n", "3"],
     "hwx-dim": ["--ell", "1", "--phi", "2**(2**n)", "--window", "10,20"],
     "mc-zero-one": ["--ell", "1", "--phi", "2", "--window", "1,2",
-                    "--samples", "20", "--bits", "64", "--seed", "3",
-                    "--sieve", "100000"],
+                    "--samples", "20", "--seed", "3", "--sieve", "100000"],
     "bb-series": ["--ell", "1", "--phi", "n*n", "--window", "2,10"],
     "luczak-dim": ["--b", "2", "--c", "2", "--kmax", "3", "--sieve", "100000"],
     "eb-build": ["--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01",
@@ -190,7 +189,7 @@ def test_eb_build_exact_columns_pinned(capsys):
 CERTIFIED_DIGIT_PINS = [
     (["mc-zero-one", "--ell", "2", "--phi", "n*log(n)**2", "--window", "10,200",
       "--samples", "200", "--seed", "1"],
-     "93626e6adff2b9b27f7ccedad13c863cc544efe5b232a661c1adac48c924babd"),
+     "f86bf6bea75fb185b1f53cabed257f517841435dea21a67a020d23c4ca8a3678"),
     (["cf-expand", "--real", "0.318309886183790671537767526745", "--bits", "80"],
      "43a70b555a45710a5a283d5a3481a935ec15c5cf0fd5e9d4a194fdb8884062d2"),
 ]
@@ -244,8 +243,8 @@ OUTPUT_PINS = {
         "fc7a391c2ed5205dc011310e3bef62abec326dd62dd351525d682e4a33af667e",
     ("interval-measure", "json"):
         "4b91212393ebdc399d5af3d262d928e73ee3199d7880fa1bb5f90af7aa597a8b",
-    ("mc-zero-one", "csv"): "e8eab1c0030bf2094e576350cec8c9832e5496a89c7168448d034a52f60550b8",
-    ("mc-zero-one", "json"): "7063a853202fc751fd912870a4b3ba321cc09cb0d387e96ce43334d4e1382f15",
+    ("mc-zero-one", "csv"): "cebfefefcd8fab215188837940e908795de0b9bdaf13e0e1803ab544b04723d2",
+    ("mc-zero-one", "json"): "3461f172e7631232f16680f227f4d073e65764e7c5ff9fc965565872f1d788e0",
     ("bb-series", "csv"): "152582052d23fb4f7ace03f6f07b403bfa5bee1a21845b2047b85dc830cd37bd",
     ("bb-series", "json"): "8cb689fa94ede3bbe5fa375918d0b6825589a1b5b0ab1c9277d6572bade374f8",
 }
@@ -381,8 +380,7 @@ def test_hwx_dim_cases(capsys):
 def test_mc_zero_one_summary(capsys):
     code, out, _ = run_cli(capsys, ["mc-zero-one", "--ell", "1", "--phi", "2",
                                     "--window", "1,2", "--samples", "50",
-                                    "--bits", "64", "--seed", "5",
-                                    "--sieve", "100000"])
+                                    "--seed", "5", "--sieve", "100000"])
     assert code == 0
     comments, header, rows = parse_csv(out)
     assert header == ["n", "hits", "fraction"]
@@ -564,8 +562,9 @@ TOTALITY = [
      2, _usage("box-dim", "--c: must be finite")),
     (["cf-expand", "--real", "0.5", "--bits", str(2**20 + 1)],
      2, _usage("cf-expand", "--bits: must lie in")),
+    # every digit is drawn from whole 64-bit words; there is no width to set
     (["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,2", "--samples", "5",
-      "--bits", str(2**20 + 1)], 2, _usage("mc-zero-one", "--bits: must lie in")),
+      "--bits", "64"], 2, "primecf: error: unrecognized arguments: --bits 64"),
     (["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,1000001",
       "--samples", "5"], 2, _usage("mc-zero-one", "--window: window '1,1000001' spans")),
     (["bb-series", "--ell", "1", "--phi", "n", "--window", "1,1000001"],
@@ -660,6 +659,12 @@ TOTALITY = [
     *[(argv + ["--sieve", "-4"], 2, _usage(argv[0], "--sieve: must be >= 0, got -4"))
       for argv in (["interval-measure", "--ell", "1", "--threshold", "10", "--cutoff", "100"],
                    ["luczak-dim", "--b", "2", "--c", "2", "--kmax", "3"])],
+    # a negative count once ran as its default, echoing the value it ignored
+    *[(["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", flag, "-3"],
+       2, _usage("eb-build", f"{flag}: must be >= 0, got -3"))
+      for flag in ("--M", "--N", "--depth")],
+    (["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "10,100", "--cutoff", "-5"],
+     2, _usage("pzeta-asymptotic", "--cutoff: must be >= 0, got -5")),
     # the first digit, 10^4300, has more digits than str() of an int prints
     *[(["cf-expand", "--real", real, "--max-len", "2", *fmt], 2,
        f"ValueError: rational {real!r} needs more than 4300 decimal digits")
@@ -880,8 +885,7 @@ FUZZ_ARGV = st.one_of(
     _flags("hwx-dim", ell=_ELL, phi=_PHI, window=_WINDOW, M=_opt(st.integers(0, 8)),
            n=_opt(st.integers(0, 6)), format=_FORMAT),
     _flags("mc-zero-one", ell=_ELL, phi=_PHI, window=_WINDOW, samples=st.integers(0, 20),
-           bits=_opt(st.integers(0, 128)), seed=st.integers(0, 9), sieve=_SIEVE,
-           format=_FORMAT),
+           seed=st.integers(0, 9), sieve=_SIEVE, format=_FORMAT),
     _flags("bb-series", ell=_ELL, phi=_PHI, prime=st.booleans(), window=_WINDOW,
            format=_FORMAT),
     _flags("luczak-dim", b=_BASE, c=_BASE, kmax=st.integers(0, 10), sieve=_SIEVE,

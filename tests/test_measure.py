@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from primecf import measure
+from primecf import cli, measure
 from primecf.contfrac import fundamental_interval
 from primecf.errors import OutOfRangeError
 from primecf.measure import (
@@ -149,7 +149,7 @@ def test_sampled_digit_pairs_follow_the_gauss_law():
     # at 40,000 samples, for every pair in {1..4}^2, sample i drawn from
     # its own counters (20260815, i)
     n = 40_000
-    pairs = Counter(tuple(_sample_digits(stream(20260815, i, 3), 64, 3)[0][:2])
+    pairs = Counter(tuple(_sample_digits(stream(20260815, i, 3), 3)[0][:2])
                     for i in range(n))
     for a in range(1, 5):
         for b in range(1, 5):
@@ -157,27 +157,30 @@ def test_sampled_digit_pairs_follow_the_gauss_law():
             assert abs(pairs[a, b] / n - p) < 5 * math.sqrt(p * (1 - p) / n), (a, b)
 
 
-@pytest.mark.parametrize("second, digit", [(0, 3), (65535, 2)])
+UNDECIDED = 0x5555555555555555  # U / 2^64 < 1/3 < (U + 1) / 2^64
+
+
+@pytest.mark.parametrize("second, digit", [(0, 3), (2**64 - 1, 2)])
 def test_undecided_draw_takes_more_bits(second, digit):
-    # 21845 / 2^16 < 1/3 < 21846 / 2^16: the first 16 bits leave the first
-    # digit 1/u between 2 and 3, and the next 16 bits pick the side of 1/3
+    # a first word of UNDECIDED leaves the first digit, 1/u, on both sides
+    # of 3, and the second word picks the side of 1/3
     asked = []
 
-    def draw(n, k):
-        asked.append((n, k))
-        return (21845 << 16 | second) >> (32 - k)
+    def draw(n, w):
+        asked.append((n, w))
+        return (UNDECIDED, second)[w]
 
-    assert _sample_digits(draw, 16, 1) == ([digit], 32)
-    assert asked == [(0, 16), (0, 32)]
+    assert _sample_digits(draw, 1) == ([digit], 128)
+    assert asked == [(0, 0), (0, 1)]
 
 
 def test_experiment_reproducible(sieve_small):
-    cfg = MCExperiment(sample_count=60, precision_bits=128, window=(1, 4),
+    cfg = MCExperiment(sample_count=60, window=(1, 4),
                        phi=lambda n: 10.0, ell=1, seed=7)
     a = run_zero_one_experiment(cfg, sieve_small)
     b = run_zero_one_experiment(cfg, sieve_small)
     assert a == b
-    other = MCExperiment(sample_count=60, precision_bits=128, window=(1, 4),
+    other = MCExperiment(sample_count=60, window=(1, 4),
                          phi=lambda n: 10.0, ell=1, seed=8)
     assert run_zero_one_experiment(other, sieve_small) != a
 
@@ -185,7 +188,7 @@ def test_experiment_reproducible(sieve_small):
 def test_experiment_frequency_matches_first_digit_law(sieve_small):
     # window (1,1): the hit event is exactly "first digit a prime >= 3",
     # whose probability is the level-set measure; 5 sigma at 2000 samples
-    cfg = MCExperiment(sample_count=2000, precision_bits=64, window=(1, 1),
+    cfg = MCExperiment(sample_count=2000, window=(1, 1),
                        phi=lambda n: 3.0, ell=1, seed=20260815)
     rep = run_zero_one_experiment(cfg, sieve_small)
     meas = level_set_measure(1, 3, 100_000, sieve_small)
@@ -196,7 +199,7 @@ def test_experiment_frequency_matches_first_digit_law(sieve_small):
 
 
 def test_experiment_frequency_matches_pair_law(sieve_small):
-    cfg = MCExperiment(sample_count=2000, precision_bits=64, window=(1, 1),
+    cfg = MCExperiment(sample_count=2000, window=(1, 1),
                        phi=lambda n: 6.0, ell=2, seed=20260815)
     rep = run_zero_one_experiment(cfg, sieve_small)
     meas = level_set_measure(2, 6, 10_000, sieve_small)
@@ -205,7 +208,7 @@ def test_experiment_frequency_matches_pair_law(sieve_small):
 
 
 def test_experiment_counting_consistency(sieve_small):
-    cfg = MCExperiment(sample_count=150, precision_bits=256, window=(2, 12),
+    cfg = MCExperiment(sample_count=150, window=(2, 12),
                        phi=lambda n: float(n), ell=1, seed=3)
     rep = run_zero_one_experiment(cfg, sieve_small)
     assert 0 <= rep.hit_count <= rep.sample_count
@@ -213,14 +216,14 @@ def test_experiment_counting_consistency(sieve_small):
     assert [n for n, _ in rep.per_n] == list(range(2, 13))
     assert sum(c for _, c in rep.per_n) >= rep.hit_count
     assert all(0 <= c <= rep.sample_count for _, c in rep.per_n)
-    assert rep.max_bits_used >= 256
+    assert rep.max_bits_used >= 64
     assert rep.refinements >= 0
 
 
 def test_experiment_trivial_threshold_hits_everything(sieve_small):
     # a prime somewhere in the first 61 digits: misses have probability
     # around (3/4)^60, far below one in a million samples
-    cfg = MCExperiment(sample_count=100, precision_bits=512, window=(1, 60),
+    cfg = MCExperiment(sample_count=100, window=(1, 60),
                        phi=lambda n: 2.0, ell=1, seed=11)
     rep = run_zero_one_experiment(cfg, sieve_small)
     assert rep.hit_count == 100
@@ -232,24 +235,13 @@ def test_experiment_tests_products_before_primality():
     sv = PrimeSieve(10)
 
     def run(threshold):
-        cfg = MCExperiment(sample_count=20, precision_bits=256, window=(1, 200),
+        cfg = MCExperiment(sample_count=20, window=(1, 200),
                            phi=lambda n: threshold, ell=1, seed=5)
         return run_zero_one_experiment(cfg, sv)
 
     assert run(1e300).hit_count == 0
     with pytest.raises(OutOfRangeError):
         run(2.0)
-
-
-def test_experiment_deep_window_refines_narrow_draws(sieve_small):
-    # 2001 digits from 16-bit draws: some digit is left undecided by its
-    # first draw and takes more bits, and the run still finishes
-    cfg = MCExperiment(sample_count=1, precision_bits=16, window=(1, 2000),
-                       phi=lambda n: 2.0, ell=1, seed=1)
-    rep = run_zero_one_experiment(cfg, sieve_small)
-    assert rep.refinements == 1
-    assert rep.max_bits_used > 16
-    assert rep.hit_count == 1
 
 
 # -- the block sampler against the scalar one ----------------------------------
@@ -261,8 +253,7 @@ def oracle_report(cfg: MCExperiment, sv) -> ZeroOneReport:
     hits = [0] * len(thresholds)
     hit_count, widths = 0, []
     for i in range(cfg.sample_count):
-        digits, width = _sample_digits(stream(cfg.seed, i, n2 + cfg.ell),
-                                       cfg.precision_bits, n2 + cfg.ell)
+        digits, width = _sample_digits(stream(cfg.seed, i, n2 + cfg.ell), n2 + cfg.ell)
         widths.append(width)
         hit_any = False
         for j, threshold in enumerate(thresholds):
@@ -274,47 +265,60 @@ def oracle_report(cfg: MCExperiment, sv) -> ZeroOneReport:
     return ZeroOneReport(
         hit_fraction=hit_count / cfg.sample_count, hit_count=hit_count,
         sample_count=cfg.sample_count, per_n=tuple(zip(range(n1, n2 + 1), hits)),
-        refinements=sum(w > cfg.precision_bits for w in widths), max_bits_used=max(widths))
+        refinements=sum(w > 64 for w in widths), max_bits_used=max(widths))
 
 
-def block_rows(seed: int, count: int, bits: int, depth: int) -> list[tuple[list[int], int]]:
+def block_rows(seed: int, count: int, depth: int) -> list[tuple[list[int], int]]:
     """(digits, widest draw) of samples 0..count-1 as `_sample_block` draws them."""
-    digits, exact, widths = _sample_block(seed, range(count), bits, depth)
+    digits, exact, widths = _sample_block(seed, range(count), depth)
     width = dict(zip(exact, widths, strict=True))
     rows = []
     for k in range(count):
         row = [int(d) for d in digits[k].tolist()]
         if k in exact:
             assert row == exact[k]
-        rows.append((row, width.get(k, bits)))
+        rows.append((row, width.get(k, 64)))
     return rows
 
 
-def scalar_rows(seed: int, count: int, bits: int, depth: int) -> list[tuple[list[int], int]]:
-    return [_sample_digits(stream(seed, i, depth), bits, depth) for i in range(count)]
+def scalar_rows(seed: int, count: int, depth: int) -> list[tuple[list[int], int]]:
+    return [_sample_digits(stream(seed, i, depth), depth) for i in range(count)]
 
 
-@pytest.mark.parametrize("bits", [16, 32, 48, 64, 96, 256])
+def resampled(seed: int, count: int, depth: int) -> int:
+    """How many of samples 0..count-1 `_sample_block` hands to `_sample_digits`."""
+    return len(_sample_block(seed, range(count), depth)[1])
+
+
+@pytest.mark.parametrize("n2", [16, 32, 48, 64, 96, 256])
 @pytest.mark.parametrize("ell", [1, 2, 3])
-def test_block_sampler_equals_sample_digits(bits, ell):
-    # every digit and every widest draw, sample by sample; at 16 bits most
-    # samples resume in _sample_digits after a certified prefix
-    depth = 60 + ell
+def test_block_sampler_equals_sample_digits(n2, ell, monkeypatch):
+    # every digit and every widest draw, sample by sample, to the depth a
+    # window ending at n2 draws, at the real margin and at wider ones: a
+    # wider margin certifies shorter prefixes, and at 1.0 none, so every
+    # sample resumes in _sample_digits from its first digit
+    depth, count = n2 + ell, 20
     for seed in (1, 7, 20261019):
-        assert block_rows(seed, 40, bits, depth) == scalar_rows(seed, 40, bits, depth)
+        want = scalar_rows(seed, count, depth)
+        for margin in (measure.MARGIN, 2.0**-20, 2.0**-14, 1.0):
+            monkeypatch.setattr(measure, "MARGIN", margin)
+            assert block_rows(seed, count, depth) == want, margin
+        assert resampled(seed, count, depth) == count
 
 
-def test_block_sampler_deep_narrow_window():
-    # the 2001 digits of test_experiment_deep_window_refines_narrow_draws
-    count = 16
-    rows = block_rows(1, count, 16, 2001)
-    assert rows == scalar_rows(1, count, 16, 2001)
-    assert rows[0][1] > 16
+def test_block_sampler_deep_window(monkeypatch):
+    # 2001 digits; a margin widened to 2^-20 stops every sample's certified
+    # prefix partway, and the exact sampler finishes each from there
+    monkeypatch.setattr(measure, "MARGIN", 2.0**-20)
+    count, depth = 16, 2001
+    certified = measure._float_digits(1, range(count), depth)[1]
+    assert ((0 < certified) & (certified < depth)).all()
+    assert block_rows(1, count, depth) == scalar_rows(1, count, depth)
 
 
 def test_block_sampler_certifies_wide_draws():
-    # at 64 bits no digit of these samples needs the scalar sampler
-    digits, exact, widths = _sample_block(3, range(200), 64, 201)
+    # at the real margin no digit of these samples needs the scalar sampler
+    digits, exact, widths = _sample_block(3, range(200), 201)
     assert exact == {} and widths == []
     assert digits.shape == (200, 201)
 
@@ -338,11 +342,11 @@ def test_block_sampler_margin_near_digit_boundaries(monkeypatch):
         return np.where(w == 0, heads[i, n], np.uint64(2**63))
 
     monkeypatch.setattr(measure, "_words", scripted)
-    want = [_sample_digits(stream(0, i, 2), 64, 2)[0] for i in range(len(scripts))]
-    digits, _, _ = _sample_block(0, range(len(scripts)), 64, 2)
+    want = [_sample_digits(stream(0, i, 2), 2)[0] for i in range(len(scripts))]
+    digits, _, _ = _sample_block(0, range(len(scripts)), 2)
     assert [[int(d) for d in row] for row in digits.tolist()] == want
     monkeypatch.setattr(measure, "MARGIN", 0.0)
-    digits, _, _ = _sample_block(0, range(len(scripts)), 64, 2)
+    digits, _, _ = _sample_block(0, range(len(scripts)), 2)
     assert [[int(d) for d in row] for row in digits.tolist()] != want
 
 
@@ -384,64 +388,75 @@ def test_word_function_known_answers():
         0x92A152CB66AF0C17, 0x36C798379CB8DD74]
 
 
-@pytest.mark.parametrize("bits", [16, 32, 48, 64, 96, 256])
-def test_draws_are_read_as_the_stream_gives_them(bits):
-    # a k-bit draw of digit n is the first k bits of the words
-    # W(5, i, n, 0) W(5, i, n, 1) ..., most significant first, and a
-    # refinement appends the next bits
+@pytest.mark.parametrize("seed", [16, 32, 48, 64, 96, 256])
+def test_draws_are_read_as_the_stream_gives_them(seed):
+    # draw(n, w) of sample i is word w of digit n's bit string, W(seed, i, n, w)
     for i in range(3, 6):
-        draw = stream(5, i, 7)
+        draw = stream(seed, i, 7)
         for n in range(7):
-            string = 0
-            for w in range(12):
-                string = string << 64 | word(5, i, n, w)
-            for k in (bits, 2 * bits, 3 * bits):
-                assert draw(n, k) == string >> (64 * 12 - k), (i, n, k)
+            assert [draw(n, w) for w in range(12)] == [word(seed, i, n, w) for w in range(12)]
 
 
-def test_block_digits_do_not_depend_on_bits():
-    # a digit is that of its whole bit string; --bits only changes how
-    # many bits are read, so only the widest draw differs
-    for seed in (1, 7, 20261019):
-        rows = {bits: block_rows(seed, 40, bits, 61) for bits in (16, 32, 48, 64, 96, 256)}
-        digits = {bits: [row for row, _ in rows[bits]] for bits in rows}
-        assert all(digits[bits] == digits[64] for bits in digits)
-        assert any(width > 16 for _, width in rows[16])
+def test_experiment_refines_an_undecided_word(monkeypatch, capsys):
+    # word 0 of sample 3's first digit scripted to UNDECIDED: that digit
+    # takes a second word, in the experiment and in the CLI summary alike
+    sv = PrimeSieve(1000)
+    cfg = MCExperiment(sample_count=8, window=(1, 5), phi=lambda n: 2.0, ell=1, seed=4)
+    argv = ["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,5", "--samples", "8",
+            "--seed", "4", "--sieve", "1000"]
+    plain = run_zero_one_experiment(cfg, sv)
+    assert (plain.refinements, plain.max_bits_used) == (0, 64)
+    words = measure._words
+
+    def scripted(seed, i, n, w):
+        undecided = (np.asarray(i) == 3) & (np.asarray(n) == 0) & (np.asarray(w) == 0)
+        return np.where(undecided, np.uint64(UNDECIDED), words(seed, i, n, w))
+
+    monkeypatch.setattr(measure, "_words", scripted)
+    rep = run_zero_one_experiment(cfg, sv)
+    assert rep == oracle_report(cfg, sv)
+    assert (rep.refinements, rep.max_bits_used) == (1, 128)
+    assert cli.main(argv) == 0
+    summary = capsys.readouterr().out.splitlines()[1]
+    assert summary.endswith(" refinements=1 max_bits_used=128")
 
 
 ORACLE_CASES = [
-    # (samples, bits, window, ell, seed, phi, sieve limit)
-    (150, 64, (1, 30), 2, 1, lambda n: 6.0, 10**6),  # 2 * 3 attains it
-    (150, 64, (1, 30), 2, 1, lambda n: 6.0 * (1 + 2.0**-40), 10**6),  # within the float band
-    (100, 64, (2, 40), 1, 2, lambda n: float(n), 10**6),
-    (100, 64, (2, 40), 3, 2, lambda n: float(n), 10**6),
-    (80, 48, (1, 25), 4, 3, lambda n: float(n * n), 10**6),
-    (60, 64, (1, 20), 1, 4, lambda n: math.inf, 10**6),
-    (60, 64, (1, 20), 2, 4, lambda n: math.nan, 10**6),
-    (60, 64, (1, 20), 2, 4, lambda n: -1.0, 10**6),
-    (60, 64, (1, 40), 1, 5, lambda n: 2.0, 1000),  # digits past 1000 by trial division
-    (200, 16, (10, 60), 2, 6, lambda n: n * math.log(n) ** 2, 10**6),
-    (30, 1000, (1, 30), 1, 7, lambda n: 3.0, 10**6),
+    # (samples, window, ell, seed, phi, sieve limit)
+    (150, (1, 30), 2, 1, lambda n: 6.0, 10**6),  # 2 * 3 attains it
+    (150, (1, 30), 2, 1, lambda n: 6.0 * (1 + 2.0**-40), 10**6),  # within the float band
+    (100, (2, 40), 1, 2, lambda n: float(n), 10**6),
+    (100, (2, 40), 3, 2, lambda n: float(n), 10**6),
+    (80, (1, 25), 4, 3, lambda n: float(n * n), 10**6),
+    (60, (1, 20), 1, 4, lambda n: math.inf, 10**6),
+    (60, (1, 20), 2, 4, lambda n: math.nan, 10**6),
+    (60, (1, 20), 2, 4, lambda n: -1.0, 10**6),
+    (60, (1, 40), 1, 5, lambda n: 2.0, 1000),  # digits past 1000 by trial division
+    (200, (10, 60), 2, 6, lambda n: n * math.log(n) ** 2, 10**6),
+    (30, (1, 30), 1, 7, lambda n: 3.0, 10**6),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_experiment_equals_scalar_loop(case, monkeypatch):
-    samples, bits, window, ell, seed, phi, limit = ORACLE_CASES[case]
+    samples, window, ell, seed, phi, limit = ORACLE_CASES[case]
     sv = PrimeSieve(limit)
-    cfg = MCExperiment(sample_count=samples, precision_bits=bits, window=window,
+    cfg = MCExperiment(sample_count=samples, window=window,
                        phi=phi, ell=ell, seed=seed)
     want = oracle_report(cfg, sv)
     assert run_zero_one_experiment(cfg, sv) == want
-    # chunks of 17 samples, of one sample, and no digit certified by the
+    # chunks of 17 samples, of one sample, a margin wide enough that many
+    # samples resume after a certified prefix, and no digit certified by the
     # float pass: every sample resampled from its first digit
     depth = window[1] + ell
     monkeypatch.setattr(measure, "CHUNK_DIGITS", 17 * depth)
     assert run_zero_one_experiment(cfg, sv) == want
     monkeypatch.setattr(measure, "CHUNK_DIGITS", 1)
     assert run_zero_one_experiment(cfg, sv) == want
+    monkeypatch.setattr(measure, "MARGIN", 2.0**-12)
+    assert run_zero_one_experiment(cfg, sv) == want
     monkeypatch.setattr(measure, "MARGIN", 1.0)
-    assert len(_sample_block(seed, range(samples), bits, depth)[1]) == samples
+    assert resampled(seed, samples, depth) == samples
     assert run_zero_one_experiment(cfg, sv) == want
 
 
@@ -452,7 +467,7 @@ def test_sampled_digits_follow_the_gauss_kuzmin_law_at_depth():
     step = measure.CHUNK_DIGITS // depth
     counts = Counter()
     for start in range(0, n, step):
-        digits, _, _ = _sample_block(20261019, range(start, min(n, start + step)), 64, depth)
+        digits, _, _ = _sample_block(20261019, range(start, min(n, start + step)), depth)
         counts.update(digits[:, depth - 1].tolist())
     for k in range(1, 5):
         p = math.log2(1 + 1 / (k * (k + 2)))
@@ -461,19 +476,16 @@ def test_sampled_digits_follow_the_gauss_kuzmin_law_at_depth():
 
 def test_experiment_validation():
     with pytest.raises(ValueError):
-        MCExperiment(sample_count=0, precision_bits=64, window=(1, 2),
+        MCExperiment(sample_count=0, window=(1, 2),
                      phi=lambda n: 2.0, ell=1, seed=1)
     with pytest.raises(ValueError):
-        MCExperiment(sample_count=5, precision_bits=8, window=(1, 2),
+        MCExperiment(sample_count=5, window=(3, 2),
                      phi=lambda n: 2.0, ell=1, seed=1)
     with pytest.raises(ValueError):
-        MCExperiment(sample_count=5, precision_bits=64, window=(3, 2),
+        MCExperiment(sample_count=5, window=(0, 2),
                      phi=lambda n: 2.0, ell=1, seed=1)
     with pytest.raises(ValueError):
-        MCExperiment(sample_count=5, precision_bits=64, window=(0, 2),
-                     phi=lambda n: 2.0, ell=1, seed=1)
-    with pytest.raises(ValueError):
-        MCExperiment(sample_count=5, precision_bits=64, window=(1, 2),
+        MCExperiment(sample_count=5, window=(1, 2),
                      phi=lambda n: 2.0, ell=0, seed=1)
 
 

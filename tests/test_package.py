@@ -71,6 +71,7 @@ sys.addaudithook(audit)
 
 def report(**extra):
     print(json.dumps({{"ran": ran, "mpmath": "mpmath" in sys.modules,
+                      "numpy": "numpy" in sys.modules,
                       "modules": sorted(m for m in sys.modules if m.startswith("primecf")),
                       **extra}}))
 """
@@ -149,8 +150,9 @@ def test_package_import_executes_only_the_package():
 
 def test_cli_import_executes_only_what_the_parser_needs():
     got = fresh("import primecf.cli\nreport()")
-    assert sorted(got["ran"]) == ["primecf", "primecf.cli", "primecf.errors", "primecf.primes"]
+    assert sorted(got["ran"]) == ["primecf", "primecf.cli", "primecf.errors"]
     assert got["mpmath"] is False
+    assert got["numpy"] is False
 
 
 @pytest.mark.parametrize("argv", [
@@ -165,6 +167,16 @@ def test_commands_without_mpf_values_never_import_mpmath(argv):
     got = run_main(argv)
     assert got["rc"] == 0
     assert got["mpmath"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf-expand", "--rational", "113/355"],
+    ["cf-expand", "--real", "0.3183", "--bits", "40"],
+], ids=lambda argv: argv[1])
+def test_cf_expand_never_imports_numpy(argv):
+    got = run_main(argv)
+    assert got["rc"] == 0
+    assert got["numpy"] is False
 
 
 @pytest.mark.parametrize("argv", [
