@@ -3,11 +3,23 @@ on digit strings drawn from their exact law.
 
 The level set for a threshold t collects the x in [0,1) whose first ell
 digits are primes multiplying to at least t; its measure is a sum of
-exact fundamental-interval lengths over prime tuples.  Enumeration stops
-at a factor cutoff and the omitted tuples are covered by an integer-tail
-bound, so the reported pair [exact_lower, exact_upper] is a rigorous
-bracket: every float is nudged outward before accumulation and the
-correctly-rounded totals are nudged once more.
+exact fundamental-interval lengths over prime tuples.  Tuples with every
+factor at most a cutoff are summed, and those with a factor beyond it are
+covered by an integer-tail bound, so the reported pair [exact_lower,
+exact_upper] is a rigorous bracket: every rounding is part of the bound.
+For ell = 1 each length 1/(p(p + 1)) is nudged outward before the sum.
+For ell = 2 no pair is visited one by one past a b = SERIES_FLOOR: with
+y = 1/b the length of the pair (a, b) is a series in y,
+
+    f(a, b) = 1/((ab + 1)(ab + b + 1)) = y^2 (1/(a + y) - 1/(a + 1 + y))
+            = sum_{k >= 0} (-1)^k b^-(k+2) g_k(a),   g_k(a) = a^-(k+1) - (a + 1)^-(k+1),
+
+whose remainder after K terms, (-1)^K y^(K+2) (1/(a^K (a + y)) -
+1/((a + 1)^K (a + 1 + y))), has the sign (-1)^K for every pair.  So the
+level set's sum is bracketed by the partial sums of sum_k (-1)^k T_k with
+K and K + 1 terms, K even, where T_k sums g_k(a) times a suffix power sum
+of b^-(k+2) over the partners b of each a: K + 1 passes over the primes
+instead of one term per pair (`_pair_series`).
 
 The zero-one experiment draws each digit from its exact conditional law in
 integers (`_sample_digits`, the law's one definition), digit n of sample i
@@ -33,10 +45,9 @@ import numpy as np
 from .errors import EnumerationGuardError, OutOfRangeError
 from .primes import PrimeSieve, is_prime_trial, primes_in
 
-# The most prime pairs an ell = 2 measure sums, one float term each.  At the
-# cap, --threshold 3 --cutoff 253992 (499,969,600 pairs) takes 2.2 to 2.4 s
-# and 38 MB in-process on a 2-vCPU host.
-PAIR_CAP = 5 * 10**8
+# ell = 2 pairs with a b below this are summed one length at a time; above
+# it the series in 1/(ab) needs at most K = 6 terms (see `_pair_series`).
+SERIES_FLOOR = 2**12
 # The most digits one zero-one run may draw: its samples times their depth.
 # At the cap, in-process on a 2-vCPU host, 49,751 samples at depth 201 take
 # 3.4 s (24.3 s with every sample resampled by _sample_digits), 5,000,000 at
@@ -59,6 +70,13 @@ def _up(v: float) -> float:
     return math.nextafter(v, math.inf)
 
 
+def _ceil_ratio(num: int, den: int) -> float:
+    """The least float >= num/den, for positive ints; num/den rounds to nearest."""
+    f = num / den
+    p, q = f.as_integer_ratio()
+    return f if p * den >= num * q else _up(f)
+
+
 @dataclass(frozen=True)
 class LevelSetMeasure:
     phi_value: float
@@ -73,18 +91,115 @@ class LevelSetMeasure:
         return self.exact_upper - self.exact_lower
 
 
+def _partner_starts(pint: np.ndarray, t: int) -> np.ndarray:
+    """Per prime a of `pint` (ascending), the index of its first partner b
+    with a b >= t: b >= ceil(t / a), in exact integers."""
+    return np.searchsorted(pint, -(-t // pint), side="left")
+
+
+def _blocks(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed array of ceil(sqrt(size)) columns and enough rows for `size`
+    values, and a flat view of its first `size` cells.  A sum along the
+    rows and then over the rows takes each value through at most
+    rows + cols - 2 additions, whatever order numpy adds in."""
+    cols = math.isqrt(max(size - 1, 0)) + 1
+    flat = np.zeros(-(-size // cols) * cols)
+    return flat.reshape(-1, cols), flat[:size]
+
+
+def _head_pairs(pint: np.ndarray, t: int) -> np.ndarray:
+    """The lengths f(a, b) of the prime pairs in `pint` with t <= a b <
+    SERIES_FLOOR, each 1/q rounded once: q = (ab + 1)(ab + b + 1) < 2^53."""
+    small = pint[pint <= SERIES_FLOOR // 2]
+    a, b = small[:, None], small[None, :]
+    ab = a * b
+    keep = (ab >= t) & (ab < SERIES_FLOOR)
+    return 1.0 / ((ab + 1) * (ab + b + 1))[keep]
+
+
+def _pair_series(pint: np.ndarray, t: int) -> tuple[list[float], list[float]]:
+    """Float terms whose sums bound below and above the sum of f(a, b) over
+    the prime pairs in `pint` with a b >= t >= SERIES_FLOOR.
+
+    Term k of the series in the module docstring is T_k = sum_a g_k(a)
+    S_{k+2}(a), S_j(a) the sum of b^-j over a's partners.  Each pair's
+    remainder after K terms is at most 2 (K + 1) (ab)^-K f(a, b) <=
+    2 (K + 1) t^-K f(a, b), so the smallest even K with 2 (K + 1) t^-K <=
+    2^-60 leaves the truncation below 2^-60 of the sum: K <= 6, as t >= 2^12.
+
+    Rounding.  Every quantity is positive until the T_k are combined, and
+    every rounding in a term of T_k is a factor 1 + d with |d| <= u = 2^-53
+    (no value comes near underflow: primes are below 2^30, and k + 2 <= 8).
+    y = 1/b and b^-j = y^j take 2j - 1 of them.  1/a, 1/(a + 1) and their
+    product c = 1/(a (a + 1)) take 1, 1 and 3; g_0 = c, and g_k = a^-k c +
+    g_{k-1}/(a + 1), a sum of positive terms, takes 3k + 3.  The suffix sums
+    S_j(a), a row prefix of `_blocks` of the b^-j in descending b plus the
+    totals of the rows before it, add at most rows + cols; the product
+    g_k S_{k+2} adds 1, and the blocked sum over a its rows + cols.  With
+    m_k the total, the computed T_k is the exact one times some 1 + theta,
+    |theta| <= m_k u / (1 - m_k u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Lemma 3.1), so the exact T_k lies within
+    a relative 2 m_k u of the float one; it is widened by that and nudged
+    outward.
+    """
+    n = pint.size
+    starts = _partner_starts(pint, t)
+    # starts fall as a grows, so the primes with a partner are a suffix
+    first_a = n - int(np.count_nonzero(starts < n))
+    if first_a == n:
+        return [], []
+    r = 1.0 / t
+    K = 2
+    while 2 * (K + 1) * r**K > 2.0**-60:
+        K += 2
+    # the partners of a, in descending b, are a prefix
+    b = pint[starts[-1]:][::-1]
+    y, y_flat = _blocks(b.size)
+    np.divide(1.0, b, out=y_flat)
+    z = y * y
+    prefix = np.empty_like(z)
+    at = n - 1 - starts[first_a:]
+    a = pint[first_a:]
+    inv_a, inv_a1 = 1.0 / a, 1.0 / (a + 1)
+    power = inv_a * inv_a1
+    g = power.copy()
+    terms, terms_flat = _blocks(a.size)
+    lows, highs = [], []
+    for k in range(K + 1):
+        if k:
+            z *= y
+            power *= inv_a
+            g *= inv_a1
+            g += power
+        np.cumsum(z, axis=1, out=prefix)
+        prefix[1:] += np.cumsum(prefix[:-1, -1])[:, None]
+        np.take(prefix, at, out=terms_flat, mode="clip")
+        terms_flat *= g
+        total = float(terms.sum(axis=1).sum())
+        e = (5 * k + 7 + sum(y.shape) + sum(terms.shape)) * 2.0**-52
+        lo, hi = _down(total * (1 - e)), _up(total * (1 + e))
+        if k % 2:
+            lo, hi = -hi, -lo
+        highs.append(hi)
+        if k < K:
+            lows.append(lo)
+    return lows, highs
+
+
 def level_set_measure(ell: int, threshold: float, cutoff: int,
                       sv: PrimeSieve) -> LevelSetMeasure:
     """Bracket the measure of {x : first ell digits prime, product >= threshold}.
 
-    Enumerates prime tuples with every factor <= cutoff and sums the
-    exact interval lengths 1/(q_ell (q_ell + q_{ell-1})); tuples with a
-    factor beyond the cutoff contribute only to the upper end through an
-    integer-tail bound.  Exact mode is limited to ell in {1, 2}; deeper
-    products are only reachable through the Monte Carlo experiment.  An
-    ell = 2 request with more than PAIR_CAP pairs is refused before any
-    term is summed.  Any threshold >= 2 is measured, but the paper's
-    measure criterion holds only for thresholds >= 3.
+    Sums the exact interval lengths 1/(q_ell (q_ell + q_{ell-1})) of the
+    prime tuples with every factor <= cutoff; tuples with a factor beyond
+    the cutoff contribute only to the upper end through an integer-tail
+    bound.  For ell = 2, pairs with a b < SERIES_FLOOR are summed one by
+    one and the rest through `_pair_series`, so the cost grows with the
+    number of primes, not of pairs; `terms` still counts the pairs the
+    bracket covers.  Exact mode is limited to ell in {1, 2}; deeper
+    products are only reachable through the Monte Carlo experiment.  Any
+    threshold >= 2 is measured, but the paper's measure criterion holds
+    only for thresholds >= 3.
     """
     if ell not in (1, 2):
         raise ValueError(f"exact level-set mode supports ell in {{1, 2}}, got {ell};"
@@ -94,9 +209,6 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
     if cutoff < 2 or cutoff > sv.limit:
         raise OutOfRangeError(f"cutoff {cutoff} outside sieve range [2, {sv.limit}]")
 
-    lows: list[float] = []
-    highs: list[float] = []
-    terms = 0
     if ell == 1:
         # primes are int64 and at most SIEVE_CAP, so p(p+1) is exact; the
         # float conversion and 1/x round as Python's int/float ops do
@@ -110,45 +222,23 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         tail = _up(1.0 / (cutoff + 1))
     else:
         pint = primes_in(2, cutoff, sv)
-        ps = pint.astype(np.float64)
-        # p1 p2 >= threshold  <=>  p2 >= ceil(ceil(threshold) / p1), in exact
-        # integers; capping at cutoff^2 + 1 (no pair reaches it) keeps int64
-        need = -(-min(math.ceil(threshold), cutoff * cutoff + 1) // pint)
-        starts = np.searchsorted(pint, need, side="left").tolist()
-        pairs = ps.size * len(starts) - sum(starts)
-        if pairs > PAIR_CAP:
-            raise EnumerationGuardError(
-                f"{pairs} prime pairs to sum exceed PAIR_CAP = {PAIR_CAP}")
-        # per-prime steps run in place on slices of two buffers allocated
-        # once, in the order q2 = p1 p2 + 1, t = 1 / (q2 (q2 + p2)); each
-        # buffer starts on a 64-byte boundary, since fresh temporaries land
-        # wherever the heap leaves them, and the same loop ran 0.96 s or
-        # 1.08 s on a 2-vCPU host by that alone (same ops and order, so the
-        # same doubles)
-        stride = -(-ps.size // 8) * 8
-        raw = np.empty(2 * stride + 8)
-        off = (-raw.ctypes.data % 64) // 8
-        q2_buf, t_buf = raw[off:off + ps.size], raw[off + stride:off + stride + ps.size]
-        for p1, start in zip(pint.tolist(), starts):
-            if start == ps.size:
-                continue
-            tail = ps[start:]
-            q2, t = q2_buf[:tail.size], t_buf[:tail.size]
-            np.multiply(tail, p1, out=q2)
-            q2 += 1.0
-            np.add(q2, tail, out=t)
-            t *= q2
-            np.divide(1.0, t, out=t)
-            block = float(np.sum(t))
-            # four float ops per term plus pairwise summation keep the
-            # relative error well under 1e-13; pad outward by that much
-            lows.append(block * (1.0 - 1e-13))
-            highs.append(block * (1.0 + 1e-13))
-            terms += t.size
-        psq_hi = _up(math.fsum(np.nextafter(1.0 / (pint * pint).astype(np.float64), np.inf)))
+        # no pair reaches cutoff^2 + 1, and capping there keeps int64
+        t = min(math.ceil(threshold), cutoff * cutoff + 1)
+        terms = pint.size ** 2 - int(_partner_starts(pint, t).sum())
+        head = _head_pairs(pint, t)
+        lows, highs = _pair_series(pint, max(t, SERIES_FLOOR))
+        lows += np.nextafter(head, -np.inf).tolist()
+        highs += np.nextafter(head, np.inf).tolist()
         # pairs with a factor beyond the cutoff: each length <= (p1 p2)^-2,
-        # and sum_{p > cutoff} p^-2 <= 1/cutoff
-        tail = _up(2.0 * (psq_hi + 1.0 / cutoff) * (1.0 / cutoff))
+        # and sum_{p > cutoff} p^-2 <= 1/cutoff.  A float square is p^2 up to
+        # 2^53 and moved below p^2 past it, so one nudge up bounds each 1/p^2;
+        # the tail is then evaluated exactly and rounded up once
+        squares = (pint * pint).astype(np.float64)
+        past = pint > math.isqrt(2**53)
+        squares[past] = np.nextafter(squares[past], 0)
+        psq_hi = _up(math.fsum(np.nextafter(1.0 / squares, np.inf)))
+        num, den = psq_hi.as_integer_ratio()
+        tail = _ceil_ratio(2 * (num * cutoff + den), den * cutoff * cutoff)
 
     lower = _down(math.fsum(lows)) if lows else 0.0
     upper = _up(_up(math.fsum(highs)) + tail) if highs else _up(tail)

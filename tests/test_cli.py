@@ -627,8 +627,9 @@ TOTALITY = [
     (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", "--M", "8",
       "--N", "1", "--depth", "7"], 3, "EnumerationGuardError: tree exceeds"),
     (["cf-expand", "--rational", "1/3", "--bits", "80"], 2, "ValueError: --bits"),
+    # 6,161,936,004 prime pairs, summed as seven power sums over 78,498 primes
     *[(["interval-measure", "--ell", "2", "--threshold", "3", "--cutoff", "1000000",
-        "--format", fmt], 3, "EnumerationGuardError: 6161936004 prime pairs to sum exceed")
+        "--format", fmt], 0, None)
       for fmt in ("csv", "json")],
     # more mpf powers (s = 2.3 has no exact root) than MPF_TERM_CAP, and an
     # Omega table past OMEGA_CAP, refused before any is computed
@@ -738,17 +739,24 @@ def test_enumeration_cap(capsys, monkeypatch):
         assert err.startswith("OutOfRangeError: omega_table bound 5001 exceeds OMEGA_CAP")
 
 
-def test_pair_cap(capsys, monkeypatch):
-    argv = ["interval-measure", "--ell", "2", "--threshold", "50", "--cutoff", "1000"]
-    code, want, _ = run_cli(capsys, argv)
-    assert code == 0
-    pairs = int(want.splitlines()[-1].split(",")[-1])
-    monkeypatch.setattr(measure, "PAIR_CAP", pairs)
-    assert run_cli(capsys, argv) == (0, want, "")
-    monkeypatch.setattr(measure, "PAIR_CAP", pairs - 1)
-    code, out, err = run_cli(capsys, argv)
-    assert (code, out) == (3, "")
-    assert err.startswith(f"EnumerationGuardError: {pairs} prime pairs to sum exceed PAIR_CAP")
+def test_level_two_cost_follows_primes_not_pairs(capsys):
+    # 6,161,936,004 pairs below the larger cutoff; its bracket nests in the
+    # smaller cutoff's, and CSV and JSON print the same one
+    brackets = []
+    for cutoff in ("100000", "1000000"):
+        argv = ["interval-measure", "--ell", "2", "--threshold", "3", "--cutoff", cutoff]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        code_json, out_json, err_json = run_cli(capsys, argv + ["--format", "json"])
+        assert time.perf_counter() - start < 5
+        assert (code, err, code_json, err_json) == (0, "", 0, "")
+        row = parse_csv(out)[2][0]
+        bracket = float(row["lower"]), float(row["upper"])
+        assert bracket == tuple(json.loads(out_json)["rows"][0][k] for k in ("lower", "upper"))
+        brackets.append(bracket)
+    (lower, upper), (inner_lower, inner_upper) = brackets
+    assert lower < inner_lower < inner_upper < upper
+    assert row["terms"] == "6161936004"
 
 
 def test_draw_cap(capsys, monkeypatch):
@@ -859,6 +867,8 @@ _ELL = st.integers(1, 4)
 _BIG_ELL = st.integers(1, 500)
 _S = st.floats(0.5, 6)
 _CUTOFF = st.integers(0, 10**4)
+# interval-measure's cost grows with the primes below the cutoff, not the pairs
+_MEASURE_CUTOFF = st.integers(0, 10**6)
 _SIEVE = _opt(st.sampled_from((0, 1000, 100_000)))
 _PHI = st.sampled_from(PHIS)
 _WINDOW = st.tuples(st.integers(0, 20), st.integers(-1, 50)).map(lambda w: (w[0], w[0] + w[1]))
@@ -877,7 +887,7 @@ FUZZ_ARGV = st.one_of(
            .map(lambda f: f"{f[0]}/{f[1]}"), max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
     _flags("cf-expand", real=st.floats(-1, 2).map(repr), bits=_opt(st.integers(0, 256)),
            max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
-    _flags("interval-measure", ell=_ELL, threshold=_REAL, cutoff=_CUTOFF, sieve=_SIEVE,
+    _flags("interval-measure", ell=_ELL, threshold=_REAL, cutoff=_MEASURE_CUTOFF, sieve=_SIEVE,
            format=_FORMAT),
     _flags("pressure-dim", ell=_ELL, B=_B, M=st.integers(0, 8),
            n=st.integers(0, 6), tol=_opt(st.floats(-1, 0.1)),

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from primecf import cli, measure
@@ -103,23 +105,82 @@ def test_bracket_nesting_and_width(sieve_small):
         assert res.exact_upper >= ref2.exact_upper - 1e-15
 
 
-# float.hex of (exact_lower, exact_upper) and the term count of the ell = 2
-# bracket, computed when each per-prime block was summed from fresh numpy
-# temporaries; the in-place buffers must give the same doubles.  At
-# threshold 10^6 and cutoff 3000, 67 primes have no partner.
+# (threshold, cutoff, lower, upper, terms) pinned when each pair was summed
+# one by one, then (lower, upper) as float.hex from the series.  The two
+# routes round differently, so the series bracket must meet the per-pair
+# one and be at most 1e-12 of the value wider.  At threshold 10^6 and
+# cutoff 3000, 67 primes have no partner.
 LEVEL_TWO_PINS = [
-    (3, 2000, "0x1.ebc03fdefac69p-4", "0x1.ed9aedad78664p-4", 91809),
-    (1000, 2000, "0x1.c76f4cdf90976p-12", "0x1.d10e8dae622ebp-11", 91222),
-    (10**6, 3000, "0x1.aaedfd6c6d94ep-26", "0x1.3c6084c09d92ep-12", 103006),
-    (50, 100_000, "0x1.5c8575f11ed99p-7", "0x1.5cd1563738c0ap-7", 92006434),
+    (3, 2000, "0x1.ebc03fdefac69p-4", "0x1.ed9aedad78664p-4", 91809,
+     "0x1.ebc03fdefafc9p-4", "0x1.ed9aedad78305p-4"),
+    (1000, 2000, "0x1.c76f4cdf90976p-12", "0x1.d10e8dae622ebp-11", 91222,
+     "0x1.c76f4cdf90c81p-12", "0x1.d10e8dae62165p-11"),
+    (10**6, 3000, "0x1.aaedfd6c6d94ep-26", "0x1.3c6084c09d92ep-12", 103006,
+     "0x1.aaedfd6c6dbaep-26", "0x1.3c6084c09d92dp-12"),
+    (50, 100_000, "0x1.5c8575f11ed99p-7", "0x1.5cd1563738c0ap-7", 92006434,
+     "0x1.5c8575f11eff8p-7", "0x1.5cd15637389acp-7"),
 ]
 
 
-@pytest.mark.parametrize("threshold, cutoff, lower, upper, terms", LEVEL_TWO_PINS)
-def test_double_digit_bracket_bits_pinned(sieve_small, threshold, cutoff, lower, upper,
-                                          terms):
+@pytest.mark.parametrize("threshold, cutoff, pair_lower, pair_upper, terms, lower, upper",
+                         LEVEL_TWO_PINS, ids=["-".join(map(str, pin[:5])) for pin in LEVEL_TWO_PINS])
+def test_double_digit_bracket_bits_pinned(sieve_small, threshold, cutoff, pair_lower,
+                                          pair_upper, terms, lower, upper):
     res = level_set_measure(2, threshold, cutoff, sieve_small)
     assert (res.exact_lower.hex(), res.exact_upper.hex(), res.terms) == (lower, upper, terms)
+    pair_lower, pair_upper = float.fromhex(pair_lower), float.fromhex(pair_upper)
+    assert max(res.exact_lower, pair_lower) <= min(res.exact_upper, pair_upper)
+    assert res.width <= (pair_upper - pair_lower) + 1e-12 * res.exact_lower
+
+
+def series_partial(a: int, b: int, terms: int) -> Fraction:
+    """The first `terms` terms of sum_k (-1)^k b^-(k+2) g_k(a), with g_k from
+    the recurrence `_pair_series` evaluates: g_0 = 1/(a(a+1)) and
+    g_k = a^-k g_0 + g_{k-1}/(a+1)."""
+    g0 = Fraction(1, a * (a + 1))
+    total, g = Fraction(0), g0
+    for k in range(terms):
+        if k:
+            g = g0 / a**k + g / (a + 1)
+        assert g == Fraction(1, a ** (k + 1)) - Fraction(1, (a + 1) ** (k + 1))
+        total += (-1) ** k * g / b ** (k + 2)
+    return total
+
+
+def test_pair_length_series_brackets_every_pair(sieve_small):
+    # for even K the partial sums with K and K + 1 terms bracket the length
+    # of each pair, and their gap is within the 2 (K + 1) (ab)^-K f(a, b)
+    # that `_pair_series` picks K by
+    ps = [int(p) for p in primes_in(2, 101, sieve_small)]
+    for a in ps:
+        for b in ps:
+            f = Fraction(1, (a * b + 1) * (a * b + b + 1))
+            for K in range(0, 9, 2):
+                lo, hi = series_partial(a, b, K), series_partial(a, b, K + 1)
+                assert lo <= f <= hi, (a, b, K)
+                assert hi - lo <= 2 * (K + 1) * f / Fraction(a * b) ** K
+
+
+_PRIMES = primes_in(2, 1000, PrimeSieve(1000)).tolist()
+_PRODUCTS = sorted({p * q for p in _PRIMES for q in _PRIMES if p * q <= 2000})
+_NEAR_PRODUCTS = st.sampled_from(_PRODUCTS).flatmap(
+    lambda m: st.sampled_from((float(m), math.nextafter(m, 0), math.nextafter(m, math.inf))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(threshold=st.floats(2, 2000) | _NEAR_PRODUCTS, cutoff=st.integers(2, 300))
+def test_double_digit_bracket_contains_exact_sum_anywhere(sieve_small, threshold, cutoff):
+    res = level_set_measure(2, threshold, cutoff, sieve_small)
+    exact, count = oracle_level_two(threshold, cutoff, sieve_small)
+    assert res.terms == count
+    assert Fraction(res.exact_lower) <= exact <= Fraction(res.exact_upper)
+    # the series alone, against the exact sum of the pairs it covers, with
+    # no tail to hide an upper end that is too low
+    t = max(math.ceil(threshold), measure.SERIES_FLOOR)
+    lows, highs = measure._pair_series(primes_in(2, cutoff, sieve_small), t)
+    series, _ = oracle_level_two(t, cutoff, sieve_small)
+    assert sum(map(Fraction, lows)) <= series <= sum(map(Fraction, highs))
+    assert sum(highs) - sum(lows) <= 1e-12 * series
 
 
 def test_level_set_validation(sieve_small):
