@@ -186,6 +186,14 @@ def _pair_series(pint: np.ndarray, t: int) -> tuple[list[float], list[float]]:
     return lows, highs
 
 
+def _nudged(t: np.ndarray, to: float) -> Iterator[float]:
+    """The floats of t, each moved one ulp toward `to`, as Python floats
+    made 2^16 at a time, so no list spans the whole array."""
+    step = 1 << 16
+    return itertools.chain.from_iterable(
+        np.nextafter(t[lo:lo + step], to).tolist() for lo in range(0, t.size, step))
+
+
 def level_set_measure(ell: int, threshold: float, cutoff: int,
                       sv: PrimeSieve) -> LevelSetMeasure:
     """Bracket the measure of {x : first ell digits prime, product >= threshold}.
@@ -214,9 +222,9 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         # float conversion and 1/x round as Python's int/float ops do
         ps = primes_in(math.ceil(threshold), cutoff, sv)
         t = 1.0 / (ps * (ps + 1)).astype(np.float64)
-        lows = np.nextafter(t, -np.inf).tolist()
-        highs = np.nextafter(t, np.inf).tolist()
-        terms = len(lows)
+        lows, highs = _nudged(t, -np.inf), _nudged(t, np.inf)
+        terms = t.size
+        empty = not terms
         # integers past the cutoff dominate the skipped primes:
         # sum 1/(k(k+1)) over k > cutoff telescopes to 1/(cutoff+1)
         tail = _up(1.0 / (cutoff + 1))
@@ -229,6 +237,7 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         lows, highs = _pair_series(pint, max(t, SERIES_FLOOR))
         lows += np.nextafter(head, -np.inf).tolist()
         highs += np.nextafter(head, np.inf).tolist()
+        empty = not highs
         # pairs with a factor beyond the cutoff: each length <= (p1 p2)^-2,
         # and sum_{p > cutoff} p^-2 <= 1/cutoff.  A float square is p^2 up to
         # 2^53 and moved below p^2 past it, so one nudge up bounds each 1/p^2;
@@ -240,8 +249,8 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         num, den = psq_hi.as_integer_ratio()
         tail = _ceil_ratio(2 * (num * cutoff + den), den * cutoff * cutoff)
 
-    lower = _down(math.fsum(lows)) if lows else 0.0
-    upper = _up(_up(math.fsum(highs)) + tail) if highs else _up(tail)
+    lower = 0.0 if empty else _down(math.fsum(lows))
+    upper = _up(tail) if empty else _up(_up(math.fsum(highs)) + tail)
     return LevelSetMeasure(
         phi_value=float(threshold),
         ell=ell,

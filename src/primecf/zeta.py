@@ -7,10 +7,14 @@ log-zeta identity, and asymptotic ratio tables.
 Tails are accumulated exactly as Python integers in units of
 2^-(FIX_BITS + e), with e chosen so the largest term, at the smallest k,
 is about 2^FIX_BITS units.  When s * 2^j is an integer a <= 64 for some
-j <= 3, each term is the exact floor of its units (one floor division,
-then j nested integer square roots), so the total is a lower bound within
-`terms` units of the true sum.  Any other s takes one mpmath power per
-term at FIX_BITS + 20 bits, whose mantissa is shifted into the same units.
+j <= 3, each term is the exact floor of its units, so the total is a
+lower bound within `terms` units of the true sum.  For integer s (j = 0)
+the k with k^a < 2^62 get their floors by long division in 40-bit limbs,
+a whole numpy array at once (`_limb_floor_sum`): each digit estimate is
+off by at most one, and one step corrects it.  Every other term is one
+Python floor division, then j nested integer square roots.  Any other s
+takes one mpmath power per term at FIX_BITS + 20 bits, whose mantissa is
+shifted into the same units.
 The total becomes a 40-digit value once, rounded down, and its slack, plus
 that rounding, is added to the remainder bound rounded up, so every tail
 keeps about 40 correct digits, however small, and [value, upper] stays
@@ -31,7 +35,8 @@ from .primes import PrimeSieve, almost_primes
 WORK_DPS = 40
 # Fixed-point sums count units of 2^-(FIX_BITS + e), e scaled to the largest
 # term; terms stream through Python ints in chunks of FIX_CHUNK, so no object
-# list spans a whole term array.
+# list spans a whole term array, and the 40-bit digits of a chunk's limb
+# division sum below 2^56 in uint64.
 FIX_BITS = 160
 FIX_CHUNK = 1 << 16
 # Exponents s * 2^j above this take the mpf route: k^a grows with a.
@@ -118,13 +123,64 @@ def _unit_exponent(k: int, s: float) -> int:
     return -(exp + bc)
 
 
+def _one_limb_max(a: int) -> int:
+    """The largest k with k^a < 2^62, found in exact integers."""
+    k = int(2.0 ** (62 / a))
+    while k ** a >= 1 << 62:
+        k -= 1
+    while (k + 1) ** a < 1 << 62:
+        k += 1
+    return k
+
+
+def _limb_floor_sum(ks: np.ndarray, a: int, unit: int) -> int:
+    """Sum of floor(2^unit / k^a) over ks, every D = k^a below 2^62.
+
+    Long division of 2^unit by all the D at once, in base 2^40 digits and
+    uint64 arrays (Knuth, TAOCP vol. 2, 4.3.1).  The remainder r < D starts
+    as 2^(unit mod 40) mod D, and each of unit // 40 steps takes the next
+    quotient digit, floor(r 2^40 / D) < 2^40.  Its estimate q =
+    trunc(float(r) * (2^40 / float(D))) rounds four times, so it is within
+    2^-50 relative, under 2^-10 absolute, of r 2^40 / D: q is off by at
+    most one.  So r 2^40 - q D lies in [-D, 2D), which int64 holds as D <
+    2^62: its wrapped uint64 value read as int64 is exact, and one
+    correction step fixes q and r.  Each step's digits sum to under 2^56
+    for up to 2^16 ks, and the step sums are combined as Python ints.  So
+    the 40-bit limb keeps both the estimate's error below one and a chunk's
+    digit sums inside uint64.
+    """
+    d = ks.astype(np.uint64) ** a
+    d_signed = d.view(np.int64)
+    scale = 2.0**40 / d.astype(np.float64)
+    steps, top = divmod(unit, 40)
+    q, r = np.divmod(np.uint64(1 << top), d)
+    total = int(q.sum(dtype=np.uint64))
+    for _ in range(steps):
+        q = (r.astype(np.float64) * scale).astype(np.uint64)
+        r <<= np.uint64(40)
+        r -= q * d
+        signed = r.view(np.int64)
+        below, above = signed < 0, signed >= d_signed
+        q -= below
+        q += above
+        r += d * below
+        r -= d * above
+        total = (total << 40) + int(q.sum(dtype=np.uint64))
+    return total
+
+
 def _power_sum(ks: np.ndarray, s: float) -> tuple[int, int, int]:
     """Integers (lower, upper, e) with lower <= 2^(FIX_BITS+e) * sum k^-s <= upper.
 
     The unit 2^-(FIX_BITS+e) is scaled to the smallest k, so its term is
     2^(FIX_BITS-2) to 2^(FIX_BITS+1) units and every term at most that.
     On the `_exact_root` route each term is the exact floor of its units,
-    short by less than one, so upper = lower + n.  Otherwise each term is a
+    short by less than one, so upper = lower + n.  For integer s = a, the
+    k with k^a < 2^62 (k at most `_one_limb_max(a)`, an exact bound: k^a
+    in uint64 would wrap) take `_limb_floor_sum`, every other k one Python
+    floor division, and both give the same integers; s = a / 2^j with
+    j >= 1 takes one Python floor division and j integer square roots per
+    term.  Otherwise each term is a
     `_mpf_power` of FIX_BITS + 20 bits, within 2^-178 relative, so under
     2^-17 units off before its mantissa is cut to whole units; over n terms
     that is under r = n // 2^17 + 1 units, which widens the bracket by r on
@@ -135,20 +191,25 @@ def _power_sum(ks: np.ndarray, s: float) -> tuple[int, int, int]:
         return 0, 0, 0
     e = _unit_exponent(int(ks.min()), s)
     unit = FIX_BITS + e
-    chunks = (ks[lo:lo + FIX_CHUNK].tolist() for lo in range(0, n, FIX_CHUNK))
+    chunks = (ks[lo:lo + FIX_CHUNK] for lo in range(0, n, FIX_CHUNK))
     root = _exact_root(s)
     total = 0
     if root is not None:
         a, j = root
         num = 1 << (unit << j)
+        one_limb = _one_limb_max(a) if j == 0 else 0
         for chunk in chunks:
-            terms = map(num.__floordiv__, map(pow, chunk, repeat(a)))
+            if one_limb:
+                small = chunk <= one_limb
+                total += _limb_floor_sum(chunk[small], a, unit)
+                chunk = chunk[~small]
+            terms = map(num.__floordiv__, map(pow, chunk.tolist(), repeat(a)))
             for _ in range(j):
                 terms = map(math.isqrt, terms)
             total += sum(terms)
         return total, total + n, e
     power = _mpf_power(s, FIX_BITS + 20)
-    for k in chain.from_iterable(chunks):
+    for k in chain.from_iterable(chunk.tolist() for chunk in chunks):
         _, man, exp, _ = power(k)
         shift = -exp - unit  # negative when mpmath strips trailing zero bits
         total += man >> shift if shift >= 0 else man << -shift

@@ -258,6 +258,25 @@ def test_output_layer_pinned(capsys, command, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_PINS[command, fmt]
 
 
+# sha256 of the CSV stdout of the benchmark's integer-exponent zeta tails at
+# cutoff 10^6, whose half a million terms mostly take the limb division.
+WORKLOAD_PINS = [
+    (["pzeta-tail", "--ell", "3", "--s", "2", "--M", "100", "--cutoff", "1000000"],
+     "2b339e3800a28ea356ceb6fd733915ddb6208c051929bfb38774b8cacc730ca0"),
+    (["pzeta-asymptotic", "--ell", "2", "--s", "2", "--grid", "1e3,1e4,1e5",
+      "--cutoff", "1000000"],
+     "138b6f8784b715c21a3d81248cc31b9c4c45fc328dd28428fdb90b6806959e40"),
+]
+
+
+@pytest.mark.parametrize("argv, pin", WORKLOAD_PINS,
+                         ids=[" ".join(case[0]) for case in WORKLOAD_PINS])
+def test_workload_scale_tails_pinned(capsys, argv, pin):
+    code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
 def test_cli_import_does_not_load_jsonschema():
     code = "import sys, primecf.cli; print('jsonschema' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

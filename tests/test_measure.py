@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from primecf.measure import (
     run_zero_one_experiment,
 )
 from primecf.primes import PrimeSieve, is_prime_trial, primes_in
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- independent oracles ----------------------------------------------------
@@ -195,6 +201,25 @@ def test_level_set_validation(sieve_small):
         level_set_measure(1, 10, 1_000_000, sieve_small)
     with pytest.raises(OutOfRangeError):
         level_set_measure(1, 10, 1, sieve_small)
+
+
+def cli_peak_rss_mb(*argv: str) -> float:
+    """Peak RSS of one fresh primecf CLI process, its own, from os.wait4."""
+    code = "import sys; from primecf.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL,
+                            env={**os.environ, "PYTHONPATH": str(SRC)})
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024
+
+
+def test_single_digit_terms_are_streamed_to_fsum():
+    # 664,578 primes from 3 to 10^7: as two whole lists of Python floats the
+    # terms took about 75 MB over the small run; streamed in chunks, 27 MB
+    argv = ("interval-measure", "--ell", "1", "--threshold", "3", "--cutoff")
+    grown = cli_peak_rss_mb(*argv, "10000000") - cli_peak_rss_mb(*argv, "1000")
+    assert grown < 40
 
 
 # -- sampling experiments -------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -147,7 +147,7 @@ def test_prime_tail_above_ten_matches_independent_route(sieve_big):
 
 # -- fixed-point accumulation ------------------------------------------------
 
-@pytest.mark.parametrize("s", [2.0, 3.0, 2.5, 2.25, 2.125, 2.3])
+@pytest.mark.parametrize("s", [2.0, 3.0, 4.0, 2.5, 2.25, 2.125, 2.3])
 @pytest.mark.parametrize("ks", [[], [2], list(range(2, 40)) + [97, 10**6 + 3, 10**9 - 1]],
                          ids=["empty", "two", "multi-chunk"])
 def test_fixed_point_sum_brackets_true_sum(monkeypatch, s, ks):
@@ -160,6 +160,39 @@ def test_fixed_point_sum_brackets_true_sum(monkeypatch, s, ks):
     exact_route = zeta._exact_root(s) is not None
     assert exact_route == (s != 2.3)
     assert upper - lower == (len(ks) if exact_route else len(ks) + 2 * bool(ks))
+
+
+def around_one_limb_edge(a: int):
+    """(a, ks): each k near the largest with k^a < 2^62, or up to 2^30."""
+    edge = zeta._one_limb_max(a)
+    near = st.integers(max(edge - 40, 2), edge + 40)
+    return st.tuples(st.just(a), st.lists(near | st.integers(2, 2**30), min_size=1,
+                                          max_size=30))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(a_ks=st.integers(2, 8).flatmap(around_one_limb_edge), m=st.sampled_from([1, 2, 4, 5]),
+       shift=st.sampled_from([-1, 0, 1]), chunk=st.integers(1, 9))
+# digits estimated one too low (2147433687) and one too high (the other ks)
+@example(a_ks=(2, [2147433687, 2147406070]), m=4, shift=1, chunk=1)
+@example(a_ks=(2, [79333]), m=2, shift=-1, chunk=2)
+@example(a_ks=(3, [8713]), m=2, shift=0, chunk=1)
+def test_limb_division_matches_per_term_floors(a_ks, m, shift, chunk):
+    # k^a on both sides of 2^62 and units around a multiple of the 40-bit
+    # limb: the numpy long division and the per-term floor division of
+    # 2^unit by k^a must give the same integers
+    a, ks = a_ks
+    edge = zeta._one_limb_max(a)
+    assert edge ** a < 2**62 <= (edge + 1) ** a
+    e = zeta._unit_exponent(min(ks), a)
+    unit = 40 * m + shift
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeta, "FIX_CHUNK", chunk)
+        patch.setattr(zeta, "FIX_BITS", unit - e)
+        lower, upper, got_e = zeta._power_sum(np.array(ks, dtype=np.int64), a)
+    assert got_e == e
+    assert lower == sum((1 << unit) // k**a for k in ks)
+    assert upper == lower + len(ks)
 
 
 def test_fixed_point_units_and_chunking(monkeypatch):
