@@ -187,12 +187,6 @@ def grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
 
 
-def _resolve_sieve(requested: int, minimum: int) -> int:
-    """The sieve limit actually used: the flag, or the smallest limit the
-    computation needs."""
-    return requested or minimum
-
-
 _PHI_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Call,
     ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd,
@@ -278,26 +272,28 @@ class Output:
     extra: dict[str, list[dict]] | None = None
 
 
+def _zeta_sieve(ell: int, cutoff: int) -> primes.PrimeSieve:
+    """The prime table a zeta tail to `cutoff` reads: to the cutoff for
+    ell = 1; for ell >= 2 only its Omega table reads primes, to the root."""
+    return primes.PrimeSieve(cutoff if ell == 1 else math.isqrt(cutoff) + 1)
+
+
 def cmd_pzeta_tail(args) -> Output:
-    minimum = args.cutoff if args.ell == 1 else math.isqrt(args.cutoff) + 1
-    sieve = _resolve_sieve(args.sieve, minimum)
-    sv = primes.PrimeSieve(sieve)
+    sv = _zeta_sieve(args.ell, args.cutoff)
     res = zeta.pzeta_tail(args.ell, args.mode, args.s, args.M, args.cutoff, sv)
     rows = [{"value": res.value, "remainder_bound": res.remainder_bound,
              "upper": res.upper, "terms_used": res.terms_used}]
-    return Output(rows, inputs={"sieve": sieve})
+    return Output(rows, inputs={"sieve": sv.limit})
 
 
 def cmd_pzeta_asymptotic(args) -> Output:
     cutoff = args.cutoff if args.cutoff > 0 else int(max(args.grid))
-    minimum = cutoff if args.ell == 1 else math.isqrt(cutoff) + 1
-    sieve = _resolve_sieve(args.sieve, minimum)
-    sv = primes.PrimeSieve(sieve)
+    sv = _zeta_sieve(args.ell, cutoff)
     table = zeta.asymptotic_table(args.ell, args.s, list(args.grid), cutoff, sv,
                                   mode=args.mode)
     rows = [{"M": r.M, "value": r.value, "ratio": r.ratio,
              "remainder_bound": r.remainder_bound} for r in table]
-    return Output(rows, inputs={"cutoff": cutoff, "sieve": sieve})
+    return Output(rows, inputs={"cutoff": cutoff, "sieve": sv.limit})
 
 
 def cmd_cf_expand(args) -> Output:
@@ -313,12 +309,11 @@ def cmd_cf_expand(args) -> Output:
 
 
 def cmd_interval_measure(args) -> Output:
-    sieve = _resolve_sieve(args.sieve, args.cutoff)
-    sv = primes.PrimeSieve(sieve)
+    sv = primes.PrimeSieve(args.cutoff)
     res = measure.level_set_measure(args.ell, args.threshold, args.cutoff, sv)
     rows = [{"lower": res.exact_lower, "upper": res.exact_upper,
              "width": res.width, "terms": res.terms}]
-    return Output(rows, inputs={"sieve": sieve})
+    return Output(rows, inputs={"sieve": sv.limit})
 
 
 def cmd_pressure_dim(args) -> Output:
@@ -337,8 +332,7 @@ def cmd_hwx_dim(args) -> Output:
 
 
 def cmd_mc_zero_one(args) -> Output:
-    sieve = _resolve_sieve(args.sieve, 1_000_000)
-    sv = primes.PrimeSieve(sieve)
+    sv = primes.PrimeSieve(args.sieve)
     phi = parse_phi(args.phi)
     cfg = measure.MCExperiment(
         sample_count=args.samples, window=args.window,
@@ -348,7 +342,7 @@ def cmd_mc_zero_one(args) -> Output:
             for n, c in rep.per_n]
     summary = {"hit_fraction": rep.hit_fraction, "hit_count": rep.hit_count,
                "refinements": rep.refinements, "max_bits_used": rep.max_bits_used}
-    return Output(rows, summary, inputs={"sieve": sieve})
+    return Output(rows, summary)
 
 
 def cmd_bb_series(args) -> Output:
@@ -378,8 +372,7 @@ def cmd_luczak_dim(args) -> Output:
 
 
 def cmd_eb_build(args) -> Output:
-    sieve = _resolve_sieve(args.sieve, 1_000_000)
-    sv = primes.PrimeSieve(sieve)
+    sv = primes.PrimeSieve(args.sieve)
     params = cantor.make_eb_params(args.B, args.ell, args.s, args.delta, sv,
                                    M=args.M if args.M > 0 else None,
                                    N=args.N if args.N > 0 else None)
@@ -399,7 +392,7 @@ def cmd_eb_build(args) -> Output:
     rows = ({"depth": d, "word": w, "mu": mu, "diam": diam, "lo": lo, "hi": hi}
             for d, w, mu, diam, lo, hi in tree.records())
     return Output(
-        rows, summary, inputs={"depth": depth, "sieve": sieve},
+        rows, summary, inputs={"depth": depth},
         notes=[f"constraint {name} {status}: {detail}"
                for name, status, detail in params.constraints],
         extra={"constraints": [{"name": n, "status": s, "detail": d}
@@ -419,8 +412,7 @@ def cmd_box_dim(args) -> Output:
     else:
         if args.b is None or args.c is None:
             raise OutOfRangeError("give --covers, or --b/--c/--kmax for a built construction")
-        sieve = _resolve_sieve(args.sieve, 1_000_000)
-        sv = primes.PrimeSieve(sieve)
+        sv = primes.PrimeSieve(args.sieve)
         params = cantor.LuczakParams(b=float(args.b), c=float(args.c))
         # continuants grow in every digit, so of a level's words (digit j a prime
         # of block j) the one of least primes has the largest cylinder 1/(q (q + q'))
@@ -435,7 +427,7 @@ def cmd_box_dim(args) -> Output:
             if largest == 0.0:
                 raise OutOfRangeError(f"level {lv.k}: largest cylinder underflows; lower --kmax")
             covers.append((count, largest))
-        inputs = {"b": args.b, "c": args.c, "kmax": args.kmax, "sieve": sieve}
+        inputs = {"b": args.b, "c": args.c, "kmax": args.kmax, "sieve": args.sieve}
     est = cantor.box_dimension_estimate(covers)
     rows = [{"slope": est.slope, "residual": est.residual, "levels": est.levels}]
     return Output(rows, inputs=inputs)
@@ -513,14 +505,14 @@ PHI = ("--phi", {"type": str, "required": True,
                  "help": "expression in n, e.g. 'n*log(n)' or '2**(2**n)'"})
 WINDOW = ("--window", _required(window))
 TOL = ("--tol", {"type": real, "default": 1e-9})
-SIEVE = ("--sieve", {"type": nonnegative, "default": 0,
-                     "help": "0 = the smallest limit needed"})
+SIEVE = ("--sieve", {"type": nonnegative, "default": 1_000_000,
+                     "help": "largest integer the prime table covers (default %(default)s)"})
 
 COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
     Subcommand(
         "pzeta-tail", "truncated almost-prime zeta tail with bound", cmd_pzeta_tail,
         args=(ELL, MODE, ("--s", _required(real)), ("--M", _required(real)),
-              ("--cutoff", _required(int)), SIEVE),
+              ("--cutoff", _required(int))),
         columns={"value": MPF, "remainder_bound": MPF, "upper": MPF,
                  "terms_used": INTEGER},
     ),
@@ -528,7 +520,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         "pzeta-asymptotic", "normalized tail ratios along a threshold grid",
         cmd_pzeta_asymptotic,
         args=(ELL, MODE, ("--s", _required(real)), ("--grid", _required(grid)),
-              ("--cutoff", {"type": nonnegative, "default": 0}), SIEVE),
+              ("--cutoff", {"type": nonnegative, "default": 0})),
         columns={"M": NUMBER, "value": MPF, "ratio": MPF, "remainder_bound": MPF},
     ),
     Subcommand(
@@ -544,7 +536,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
     Subcommand(
         "interval-measure", "exact Lebesgue-measure bracket of a prime level set",
         cmd_interval_measure,
-        args=(ELL, ("--threshold", _required(real)), ("--cutoff", _required(int)), SIEVE),
+        args=(ELL, ("--threshold", _required(real)), ("--cutoff", _required(int))),
         columns={"lower": NUMBER, "upper": NUMBER, "width": NUMBER, "terms": INTEGER},
     ),
     Subcommand(
@@ -585,7 +577,8 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         cmd_luczak_dim,
         args=(("--b", _required(real_text)), ("--c", _required(real_text)),
               ("--kmax", _required(kmax)),
-              ("--sieve", {"type": nonnegative, "default": 0, "help": "0 = no prime counts"})),
+              ("--sieve", {"type": nonnegative, "default": 0,
+                           "help": "largest integer the prime table covers; 0 = no prime counts"})),
         columns={"k": INTEGER, "log_m": NUMBER, "log_eps": NUMBER, "rosser_ok": BOOLEAN,
                  "block_lo": BLANK_OR_INTEGER, "block_hi": BLANK_OR_INTEGER,
                  "true_count": BLANK_OR_INTEGER, "ratio": BLANK_OR_NUMBER},

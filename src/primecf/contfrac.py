@@ -7,7 +7,7 @@ nothing in this module rounds.
 """
 from __future__ import annotations
 
-import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -19,7 +19,11 @@ def _digits(word: Iterable[int]) -> tuple[int, ...]:
     numpy's included; a float is refused, not truncated."""
     digits = tuple(word)
     for d in digits:
-        if not isinstance(d, numbers.Integral) or d < 1:
+        try:
+            ok = operator.index(d) >= 1
+        except TypeError:
+            ok = False
+        if not ok:
             raise ValueError(f"digits must be integers >= 1, got {d!r}")
     return tuple(map(int, digits))
 

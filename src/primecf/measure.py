@@ -224,7 +224,6 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         t = 1.0 / (ps * (ps + 1)).astype(np.float64)
         lows, highs = _nudged(t, -np.inf), _nudged(t, np.inf)
         terms = t.size
-        empty = not terms
         # integers past the cutoff dominate the skipped primes:
         # sum 1/(k(k+1)) over k > cutoff telescopes to 1/(cutoff+1)
         tail = _up(1.0 / (cutoff + 1))
@@ -237,7 +236,6 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         lows, highs = _pair_series(pint, max(t, SERIES_FLOOR))
         lows += np.nextafter(head, -np.inf).tolist()
         highs += np.nextafter(head, np.inf).tolist()
-        empty = not highs
         # pairs with a factor beyond the cutoff: each length <= (p1 p2)^-2,
         # and sum_{p > cutoff} p^-2 <= 1/cutoff.  A float square is p^2 up to
         # 2^53 and moved below p^2 past it, so one nudge up bounds each 1/p^2;
@@ -249,13 +247,11 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         num, den = psq_hi.as_integer_ratio()
         tail = _ceil_ratio(2 * (num * cutoff + den), den * cutoff * cutoff)
 
-    lower = 0.0 if empty else _down(math.fsum(lows))
-    upper = _up(tail) if empty else _up(_up(math.fsum(highs)) + tail)
     return LevelSetMeasure(
         phi_value=float(threshold),
         ell=ell,
-        exact_lower=max(lower, 0.0),
-        exact_upper=upper,
+        exact_lower=max(_down(math.fsum(lows)), 0.0),
+        exact_upper=_up(_up(math.fsum(highs)) + tail),
         cutoff=cutoff,
         terms=terms,
     )

@@ -25,6 +25,8 @@ from primecf.zeta import pzeta_tail
 
 import argparse
 
+import output_digests  # tests/output_digests.py; pytest puts tests/ on sys.path
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -135,6 +137,12 @@ def test_readme_examples_verbatim(capsys):
         code, out, _ = run_cli(capsys, shlex.split(line))
         assert code == 0
         assert out == shown
+
+
+def test_readme_output_digests():
+    # stdout, stderr and exit code of every README example, by sha256;
+    # `python tests/output_digests.py --write` rewrites the stored ones
+    assert output_digests.changed(output_digests.compute(), output_digests.stored()) == []
 
 
 # sha256 of the exact or correctly rounded columns (depth, word, diam, lo,
@@ -536,7 +544,8 @@ def test_guard_errors_exit_three(capsys):
 
 
 def test_sieve_ignores_the_environment(capsys, monkeypatch):
-    # the output is a function of argv alone; --sieve is the one way to set it
+    # the output is a function of argv alone: pzeta-tail sieves to its
+    # --cutoff, and --sieve is the one way to set eb-build's table
     runs = (["pzeta-tail", "--ell", "1", "--s", "2", "--M", "10", "--cutoff", "1000"],
             ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01",
              "--M", "3", "--depth", "2"])
@@ -547,6 +556,59 @@ def test_sieve_ignores_the_environment(capsys, monkeypatch):
         for value in ("123456", ""):
             monkeypatch.setenv("PRIMECF_SIEVE_LIMIT", value)
             assert run_cli(capsys, argv) == want
+
+
+# The cutoff fixes the primes these commands read, so they take no --sieve
+# and echo the limit they sieved to: the cutoff, or its square root plus one
+# for an ell >= 2 zeta tail, whose Omega table needs only those primes.
+SIEVED_TO_CUTOFF = [
+    (["pzeta-tail", "--ell", "1", "--s", "2", "--M", "10", "--cutoff", "1000"], 1000),
+    (["pzeta-tail", "--ell", "3", "--s", "2", "--M", "10", "--cutoff", "1000"], 32),
+    (["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "10,100", "--cutoff", "1000"],
+     1000),
+    # the cutoff defaults to the largest threshold of the grid
+    (["pzeta-asymptotic", "--ell", "2", "--s", "2", "--grid", "10,100"], 11),
+    (["interval-measure", "--ell", "1", "--threshold", "10", "--cutoff", "1000"], 1000),
+    (["interval-measure", "--ell", "2", "--threshold", "10", "--cutoff", "1000"], 1000),
+]
+
+
+@pytest.mark.parametrize("argv, limit", SIEVED_TO_CUTOFF,
+                         ids=[" ".join(case[0]) for case in SIEVED_TO_CUTOFF])
+def test_cutoff_commands_sieve_to_their_cutoff(capsys, argv, limit):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[0].endswith(f" sieve={limit}")
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert list(json.loads(out)["inputs"].items())[-1] == ("sieve", limit)
+    for value in (limit, 0, 10**6):
+        code, out, err = run_cli(capsys, argv + ["--sieve", str(value)])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"primecf: error: unrecognized arguments: --sieve {value}"
+
+
+# On these commands the limit is a choice (how far table lookups reach, which
+# prime windows an E_B search or a Luczak level may use): --sieve is that
+# limit, 10^6 when omitted, and a limit below 2 is refused, not replaced.
+SIEVED_TO_FLAG = [
+    ["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,2", "--samples", "5"],
+    ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", "--M", "3",
+     "--depth", "2"],
+    ["box-dim", "--b", "2", "--c", "2", "--kmax", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", SIEVED_TO_FLAG, ids=[argv[0] for argv in SIEVED_TO_FLAG])
+def test_sieve_flag_is_the_limit(capsys, argv):
+    for extra, limit in (([], 1_000_000), (["--sieve", "1000"], 1000)):
+        code, out, _ = run_cli(capsys, argv + extra)
+        assert code == 0
+        assert out.splitlines()[0].endswith(f" sieve={limit}")
+    for value in ("0", "1"):
+        code, out, err = run_cli(capsys, argv + ["--sieve", value])
+        assert (code, out) == (2, "")
+        assert err == f"ValueError: sieve limit must be at least 2, got {value}\n"
 
 
 def _usage(command: str, message: str) -> str:
@@ -677,7 +739,7 @@ TOTALITY = [
         "--seed", seed], 2, f"ValueError: seed must lie in [0, 2^64), got {seed}")
       for seed in ("-5", "99999999999999999999999999")],
     *[(argv + ["--sieve", "-4"], 2, _usage(argv[0], "--sieve: must be >= 0, got -4"))
-      for argv in (["interval-measure", "--ell", "1", "--threshold", "10", "--cutoff", "100"],
+      for argv in (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01"],
                    ["luczak-dim", "--b", "2", "--c", "2", "--kmax", "3"])],
     # a negative count once ran as its default, echoing the value it ignored
     *[(["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", flag, "-3"],
@@ -737,8 +799,9 @@ def test_cli_is_total(capsys, argv, code, err_start):
 def test_sieve_cap(capsys, monkeypatch):
     monkeypatch.setattr(primes, "SIEVE_CAP", 5000)
     tail = ["pzeta-tail", "--ell", "1", "--s", "2", "--M", "10"]
+    mc = ["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,2", "--samples", "5"]
     assert run_cli(capsys, tail + ["--cutoff", "5000"])[0] == 0
-    for argv in (tail + ["--cutoff", "5001"], tail + ["--cutoff", "1000", "--sieve", "5001"]):
+    for argv in (tail + ["--cutoff", "5001"], mc + ["--sieve", "5001"]):
         code, _, err = run_cli(capsys, argv)
         assert code == 3
         assert err.startswith("OutOfRangeError: sieve limit 5001 exceeds SIEVE_CAP")
@@ -898,7 +961,7 @@ _B = st.floats(-2, 1) | st.floats(1.5, 20)
 
 FUZZ_ARGV = st.one_of(
     _flags("pzeta-tail", ell=_BIG_ELL, mode=_opt(st.sampled_from(("at-most", "exactly"))),
-           s=_S, M=_REAL, cutoff=_CUTOFF, sieve=_SIEVE, format=_FORMAT),
+           s=_S, M=_REAL, cutoff=_CUTOFF, format=_FORMAT),
     _flags("pzeta-asymptotic", ell=_BIG_ELL, s=_S,
            grid=st.lists(st.floats(3, 1e4), min_size=1, max_size=3).map(tuple),
            cutoff=_opt(_CUTOFF), format=_FORMAT),
@@ -906,7 +969,7 @@ FUZZ_ARGV = st.one_of(
            .map(lambda f: f"{f[0]}/{f[1]}"), max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
     _flags("cf-expand", real=st.floats(-1, 2).map(repr), bits=_opt(st.integers(0, 256)),
            max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
-    _flags("interval-measure", ell=_ELL, threshold=_REAL, cutoff=_MEASURE_CUTOFF, sieve=_SIEVE,
+    _flags("interval-measure", ell=_ELL, threshold=_REAL, cutoff=_MEASURE_CUTOFF,
            format=_FORMAT),
     _flags("pressure-dim", ell=_ELL, B=_B, M=st.integers(0, 8),
            n=st.integers(0, 6), tol=_opt(st.floats(-1, 0.1)),

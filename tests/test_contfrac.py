@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +33,11 @@ def test_non_integer_digits_are_refused_not_truncated():
     calls = (continuants, fundamental_interval, lambda w: union_measure(w, 1, 2),
              lambda w: check_continuant_bounds(w, 1))
     for call in calls:
-        for bad in ([2.7, 1.9], [1.5], [np.float64(2.0)], [Fraction(3)], ["3"]):
+        for bad in ([2.7, 1.9], [1.5], [np.float64(2.0)], [Fraction(3)], ["3"],
+                    [Decimal(3)], [np.bool_(True)], [np.uint64(0)], [np.int8(-1)], [False]):
             with pytest.raises(ValueError, match="digits must be integers >= 1"):
                 call(bad)
-        call([np.int64(2), np.int32(1)])
+        call([np.int64(2), np.int32(1), np.int8(3), np.uint64(2**64 - 1), True])
     assert continuants([np.int64(3), np.int8(7), 16]) == continuants((3, 7, 16))
     assert fundamental_interval(np.array([2, 1, 3])).word == (2, 1, 3)
 

@@ -76,6 +76,16 @@ def test_double_digit_bracket_contains_exact_sum(sieve_small, threshold, cutoff)
     assert Fraction(res.exact_lower) <= exact <= Fraction(res.exact_upper)
 
 
+# A threshold past every product below the cutoff leaves no terms, so the
+# bracket is [0, tail]: 1/1001 rounded up twice for ell = 1, the pair tail
+# 2 (psq cutoff + 1) / cutoff^2 for ell = 2.
+@pytest.mark.parametrize("ell, threshold, upper", [(1, 1e6, 0.0009990009990009994),
+                                                   (2, 1e7, 0.0009062408604986095)])
+def test_empty_bracket_is_the_tail(sieve_small, ell, threshold, upper):
+    res = level_set_measure(ell, threshold, 1000, sieve_small)
+    assert (res.exact_lower, res.exact_upper, res.terms) == (0.0, upper, 0)
+
+
 def test_double_digit_attained_threshold_boundary(sieve_small):
     # 9 = 3 * 3 sits exactly on the cut; nudging past it must drop the pair
     at = level_set_measure(2, 9, 60, sieve_small)
