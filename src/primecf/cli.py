@@ -47,6 +47,7 @@ EXPONENT_CAP = 4300
 # luczak_levels keeps one level per k until b^(k+1) leaves float range,
 # which for b near 1 is millions of levels.
 KMAX_CAP = 10**4
+DEFAULT_SIEVE = 10**6  # the prime table limit when --sieve is omitted
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
 
@@ -150,8 +151,15 @@ def _fraction(text: str) -> Fraction:
 
 def precision_bits(text: str) -> int:
     k = int(text)
-    if not 0 <= k <= BITS_CAP:
-        raise argparse.ArgumentTypeError(f"must lie in [0, {BITS_CAP}], got {k}")
+    if not 1 <= k <= BITS_CAP:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {BITS_CAP}], got {k}")
+    return k
+
+
+def positive(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
     return k
 
 
@@ -261,9 +269,9 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
 @dataclass(frozen=True)
 class Output:
     """What a handler computed.  `inputs` holds the values it resolved
-    itself (sieve, cutoff, depth), which replace the parsed ones in the
-    echo, or, for a subcommand declared with echo=False, the whole echo.
-    `rows` may be an iterator, read once as the output is rendered."""
+    itself (a sieve limit, a searched M or N, a default depth or kmax),
+    which replace the parsed ones in the echo.  `rows` may be an iterator, read
+    once as the output is rendered."""
 
     rows: Iterable[dict]
     summary: dict | None = None
@@ -287,25 +295,24 @@ def cmd_pzeta_tail(args) -> Output:
 
 
 def cmd_pzeta_asymptotic(args) -> Output:
-    cutoff = args.cutoff if args.cutoff > 0 else int(max(args.grid))
-    sv = _zeta_sieve(args.ell, cutoff)
-    table = zeta.asymptotic_table(args.ell, args.s, list(args.grid), cutoff, sv,
+    sv = _zeta_sieve(args.ell, args.cutoff)
+    table = zeta.asymptotic_table(args.ell, args.s, list(args.grid), args.cutoff, sv,
                                   mode=args.mode)
     rows = [{"M": r.M, "value": r.value, "ratio": r.ratio,
              "remainder_bound": r.remainder_bound} for r in table]
-    return Output(rows, inputs={"cutoff": cutoff, "sieve": sv.limit})
+    return Output(rows, inputs={"sieve": sv.limit})
 
 
 def cmd_cf_expand(args) -> Output:
     if (args.rational is None) == (args.real is None):
         raise OutOfRangeError("give exactly one of --rational or --real")
-    if args.rational is not None and args.bits:
+    if args.rational is not None and args.bits is not None:
         raise ValueError("--bits certifies the digits of a --real; a --rational is exact")
-    shown = args.real if args.rational is None else args.rational
-    word = contfrac.expand_real(_fraction(shown), args.bits or None, args.max_len)
+    x = _fraction(args.real if args.rational is None else args.rational)
+    word = contfrac.expand_real(x, args.bits, args.max_len)
     rows = [{"digits": word, "length": len(word),
              "reconstructed": contfrac.continuants(word).value.as_integer_ratio()}]
-    return Output(rows, inputs={"input": shown, "bits": args.bits, "max_len": args.max_len})
+    return Output(rows)
 
 
 def cmd_interval_measure(args) -> Output:
@@ -354,29 +361,21 @@ def cmd_bb_series(args) -> Output:
 
 def cmd_luczak_dim(args) -> Output:
     params = cantor.LuczakParams(b=float(args.b), c=float(args.c))
-    sv = primes.PrimeSieve(args.sieve) if args.sieve > 0 else None
-    levels = cantor.luczak_levels(params, args.kmax, sv)
+    levels = cantor.luczak_levels(params, args.kmax, primes.PrimeSieve(args.sieve))
     ratios = {r.k: r.ratio for r in cantor.falconer_lower_bound(params, args.kmax)}
     limit = cantor.falconer_limit(Fraction(args.b))
-    rows = []
-    for lv in levels:
-        rows.append({
-            "k": lv.k, "log_m": lv.log_m, "log_eps": lv.log_eps,
-            "rosser_ok": lv.rosser_ok,
-            "block_lo": "" if lv.block is None else lv.block[0],
-            "block_hi": "" if lv.block is None else lv.block[1],
-            "true_count": "" if lv.true_count is None else lv.true_count,
-            "ratio": ratios.get(lv.k, ""),
-        })
+    rows = [{"k": lv.k, "log_m": lv.log_m, "log_eps": lv.log_eps, "rosser_ok": lv.rosser_ok,
+             "block_lo": "" if lv.block is None else lv.block[0],
+             "block_hi": "" if lv.block is None else lv.block[1],
+             "true_count": "" if lv.true_count is None else lv.true_count,
+             "ratio": ratios.get(lv.k, "")} for lv in levels]
     return Output(rows, {"limit": limit.as_integer_ratio(), "limit_float": float(limit)})
 
 
 def cmd_eb_build(args) -> Output:
     sv = primes.PrimeSieve(args.sieve)
-    params = cantor.make_eb_params(args.B, args.ell, args.s, args.delta, sv,
-                                   M=args.M if args.M > 0 else None,
-                                   N=args.N if args.N > 0 else None)
-    depth = args.depth if args.depth > 0 else params.N + params.ell
+    params = cantor.make_eb_params(args.B, args.ell, args.s, args.delta, sv, M=args.M, N=args.N)
+    depth = params.N + params.ell if args.depth is None else args.depth
     tree = cantor.eb_prefix_tree(params, depth, sv)
     gap = cantor.gap_check(tree)
     hold = cantor.holder_check(tree)
@@ -392,7 +391,7 @@ def cmd_eb_build(args) -> Output:
     rows = ({"depth": d, "word": w, "mu": mu, "diam": diam, "lo": lo, "hi": hi}
             for d, w, mu, diam, lo, hi in tree.records())
     return Output(
-        rows, summary, inputs={"depth": depth},
+        rows, summary, inputs={"M": params.M, "N": params.N, "depth": depth},
         notes=[f"constraint {name} {status}: {detail}"
                for name, status, detail in params.constraints],
         extra={"constraints": [{"name": n, "status": s, "detail": d}
@@ -401,23 +400,27 @@ def cmd_eb_build(args) -> Output:
 
 
 def cmd_box_dim(args) -> Output:
-    covers = []
-    if args.covers:
+    covers, inputs = [], {}
+    if args.covers is not None:
+        built = [f"--{k}" for k in ("b", "c", "kmax", "sieve") if getattr(args, k) is not None]
+        if built:
+            raise ValueError(f"--covers takes no {'/'.join(built)}: they set a built construction")
         for level in args.covers.split(";"):
             lengths = [float(x) for x in level.split(",")]
             if not all(0 < x < math.inf for x in lengths):
                 raise ValueError("each cover level needs positive finite lengths")
             covers.append((len(lengths), max(lengths)))
-        inputs = {"covers": args.covers}
     else:
         if args.b is None or args.c is None:
             raise OutOfRangeError("give --covers, or --b/--c/--kmax for a built construction")
-        sv = primes.PrimeSieve(args.sieve)
+        inputs = {"kmax": 3 if args.kmax is None else args.kmax,
+                  "sieve": DEFAULT_SIEVE if args.sieve is None else args.sieve}
+        sv = primes.PrimeSieve(inputs["sieve"])
         params = cantor.LuczakParams(b=float(args.b), c=float(args.c))
         # continuants grow in every digit, so of a level's words (digit j a prime
         # of block j) the one of least primes has the largest cylinder 1/(q (q + q'))
         count, q, q_prev = 1, 1, 0
-        for lv in cantor.luczak_levels(params, args.kmax, sv):
+        for lv in cantor.luczak_levels(params, inputs["kmax"], sv):
             if lv.block is None:
                 raise OutOfRangeError(
                     f"level {lv.k} lies beyond the sieve; lower --kmax or raise --sieve")
@@ -427,7 +430,6 @@ def cmd_box_dim(args) -> Output:
             if largest == 0.0:
                 raise OutOfRangeError(f"level {lv.k}: largest cylinder underflows; lower --kmax")
             covers.append((count, largest))
-        inputs = {"b": args.b, "c": args.c, "kmax": args.kmax, "sieve": args.sieve}
     est = cantor.box_dimension_estimate(covers)
     rows = [{"slope": est.slope, "residual": est.residual, "levels": est.levels}]
     return Output(rows, inputs=inputs)
@@ -482,8 +484,7 @@ class Subcommand:
     """One subcommand.  `args` pairs each flag with its `add_argument`
     keyword arguments, in echo order; `columns`, `summary` and `extra`
     give the kind of each field of the rows, of the summary and of each
-    further JSON block, in output order.  With echo=False the handler
-    supplies the whole input echo."""
+    further JSON block, in output order."""
 
     name: str
     help: str
@@ -492,7 +493,6 @@ class Subcommand:
     columns: dict[str, Kind]
     summary: dict[str, Kind] | None = None
     extra: dict[str, dict[str, Kind]] | None = None
-    echo: bool = True
 
 
 def _required(type_) -> dict:
@@ -505,7 +505,7 @@ PHI = ("--phi", {"type": str, "required": True,
                  "help": "expression in n, e.g. 'n*log(n)' or '2**(2**n)'"})
 WINDOW = ("--window", _required(window))
 TOL = ("--tol", {"type": real, "default": 1e-9})
-SIEVE = ("--sieve", {"type": nonnegative, "default": 1_000_000,
+SIEVE = ("--sieve", {"type": nonnegative, "default": DEFAULT_SIEVE,
                      "help": "largest integer the prime table covers (default %(default)s)"})
 
 COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
@@ -520,18 +520,17 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         "pzeta-asymptotic", "normalized tail ratios along a threshold grid",
         cmd_pzeta_asymptotic,
         args=(ELL, MODE, ("--s", _required(real)), ("--grid", _required(grid)),
-              ("--cutoff", {"type": nonnegative, "default": 0})),
+              ("--cutoff", _required(positive))),
         columns={"M": NUMBER, "value": MPF, "ratio": MPF, "remainder_bound": MPF},
     ),
     Subcommand(
         "cf-expand", "continued-fraction digits of a rational", cmd_cf_expand,
         args=(("--rational", {"type": str, "default": None, "help": "as num/den"}),
               ("--real", {"type": str, "default": None, "help": "decimal in [0,1)"}),
-              ("--bits", {"type": precision_bits, "default": 0,
-                          "help": "certify digits for a 2^-bits ball (with --real)"}),
+              ("--bits", {"type": precision_bits,
+                          "help": "certify --real digits for a 2^-bits ball; exact when omitted"}),
               ("--max-len", {"type": int, "default": 64})),
         columns={"digits": DIGITS, "length": INTEGER, "reconstructed": FRACTION},
-        echo=False,
     ),
     Subcommand(
         "interval-measure", "exact Lebesgue-measure bracket of a prime level set",
@@ -576,9 +575,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         "luczak-dim", "doubly exponential construction levels and dimension ratios",
         cmd_luczak_dim,
         args=(("--b", _required(real_text)), ("--c", _required(real_text)),
-              ("--kmax", _required(kmax)),
-              ("--sieve", {"type": nonnegative, "default": 0,
-                           "help": "largest integer the prime table covers; 0 = no prime counts"})),
+              ("--kmax", _required(kmax)), SIEVE),
         columns={"k": INTEGER, "log_m": NUMBER, "log_eps": NUMBER, "rosser_ok": BOOLEAN,
                  "block_lo": BLANK_OR_INTEGER, "block_hi": BLANK_OR_INTEGER,
                  "true_count": BLANK_OR_INTEGER, "ratio": BLANK_OR_NUMBER},
@@ -588,10 +585,9 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
         "eb-build", "bounded-alphabet prime-run set with mass", cmd_eb_build,
         args=(("--B", _required(real)), ELL, ("--s", _required(real)),
               ("--delta", _required(real)),
-              ("--M", {"type": nonnegative, "default": 0, "help": "0 = search"}),
-              ("--N", {"type": nonnegative, "default": 0, "help": "0 = search"}),
-              ("--depth", {"type": nonnegative, "default": 0,
-                           "help": "0 = through first prime run"}),
+              ("--M", {"type": positive, "help": "searched when omitted"}),
+              ("--N", {"type": positive, "help": "searched when omitted"}),
+              ("--depth", {"type": positive, "help": "through the first prime run when omitted"}),
               SIEVE),
         columns={"depth": INTEGER, "word": DIGITS, "mu": NUMBER, "diam": NUMBER,
                  "lo": FRACTION, "hi": FRACTION},
@@ -603,13 +599,13 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
     ),
     Subcommand(
         "box-dim", "box-counting slope from cover lengths", cmd_box_dim,
-        args=(("--covers", {"type": str, "default": "",
+        args=(("--covers", {"type": str,
                             "help": "semicolon-separated levels of comma-separated lengths"}),
-              ("--b", {"type": real_text, "default": None}),
-              ("--c", {"type": real_text, "default": None}),
-              ("--kmax", {"type": kmax, "default": 3}), SIEVE),
+              ("--b", {"type": real_text}), ("--c", {"type": real_text}),
+              ("--kmax", {"type": kmax, "help": "built construction only (default 3)"}),
+              ("--sieve", {"type": nonnegative, "help": "largest integer the prime table of a "
+                           f"built construction covers (default {DEFAULT_SIEVE})"})),
         columns={"slope": NUMBER, "residual": NUMBER, "levels": INTEGER},
-        echo=False,
     ),
 )}
 
@@ -668,25 +664,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> str:
-    """The rendered output of one parsed invocation."""
+    """The rendered output of one parsed invocation.  Its echo holds each
+    declared flag as parsed, or as the handler resolved it, unless unset."""
     cmd = COMMANDS[args.command]
     out = cmd.handler(args)
-    inputs = out.inputs
-    if cmd.echo:
-        inputs = {_dest(flag): getattr(args, _dest(flag)) for flag, _ in cmd.args} | inputs
-    return _emit(cmd, args.format, inputs, out)
+    inputs = {_dest(flag): getattr(args, _dest(flag)) for flag, _ in cmd.args} | out.inputs
+    return _emit(cmd, args.format, {k: v for k, v in inputs.items() if v is not None}, out)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = _run(args)
-    except GuardError as exc:
+    except (GuardError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GuardError) else 2
     sys.stdout.write(out)
     return 0
 

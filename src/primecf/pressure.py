@@ -86,13 +86,17 @@ class PressureProblem:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
         if not 1 < self.B < math.inf:
             raise ValueError(f"B must be finite and exceed 1, got {self.B}")
-        if self.M < 1:
-            raise ValueError(f"alphabet bound M must be >= 1, got {self.M}")
-        if self.n < 1:
-            raise ValueError(f"word depth n must be >= 1, got {self.n}")
-        if max(self.M, self.n) > PROBLEM_CAP:
-            raise OutOfRangeError(
-                f"M = {self.M} and n = {self.n} must both be at most {PROBLEM_CAP}")
+        _check_words(self.M, self.n)
+
+
+def _check_words(M: int, n: int) -> None:
+    """Refuse an alphabet bound M or word depth n no problem admits."""
+    if M < 1:
+        raise ValueError(f"alphabet bound M must be >= 1, got {M}")
+    if n < 1:
+        raise ValueError(f"word depth n must be >= 1, got {n}")
+    if max(M, n) > PROBLEM_CAP:
+        raise OutOfRangeError(f"M = {M} and n = {n} must both be at most {PROBLEM_CAP}")
 
 
 def word_continuants(M: int, n: int) -> np.ndarray:
@@ -314,7 +318,9 @@ def hwx_dimension(ell: int, phi: Callable[[int], float], window: tuple[int, int]
     1/(b+1); subexponential phi gives 1; in between, the dimensional
     number at the estimated B decides.  The prime-restricted and
     unrestricted sets share the value, so a single number is reported.
+    M and n are checked first, whichever regime the growth turns out in.
     """
+    _check_words(M, n)
     exps = classify_growth(phi, window)
     b_hat = math.exp(exps.logb)
     if b_hat >= B_INF_THRESHOLD:

@@ -1,15 +1,23 @@
-"""Output digests of the README's command-line examples.
+"""Output digests of the command-line corpus.
 
-`output_digests.json`, next to this file, maps each example (the argv as
-one shell-quoted line) to the sha256 of its stdout, the sha256 of its
-stderr and its exit code.  The examples are read from README.md: the
-three shown with their output, then the eight listed under "More:".
-`tests/test_cli.py` recomputes every digest in-process and compares.
+`output_digests.json`, next to this file, maps each argv of the corpus
+(as one shell-quoted line) to the sha256 of its stdout, the sha256 of its
+stderr and its exit code.  The corpus is every `primecf` example of
+README.md (the three shown with their output, then the eight listed under
+"More:"), each `INVOCATIONS` command of `tests/test_cli.py` in CSV and in
+JSON, and every `TOTALITY` argv there.  The tests that run those argvs
+compare their output with the stored digests, and the README examples are
+recomputed by `test_readme_output_digests`.
 
     python tests/output_digests.py            # print the argvs that changed
     python tests/output_digests.py --write    # and rewrite the file
 
 Without --write the script exits 1 when a digest changed.
+
+argparse wraps its usage lines at the width in COLUMNS, else the
+terminal's, so the stored stderr digests are those of a run at 80 columns,
+the width when stdout is not a terminal; the script and `conftest.py` set
+COLUMNS=80.
 """
 from __future__ import annotations
 
@@ -17,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import sys
@@ -38,8 +47,26 @@ def readme_examples() -> list[list[str]]:
         listed[a + 1:b] for a, b in zip(starts, starts[1:])]
 
 
+def corpus() -> list[list[str]]:
+    """Every argv with a stored digest: the README examples, then
+    `INVOCATIONS` in CSV and in JSON, then `TOTALITY`."""
+    import test_cli  # the argv tables of tests/test_cli.py
+
+    return [*readme_examples(),
+            *([cmd, *args, "--format", fmt]
+              for cmd, args in test_cli.INVOCATIONS.items() for fmt in ("csv", "json")),
+            *(argv for argv, _, _ in test_cli.TOTALITY)]
+
+
+def digest(code: int, out: str, err: str) -> dict:
+    """sha256 of stdout and of stderr, and the exit code."""
+    return {"stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.encode()).hexdigest(),
+            "exit": code}
+
+
 def run(argv: list[str]) -> dict:
-    """sha256 of stdout and of stderr, and the exit code, of one in-process run."""
+    """The digest of one in-process run."""
     from primecf.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -48,13 +75,11 @@ def run(argv: list[str]) -> dict:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
-            "exit": code}
+    return digest(code, out.getvalue(), err.getvalue())
 
 
-def compute() -> dict[str, dict]:
-    return {shlex.join(argv): run(argv) for argv in readme_examples()}
+def compute(argvs: list[list[str]]) -> dict[str, dict]:
+    return {shlex.join(argv): run(argv) for argv in argvs}
 
 
 def stored() -> dict[str, dict]:
@@ -67,7 +92,7 @@ def changed(new: dict[str, dict], old: dict[str, dict]) -> list[str]:
 
 
 def main(args: list[str]) -> int:
-    new = compute()
+    new = compute(corpus())
     lines = changed(new, stored())
     for line in lines:
         print(line)
@@ -79,4 +104,5 @@ def main(args: list[str]) -> int:
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
+    os.environ["COLUMNS"] = "80"
     sys.exit(main(sys.argv[1:]))

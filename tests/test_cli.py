@@ -28,6 +28,10 @@ import argparse
 import output_digests  # tests/output_digests.py; pytest puts tests/ on sys.path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# stdout, stderr and exit code, by sha256, of every argv in
+# `output_digests.corpus()`; `python tests/output_digests.py --write`
+# rewrites them
+DIGESTS = output_digests.stored()
 
 
 def run_cli(capsys, argv):
@@ -38,6 +42,10 @@ def run_cli(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_digest(argv, code, out, err):
+    assert output_digests.digest(code, out, err) == DIGESTS[shlex.join(argv)]
 
 
 def parse_csv(out: str):
@@ -129,6 +137,18 @@ def test_reproducible_and_schema_valid(capsys, command):
     jsonschema.validate(instance=obj, schema=schema_for(command))
 
 
+# the whole stdout, stderr and exit code of INVOCATIONS in both formats, held
+# to their digests in the corpus
+@pytest.mark.parametrize("command, fmt", [(c, f) for c in sorted(INVOCATIONS)
+                                          for f in ("csv", "json")],
+                         ids=[f"{c} {f}" for c in sorted(INVOCATIONS) for f in ("csv", "json")])
+def test_output_layer_pinned(capsys, command, fmt):
+    argv = [command, *INVOCATIONS[command], "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert_digest(argv, code, out, err)
+
+
 def test_readme_examples_verbatim(capsys):
     examples = re.findall(r"```\n\$ primecf (.*?)\n(.*?)```", README.read_text(), re.DOTALL)
     assert [shlex.split(line)[0] for line, _ in examples] == [
@@ -140,9 +160,13 @@ def test_readme_examples_verbatim(capsys):
 
 
 def test_readme_output_digests():
-    # stdout, stderr and exit code of every README example, by sha256;
-    # `python tests/output_digests.py --write` rewrites the stored ones
-    assert output_digests.changed(output_digests.compute(), output_digests.stored()) == []
+    examples = output_digests.compute(output_digests.readme_examples())
+    assert {line: DIGESTS.get(line) for line in examples} == examples
+
+
+def test_output_digests_cover_the_corpus():
+    # one stored digest per argv of the corpus, none for an argv outside it
+    assert list(DIGESTS) == list(dict.fromkeys(map(shlex.join, output_digests.corpus())))
 
 
 # sha256 of the exact or correctly rounded columns (depth, word, diam, lo,
@@ -191,7 +215,8 @@ def test_eb_build_exact_columns_pinned(capsys):
 
 # sha256 of the whole stdout.  The cf-expand pin was computed when
 # expand_real still certified each digit by an interval-containment test, a
-# route independent of the current common prefix of two Euclid streams; the
+# route independent of the current common prefix of two Euclid streams, and
+# re-pinned when its echo line alone changed (`input=` became `real=`); the
 # mc-zero-one pin fixes the counter-based word stream of the exact
 # conditional-law sampler.
 CERTIFIED_DIGIT_PINS = [
@@ -199,7 +224,7 @@ CERTIFIED_DIGIT_PINS = [
       "--samples", "200", "--seed", "1"],
      "f86bf6bea75fb185b1f53cabed257f517841435dea21a67a020d23c4ca8a3678"),
     (["cf-expand", "--real", "0.318309886183790671537767526745", "--bits", "80"],
-     "43a70b555a45710a5a283d5a3481a935ec15c5cf0fd5e9d4a194fdb8884062d2"),
+     "bb2d2025e23f0633771c24da2a4d0d2d7df47c884f79540e988797ef08a69524"),
 ]
 
 
@@ -233,37 +258,6 @@ def test_box_dim_outputs_pinned(capsys, argv, pin):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == pin
-
-
-# sha256 of the whole stdout of INVOCATIONS.  These commands compute with
-# mpmath, exact integers and IEEE float operations only (no libm call), so
-# their bytes pin the output layer on every platform.
-OUTPUT_PINS = {
-    ("pzeta-tail", "csv"): "599dca900864f28b0d784d8f00ddf7afeee86a371a3090a8329877cf8a1373ff",
-    ("pzeta-tail", "json"): "5b6c6e315bc7df77ae8571392d7371e52ab521c2309c1380ea9ec9680190da7b",
-    ("pzeta-asymptotic", "csv"):
-        "d3213e3161079fee22b8c794a63e74fee6daa9d123b915b24ab6702b20429c8d",
-    ("pzeta-asymptotic", "json"):
-        "a37da94075c4bcc543bd22a1f6952a98fe48fc76746858c52c18b0a5cc1f5e85",
-    ("cf-expand", "csv"): "726d7e96a686d58b1305c6939bc1dc344663a76b782147cefe1354327980c566",
-    ("cf-expand", "json"): "a169789a26d52fbb7b882c7bed045f288453807f1f49816c7e78ec95274b09a8",
-    ("interval-measure", "csv"):
-        "fc7a391c2ed5205dc011310e3bef62abec326dd62dd351525d682e4a33af667e",
-    ("interval-measure", "json"):
-        "4b91212393ebdc399d5af3d262d928e73ee3199d7880fa1bb5f90af7aa597a8b",
-    ("mc-zero-one", "csv"): "cebfefefcd8fab215188837940e908795de0b9bdaf13e0e1803ab544b04723d2",
-    ("mc-zero-one", "json"): "3461f172e7631232f16680f227f4d073e65764e7c5ff9fc965565872f1d788e0",
-    ("bb-series", "csv"): "152582052d23fb4f7ace03f6f07b403bfa5bee1a21845b2047b85dc830cd37bd",
-    ("bb-series", "json"): "8cb689fa94ede3bbe5fa375918d0b6825589a1b5b0ab1c9277d6572bade374f8",
-}
-
-
-@pytest.mark.parametrize("command, fmt", sorted(OUTPUT_PINS),
-                         ids=[" ".join(key) for key in sorted(OUTPUT_PINS)])
-def test_output_layer_pinned(capsys, command, fmt):
-    code, out, _ = run_cli(capsys, [command, *INVOCATIONS[command], "--format", fmt])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_PINS[command, fmt]
 
 
 # sha256 of the CSV stdout of the benchmark's integer-exponent zeta tails at
@@ -308,16 +302,14 @@ def test_pzeta_tail_cells(capsys):
 
 def test_pzeta_asymptotic_stated_grid(capsys):
     code, out, _ = run_cli(capsys, ["pzeta-asymptotic", "--ell", "1", "--s", "2",
-                                    "--grid", "1e3,1e4,1e5,1e6"])
+                                    "--grid", "1e3,1e4,1e5,1e6", "--cutoff", "10000000"])
     assert code == 0
     _, header, rows = parse_csv(out)
     assert header == ["M", "value", "ratio", "remainder_bound"]
     assert len(rows) == 4
-    ratios = [float(r["ratio"]) for r in rows]
-    assert all(0.5 < r < 2.0 for r in ratios[:3])
-    # the last threshold coincides with the default cutoff: empty sum, bound only
-    assert float(rows[-1]["value"]) == 0.0
-    assert float(rows[-1]["remainder_bound"]) > 0.0
+    # criterion 02's band: every threshold, the largest too, sums real terms
+    assert all(0.7 <= float(r["ratio"]) <= 1.5 for r in rows)
+    assert all(float(r["value"]) > 0.0 for r in rows)
 
 
 def test_cf_expand_rational(capsys):
@@ -438,6 +430,9 @@ def test_luczak_dim_ratio_convergence(capsys):
     summary = parse_summary(comments[1])
     assert summary["limit"] == "1/3"
     assert rows[0]["ratio"] == ""  # no ratio at k = 1
+    # the default 10^6 table counts the primes of levels 1-4; level 5's
+    # block, from 2^32, lies beyond it
+    assert [r["true_count"] for r in rows[:5]] == ["3", "9", "81", "11162", ""]
 
 
 def test_luczak_dim_sieved_blocks(capsys):
@@ -471,6 +466,20 @@ def test_eb_build_output(capsys):
     assert sorted(by_depth) == ["1", "2", "3"]
     for total in by_depth.values():
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def test_eb_build_echoes_the_values_it_used(capsys):
+    # M and N searched, the depth through the first prime run: the echo
+    # shows the values the run used, as the summary does
+    code, out, _ = run_cli(capsys, ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53",
+                                    "--delta", "0.01"])
+    assert code == 0
+    comments, _, rows = parse_csv(out)
+    assert comments[0] == ("# eb-build B=4.0 ell=2 s=0.53 delta=0.01 M=2 N=1 depth=3"
+                           " sieve=1000000")
+    summary = parse_summary(comments[1])
+    assert (summary["M"], summary["N"]) == ("2", "1")
+    assert max(int(r["depth"]) for r in rows) == 3
 
 
 def test_box_dim_modes(capsys):
@@ -566,8 +575,7 @@ SIEVED_TO_CUTOFF = [
     (["pzeta-tail", "--ell", "3", "--s", "2", "--M", "10", "--cutoff", "1000"], 32),
     (["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "10,100", "--cutoff", "1000"],
      1000),
-    # the cutoff defaults to the largest threshold of the grid
-    (["pzeta-asymptotic", "--ell", "2", "--s", "2", "--grid", "10,100"], 11),
+    (["pzeta-asymptotic", "--ell", "2", "--s", "2", "--grid", "10,100", "--cutoff", "100"], 11),
     (["interval-measure", "--ell", "1", "--threshold", "10", "--cutoff", "1000"], 1000),
     (["interval-measure", "--ell", "2", "--threshold", "10", "--cutoff", "1000"], 1000),
 ]
@@ -589,13 +597,15 @@ def test_cutoff_commands_sieve_to_their_cutoff(capsys, argv, limit):
 
 
 # On these commands the limit is a choice (how far table lookups reach, which
-# prime windows an E_B search or a Luczak level may use): --sieve is that
-# limit, 10^6 when omitted, and a limit below 2 is refused, not replaced.
+# prime windows an E_B search or a Luczak level may use, which levels get
+# prime counts): --sieve is that limit, 10^6 when omitted, and a limit below
+# 2 is refused, not replaced.
 SIEVED_TO_FLAG = [
     ["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,2", "--samples", "5"],
     ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", "--M", "3",
      "--depth", "2"],
     ["box-dim", "--b", "2", "--c", "2", "--kmax", "2"],
+    ["luczak-dim", "--b", "2", "--c", "2", "--kmax", "3"],
 ]
 
 
@@ -741,12 +751,29 @@ TOTALITY = [
     *[(argv + ["--sieve", "-4"], 2, _usage(argv[0], "--sieve: must be >= 0, got -4"))
       for argv in (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01"],
                    ["luczak-dim", "--b", "2", "--c", "2", "--kmax", "3"])],
-    # a negative count once ran as its default, echoing the value it ignored
-    *[(["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", flag, "-3"],
-       2, _usage("eb-build", f"{flag}: must be >= 0, got -3"))
-      for flag in ("--M", "--N", "--depth")],
-    (["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "10,100", "--cutoff", "-5"],
-     2, _usage("pzeta-asymptotic", "--cutoff: must be >= 0, got -5")),
+    # a negative count once ran as its default, echoing the value it ignored;
+    # a zero one once meant "search" or "derive"
+    *[(["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", flag, k],
+       2, _usage("eb-build", f"{flag}: must be >= 1, got {k}"))
+      for flag in ("--M", "--N", "--depth") for k in ("-3", "0")],
+    *[(["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "10,100", "--cutoff", k],
+       2, _usage("pzeta-asymptotic", f"--cutoff: must be >= 1, got {k}"))
+      for k in ("-5", "0")],
+    # the cutoff once defaulted to the largest threshold, whose row summed nothing
+    (["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "1e3,1e4,1e5,1e6"],
+     2, "primecf pzeta-asymptotic: error: the following arguments are required: --cutoff"),
+    # --bits 0 once meant "exact", which omitting --bits means
+    (["cf-expand", "--real", "0.5", "--bits", "0"],
+     2, _usage("cf-expand", "--bits: must lie in [1, 1048576], got 0")),
+    # the flags of a built construction were once ignored next to --covers
+    *[(["box-dim", "--covers", "0.5,0.5;0.25,0.25,0.25", flag, value],
+       2, f"ValueError: --covers takes no {flag}: they set a built construction")
+      for flag, value in (("--b", "2"), ("--c", "2"), ("--kmax", "3"), ("--sieve", "1000"))],
+    # M and n were once ignored when the growth gave B = inf or B = 1
+    (["hwx-dim", "--ell", "1", "--phi", "2**(2**n)", "--window", "10,20", "--M", "0",
+      "--n", "-3"], 2, "ValueError: alphabet bound M must be >= 1, got 0"),
+    (["hwx-dim", "--ell", "1", "--phi", "n*log(n)", "--window", "100,1200", "--n", "-3"],
+     2, "ValueError: word depth n must be >= 1, got -3"),
     # the first digit, 10^4300, has more digits than str() of an int prints
     *[(["cf-expand", "--real", real, "--max-len", "2", *fmt], 2,
        f"ValueError: rational {real!r} needs more than 4300 decimal digits")
@@ -786,6 +813,7 @@ def test_cli_is_total(capsys, argv, code, err_start):
     start = time.perf_counter()
     got, out, err = run_cli(capsys, argv)
     assert time.perf_counter() - start < TOTALITY_SECONDS
+    assert_digest(argv, got, out, err)
     assert got == code
     assert "Traceback" not in err
     if err_start is None:
@@ -964,7 +992,7 @@ FUZZ_ARGV = st.one_of(
            s=_S, M=_REAL, cutoff=_CUTOFF, format=_FORMAT),
     _flags("pzeta-asymptotic", ell=_BIG_ELL, s=_S,
            grid=st.lists(st.floats(3, 1e4), min_size=1, max_size=3).map(tuple),
-           cutoff=_opt(_CUTOFF), format=_FORMAT),
+           cutoff=_CUTOFF, format=_FORMAT),
     _flags("cf-expand", rational=st.tuples(st.integers(-5, 10**6), st.integers(-5, 10**6))
            .map(lambda f: f"{f[0]}/{f[1]}"), max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
     _flags("cf-expand", real=st.floats(-1, 2).map(repr), bits=_opt(st.integers(0, 256)),
@@ -988,7 +1016,7 @@ FUZZ_ARGV = st.one_of(
     # two rounds, on a 2-vCPU host), under FUZZ_SECONDS
     _flags("eb-build", B=_B, ell=st.integers(2, 3), s=st.floats(0.52, 0.9),
            delta=st.floats(0.001, 0.01), M=_opt(st.integers(0, 4)), N=_opt(st.integers(0, 4)),
-           depth=st.integers(0, 6), sieve=_SIEVE, format=_FORMAT),
+           depth=_opt(st.integers(0, 6)), sieve=_SIEVE, format=_FORMAT),
     _flags("box-dim", covers=_opt(st.lists(st.lists(st.floats(-0.1, 1), min_size=1, max_size=4)
                                            .map(lambda xs: ",".join(map(repr, xs))),
                                            min_size=1, max_size=4).map(";".join)),
