@@ -19,6 +19,7 @@ import argparse
 import ast
 import copy
 import csv
+import functools
 import io
 import itertools
 import json
@@ -649,14 +650,18 @@ def schema_for(command: str) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # usage lines wrap at 78 columns, argparse's width at COLUMNS=80, not at
+    # the terminal's, so an error prints the same bytes in any terminal
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="primecf",
         description="Continued fractions with large prime partial quotients: "
                     "zeta tails, interval measures, dimensions, constructions.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS.values():
-        p = sub.add_parser(cmd.name, help=cmd.help)
+        p = sub.add_parser(cmd.name, help=cmd.help, formatter_class=formatter)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         for flag, kwargs in cmd.args:
             p.add_argument(flag, **kwargs)

@@ -7,7 +7,7 @@ exact fundamental-interval lengths over prime tuples.  Tuples with every
 factor at most a cutoff are summed, and those with a factor beyond it are
 covered by an integer-tail bound, so the reported pair [exact_lower,
 exact_upper] is a rigorous bracket: every rounding is part of the bound.
-For ell = 1 each length 1/(p(p + 1)) is nudged outward before the sum.
+Each exact term 1/x is bounded outward by `_reciprocals`.
 For ell = 2 no pair is visited one by one past a b = SERIES_FLOOR: with
 y = 1/b the length of the pair (a, b) is a series in y,
 
@@ -108,13 +108,13 @@ def _blocks(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _head_pairs(pint: np.ndarray, t: int) -> np.ndarray:
-    """The lengths f(a, b) of the prime pairs in `pint` with t <= a b <
-    SERIES_FLOOR, each 1/q rounded once: q = (ab + 1)(ab + b + 1) < 2^53."""
+    """The denominators q = (ab + 1)(ab + b + 1) of the lengths f(a, b) = 1/q
+    of the prime pairs in `pint` with t <= a b < SERIES_FLOOR."""
     small = pint[pint <= SERIES_FLOOR // 2]
     a, b = small[:, None], small[None, :]
     ab = a * b
     keep = (ab >= t) & (ab < SERIES_FLOOR)
-    return 1.0 / ((ab + 1) * (ab + b + 1))[keep]
+    return ((ab + 1) * (ab + b + 1))[keep]
 
 
 def _pair_series(pint: np.ndarray, t: int) -> tuple[list[float], list[float]]:
@@ -186,12 +186,17 @@ def _pair_series(pint: np.ndarray, t: int) -> tuple[list[float], list[float]]:
     return lows, highs
 
 
-def _nudged(t: np.ndarray, to: float) -> Iterator[float]:
-    """The floats of t, each moved one ulp toward `to`, as Python floats
-    made 2^16 at a time, so no list spans the whole array."""
-    step = 1 << 16
-    return itertools.chain.from_iterable(
-        np.nextafter(t[lo:lo + step], to).tolist() for lo in range(0, t.size, step))
+def _reciprocals(x: np.ndarray, to: float) -> Iterator[float]:
+    """A float on the `to` side of 1/x for each positive int64 x below 2^62,
+    as Python floats made 2^16 at a time, so no list spans the whole array.
+    float(x) is moved one ulp away from `to` where it does not convert back
+    to x, which puts it beyond x, and then 1/float(x) one ulp toward `to`."""
+    for lo in range(0, x.size, 1 << 16):
+        chunk = x[lo:lo + (1 << 16)]
+        f = chunk.astype(np.float64)
+        moved = f.astype(np.int64) != chunk
+        f[moved] = np.nextafter(f[moved], -to)
+        yield from np.nextafter(1.0 / f, to).tolist()
 
 
 def level_set_measure(ell: int, threshold: float, cutoff: int,
@@ -218,12 +223,11 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         raise OutOfRangeError(f"cutoff {cutoff} outside sieve range [2, {sv.limit}]")
 
     if ell == 1:
-        # primes are int64 and at most SIEVE_CAP, so p(p+1) is exact; the
-        # float conversion and 1/x round as Python's int/float ops do
+        # primes are at most SIEVE_CAP, so p(p+1) is exact in int64
         ps = primes_in(math.ceil(threshold), cutoff, sv)
-        t = 1.0 / (ps * (ps + 1)).astype(np.float64)
-        lows, highs = _nudged(t, -np.inf), _nudged(t, np.inf)
-        terms = t.size
+        q = ps * (ps + 1)
+        lows, highs = _reciprocals(q, -np.inf), _reciprocals(q, np.inf)
+        terms = q.size
         # integers past the cutoff dominate the skipped primes:
         # sum 1/(k(k+1)) over k > cutoff telescopes to 1/(cutoff+1)
         tail = _up(1.0 / (cutoff + 1))
@@ -234,16 +238,11 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         terms = pint.size ** 2 - int(_partner_starts(pint, t).sum())
         head = _head_pairs(pint, t)
         lows, highs = _pair_series(pint, max(t, SERIES_FLOOR))
-        lows += np.nextafter(head, -np.inf).tolist()
-        highs += np.nextafter(head, np.inf).tolist()
-        # pairs with a factor beyond the cutoff: each length <= (p1 p2)^-2,
-        # and sum_{p > cutoff} p^-2 <= 1/cutoff.  A float square is p^2 up to
-        # 2^53 and moved below p^2 past it, so one nudge up bounds each 1/p^2;
-        # the tail is then evaluated exactly and rounded up once
-        squares = (pint * pint).astype(np.float64)
-        past = pint > math.isqrt(2**53)
-        squares[past] = np.nextafter(squares[past], 0)
-        psq_hi = _up(math.fsum(np.nextafter(1.0 / squares, np.inf)))
+        lows += _reciprocals(head, -np.inf)
+        highs += _reciprocals(head, np.inf)
+        # pairs with a factor beyond the cutoff: each length <= (p1 p2)^-2 and
+        # sum_{p > cutoff} p^-2 <= 1/cutoff, evaluated exactly, rounded up once
+        psq_hi = _up(math.fsum(_reciprocals(pint * pint, np.inf)))
         num, den = psq_hi.as_integer_ratio()
         tail = _ceil_ratio(2 * (num * cutoff + den), den * cutoff * cutoff)
 

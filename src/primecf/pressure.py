@@ -318,8 +318,10 @@ def hwx_dimension(ell: int, phi: Callable[[int], float], window: tuple[int, int]
     1/(b+1); subexponential phi gives 1; in between, the dimensional
     number at the estimated B decides.  The prime-restricted and
     unrestricted sets share the value, so a single number is reported.
-    M and n are checked first, whichever regime the growth turns out in.
+    ell, M and n are checked first, whichever regime the growth turns out in.
     """
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
     _check_words(M, n)
     exps = classify_growth(phi, window)
     b_hat = math.exp(exps.logb)

@@ -3,15 +3,6 @@ import pytest
 from primecf.primes import PrimeSieve
 
 
-@pytest.fixture(scope="session", autouse=True)
-def usage_width():
-    # argparse wraps usage lines at the width in COLUMNS, else the
-    # terminal's; output_digests.json holds the stderr of an 80-column run
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("COLUMNS", "80")
-        yield
-
-
 @pytest.fixture(scope="session")
 def sieve_small():
     return PrimeSieve(100_000)

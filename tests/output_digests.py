@@ -5,19 +5,15 @@
 stderr and its exit code.  The corpus is every `primecf` example of
 README.md (the three shown with their output, then the eight listed under
 "More:"), each `INVOCATIONS` command of `tests/test_cli.py` in CSV and in
-JSON, and every `TOTALITY` argv there.  The tests that run those argvs
-compare their output with the stored digests, and the README examples are
-recomputed by `test_readme_output_digests`.
+JSON, every `TOTALITY` argv there, and the argvs of its
+`CERTIFIED_DIGIT_PINS`, `BOX_DIM_PINS` and `WORKLOAD_PINS`.  The tests that
+run those argvs compare their output with the stored digests, and the
+README examples are recomputed by `test_readme_output_digests`.
 
     python tests/output_digests.py            # print the argvs that changed
     python tests/output_digests.py --write    # and rewrite the file
 
 Without --write the script exits 1 when a digest changed.
-
-argparse wraps its usage lines at the width in COLUMNS, else the
-terminal's, so the stored stderr digests are those of a run at 80 columns,
-the width when stdout is not a terminal; the script and `conftest.py` set
-COLUMNS=80.
 """
 from __future__ import annotations
 
@@ -25,7 +21,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import re
 import shlex
 import sys
@@ -49,13 +44,14 @@ def readme_examples() -> list[list[str]]:
 
 def corpus() -> list[list[str]]:
     """Every argv with a stored digest: the README examples, then
-    `INVOCATIONS` in CSV and in JSON, then `TOTALITY`."""
+    `INVOCATIONS` in CSV and in JSON, then `TOTALITY`, then the pin tables."""
     import test_cli  # the argv tables of tests/test_cli.py
 
     return [*readme_examples(),
             *([cmd, *args, "--format", fmt]
               for cmd, args in test_cli.INVOCATIONS.items() for fmt in ("csv", "json")),
-            *(argv for argv, _, _ in test_cli.TOTALITY)]
+            *(argv for argv, _, _ in test_cli.TOTALITY),
+            *test_cli.CERTIFIED_DIGIT_PINS, *test_cli.BOX_DIM_PINS, *test_cli.WORKLOAD_PINS]
 
 
 def digest(code: int, out: str, err: str) -> dict:
@@ -104,5 +100,4 @@ def main(args: list[str]) -> int:
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    os.environ["COLUMNS"] = "80"
     sys.exit(main(sys.argv[1:]))

@@ -213,70 +213,60 @@ def test_eb_build_exact_columns_pinned(capsys):
     assert _exact_columns_digest(out) == (44_530, EB3_PIN)
 
 
-# sha256 of the whole stdout.  The cf-expand pin was computed when
-# expand_real still certified each digit by an interval-containment test, a
-# route independent of the current common prefix of two Euclid streams, and
-# re-pinned when its echo line alone changed (`input=` became `real=`); the
-# mc-zero-one pin fixes the counter-based word stream of the exact
-# conditional-law sampler.
+# Whole stdout, stderr and exit code, held to their digests in the corpus.
+# The cf-expand stdout was pinned when expand_real still certified each
+# digit by an interval-containment test, a route independent of the current
+# common prefix of two Euclid streams, and re-pinned when its echo line
+# alone changed (`input=` became `real=`); the mc-zero-one stdout fixes the
+# counter-based word stream of the exact conditional-law sampler.
 CERTIFIED_DIGIT_PINS = [
-    (["mc-zero-one", "--ell", "2", "--phi", "n*log(n)**2", "--window", "10,200",
-      "--samples", "200", "--seed", "1"],
-     "f86bf6bea75fb185b1f53cabed257f517841435dea21a67a020d23c4ca8a3678"),
-    (["cf-expand", "--real", "0.318309886183790671537767526745", "--bits", "80"],
-     "bb2d2025e23f0633771c24da2a4d0d2d7df47c884f79540e988797ef08a69524"),
+    ["mc-zero-one", "--ell", "2", "--phi", "n*log(n)**2", "--window", "10,200",
+     "--samples", "200", "--seed", "1"],
+    ["cf-expand", "--real", "0.318309886183790671537767526745", "--bits", "80"],
 ]
 
 
-@pytest.mark.parametrize("argv, pin", CERTIFIED_DIGIT_PINS,
-                         ids=[case[0][0] for case in CERTIFIED_DIGIT_PINS])
-def test_certified_digit_outputs_pinned(capsys, argv, pin):
-    code, out, _ = run_cli(capsys, argv)
+@pytest.mark.parametrize("argv", CERTIFIED_DIGIT_PINS,
+                         ids=[argv[0] for argv in CERTIFIED_DIGIT_PINS])
+def test_certified_digit_outputs_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == pin
+    assert_digest(argv, code, out, err)
 
 
-# sha256 of the whole stdout, computed when box-dim still listed every
-# digit word of a level and measured each word's cylinder.
+# Whole stdout pinned when box-dim still listed every digit word of a level
+# and measured each word's cylinder.
 BOX_DIM_PINS = [
-    (["box-dim", "--b", "2", "--c", "2", "--kmax", "3", "--sieve", "1000000"],
-     "d06629404ba64fb73b095588e4263f94d75fc891c4d66bb7e47c7f85c50eb943"),
-    (["box-dim", "--b", "2", "--c", "2", "--kmax", "3", "--sieve", "1000000",
-      "--format", "json"],
-     "980934d1c1a4788c3a472ece50565e0c495c1c9a74b40649c0d2f390c739e834"),
-    (["box-dim", "--b", "2", "--c", "1.1", "--kmax", "4", "--sieve", "100000"],
-     "965ed399e9ff94a7508588cbf57e1592deefcc4b7a372b7d378331faf08e90e7"),
-    (["box-dim", "--b", "2", "--c", "1.1", "--kmax", "4", "--sieve", "100000",
-      "--format", "json"],
-     "44cf1d047489681b46a9bc4cc3cd246fa659ce389aa2abc80f33001571660995"),
+    ["box-dim", "--b", "2", "--c", "2", "--kmax", "3", "--sieve", "1000000"],
+    ["box-dim", "--b", "2", "--c", "2", "--kmax", "3", "--sieve", "1000000",
+     "--format", "json"],
+    ["box-dim", "--b", "2", "--c", "1.1", "--kmax", "4", "--sieve", "100000"],
+    ["box-dim", "--b", "2", "--c", "1.1", "--kmax", "4", "--sieve", "100000",
+     "--format", "json"],
 ]
 
 
-@pytest.mark.parametrize("argv, pin", BOX_DIM_PINS,
-                         ids=[" ".join(case[0][1:]) for case in BOX_DIM_PINS])
-def test_box_dim_outputs_pinned(capsys, argv, pin):
-    code, out, _ = run_cli(capsys, argv)
+@pytest.mark.parametrize("argv", BOX_DIM_PINS, ids=[" ".join(argv[1:]) for argv in BOX_DIM_PINS])
+def test_box_dim_outputs_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == pin
+    assert_digest(argv, code, out, err)
 
 
-# sha256 of the CSV stdout of the benchmark's integer-exponent zeta tails at
-# cutoff 10^6, whose half a million terms mostly take the limb division.
+# The benchmark's integer-exponent zeta tails at cutoff 10^6, whose half a
+# million terms mostly take the limb division, in CSV.
 WORKLOAD_PINS = [
-    (["pzeta-tail", "--ell", "3", "--s", "2", "--M", "100", "--cutoff", "1000000"],
-     "2b339e3800a28ea356ceb6fd733915ddb6208c051929bfb38774b8cacc730ca0"),
-    (["pzeta-asymptotic", "--ell", "2", "--s", "2", "--grid", "1e3,1e4,1e5",
-      "--cutoff", "1000000"],
-     "138b6f8784b715c21a3d81248cc31b9c4c45fc328dd28428fdb90b6806959e40"),
+    ["pzeta-tail", "--ell", "3", "--s", "2", "--M", "100", "--cutoff", "1000000"],
+    ["pzeta-asymptotic", "--ell", "2", "--s", "2", "--grid", "1e3,1e4,1e5",
+     "--cutoff", "1000000"],
 ]
 
 
-@pytest.mark.parametrize("argv, pin", WORKLOAD_PINS,
-                         ids=[" ".join(case[0]) for case in WORKLOAD_PINS])
-def test_workload_scale_tails_pinned(capsys, argv, pin):
-    code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+@pytest.mark.parametrize("argv", WORKLOAD_PINS, ids=[" ".join(argv) for argv in WORKLOAD_PINS])
+def test_workload_scale_tails_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == pin
+    assert_digest(argv, code, out, err)
 
 
 def test_cli_import_does_not_load_jsonschema():
@@ -774,6 +764,11 @@ TOTALITY = [
       "--n", "-3"], 2, "ValueError: alphabet bound M must be >= 1, got 0"),
     (["hwx-dim", "--ell", "1", "--phi", "n*log(n)", "--window", "100,1200", "--n", "-3"],
      2, "ValueError: word depth n must be >= 1, got -3"),
+    # and so was ell
+    (["hwx-dim", "--ell", "0", "--phi", "2**(2**n)", "--window", "10,20"],
+     2, "ValueError: ell must be >= 1, got 0"),
+    (["hwx-dim", "--ell", "-2", "--phi", "n*log(n)", "--window", "100,1200"],
+     2, "ValueError: ell must be >= 1, got -2"),
     # the first digit, 10^4300, has more digits than str() of an int prints
     *[(["cf-expand", "--real", real, "--max-len", "2", *fmt], 2,
        f"ValueError: rational {real!r} needs more than 4300 decimal digits")
@@ -822,6 +817,14 @@ def test_cli_is_total(capsys, argv, code, err_start):
     else:
         assert out == ""
         assert err.splitlines()[-1].startswith(err_start)
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_usage_errors_ignore_the_terminal_width(capsys, monkeypatch, columns):
+    # argparse once wrapped usage lines at the width in COLUMNS
+    monkeypatch.setenv("COLUMNS", columns)
+    argv = ["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", "--M", "-3"]
+    assert_digest(argv, *run_cli(capsys, argv))
 
 
 def test_sieve_cap(capsys, monkeypatch):

@@ -213,6 +213,24 @@ def test_level_set_validation(sieve_small):
         level_set_measure(1, 10, 1, sieve_small)
 
 
+def test_reciprocals_bracket_inexact_denominators():
+    # x = p(p + 1) for the primes in [2e8, 2e8 + 2e5] lies past 2^53, where
+    # float(x) may round before 1/float(x) does, as do the x next to 2^53,
+    # 2^54 and 2^62; the primes are those no prime up to 15,000 divides
+    lo, hi = 200_000_000, 200_200_000
+    composite = np.zeros(hi - lo + 1, dtype=bool)
+    for p in PrimeSieve(15_000).primes.tolist():
+        composite[-lo % p::p] = True
+    ps = np.flatnonzero(~composite) + lo
+    x = np.concatenate([ps * (ps + 1),
+                        np.array([2**53 - 1, 2**53 + 1, 2**54 - 2, 2**54 + 2, 2**62 - 1])])
+    assert ps.size == 10_581 and x.max() == 2**62 - 1
+    below = list(measure._reciprocals(x, -np.inf))
+    above = list(measure._reciprocals(x, np.inf))
+    for k, b, a in zip(x.tolist(), below, above):
+        assert Fraction(b) <= Fraction(1, k) <= Fraction(a), k
+
+
 def cli_peak_rss_mb(*argv: str) -> float:
     """Peak RSS of one fresh primecf CLI process, its own, from os.wait4."""
     code = "import sys; from primecf.cli import main; sys.exit(main(sys.argv[1:]))"
