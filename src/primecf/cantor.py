@@ -11,8 +11,9 @@ block.  All c^(b^k)-scale arithmetic stays in log domain; the first
 construction lists no words (a box-counting cover needs only each level's
 word count and its least-prime cylinder).  The second takes its sub-block
 masses from the word enumeration of `pressure` and builds its tree exactly
-in plain ints: continuants, and each endpoint a coprime (numerator,
-denominator) pair read off them.
+in plain ints, one depth at a time as parallel columns with no object per
+word: continuants, and each endpoint a coprime (numerator, denominator)
+pair read off them, computed once and read by the gap check and the output.
 """
 from __future__ import annotations
 
@@ -415,44 +416,43 @@ def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[
 Ratio = tuple[int, int]  # (numerator, denominator), coprime, denominator > 0
 
 
-@dataclass(frozen=True, slots=True)
-class EBNode:
-    """A word of the tree: its continuants p/q and p_prev/q_prev, its mass
-    mu, and diam, the double nearest the length of its hull (see `_hull`)."""
+@dataclass(frozen=True)
+class EBLevel:
+    """The words of one depth as parallel columns, node k's values at index k.
 
-    word: tuple[int, ...]
-    depth: int
-    p: int
-    p_prev: int
-    q: int
-    q_prev: int
-    mu: float
-    diam: float
-
-
-def _hull(node: EBNode, digits: tuple[int, ...]) -> tuple[Ratio, Ratio]:
-    """Exact ends (lo, hi) of the union of the closures of `node`'s word
-    extended by each of the ascending `digits`, those of the next position.
-
-    The ends are x(t) and x(u) for x(d) = (d p + p_prev) / (d q + q_prev),
-    t the least digit and u the greatest plus one.  x moves with the sign
-    of p q_prev - p_prev q = (-1)^(depth - 1): it falls in d at even depth
-    and rises at odd depth, so lo is x(u) at even depth and x(t) at odd,
-    with no comparison.  (d p + p_prev) q - (d q + q_prev) p is that
-    determinant negated, +-1, so each (numerator, denominator) pair is
-    coprime.
+    Per word: its continuants p/q and p_prev/q_prev, its mass mu, the exact
+    ends lo and hi of its hull (see `eb_prefix_tree`), each a column of
+    numerators and one of denominators, and diam, the double nearest the
+    hull's length.  Every node takes every digit of its position, so child
+    j of node k of the level above (j counting the ascending digits) is
+    node k w + j, w the digit count.
     """
-    t, u = digits[0], digits[-1] + 1
-    a = (t * node.p + node.p_prev, t * node.q + node.q_prev)
-    b = (u * node.p + node.p_prev, u * node.q + node.q_prev)
-    return (a, b) if node.depth % 2 else (b, a)
+
+    depth: int
+    words: list[tuple[int, ...]]
+    p: list[int]
+    p_prev: list[int]
+    q: list[int]
+    q_prev: list[int]
+    mu: list[float]
+    diam: list[float]
+    lo: tuple[list[int], list[int]]
+    hi: tuple[list[int], list[int]]
+
+    def __len__(self) -> int:
+        return len(self.words)
 
 
 @dataclass(frozen=True)
 class EBTree:
+    """The prefix tree to its depth, one `EBLevel` of columns per depth
+    (levels[d-1] holds the words of depth d), with the sub-block
+    normalizer u and the digits each position takes, through one position
+    past the deepest level, whose digits span the deepest hulls."""
+
     params: EBParams
     u: float
-    levels: tuple[tuple[EBNode, ...], ...]
+    levels: tuple[EBLevel, ...]
     digit_sets: tuple[tuple[int, ...], ...]  # digit_sets[d-1]: the digits at depth d
 
     @property
@@ -461,9 +461,9 @@ class EBTree:
 
     def records(self) -> Iterator[tuple[int, tuple[int, ...], float, float, Ratio, Ratio]]:
         """(depth, word, mu, diam, lo, hi) per node, level by level."""
-        for level, below in zip(self.levels, self.digit_sets[1:]):
-            for n in level:
-                yield n.depth, n.word, n.mu, n.diam, *_hull(n, below)
+        for level in self.levels:
+            for row in zip(level.words, level.mu, level.diam, zip(*level.lo), zip(*level.hi)):
+                yield level.depth, *row
 
 
 def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree:
@@ -473,8 +473,20 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
     the uniform splits 1/#P of its prime positions, and the closure of its
     unfinished sub-block, which reproduces the recursive definition
     (checkpoint products, uniform prime splits, completion sums) in one
-    pass.  The unfinished sub-block rides along as its length k and its
-    lexicographic index i among the k-digit words.
+    pass.  The unfinished sub-block rides along as its length k, the same
+    for every word of a depth, and per word its lexicographic index i among
+    the k-digit words.  The tree is built one depth at a time, a column at
+    a time.
+
+    A word's hull is the union of the closures of the word extended by each
+    digit of the next position.  Its ends are x(t) and x(v) for
+    x(d) = (d p + p_prev) / (d q + q_prev), t the least digit and v the
+    greatest plus one.  x moves with the sign of p q_prev - p_prev q =
+    (-1)^(depth - 1): it falls in d at even depth and rises at odd depth,
+    so lo is x(v) at even depth and x(t) at odd, with no comparison.
+    (d p + p_prev) q - (d q + q_prev) p is that determinant negated, +-1, so
+    each (numerator, denominator) pair is coprime, and the hull's length is
+    (v - t) over the product of the two denominators.
     """
     if depth_limit < 1:
         raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
@@ -498,36 +510,42 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
         if total > _NODE_GUARD:
             raise EnumerationGuardError(f"tree exceeds {_NODE_GUARD} nodes at depth {pos}")
 
-    levels: list[tuple[EBNode, ...]] = []
-    # (node, length k and index i of its unfinished sub-block, closed factors)
-    d_min, d_past = digit_sets[0][0], digit_sets[0][-1] + 1
-    frontier: list[tuple[EBNode, int, int, float]] = [
-        (EBNode((), 0, 0, 1, 1, 0, 1.0, (d_past - d_min) / (d_min * d_past)), 0, 0, 1.0)
-    ]
+    levels: list[EBLevel] = []
+    # the root's columns, then the length k of the unfinished sub-block and,
+    # per word, its index i and the word's closed factors
+    words, p, p_prev, q, q_prev = [()], [0], [1], [1], [0]
+    k, index, carried = 0, [0], [1.0]
     for pos in range(1, depth_limit + 1):
         digits, below = digit_sets[pos - 1], digit_sets[pos]
-        d_min, d_past = below[0], below[-1] + 1  # the digits at the hull's ends
-        prime = roles[pos - 1][0] == "prime"
-        nxt: list[tuple[EBNode, int, int, float]] = []
-        for par, k, i, carried in frontier:
-            for d in digits:
-                p = d * par.p + par.p_prev
-                q = d * par.q + par.q_prev
-                if prime:
-                    new_k, new_i, new_carried = 0, 0, carried / len(digits)
-                elif completes[pos - 1]:
-                    new_k, new_i, new_carried = 0, 0, carried * sigma[-1][i * M + d - 1]
-                else:
-                    new_k, new_i, new_carried = k + 1, i * M + d - 1, carried
-                # p q_prev - p_prev q = +-1, so the hull's length is (d_past -
-                # d_min) / ((d_min q + q_prev)(d_past q + q_prev)); int / int
-                # rounds correctly
-                node = EBNode(par.word + (d,), pos, p, par.p, q, par.q,
-                              new_carried * sigma[new_k][new_i],
-                              (d_past - d_min) / ((d_min * q + par.q) * (d_past * q + par.q)))
-                nxt.append((node, new_k, new_i, new_carried))
-        frontier = nxt
-        levels.append(tuple(entry[0] for entry in frontier))
+        w = len(digits)
+        # a child's continuants from its parent's, whose p and q become its
+        # p_prev and q_prev
+        p, p_prev = ([d * x + y for x, y in zip(p, p_prev) for d in digits],
+                     [x for x in p for _ in digits])
+        q, q_prev = ([d * x + y for x, y in zip(q, q_prev) for d in digits],
+                     [x for x in q for _ in digits])
+        words = [word + (d,) for word in words for d in digits]
+        if roles[pos - 1][0] == "prime":
+            k, index = 0, [0] * len(p)
+            carried = [c / w for c in carried for _ in digits]
+        elif completes[pos - 1]:
+            block = sigma[-1]
+            carried = [c * block[i * M + d - 1] for c, i in zip(carried, index) for d in digits]
+            k, index = 0, [0] * len(p)
+        else:
+            k, index = k + 1, [i * M + d - 1 for i in index for d in digits]
+            carried = [c for c in carried for _ in digits]
+        closure = sigma[k]
+        mu = [c * closure[i] for c, i in zip(carried, index)]
+        t, v = below[0], below[-1] + 1  # the digits at the hull's ends
+        ends_t = ([t * x + y for x, y in zip(p, p_prev)],
+                  [t * x + y for x, y in zip(q, q_prev)])
+        ends_v = ([v * x + y for x, y in zip(p, p_prev)],
+                  [v * x + y for x, y in zip(q, q_prev)])
+        lo, hi = (ends_t, ends_v) if pos % 2 else (ends_v, ends_t)
+        # int / int rounds correctly
+        diam = [(v - t) / (a * b) for a, b in zip(ends_t[1], ends_v[1])]
+        levels.append(EBLevel(pos, words, p, p_prev, q, q_prev, mu, diam, lo, hi))
     return EBTree(params=params, u=u, levels=tuple(levels), digit_sets=digit_sets)
 
 
@@ -539,63 +557,68 @@ class GapReport:
     pairs_checked: int
 
 
-def _ascending(tree: EBTree) -> Iterator[list[EBNode]]:
-    """Each level of the tree in ascending order of its hulls, built from
-    the order of the level above without a comparison.
+def _ascending(tree: EBTree) -> Iterator[list[int]]:
+    """The node indices of each level in ascending order of their hulls,
+    built from the order of the level above without a comparison.
 
     Every node takes every digit of its position, so the children of
     parent i fill positions i w .. i w + w - 1 of the next level, w the
     digit count.  Same-depth hulls lie in disjoint cylinders nested in
     their parents', so the parents' order carries over, and a word's
     children ascend with their digit at even depth and descend at odd
-    depth (see `_hull`).
+    depth (see `eb_prefix_tree`).
     """
     order = [0]  # the root
     for level, digits in zip(tree.levels, tree.digit_sets):
         w = len(digits)
-        js = range(w - 1, -1, -1) if level[0].depth % 2 else range(w)
+        js = range(w - 1, -1, -1) if level.depth % 2 else range(w)
         order = [i * w + j for i in order for j in js]
-        yield [level[k] for k in order]
+        yield order
 
 
-def _normalized_gaps(tree: EBTree) -> Iterator[tuple[EBNode, float]]:
+def _normalized_gaps(tree: EBTree) -> Iterator[tuple[EBLevel, list[int], list[float]]]:
     """Each gap between neighbouring same-depth hulls, normalized by the
-    requirement diam(I_n)/(8M) of either neighbour: (node, value) for the
-    lower neighbour and then the upper, pair by pair up each level.
+    requirement diam(I_n)/(8M) of either neighbour.  Per level: the level,
+    its ascending node order, and the values, for the lower neighbour and
+    then the upper, pair by pair up the level; value v belongs to node
+    order[(v + 1) // 2].
 
     Nothing is sorted: neighbours come from `_ascending`, which orders a
-    level by digit parity (a word's children ascend with their digit at
-    even depth and descend at odd depth).  Each gap lo2 - hi1 is one
-    numerator and denominator of exact ints, scaled and divided once.
+    level by digit parity.  Each gap lo2 - hi1 is one numerator and
+    denominator of exact ints, scaled and divided once.
     """
     eight_m = 8 * tree.params.M
-    for ordered, below in zip(_ascending(tree), tree.digit_sets[1:]):
-        ends = [(node, *_hull(node, below)) for node in ordered]
-        for (n1, _, (c, d)), (n2, (a, b), _) in zip(ends, ends[1:]):
-            num, den = (a * d - c * b) * eight_m, b * d
-            # gap / (|I_n| / 8M) with |I_n| = 1/(q (q + q_prev)); int / int
-            # rounds correctly, whatever common factor num and den share
-            yield n1, num * n1.q * (n1.q + n1.q_prev) / den
-            yield n2, num * n2.q * (n2.q + n2.q_prev) / den
+    for level, order in zip(tree.levels, _ascending(tree)):
+        # |I_n| / 8M = 1 / (8M q (q + q_prev)) per node
+        scale = [eight_m * q * (q + q_prev) for q, q_prev in zip(level.q, level.q_prev)]
+        (lo_num, lo_den), (hi_num, hi_den) = level.lo, level.hi
+        values = []
+        for k1, k2 in zip(order, order[1:]):
+            a, b, c, d = lo_num[k2], lo_den[k2], hi_num[k1], hi_den[k1]
+            num, den = a * d - c * b, b * d
+            # int / int rounds correctly, whatever common factor they share
+            values += (num * scale[k1] / den, num * scale[k2] / den)
+        yield level, order, values
 
 
 def gap_check(tree: EBTree) -> GapReport:
     """Exact gaps between same-depth fundamental sets, normalized by the
     requirement diam(I_n)/(8M) (see `_normalized_gaps`); every value >= 1
-    means the bound holds.
+    means the bound holds.  The first least value names the worst node.
     """
     worst = math.inf
     worst_depth = 0
     worst_word: tuple[int, ...] = ()
-    values = 0
-    for node, normalized in _normalized_gaps(tree):
-        values += 1
-        if normalized < worst:
-            worst = normalized
-            worst_depth = node.depth
-            worst_word = node.word
+    pairs = 0
+    for level, order, values in _normalized_gaps(tree):
+        pairs += len(values) // 2
+        least = min(values, default=math.inf)
+        if least < worst:
+            worst = least
+            worst_depth = level.depth
+            worst_word = level.words[order[(values.index(least) + 1) // 2]]
     return GapReport(min_normalized=worst, worst_depth=worst_depth,
-                     worst_word=worst_word, pairs_checked=values // 2)
+                     worst_word=worst_word, pairs_checked=pairs)
 
 
 @dataclass(frozen=True)
@@ -615,11 +638,8 @@ def holder_check(tree: EBTree) -> HolderReport:
     per_depth: list[tuple[int, float]] = []
     overall = 0.0
     for level in tree.levels:
-        best = 0.0
-        for node in level:
-            ratio = node.mu / node.diam ** exponent
-            best = max(best, ratio)
-        per_depth.append((level[0].depth, best))
+        best = max(0.0, *(mu / diam ** exponent for mu, diam in zip(level.mu, level.diam)))
+        per_depth.append((level.depth, best))
         overall = max(overall, best)
     return HolderReport(exponent=exponent, per_depth=tuple(per_depth),
                         max_ratio=overall)

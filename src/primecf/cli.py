@@ -69,31 +69,51 @@ def _nstr(v, digits: int) -> str:
     return mp.nstr(v, digits)
 
 
-def _render(fields: dict[str, Kind], records: Iterable[dict], fmt: str) -> Iterator[dict]:
-    """Each record's declared fields, in declared order, as CSV cells or JSON
-    values.  A real whose double is not finite is refused: neither format
-    can print it as a number."""
-    for record in records:
-        values = {}
-        for name, kind in fields.items():
-            v = record[name]
-            if kind.finite and v != "" and not math.isfinite(v):
+def _columns(rows: list[dict]) -> list[dict[str, list]]:
+    """Row dicts as one column block, or no block for no rows."""
+    return [{name: [row[name] for row in rows] for name in rows[0]}] if rows else []
+
+
+def _refuse_nonfinite(fields: dict[str, Kind], block: dict) -> None:
+    """Refuse the first real of a block, in row order, whose double is not
+    finite: neither format can print it as a number."""
+    reals = [name for name, kind in fields.items() if kind.finite]
+    # one pass per column; a blank "" is falsy, and so is a zero, which is finite
+    if all(all(map(math.isfinite, filter(None, block[name]))) for name in reals):
+        return
+    for row in zip(*(block[name] for name in reals)):
+        for name, v in zip(reals, row):
+            if v != "" and not math.isfinite(v):
                 raise OutOfRangeError(f"{name} = {_nstr(v, 5)} has no finite double")
-            values[name] = kind.cell(v) if fmt == "csv" else kind.json(v)
-        yield values
+
+
+def _render(fields: dict[str, Kind], blocks: Iterable[dict],
+            fmt: str) -> Iterator[Iterator[tuple]]:
+    """Per block, its rows as tuples of CSV cells or JSON values, the
+    declared fields in declared order, each kind mapped once over its
+    column.  A block's reals are checked before any of its values print."""
+    pick = [kind.cell if fmt == "csv" else kind.json for kind in fields.values()]
+    for block in blocks:
+        _refuse_nonfinite(fields, block)
+        yield zip(*(map(f, block[name]) for f, name in zip(pick, fields)))
+
+
+def _records(fields: dict[str, Kind], blocks: Iterable[dict], fmt: str) -> list[dict]:
+    """The rendered rows of `blocks` as dicts, the declared fields in order."""
+    return [dict(zip(fields, row)) for rows in _render(fields, blocks, fmt) for row in rows]
 
 
 def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> str:
     """Render one run, every value through the kind declared for it: the
     summary, the `extra` blocks (which CSV output carries in `out.notes`
     instead), then the rows.  A refused value leaves no output."""
-    summary = None if out.summary is None else next(_render(sub.summary, [out.summary], fmt))
-    extra = {key: list(_render(sub.extra[key], block, fmt))
+    summary = (None if out.summary is None
+               else _records(sub.summary, _columns([out.summary]), fmt)[0])
+    extra = {key: _records(sub.extra[key], _columns(block), fmt)
              for key, block in (out.extra or {}).items()}
-    rows = _render(sub.columns, out.rows, fmt)
     if fmt == "json":
         obj = {"schema": f"{sub.name}.schema.json", "command": sub.name,
-               "inputs": inputs, "rows": list(rows)}
+               "inputs": inputs, "rows": _records(sub.columns, out.blocks, fmt)}
         if summary is not None:
             obj["summary"] = summary
         obj.update(extra)
@@ -106,11 +126,13 @@ def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> str:
     for line in out.notes or []:
         buf.write("# " + line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    first = next(rows, None)
+    blocks = _render(sub.columns, out.blocks, fmt)
+    first = next(blocks, None)
     if first is not None:
         writer.writerow(sub.columns)
         # rows stream into the text; no rendered copy of them is kept
-        writer.writerows(r.values() for r in itertools.chain([first], rows))
+        for rows in itertools.chain([first], blocks):
+            writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -269,12 +291,15 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
 
 @dataclass(frozen=True)
 class Output:
-    """What a handler computed.  `inputs` holds the values it resolved
-    itself (a sieve limit, a searched M or N, a default depth or kmax),
-    which replace the parsed ones in the echo.  `rows` may be an iterator, read
-    once as the output is rendered."""
+    """What a handler computed.  `blocks` holds its rows, in order, as
+    column blocks: dicts from column name to that column's values
+    (`_columns` makes one of row dicts).  Each is read once as the output
+    is rendered, except that a column of reals is checked before it
+    prints, so it must be a sequence.  `inputs` holds the values the
+    handler resolved itself (a sieve limit, a searched M or N, a default
+    depth or kmax), which replace the parsed ones in the echo."""
 
-    rows: Iterable[dict]
+    blocks: Iterable[dict[str, Iterable]]
     summary: dict | None = None
     inputs: dict = field(default_factory=dict)
     notes: list[str] | None = None
@@ -292,7 +317,7 @@ def cmd_pzeta_tail(args) -> Output:
     res = zeta.pzeta_tail(args.ell, args.mode, args.s, args.M, args.cutoff, sv)
     rows = [{"value": res.value, "remainder_bound": res.remainder_bound,
              "upper": res.upper, "terms_used": res.terms_used}]
-    return Output(rows, inputs={"sieve": sv.limit})
+    return Output(_columns(rows), inputs={"sieve": sv.limit})
 
 
 def cmd_pzeta_asymptotic(args) -> Output:
@@ -301,7 +326,7 @@ def cmd_pzeta_asymptotic(args) -> Output:
                                   mode=args.mode)
     rows = [{"M": r.M, "value": r.value, "ratio": r.ratio,
              "remainder_bound": r.remainder_bound} for r in table]
-    return Output(rows, inputs={"sieve": sv.limit})
+    return Output(_columns(rows), inputs={"sieve": sv.limit})
 
 
 def cmd_cf_expand(args) -> Output:
@@ -313,7 +338,7 @@ def cmd_cf_expand(args) -> Output:
     word = contfrac.expand_real(x, args.bits, args.max_len)
     rows = [{"digits": word, "length": len(word),
              "reconstructed": contfrac.continuants(word).value.as_integer_ratio()}]
-    return Output(rows)
+    return Output(_columns(rows))
 
 
 def cmd_interval_measure(args) -> Output:
@@ -321,13 +346,13 @@ def cmd_interval_measure(args) -> Output:
     res = measure.level_set_measure(args.ell, args.threshold, args.cutoff, sv)
     rows = [{"lower": res.exact_lower, "upper": res.exact_upper,
              "width": res.width, "terms": res.terms}]
-    return Output(rows, inputs={"sieve": sv.limit})
+    return Output(_columns(rows), inputs={"sieve": sv.limit})
 
 
 def cmd_pressure_dim(args) -> Output:
     problem = pressure.PressureProblem(ell=args.ell, B=args.B, M=args.M, n=args.n)
     t = pressure.dimensional_number(problem, tol=args.tol, method=args.method)
-    return Output([{"t": t}])
+    return Output(_columns([{"t": t}]))
 
 
 def cmd_hwx_dim(args) -> Output:
@@ -336,7 +361,7 @@ def cmd_hwx_dim(args) -> Output:
     rows = [{"value": rep.value, "case": rep.case,
              "logB": rep.exponents.logB, "logb": rep.exponents.logb,
              "skipped": len(rep.exponents.skipped)}]
-    return Output(rows)
+    return Output(_columns(rows))
 
 
 def cmd_mc_zero_one(args) -> Output:
@@ -350,14 +375,14 @@ def cmd_mc_zero_one(args) -> Output:
             for n, c in rep.per_n]
     summary = {"hit_fraction": rep.hit_fraction, "hit_count": rep.hit_count,
                "refinements": rep.refinements, "max_bits_used": rep.max_bits_used}
-    return Output(rows, summary)
+    return Output(_columns(rows), summary)
 
 
 def cmd_bb_series(args) -> Output:
     phi = parse_phi(args.phi)
     rep = measure.borel_bernstein_table(phi, args.ell, args.prime, args.window)
     rows = [{"n": r.n, "term": r.term, "partial": r.partial} for r in rep.rows]
-    return Output(rows, {"series": rep.series, "skipped": len(rep.skipped)})
+    return Output(_columns(rows), {"series": rep.series, "skipped": len(rep.skipped)})
 
 
 def cmd_luczak_dim(args) -> Output:
@@ -370,7 +395,7 @@ def cmd_luczak_dim(args) -> Output:
              "block_hi": "" if lv.block is None else lv.block[1],
              "true_count": "" if lv.true_count is None else lv.true_count,
              "ratio": ratios.get(lv.k, "")} for lv in levels]
-    return Output(rows, {"limit": limit.as_integer_ratio(), "limit_float": float(limit)})
+    return Output(_columns(rows), {"limit": limit.as_integer_ratio(), "limit_float": float(limit)})
 
 
 def cmd_eb_build(args) -> Output:
@@ -387,12 +412,12 @@ def cmd_eb_build(args) -> Output:
         "gap_min": gap.min_normalized, "holder_exponent": hold.exponent,
         "holder_max": hold.max_ratio,
     }
-    # one row per tree node, made as it is rendered: a list of them all
-    # would be the largest thing the command holds
-    rows = ({"depth": d, "word": w, "mu": mu, "diam": diam, "lo": lo, "hi": hi}
-            for d, w, mu, diam, lo, hi in tree.records())
+    # one block per tree level, whose columns are the tree's own
+    blocks = ({"depth": itertools.repeat(level.depth, len(level)), "word": level.words,
+               "mu": level.mu, "diam": level.diam, "lo": zip(*level.lo), "hi": zip(*level.hi)}
+              for level in tree.levels)
     return Output(
-        rows, summary, inputs={"M": params.M, "N": params.N, "depth": depth},
+        blocks, summary, inputs={"M": params.M, "N": params.N, "depth": depth},
         notes=[f"constraint {name} {status}: {detail}"
                for name, status, detail in params.constraints],
         extra={"constraints": [{"name": n, "status": s, "detail": d}
@@ -433,7 +458,7 @@ def cmd_box_dim(args) -> Output:
             covers.append((count, largest))
     est = cantor.box_dimension_estimate(covers)
     rows = [{"slope": est.slope, "residual": est.residual, "levels": est.levels}]
-    return Output(rows, inputs=inputs)
+    return Output(_columns(rows), inputs=inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +476,6 @@ class Kind:
     finite: bool = False
 
 
-def _num_den(v: tuple[int, int]) -> str:
-    return f"{v[0]}/{v[1]}"
-
-
 def _blank_or(kind: Kind) -> Kind:
     """`kind`, or a blank ("") where a row has no value."""
     return Kind({"type": [kind.schema["type"], "string"]},
@@ -464,12 +485,13 @@ def _blank_or(kind: Kind) -> Kind:
 
 # reals at 20 significant digits, rationals exact as num/den from a
 # (numerator, denominator) pair
-NUMBER = Kind({"type": "number"}, lambda v: format(v, ".20g"), float, finite=True)
+NUMBER = Kind({"type": "number"}, "{:.20g}".format, float, finite=True)
 MPF = Kind({"type": "number"}, lambda v: _nstr(v, 20), float, finite=True)
 INTEGER = Kind({"type": "integer"}, str, int)
 STRING = Kind({"type": "string"}, str, str)
 BOOLEAN = Kind({"type": "boolean"}, lambda v: "true" if v else "false", bool)
-FRACTION = Kind({"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"}, _num_den, _num_den)
+FRACTION = Kind({"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"},
+                "{0[0]}/{0[1]}".format, "{0[0]}/{0[1]}".format)
 DIGITS = Kind({"type": "array", "items": {"type": "integer", "minimum": 1}},
               lambda v: "[" + ",".join(map(str, v)) + "]", list)
 BLANK_OR_INTEGER = _blank_or(INTEGER)

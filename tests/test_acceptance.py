@@ -184,16 +184,16 @@ def test_criterion_10_prefix_tree_miniature(sieve_mid):
         assert params.N == 1
         shallow = eb_prefix_tree(params, 4, sieve_mid)
         tree = eb_prefix_tree(params, 5, sieve_mid)
-        root_mass = sum(node.mu for node in tree.levels[0])
+        root_mass = sum(tree.levels[0].mu)
         assert root_mass == pytest.approx(1.0, abs=1e-12)
         for level, children, digits in zip(tree.levels, tree.levels[1:],
                                            tree.digit_sets[1:]):
             # every node takes every digit, so child k has parent k // w
             sums = [0.0] * len(level)
-            for k, child in enumerate(children):
-                sums[k // len(digits)] += child.mu
-            for idx, node in enumerate(level):
-                assert sums[idx] == pytest.approx(node.mu, abs=1e-12)
+            for k, child_mu in enumerate(children.mu):
+                sums[k // len(digits)] += child_mu
+            for idx, mu in enumerate(level.mu):
+                assert sums[idx] == pytest.approx(mu, abs=1e-12)
         gaps = gap_check(tree)
         assert gaps.min_normalized >= 1.0
         h_four = holder_check(shallow)

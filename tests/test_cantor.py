@@ -346,16 +346,16 @@ def test_tree_specs_and_shape(eb):
 def test_tree_mass_is_additive(eb):
     _, tree = eb
     for level in tree.levels:
-        assert sum(node.mu for node in level) == pytest.approx(1.0, abs=1e-12)
-        assert all(node.mu > 0 for node in level)
+        assert sum(level.mu) == pytest.approx(1.0, abs=1e-12)
+        assert all(mu > 0 for mu in level.mu)
     # every node takes every digit of its position, so child k of a level
     # with w digits per node has parent k // w
     for level, children, digits in zip(tree.levels, tree.levels[1:], tree.digit_sets[1:]):
         sums = [0.0] * len(level)
-        for k, child in enumerate(children):
-            sums[k // len(digits)] += child.mu
-        for total, parent in zip(sums, level, strict=True):
-            assert total == pytest.approx(parent.mu, abs=1e-12)
+        for k, child_mu in enumerate(children.mu):
+            sums[k // len(digits)] += child_mu
+        for total, parent_mu in zip(sums, level.mu, strict=True):
+            assert total == pytest.approx(parent_mu, abs=1e-12)
 
 
 def test_tree_prime_split_is_uniform(eb):
@@ -363,9 +363,9 @@ def test_tree_prime_split_is_uniform(eb):
     # depth 2 = first prime position, two primes: child k has parent k // 2
     assert len(tree.digit_sets[1]) == 2
     level = tree.levels[1]
-    for first, second in zip(level[::2], level[1::2], strict=True):
-        assert first.word[:-1] == second.word[:-1]
-        assert first.mu == pytest.approx(second.mu, rel=1e-12)
+    for k in range(0, len(level), 2):
+        assert level.words[k][:-1] == level.words[k + 1][:-1]
+        assert level.mu[k] == pytest.approx(level.mu[k + 1], rel=1e-12)
 
 
 def _value(word) -> Fraction:
@@ -387,12 +387,14 @@ def _ends(tree) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
 
 def test_tree_interval_arithmetic(eb):
     _, tree = eb
-    node = tree.levels[2][5]
-    cf = continuants(node.word)
-    assert (node.p, node.q) == (cf.p, cf.q)
+    level, k = tree.levels[2], 5
+    word = level.words[k]
+    cf = continuants(word)
+    assert (level.p[k], level.q[k]) == (cf.p, cf.q)
+    assert (level.p_prev[k], level.q_prev[k]) == (cf.p_prev, cf.q_prev)
     # the children at depth 4 take the digits 1..M
-    ends = sorted([_value(node.word + (1,)), _value(node.word + (tree.params.M + 1,))])
-    lo, hi = _ends(tree)[node.word]
+    ends = sorted([_value(word + (1,)), _value(word + (tree.params.M + 1,))])
+    lo, hi = _ends(tree)[word]
     assert (lo, hi) == tuple(ends)
     assert 0 < lo < hi < 1
 
@@ -403,10 +405,10 @@ def test_tree_hulls_span_children(eb):
     _, tree = eb
     hulls = _ends(tree)
     for level, digits in zip(tree.levels, tree.digit_sets[1:]):
-        for node in level:
-            ends = [_value(node.word + (d,)) for d in digits]
-            ends.append(_value(node.word + (digits[-1] + 1,)))
-            assert hulls[node.word] == (min(ends), max(ends))
+        for word in level.words:
+            ends = [_value(word + (d,)) for d in digits]
+            ends.append(_value(word + (digits[-1] + 1,)))
+            assert hulls[word] == (min(ends), max(ends))
 
 
 def test_tree_diameters_round_the_exact_hull(eb):
@@ -415,9 +417,9 @@ def test_tree_diameters_round_the_exact_hull(eb):
     _, tree = eb
     hulls = _ends(tree)
     for level in tree.levels:
-        for node in level:
-            lo, hi = hulls[node.word]
-            assert node.diam == float(hi - lo)
+        for word, diam in zip(level.words, level.diam, strict=True):
+            lo, hi = hulls[word]
+            assert diam == float(hi - lo)
 
 
 def oracle_gap_check(tree) -> cantor.GapReport:
@@ -426,15 +428,16 @@ def oracle_gap_check(tree) -> cantor.GapReport:
     eight_m = 8 * tree.params.M
     worst, worst_depth, worst_word, pairs = math.inf, 0, (), 0
     for level in tree.levels:
-        ordered = sorted(level, key=lambda node: hulls[node.word][0])
-        for n1, n2 in zip(ordered, ordered[1:]):
-            gap = hulls[n2.word][0] - hulls[n1.word][1]
+        ordered = sorted(range(len(level)), key=lambda k: hulls[level.words[k]][0])
+        for k1, k2 in zip(ordered, ordered[1:]):
+            gap = hulls[level.words[k2]][0] - hulls[level.words[k1]][1]
             pairs += 1
-            for node in (n1, n2):
-                normalized = (gap.numerator * eight_m * node.q * (node.q + node.q_prev)
+            for k in (k1, k2):
+                q, q_prev = level.q[k], level.q_prev[k]
+                normalized = (gap.numerator * eight_m * q * (q + q_prev)
                               / gap.denominator)
                 if normalized < worst:
-                    worst, worst_depth, worst_word = normalized, node.depth, node.word
+                    worst, worst_depth, worst_word = normalized, level.depth, level.words[k]
     return cantor.GapReport(min_normalized=worst, worst_depth=worst_depth,
                             worst_word=worst_word, pairs_checked=pairs)
 
@@ -462,22 +465,27 @@ def test_every_normalized_gap_is_correctly_rounded(trees, name):
     eight_m = 8 * tree.params.M
     want = []
     for level in tree.levels:
-        ordered = sorted(level, key=lambda node: hulls[node.word][0])
-        for n1, n2 in zip(ordered, ordered[1:]):
-            gap = hulls[n2.word][0] - hulls[n1.word][1]
-            want += [(node.word, float(gap * eight_m * node.q * (node.q + node.q_prev)))
-                     for node in (n1, n2)]
-    assert [(node.word, value) for node, value in cantor._normalized_gaps(tree)] == want
+        ordered = sorted(range(len(level)), key=lambda k: hulls[level.words[k]][0])
+        for k1, k2 in zip(ordered, ordered[1:]):
+            gap = hulls[level.words[k2]][0] - hulls[level.words[k1]][1]
+            want += [(level.words[k], float(gap * eight_m * level.q[k]
+                                            * (level.q[k] + level.q_prev[k])))
+                     for k in (k1, k2)]
+    # value v of a level belongs to node order[(v + 1) // 2]
+    assert [(level.words[order[(v + 1) // 2]], value)
+            for level, order, values in cantor._normalized_gaps(tree)
+            for v, value in enumerate(values)] == want
 
 
 @pytest.mark.parametrize("name", ["ell2", "ell3"])
 def test_tree_parity_order_is_sorted_order(trees, name):
     tree = trees[name]
     hulls = _ends(tree)
-    for level, ordered in zip(tree.levels, cantor._ascending(tree), strict=True):
-        assert ordered == sorted(level, key=lambda node: hulls[node.word][0])
+    for level, order in zip(tree.levels, cantor._ascending(tree), strict=True):
+        ordered = [level.words[k] for k in order]
+        assert ordered == sorted(level.words, key=lambda word: hulls[word][0])
         # hulls of one depth are disjoint, and strictly ordered
-        assert all(hulls[a.word][1] < hulls[b.word][0] for a, b in zip(ordered, ordered[1:]))
+        assert all(hulls[a][1] < hulls[b][0] for a, b in zip(ordered, ordered[1:]))
 
 
 def test_tree_is_built_and_checked_in_plain_ints(eb, sieve_mid, monkeypatch):
@@ -530,9 +538,9 @@ def test_tree_mass_matches_definition(sieve_mid):
     prime_positions = {nj + i for nj in params.n_schedule[1:] for i in range(params.ell)}
     unfinished = 0
     for level in tree.levels:
-        for node in level:
+        for word, mu in zip(level.words, level.mu, strict=True):
             factors, partial = [], ()
-            for pos, d in enumerate(node.word, start=1):
+            for pos, d in enumerate(word, start=1):
                 if pos in prime_positions:
                     factors.append(1 / len(tree.digit_sets[pos - 1]))
                     continue
@@ -544,7 +552,7 @@ def test_tree_mass_matches_definition(sieve_mid):
                 unfinished += 1
                 factors.append(math.fsum(weight[partial + e] for e in
                                          product(range(1, M + 1), repeat=N - len(partial))))
-            assert node.mu == pytest.approx(math.prod(factors), rel=1e-12)
+            assert mu == pytest.approx(math.prod(factors), rel=1e-12)
     assert unfinished > 0
 
 
@@ -555,7 +563,7 @@ def test_tree_time_is_bounded_by_its_nodes(sieve_mid):
     tree = eb_prefix_tree(params, 1, sieve_mid)
     assert time.perf_counter() - start < 5.0
     assert len(tree.levels[0]) == 8
-    assert sum(node.mu for node in tree.levels[0]) == pytest.approx(1.0, abs=1e-12)
+    assert sum(tree.levels[0].mu) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tree_enumerates_sub_blocks_once(sieve_mid, monkeypatch):

@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -11,12 +13,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from primecf import errors, measure, primes, zeta
+from primecf import cantor, cli, errors, measure, primes, zeta
+from primecf.cantor import eb_prefix_tree, make_eb_params
 from primecf.cli import COMMANDS, main, parse_phi, schema_for
 from primecf.contfrac import expand_rational
 from primecf.measure import level_set_measure
@@ -211,6 +215,143 @@ def test_eb_build_exact_columns_pinned(capsys):
     code, out, _ = run_cli(capsys, EB3_PIN_ARGV)
     assert code == 0
     assert _exact_columns_digest(out) == (44_530, EB3_PIN)
+
+
+def _mass_recurrence(params, tree):
+    """mu of a word by the mass recurrence along its positions, in the
+    tree's arithmetic: each prime position splits uniformly, each completed
+    sub-block multiplies in its weight, and the unfinished sub-block's
+    closure comes last."""
+    M = params.M
+    _, sigma = cantor._block_masses(M, params.N, params.alphas[0], params.s)
+    roles, completes = params.position_roles(tree.depth)
+
+    def mass(word) -> float:
+        k, i, carried = 0, 0, 1.0
+        for (role, _, _), done, d, digits in zip(roles, completes, word, tree.digit_sets):
+            if role == "prime":
+                k, i, carried = 0, 0, carried / len(digits)
+            elif done:
+                k, i, carried = 0, 0, carried * sigma[-1][i * M + d - 1]
+            else:
+                k, i = k + 1, i * M + d - 1
+        return carried * sigma[k][i]
+
+    return mass
+
+
+def _row_at_a_time(argv: list[str]) -> str:
+    """The stdout of `argv` rendered one row at a time: each row's values
+    through the declared `Kind.cell` into csv.writer, or through `Kind.json`
+    into json.dumps(indent=2).  eb-build's rows are read node by node from
+    `EBTree.records`, with mu recomputed word by word (`_mass_recurrence`) and
+    holder_max from those rows; the echo, the notes, the extra blocks and
+    the other rows and summary fields are the handler's."""
+    args = cli.build_parser().parse_args(argv)
+    sub = COMMANDS[args.command]
+    out = sub.handler(args)
+    rows = [dict(zip(block, values)) for block in out.blocks
+            for values in zip(*block.values())]
+    summary = out.summary
+    if args.command == "eb-build":
+        sv = PrimeSieve(args.sieve)
+        params = make_eb_params(args.B, args.ell, args.s, args.delta, sv, M=args.M, N=args.N)
+        tree = eb_prefix_tree(params, out.inputs["depth"], sv)
+        rows = [dict(zip(sub.columns, record)) for record in tree.records()]
+        mass = _mass_recurrence(params, tree)
+        for r in rows:
+            r["mu"] = mass(r["word"])
+        exponent = args.s * (1 - args.delta) - args.delta
+        summary = {**summary,
+                   "holder_max": max(r["mu"] / r["diam"] ** exponent for r in rows)}
+    inputs = {cli._dest(flag): getattr(args, cli._dest(flag)) for flag, _ in sub.args}
+    inputs = {k: v for k, v in (inputs | out.inputs).items() if v is not None}
+    extra = {key: [{k: sub.extra[key][k].json(v) for k, v in r.items()} for r in block]
+             for key, block in (out.extra or {}).items()}
+    if args.format == "json":
+        obj = {"schema": f"{sub.name}.schema.json", "command": sub.name, "inputs": inputs,
+               "rows": [{k: sub.columns[k].json(v) for k, v in r.items()} for r in rows]}
+        if summary is not None:
+            obj["summary"] = {k: sub.summary[k].json(v) for k, v in summary.items()}
+        return json.dumps(obj | extra, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# {sub.name} " + " ".join(f"{k}={cli._echo(v)}" for k, v in inputs.items())
+              + "\n")
+    if summary is not None:
+        buf.write("# " + " ".join(f"{k}={sub.summary[k].cell(v)}" for k, v in summary.items())
+                  + "\n")
+    buf.writelines(f"# {line}\n" for line in out.notes or [])
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(sub.columns)
+    for r in rows:
+        writer.writerow([sub.columns[k].cell(v) for k, v in r.items()])
+    return buf.getvalue()
+
+
+REFERENCE_RENDER_ARGVS = [
+    *(argv + ["--format", fmt] for argv in (EB_PIN_ARGV, EB3_PIN_ARGV)
+      for fmt in ("csv", "json")),
+    *(["luczak-dim", "--b", "2", "--c", "2", "--kmax", "20", "--format", fmt]
+      for fmt in ("csv", "json")),
+]
+
+
+@pytest.mark.parametrize("argv", REFERENCE_RENDER_ARGVS,
+                         ids=[" ".join(argv) for argv in REFERENCE_RENDER_ARGVS])
+def test_column_render_matches_row_at_a_time(capsys, argv):
+    # the whole stdout, mu and holder_max included, which the exact-column
+    # pins skip; luczak-dim's deep levels print blank cells
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    # compared line by line: pytest reports the first differing line, where
+    # a diff of the whole text would take minutes
+    assert out.splitlines(keepends=True) == _row_at_a_time(argv).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_refusal_names_the_first_value_in_row_order(fmt):
+    # row 0's second field and row 1's first field have no finite double; a
+    # row-at-a-time render meets row 0's first, and so must a check that
+    # scans column by column
+    sub = cli.Subcommand("two", "", lambda args: None, args=(),
+                         columns={"a": cli.NUMBER, "b": cli.NUMBER})
+    block = {"a": [1.0, math.inf], "b": [-math.inf, 2.0]}
+    with pytest.raises(errors.OutOfRangeError, match=r"^b = -inf has no finite double$"):
+        cli._emit(sub, fmt, {}, cli.Output([{"a": [0.0], "b": [0.5]}, block]))
+    # a blank or a zero passes; a later block is checked in its turn
+    blank = cli.Subcommand("blank", "", lambda args: None, args=(),
+                           columns={"a": cli.BLANK_OR_NUMBER, "b": cli.NUMBER})
+    good = {"a": ["", 0.0, -0.0], "b": [0, 1e308, 5e-324]}
+    assert cli._emit(blank, fmt, {}, cli.Output([good]))
+    with pytest.raises(errors.OutOfRangeError, match=r"^a = inf has no finite double$"):
+        cli._emit(blank, fmt, {}, cli.Output([good, {"a": ["", math.inf], "b": [1.0, 2.0]}]))
+
+
+@pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                               1 / 3, np.float64(0.1), np.float64(-7.5e-310),
+                               np.float64(1e308), 0, 7, -12, 10**25])
+def test_number_cell_is_twenty_digit_format(v):
+    assert cli.NUMBER.cell(v) == format(v, ".20g")
+
+
+@pytest.mark.parametrize("n, d", [(0, 1), (-3, 7), (113, 355), (10**40 + 1, 3**90)])
+def test_fraction_cell_is_num_den(n, d):
+    assert cli.FRACTION.cell((n, d)) == cli.FRACTION.json((n, d)) == f"{n}/{d}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_ignores_the_hash_seed(fmt):
+    # str and bytes hashes vary with PYTHONHASHSEED; no printed order may
+    # follow them
+    argv = [sys.executable, "-m", "primecf.cli", *EB_PIN_ARGV, "--format", fmt]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(argv, capture_output=True, env=env, check=True)
+        digests.add(hashlib.sha256(run.stdout).hexdigest())
+    assert len(digests) == 1
 
 
 # Whole stdout, stderr and exit code, held to their digests in the corpus.
