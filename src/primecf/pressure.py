@@ -36,18 +36,21 @@ from .errors import (
 from .contfrac import continuants
 
 ENUMERATION_GUARD = 10_000_000
-# Largest M and n a PressureProblem admits: a bisection builds ~33 transfer
-# matrices of M digits and applies each n times.  At the cap one matrix takes
+# Largest M and n a PressureProblem admits: a root of `dimensional_number`
+# takes about 10 solves at the default tolerance, and each builds a transfer
+# matrix of M digits and applies it n times.  At the cap one matrix takes
 # about 0.2 s with a 23 MB tracemalloc peak, and `pressure-dim --M 10000
-# --n 10000` about 6 s in all (2-vCPU host).
+# --n 10000` about 3 s in all (2-vCPU host).
 PROBLEM_CAP = 10_000
-# Collocation is preferred inside bisection loops once enumeration would
+# Collocation is preferred inside root searches once enumeration would
 # walk more words than this; both evaluators agree to ~1e-13 in the log.
 _AUTO_ENUMERATION_CAP = 200_000
 _NODES = 60
 
 S_FLOOR = 0.500001
 S_CEIL = 0.999999
+# Regula falsi steps `dimensional_number` takes before its bisection replay.
+_ILLINOIS_STEPS = 12
 
 # Case thresholds for the growth classifier: estimated B below 1.01 is
 # treated as B = 1, estimated b above 1.05 as B = infinity.  Windows must
@@ -220,14 +223,33 @@ def partition_sum(problem: PressureProblem, s: float, method: str = "auto") -> f
 
 def dimensional_number(problem: PressureProblem, tol: float = 1e-9,
                        method: str = "auto") -> float:
-    """The s in (1/2, 1) where the partition sum crosses 1, by bisection.
+    """The s in (1/2, 1) where the partition sum crosses 1.
+
+    The value is the midpoint of the bracket that bisecting [S_FLOOR, S_CEIL]
+    leaves once it is no wider than `tol` (or once its ends are adjacent
+    floats), reached in two phases:
+      1. An Illinois search (regula falsi that halves the value kept at the
+         end not replaced; Dowell & Jarratt, BIT 11 (1971)) narrows a sign
+         bracket (a, b) with log-sum(a) >= 0 > log-sum(b), from the two end
+         values, for at most 12 steps.  It runs only when log-sum(S_CEIL) < 0.
+      2. The bisection then visits its midpoints in order.  A midpoint at or
+         below a goes to the lower end and one at or above b to the upper
+         end without a solve; only one inside (a, b) is evaluated.  (Later
+         midpoints lie inside (lo, hi), so moving a or b to an evaluated
+         midpoint would change no branch.)
+    The bisection's result depends only on the signs at its midpoints, so
+    the second phase returns the double plain bisection would, provided the
+    log-sum decreases in s (f_ell increases, every q_n^(-2s) decreases).  The
+    computed sum carries noise near 1e-14 against a slope of order 1, so a
+    skipped midpoint would have to lie within about 1e-14 of the root for
+    its computed sign to differ from the one monotonicity gives it.
 
     Conventions at the bracket ends:
       - M = 1: the single-word sum stays below 1 for every s > 0; the
         infimum convention returns 0.
-      - sum < 1 already at the bisection floor (large B): the crossing
-        sits below the relevant range (1/2, 1), and the floor itself is
-        returned as the clamped value.
+      - sum < 1 already at the floor S_FLOOR (large B): the crossing sits
+        below the relevant range (1/2, 1), and the floor itself is returned
+        as the clamped value.
       - sum > 1 still at the ceiling: no root in range; bracket error
         carrying both end values.
     """
@@ -245,11 +267,36 @@ def dimensional_number(problem: PressureProblem, tol: float = 1e-9,
             f"partition sum stays above 1 on [{lo}, {hi}]: "
             f"log-sum({lo}) = {g_lo:.6g}, log-sum({hi}) = {g_hi:.6g}"
         )
+    a, g_a, b, g_b = lo, g_lo, hi, g_hi
+    kept = None  # the end the last step kept, "a" or "b"
+    # (a, b) is a sign bracket only if log-sum(S_CEIL) < 0, not at an exact
+    # zero; without a search no midpoint (all below S_CEIL) reaches b
+    for _ in range(_ILLINOIS_STEPS if g_hi < 0 else 0):
+        if b - a <= tol:
+            break
+        x = b - g_b * (b - a) / (g_b - g_a)
+        if not a < x < b:
+            break  # also a NaN
+        g_x = partition_sum(problem, x, method)
+        if g_x >= 0:
+            a, g_a = x, g_x
+            if kept == "b":
+                g_b /= 2
+            kept = "b"
+        else:
+            b, g_b = x, g_x
+            if kept == "a":
+                g_a /= 2
+            kept = "a"
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if not lo < mid < hi:
             break  # (lo, hi) are adjacent floats: no tolerance can go finer
-        if partition_sum(problem, mid, method) >= 0:
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+        elif partition_sum(problem, mid, method) >= 0:
             lo = mid
         else:
             hi = mid

@@ -395,11 +395,19 @@ def test_box_dim_outputs_pinned(capsys, argv):
 
 
 # The benchmark's integer-exponent zeta tails at cutoff 10^6, whose half a
-# million terms mostly take the limb division, in CSV.
+# million terms mostly take the limb division, in CSV.  Then the dimension
+# workload's pressure roots at seed 1 (the M = 1000 collocation root, the
+# enumerated root, the hwx-dim root) and one root bisected down to 1e-15,
+# whose digests predate the Illinois search in `dimensional_number`.
 WORKLOAD_PINS = [
     ["pzeta-tail", "--ell", "3", "--s", "2", "--M", "100", "--cutoff", "1000000"],
     ["pzeta-asymptotic", "--ell", "2", "--s", "2", "--grid", "1e3,1e4,1e5",
      "--cutoff", "1000000"],
+    ["pressure-dim", "--ell", "1", "--B", "2.814168", "--M", "1000", "--n", "30"],
+    ["pressure-dim", "--ell", "2", "--B", "10.005893", "--M", "6", "--n", "6",
+     "--method", "enumerate"],
+    ["hwx-dim", "--ell", "1", "--phi", "2.149**n", "--window", "10,300"],
+    ["pressure-dim", "--ell", "3", "--B", "2", "--M", "100", "--n", "30", "--tol", "1e-15"],
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from primecf import pressure
 from primecf.contfrac import continuants
 from primecf.errors import BracketError, EnumerationGuardError, OutOfRangeError, UndefinedExponentError
 from primecf.pressure import (
@@ -74,6 +75,40 @@ def oracle_transfer_matrix(M: int, s: float) -> np.ndarray:
         basis[hit] = exact[hit]
         T += np.einsum("ai,aij->ij", base ** (-2.0 * s), basis)
     return T
+
+
+def plain_bisection(problem: PressureProblem, tol: float = 1e-9, method: str = "auto") -> float:
+    """`dimensional_number` as plain bisection of [S_FLOOR, S_CEIL] that
+    solves at every midpoint, with the same end conventions and message."""
+    if problem.M == 1:
+        return 0.0
+    lo, hi = S_FLOOR, S_CEIL
+    g_lo = pressure.partition_sum(problem, lo, method)
+    if g_lo < 0:
+        return lo
+    g_hi = pressure.partition_sum(problem, hi, method)
+    if g_hi > 0:
+        raise BracketError(
+            f"partition sum stays above 1 on [{lo}, {hi}]: "
+            f"log-sum({lo}) = {g_lo:.6g}, log-sum({hi}) = {g_hi:.6g}"
+        )
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
+        if pressure.partition_sum(problem, mid, method) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def outcome(root, problem: PressureProblem, tol: float, method: str = "auto"):
+    """The root, or the BracketError message in its place."""
+    try:
+        return root(problem, tol, method)
+    except BracketError as exc:
+        return str(exc)
 
 
 # -- exponent recursion -------------------------------------------------------
@@ -235,6 +270,36 @@ def test_partition_sum_definition():
 
 # -- dimensional number -------------------------------------------------------
 
+@pytest.fixture
+def solved_at(monkeypatch):
+    """The s of every `pressure.partition_sum` call, in call order."""
+    seen = []
+    solve = pressure.partition_sum
+
+    def counted(problem, s, method="auto"):
+        seen.append(s)
+        return solve(problem, s, method)
+
+    monkeypatch.setattr(pressure, "partition_sum", counted)
+    return seen
+
+
+@pytest.fixture
+def memoized(monkeypatch):
+    """`pressure.partition_sum` remembering each (problem, s, method), so the
+    oracle and the search share solves, and so do the tolerances of a problem."""
+    solve = pressure.partition_sum
+    cache = {}
+
+    def remembered(problem, s, method="auto"):
+        key = (problem, s, method)
+        if key not in cache:
+            cache[key] = solve(problem, s, method)
+        return cache[key]
+
+    monkeypatch.setattr(pressure, "partition_sum", remembered)
+
+
 def test_dimension_near_one_scale():
     t = dimensional_number(PressureProblem(ell=1, B=1 + 1e-6, M=20, n=8))
     assert t == pytest.approx(0.988975017, abs=1e-6)
@@ -249,20 +314,27 @@ def test_dimension_decreases_in_scale():
     assert 1 > t2 > t10 > 0.5
 
 
-def test_dimension_floor_clamp_for_huge_scale():
+def test_dimension_floor_clamp_for_huge_scale(solved_at):
     t = dimensional_number(PressureProblem(ell=1, B=1e6, M=20, n=8))
     assert t == 0.500001
+    assert solved_at == [S_FLOOR]
 
 
 def test_dimension_single_word_alphabet():
     assert dimensional_number(PressureProblem(ell=1, B=2.0, M=1, n=6)) == 0.0
 
 
-def test_dimension_bracket_error():
+def test_dimension_bracket_error(solved_at):
     # at depth 1 the moment sum stays near sum d^-2 ~ 1.6 > 1, so a scale
     # this close to 1 cannot pull the partition sum below 1 anywhere in range
-    with pytest.raises(BracketError):
-        dimensional_number(PressureProblem(ell=1, B=1 + 1e-9, M=20, n=1))
+    problem = PressureProblem(ell=1, B=1 + 1e-9, M=20, n=1)
+    message = outcome(plain_bisection, problem, 1e-9)
+    assert message.startswith(f"partition sum stays above 1 on [{S_FLOOR}, {S_CEIL}]")
+    solved_at.clear()
+    with pytest.raises(BracketError) as exc:
+        dimensional_number(problem)
+    assert str(exc.value) == message
+    assert solved_at == [S_FLOOR, S_CEIL]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0])
@@ -276,6 +348,70 @@ def test_dimension_bisection_stops_at_float_resolution(tol):
 def test_dimension_refuses_nan_tolerance():
     with pytest.raises(ValueError):
         dimensional_number(PressureProblem(ell=1, B=2.0, M=5, n=3), tol=math.nan)
+
+
+@pytest.mark.parametrize("M,n,method", [(20, 8, "auto"), (6, 6, "enumerate"),
+                                        (2, 30, "collocate"), (100, 30, "collocate")])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_dimension_is_plain_bisection_bit_for_bit(memoized, ell, M, n, method):
+    for B in (1.5, 2.0, 2.718, 10.003, 40.0):
+        problem = PressureProblem(ell=ell, B=B, M=M, n=n)
+        for tol in (1e-9, 1e-15, 0.0):
+            assert outcome(dimensional_number, problem, tol, method) == outcome(
+                plain_bisection, problem, tol, method), (B, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.floats(min_value=-6, max_value=4),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=5),
+       st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15, 0.0, -1.0]))
+def test_dimension_is_plain_bisection_on_drawn_problems(ell, log10_B_minus_1, M, n, tol):
+    problem = PressureProblem(ell=ell, B=1 + 10 ** log10_B_minus_1, M=M, n=n)
+    assert outcome(dimensional_number, problem, tol) == outcome(plain_bisection, problem, tol)
+
+
+@pytest.mark.parametrize("problem,method,digits,solves", [
+    (PressureProblem(ell=1, B=2.814168, M=1000, n=30), "auto", "0.74074662871946206355", 12),
+    (PressureProblem(ell=2, B=10.005893, M=6, n=6), "enumerate", "0.53130843003922889611", 10),
+    (PressureProblem(ell=1, B=2.149, M=20, n=8), "auto", "0.72999471931007697822", 10),
+], ids=["collocate-M1000", "enumerate", "hwx-dim"])
+def test_dimension_workload_roots_in_a_third_of_the_solves(solved_at, problem, method,
+                                                           digits, solves):
+    # the dimension benchmark's roots at seed 1, which plain bisection
+    # printed with these digits after 31 solves each
+    t = dimensional_number(problem, method=method)
+    assert format(t, ".20g") == digits
+    assert len(solved_at) <= solves
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_dimension_nonpositive_tolerance_ends_at_adjacent_floats(monkeypatch, tol):
+    # log-sum = r - s is exact near r, so the bracket closes on the double r
+    r = 0.7
+    monkeypatch.setattr(pressure, "partition_sum", lambda problem, s, method="auto": r - s)
+    problem = PressureProblem(ell=1, B=2.0, M=5, n=3)
+    t = dimensional_number(problem, tol=tol)
+    assert t in (r, math.nextafter(r, 1.0))
+    assert t == plain_bisection(problem, tol)
+
+
+@pytest.mark.parametrize("log_sum", [lambda s: S_CEIL - s, lambda s: 0.0],
+                         ids=["linear", "flat"])
+def test_dimension_exact_zero_at_ceiling_is_no_sign_bracket(monkeypatch, log_sum):
+    # log-sum(S_CEIL) = 0 is not < 0: no search step, and every midpoint is solved
+    seen = []
+
+    def stub(problem, s, method="auto"):
+        seen.append(s)
+        return log_sum(s)
+
+    monkeypatch.setattr(pressure, "partition_sum", stub)
+    problem = PressureProblem(ell=1, B=2.0, M=5, n=3)
+    want = plain_bisection(problem)
+    bisected = seen[:]
+    seen.clear()
+    assert dimensional_number(problem) == want
+    assert seen == bisected
 
 
 def test_dimension_stable_under_depth_doubling():
