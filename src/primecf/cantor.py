@@ -157,18 +157,30 @@ class BoxDimEstimate:
 
 
 def box_dimension_estimate(covers: Sequence[tuple[int, float]]) -> BoxDimEstimate:
-    """Least-squares slope of log(count) against -log(largest) over (count, largest) pairs."""
+    """Least-squares slope of log(count) against -log(largest) over (count, largest) pairs.
+
+    The line is fitted exactly to the doubles x = -log(largest) and
+    y = log(count): the slope Sxy / Sxx and the mean squared residual
+    (Syy - Sxy^2 / Sxx) / n are `Fraction`s, each rounded once to a double,
+    and the residual is that mean's square root.  So the bits depend only on
+    libm's log, not on a BLAS or LAPACK kernel, nor on the order of the levels.
+    """
     xs, ys = [], []
     for count, largest in covers:
         if not (count >= 1 and 0 < largest < math.inf):
             raise ValueError("each cover level needs a count >= 1 and a finite largest > 0")
-        xs.append(-math.log(largest))
-        ys.append(math.log(count))
+        xs.append(Fraction(-math.log(largest)))
+        ys.append(Fraction(math.log(count)))
     if len(set(xs)) < 2:
         raise ValueError("need covers at two or more distinct scales for a slope")
-    coeffs, res = np.polyfit(xs, ys, 1, full=True)[:2]
-    residual = float(np.sqrt(res[0] / len(xs))) if res.size else 0.0
-    return BoxDimEstimate(slope=float(coeffs[0]), residual=residual, levels=len(covers))
+    n = len(xs)
+    x_mean, y_mean = sum(xs) / n, sum(ys) / n
+    sxx = sum((x - x_mean) ** 2 for x in xs)
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    syy = sum((y - y_mean) ** 2 for y in ys)
+    mean_square = (syy - sxy * sxy / sxx) / n
+    return BoxDimEstimate(slope=float(sxy / sxx), residual=math.sqrt(float(mean_square)),
+                          levels=n)
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +414,16 @@ def _finish_eb_params(B, ell, s, delta, M, N, alphas, last_base, constants) -> E
                     constraints=tuple(constraints))
 
 
-def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[list[float]]]:
+def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[np.ndarray]]:
     """u and sigma[k][i], the mass of all completions of the k-digit prefix
-    with lexicographic index i; a sub-block b in {1..M}^N weighs
-    w(b) = u^-1 (alpha_0^N q_N^2(b))^-s, which is q_N(b)^-2s over sum q^-2s."""
+    with lexicographic index i, as one float64 array per k; a sub-block b in
+    {1..M}^N weighs w(b) = u^-1 (alpha_0^N q_N^2(b))^-s, which is
+    q_N(b)^-2s over sum q^-2s."""
     logs = -2.0 * s * np.log(word_continuants(M, N).astype(np.float64))
     log_moment = log_sum_exp(logs)
     u = math.exp(-s * (N * math.log(alpha0)) + log_moment)
     w = np.exp(logs - log_moment)
-    return u, [w.reshape(M ** k, -1).sum(axis=1).tolist() for k in range(N + 1)]
+    return u, [w.reshape(M ** k, -1).sum(axis=1) for k in range(N + 1)]
 
 
 Ratio = tuple[int, int]  # (numerator, denominator), coprime, denominator > 0
@@ -493,8 +506,6 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
     if depth_limit + 1 >= params.n_schedule[-1]:
         raise OutOfRangeError(f"depth_limit {depth_limit} beyond the prepared schedule")
     M = params.M
-    u, sigma = _block_masses(M, params.N, params.alphas[0], params.s)
-
     # one more position than the depth: the deepest nodes' hulls need it
     roles, completes = params.position_roles(depth_limit + 1)
     digit_sets = tuple(_prime_block(params, i, j, sv) if role == "prime"
@@ -502,13 +513,14 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
                        for role, i, j in roles)
 
     # every node takes every digit of its position, so the tree's size is
-    # known before any level is built
+    # known before any level is built or any of the M^N sub-blocks weighed
     level, total = 1, 0
     for pos in range(1, depth_limit + 1):
         level *= len(digit_sets[pos - 1])
         total += level
         if total > _NODE_GUARD:
             raise EnumerationGuardError(f"tree exceeds {_NODE_GUARD} nodes at depth {pos}")
+    u, sigma = _block_masses(M, params.N, params.alphas[0], params.s)
 
     levels: list[EBLevel] = []
     # the root's columns, then the length k of the unfinished sub-block and,
@@ -529,14 +541,13 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
             k, index = 0, [0] * len(p)
             carried = [c / w for c in carried for _ in digits]
         elif completes[pos - 1]:
-            block = sigma[-1]
-            carried = [c * block[i * M + d - 1] for c, i in zip(carried, index) for d in digits]
+            block = sigma[-1][[i * M + d - 1 for i in index for d in digits]].tolist()
+            carried = [c * b for c, b in zip((c for c in carried for _ in digits), block)]
             k, index = 0, [0] * len(p)
         else:
             k, index = k + 1, [i * M + d - 1 for i in index for d in digits]
             carried = [c for c in carried for _ in digits]
-        closure = sigma[k]
-        mu = [c * closure[i] for c, i in zip(carried, index)]
+        mu = [c * x for c, x in zip(carried, sigma[k][index].tolist())]
         t, v = below[0], below[-1] + 1  # the digits at the hull's ends
         ends_t = ([t * x + y for x, y in zip(p, p_prev)],
                   [t * x + y for x, y in zip(q, q_prev)])

@@ -5,15 +5,22 @@
 stderr and its exit code.  The corpus is every `primecf` example of
 README.md (the three shown with their output, then the eight listed under
 "More:"), each `INVOCATIONS` command of `tests/test_cli.py` in CSV and in
-JSON, every `TOTALITY` argv there, and the argvs of its
-`CERTIFIED_DIGIT_PINS`, `BOX_DIM_PINS` and `WORKLOAD_PINS`.  The tests that
-run those argvs compare their output with the stored digests, and the
-README examples are recomputed by `test_readme_output_digests`.
+JSON, every `TOTALITY` argv there, and the argvs of its `OUTPUT_PINS`.
+The tests that run those argvs compare their output with the stored
+digests, and the README examples are recomputed by
+`test_readme_output_digests`.
 
     python tests/output_digests.py            # print the argvs that changed
     python tests/output_digests.py --write    # and rewrite the file
 
-Without --write the script exits 1 when a digest changed.
+Without --write the script exits 1 when a digest changed.  The digests must
+not depend on the CPU: `test_output_digests_hold_under_other_cpu_dispatch`
+runs the script as these two commands, from the repository root, and each
+must exit 0:
+
+    OPENBLAS_CORETYPE=Sandybridge python tests/output_digests.py
+    NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3" \
+        python tests/output_digests.py
 """
 from __future__ import annotations
 
@@ -44,14 +51,14 @@ def readme_examples() -> list[list[str]]:
 
 def corpus() -> list[list[str]]:
     """Every argv with a stored digest: the README examples, then
-    `INVOCATIONS` in CSV and in JSON, then `TOTALITY`, then the pin tables."""
+    `INVOCATIONS` in CSV and in JSON, then `TOTALITY`, then `OUTPUT_PINS`."""
     import test_cli  # the argv tables of tests/test_cli.py
 
     return [*readme_examples(),
             *([cmd, *args, "--format", fmt]
               for cmd, args in test_cli.INVOCATIONS.items() for fmt in ("csv", "json")),
             *(argv for argv, _, _ in test_cli.TOTALITY),
-            *test_cli.CERTIFIED_DIGIT_PINS, *test_cli.BOX_DIM_PINS, *test_cli.WORKLOAD_PINS]
+            *test_cli.OUTPUT_PINS]
 
 
 def digest(code: int, out: str, err: str) -> dict:

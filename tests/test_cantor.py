@@ -3,7 +3,10 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from primecf import cantor, pressure
@@ -165,6 +168,43 @@ def test_box_dimension_thirds_cantor():
     assert est.slope == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
     assert est.residual < 1e-9
     assert est.levels == 5
+
+
+@st.composite
+def box_covers(draw):
+    """2 to 8 cover levels (count, largest): distinct scales 2^-e m with
+    m in [1, 1.5], so neighbouring -log(largest) lie at least
+    log(4/3) apart, and counts that grow at least twofold per level."""
+    exponents = sorted(draw(st.lists(st.integers(1, 60), min_size=2, max_size=8,
+                                     unique=True)))
+    count, covers = draw(st.integers(1, 256)), []
+    for e in exponents:
+        covers.append((count, math.ldexp(draw(st.floats(1.0, 1.5)), -e)))
+        count *= draw(st.integers(2, 256))
+    return covers
+
+
+@given(box_covers())
+def test_box_dimension_slope_matches_lapack(covers):
+    # np.polyfit, a LAPACK least-squares solve, is an independent route
+    # whose last bits depend on the BLAS kernel
+    xs = [-math.log(largest) for _, largest in covers]
+    ys = [math.log(count) for count, _ in covers]
+    expected = np.polyfit(xs, ys, 1)[0]
+    assert box_dimension_estimate(covers).slope == pytest.approx(expected, rel=1e-12)
+
+
+@given(st.data())
+def test_box_dimension_ignores_the_level_order(data):
+    covers = data.draw(box_covers())
+    est = box_dimension_estimate(covers)
+    permuted = box_dimension_estimate(data.draw(st.permutations(covers)))
+    assert (permuted.slope.hex(), permuted.residual.hex()) == (est.slope.hex(), est.residual.hex())
+
+
+@given(box_covers().map(lambda covers: covers[:2]))
+def test_box_dimension_two_levels_fit_exactly(covers):
+    assert box_dimension_estimate(covers).residual == 0.0
 
 
 def test_box_dimension_validation():
@@ -579,6 +619,19 @@ def test_tree_enumerates_sub_blocks_once(sieve_mid, monkeypatch):
     monkeypatch.setattr(cantor, "word_continuants", counted)
     eb_prefix_tree(params, 2, sieve_mid)
     assert calls == [(5, 3)]
+
+
+def test_tree_guard_comes_before_the_sub_block_masses(eb, sieve_mid, monkeypatch):
+    # a refused tree never weighs its M^N sub-block words
+    params, _ = eb
+
+    def unreachable(*args):
+        raise AssertionError("sub-block masses of a refused tree")
+
+    monkeypatch.setattr(cantor, "_block_masses", unreachable)
+    monkeypatch.setattr(cantor, "_NODE_GUARD", 10)
+    with pytest.raises(EnumerationGuardError, match="tree exceeds 10 nodes"):
+        eb_prefix_tree(params, 5, sieve_mid)
 
 
 def test_tree_guards(eb, sieve_mid, monkeypatch):

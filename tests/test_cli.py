@@ -141,18 +141,6 @@ def test_reproducible_and_schema_valid(capsys, command):
     jsonschema.validate(instance=obj, schema=schema_for(command))
 
 
-# the whole stdout, stderr and exit code of INVOCATIONS in both formats, held
-# to their digests in the corpus
-@pytest.mark.parametrize("command, fmt", [(c, f) for c in sorted(INVOCATIONS)
-                                          for f in ("csv", "json")],
-                         ids=[f"{c} {f}" for c in sorted(INVOCATIONS) for f in ("csv", "json")])
-def test_output_layer_pinned(capsys, command, fmt):
-    argv = [command, *INVOCATIONS[command], "--format", fmt]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0
-    assert_digest(argv, code, out, err)
-
-
 def test_readme_examples_verbatim(capsys):
     examples = re.findall(r"```\n\$ primecf (.*?)\n(.*?)```", README.read_text(), re.DOTALL)
     assert [shlex.split(line)[0] for line, _ in examples] == [
@@ -173,8 +161,31 @@ def test_output_digests_cover_the_corpus():
     assert list(DIGESTS) == list(dict.fromkeys(map(shlex.join, output_digests.corpus())))
 
 
+# Environment settings under which numpy and OpenBLAS take the code paths of
+# another CPU: OpenBLAS's Sandybridge kernels, and numpy's loops without
+# AVX-512 or AVX2 (its X86_V2 baseline).  They act only on the child.
+OTHER_DISPATCH = [{"OPENBLAS_CORETYPE": "Sandybridge"},
+                  {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}]
+
+
+def test_output_digests_hold_under_other_cpu_dispatch():
+    # every argv of the corpus prints the stored bytes whichever BLAS kernel
+    # or numpy SIMD loop the CPU selects: no printed digit comes from LAPACK,
+    # BLAS or a dispatched transcendental loop
+    script = Path(output_digests.__file__)
+    src = str(script.parents[1] / "src")
+    for setting in OTHER_DISPATCH:
+        env = {**os.environ, **setting,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                             env=env)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", ""), setting
+
+
 # sha256 of the exact or correctly rounded columns (depth, word, diam, lo,
-# hi) of every row plus gap_min; mu and holder_* go through libm exp/log.
+# hi) of every row plus gap_min; mu, and holder_max from it, come from
+# numpy's vectorized np.log and np.exp loops, whose last bits follow the
+# CPU's SIMD dispatch.
 # EB_JSON_PIN hashes the same in JSON: the raw "rows" block without its
 # "mu" lines, then the raw "gap_min" line.  EB3_PIN, of the benchmark's
 # 44,530-row ell = 3 tree, was computed when each endpoint was a Fraction
@@ -354,52 +365,33 @@ def test_output_ignores_the_hash_seed(fmt):
     assert len(digests) == 1
 
 
-# Whole stdout, stderr and exit code, held to their digests in the corpus.
-# The cf-expand stdout was pinned when expand_real still certified each
-# digit by an interval-containment test, a route independent of the current
-# common prefix of two Euclid streams, and re-pinned when its echo line
-# alone changed (`input=` became `real=`); the mc-zero-one stdout fixes the
-# counter-based word stream of the exact conditional-law sampler.
-CERTIFIED_DIGIT_PINS = [
+# Whole stdout, stderr and exit code, held to their digests in the corpus,
+# beside INVOCATIONS in both formats.
+OUTPUT_PINS = [
+    # The cf-expand stdout was pinned when expand_real still certified each
+    # digit by an interval-containment test, a route independent of the
+    # current common prefix of two Euclid streams, and re-pinned when its echo
+    # line alone changed (`input=` became `real=`); the mc-zero-one stdout
+    # fixes the counter-based word stream of the exact conditional-law sampler.
     ["mc-zero-one", "--ell", "2", "--phi", "n*log(n)**2", "--window", "10,200",
      "--samples", "200", "--seed", "1"],
     ["cf-expand", "--real", "0.318309886183790671537767526745", "--bits", "80"],
-]
-
-
-@pytest.mark.parametrize("argv", CERTIFIED_DIGIT_PINS,
-                         ids=[argv[0] for argv in CERTIFIED_DIGIT_PINS])
-def test_certified_digit_outputs_pinned(capsys, argv):
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0
-    assert_digest(argv, code, out, err)
-
-
-# Whole stdout pinned when box-dim still listed every digit word of a level
-# and measured each word's cylinder.
-BOX_DIM_PINS = [
+    # Whole stdout pinned when box-dim still listed every digit word of a
+    # level and measured each word's cylinder, and re-pinned when the line
+    # fit became exact in Fractions.
     ["box-dim", "--b", "2", "--c", "2", "--kmax", "3", "--sieve", "1000000"],
     ["box-dim", "--b", "2", "--c", "2", "--kmax", "3", "--sieve", "1000000",
      "--format", "json"],
     ["box-dim", "--b", "2", "--c", "1.1", "--kmax", "4", "--sieve", "100000"],
     ["box-dim", "--b", "2", "--c", "1.1", "--kmax", "4", "--sieve", "100000",
      "--format", "json"],
-]
-
-
-@pytest.mark.parametrize("argv", BOX_DIM_PINS, ids=[" ".join(argv[1:]) for argv in BOX_DIM_PINS])
-def test_box_dim_outputs_pinned(capsys, argv):
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0
-    assert_digest(argv, code, out, err)
-
-
-# The benchmark's integer-exponent zeta tails at cutoff 10^6, whose half a
-# million terms mostly take the limb division, in CSV.  Then the dimension
-# workload's pressure roots at seed 1 (the M = 1000 collocation root, the
-# enumerated root, the hwx-dim root) and one root bisected down to 1e-15,
-# whose digests predate the Illinois search in `dimensional_number`.
-WORKLOAD_PINS = [
+    # The benchmark's integer-exponent zeta tails at cutoff 10^6, whose half a
+    # million terms mostly take the limb division, in CSV.  Then the dimension
+    # workload's pressure roots at seed 1 (the M = 1000 collocation root, the
+    # enumerated root, the hwx-dim root) and one root bisected down to 1e-15,
+    # whose digests predate the Illinois search in `dimensional_number`.  Last
+    # the corpus's one tail on the mpf power route of `zeta._power_sum`
+    # (s = 2.3 has no exact root), 9,567 terms.
     ["pzeta-tail", "--ell", "3", "--s", "2", "--M", "100", "--cutoff", "1000000"],
     ["pzeta-asymptotic", "--ell", "2", "--s", "2", "--grid", "1e3,1e4,1e5",
      "--cutoff", "1000000"],
@@ -408,11 +400,17 @@ WORKLOAD_PINS = [
      "--method", "enumerate"],
     ["hwx-dim", "--ell", "1", "--phi", "2.149**n", "--window", "10,300"],
     ["pressure-dim", "--ell", "3", "--B", "2", "--M", "100", "--n", "30", "--tol", "1e-15"],
+    ["pzeta-tail", "--ell", "1", "--s", "2.3", "--M", "100", "--cutoff", "100000"],
 ]
 
 
-@pytest.mark.parametrize("argv", WORKLOAD_PINS, ids=[" ".join(argv) for argv in WORKLOAD_PINS])
-def test_workload_scale_tails_pinned(capsys, argv):
+@pytest.mark.parametrize(
+    "argv",
+    [*([c, *INVOCATIONS[c], "--format", f] for c in sorted(INVOCATIONS) for f in ("csv", "json")),
+     *OUTPUT_PINS],
+    ids=[*(f"{c} {f}" for c in sorted(INVOCATIONS) for f in ("csv", "json")),
+         *(" ".join(argv) for argv in OUTPUT_PINS)])
+def test_output_layer_pinned(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0
     assert_digest(argv, code, out, err)
