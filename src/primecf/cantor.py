@@ -14,10 +14,15 @@ masses from the word enumeration of `pressure` and builds its tree exactly
 in plain ints, one depth at a time as parallel columns with no object per
 word: continuants, and each endpoint a coprime (numerator, denominator)
 pair read off them, computed once and read by the gap check and the output.
+It keeps no word: every node takes every digit of its position, so a
+level's words are the product of the digit sets in node order, and are
+generated where they print.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -438,11 +443,11 @@ class EBLevel:
     numerators and one of denominators, and diam, the double nearest the
     hull's length.  Every node takes every digit of its position, so child
     j of node k of the level above (j counting the ascending digits) is
-    node k w + j, w the digit count.
+    node k w + j, w the digit count.  There is no column of words: they
+    follow from the digit sets (`EBTree.words`).
     """
 
     depth: int
-    words: list[tuple[int, ...]]
     p: list[int]
     p_prev: list[int]
     q: list[int]
@@ -453,7 +458,7 @@ class EBLevel:
     hi: tuple[list[int], list[int]]
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.mu)
 
 
 @dataclass(frozen=True)
@@ -472,10 +477,16 @@ class EBTree:
     def depth(self) -> int:
         return len(self.levels)
 
+    def words(self, depth: int) -> Iterator[tuple[int, ...]]:
+        """The words of depth `depth` in node order: node k's word is the
+        k-th of the product of the first `depth` digit sets."""
+        return itertools.product(*self.digit_sets[:depth])
+
     def records(self) -> Iterator[tuple[int, tuple[int, ...], float, float, Ratio, Ratio]]:
         """(depth, word, mu, diam, lo, hi) per node, level by level."""
         for level in self.levels:
-            for row in zip(level.words, level.mu, level.diam, zip(*level.lo), zip(*level.hi)):
+            for row in zip(self.words(level.depth), level.mu, level.diam,
+                           zip(*level.lo), zip(*level.hi)):
                 yield level.depth, *row
 
 
@@ -525,7 +536,7 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
     levels: list[EBLevel] = []
     # the root's columns, then the length k of the unfinished sub-block and,
     # per word, its index i and the word's closed factors
-    words, p, p_prev, q, q_prev = [()], [0], [1], [1], [0]
+    p, p_prev, q, q_prev = [0], [1], [1], [0]
     k, index, carried = 0, [0], [1.0]
     for pos in range(1, depth_limit + 1):
         digits, below = digit_sets[pos - 1], digit_sets[pos]
@@ -536,7 +547,6 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
                      [x for x in p for _ in digits])
         q, q_prev = ([d * x + y for x, y in zip(q, q_prev) for d in digits],
                      [x for x in q for _ in digits])
-        words = [word + (d,) for word in words for d in digits]
         if roles[pos - 1][0] == "prime":
             k, index = 0, [0] * len(p)
             carried = [c / w for c in carried for _ in digits]
@@ -556,7 +566,7 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
         lo, hi = (ends_t, ends_v) if pos % 2 else (ends_v, ends_t)
         # int / int rounds correctly
         diam = [(v - t) / (a * b) for a, b in zip(ends_t[1], ends_v[1])]
-        levels.append(EBLevel(pos, words, p, p_prev, q, q_prev, mu, diam, lo, hi))
+        levels.append(EBLevel(pos, p, p_prev, q, q_prev, mu, diam, lo, hi))
     return EBTree(params=params, u=u, levels=tuple(levels), digit_sets=digit_sets)
 
 
@@ -587,29 +597,34 @@ def _ascending(tree: EBTree) -> Iterator[list[int]]:
         yield order
 
 
-def _normalized_gaps(tree: EBTree) -> Iterator[tuple[EBLevel, list[int], list[float]]]:
+def _normalized_gaps(tree: EBTree) -> Iterator[tuple[EBLevel, list[int], Iterator[float]]]:
     """Each gap between neighbouring same-depth hulls, normalized by the
     requirement diam(I_n)/(8M) of either neighbour.  Per level: the level,
-    its ascending node order, and the values, for the lower neighbour and
-    then the upper, pair by pair up the level; value v belongs to node
-    order[(v + 1) // 2].
+    its ascending node order, and an iterator over the values, for the
+    lower neighbour and then the upper, pair by pair up the level; value v
+    belongs to node order[(v + 1) // 2].
 
     Nothing is sorted: neighbours come from `_ascending`, which orders a
     level by digit parity.  Each gap lo2 - hi1 is one numerator and
-    denominator of exact ints, scaled and divided once.
+    denominator of exact ints, scaled and divided once.  The values are
+    computed as they are read, so no level's list of them is held.
     """
     eight_m = 8 * tree.params.M
     for level, order in zip(tree.levels, _ascending(tree)):
-        # |I_n| / 8M = 1 / (8M q (q + q_prev)) per node
-        scale = [eight_m * q * (q + q_prev) for q, q_prev in zip(level.q, level.q_prev)]
-        (lo_num, lo_den), (hi_num, hi_den) = level.lo, level.hi
-        values = []
-        for k1, k2 in zip(order, order[1:]):
-            a, b, c, d = lo_num[k2], lo_den[k2], hi_num[k1], hi_den[k1]
-            num, den = a * d - c * b, b * d
-            # int / int rounds correctly, whatever common factor they share
-            values += (num * scale[k1] / den, num * scale[k2] / den)
-        yield level, order, values
+        yield level, order, _level_gaps(level, order, eight_m)
+
+
+def _level_gaps(level: EBLevel, order: list[int], eight_m: int) -> Iterator[float]:
+    """The normalized gap values of one level (see `_normalized_gaps`)."""
+    # |I_n| / 8M = 1 / (8M q (q + q_prev)) per node
+    scale = [eight_m * q * (q + q_prev) for q, q_prev in zip(level.q, level.q_prev)]
+    (lo_num, lo_den), (hi_num, hi_den) = level.lo, level.hi
+    for k1, k2 in itertools.pairwise(order):
+        a, b, c, d = lo_num[k2], lo_den[k2], hi_num[k1], hi_den[k1]
+        num, den = a * d - c * b, b * d
+        # int / int rounds correctly, whatever common factor they share
+        yield num * scale[k1] / den
+        yield num * scale[k2] / den
 
 
 def gap_check(tree: EBTree) -> GapReport:
@@ -622,12 +637,14 @@ def gap_check(tree: EBTree) -> GapReport:
     worst_word: tuple[int, ...] = ()
     pairs = 0
     for level, order, values in _normalized_gaps(tree):
-        pairs += len(values) // 2
-        least = min(values, default=math.inf)
+        pairs += len(order) - 1
+        # min keeps the first of equal values
+        v, least = min(enumerate(values), key=operator.itemgetter(1), default=(0, math.inf))
         if least < worst:
             worst = least
             worst_depth = level.depth
-            worst_word = level.words[order[(values.index(least) + 1) // 2]]
+            worst_word = next(itertools.islice(tree.words(level.depth),
+                                               order[(v + 1) // 2], None))
     return GapReport(min_normalized=worst, worst_depth=worst_depth,
                      worst_word=worst_word, pairs_checked=pairs)
 

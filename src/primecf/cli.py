@@ -1,7 +1,8 @@
 """Command-line surface: every experiment as one reproducible subcommand.
 
 Output goes to stdout as CSV (leading `#` comment lines echo the inputs,
-then a header row, then data rows) or as a schema-tagged JSON object.
+then a header row, then data rows) or as a schema-tagged JSON object,
+written in chunks of rows as it is rendered, never held whole.
 Identical invocations produce identical bytes.  Numbers in CSV cells use
 20 significant digits; exact rationals are "num/den" strings.  Errors
 raised by guards print their class name to stderr and exit nonzero.
@@ -20,7 +21,6 @@ import ast
 import copy
 import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -49,6 +49,9 @@ EXPONENT_CAP = 4300
 # which for b near 1 is millions of levels.
 KMAX_CAP = 10**4
 DEFAULT_SIEVE = 10**6  # the prime table limit when --sieve is omitted
+# rows per chunk of printed text; each chunk is one write to stdout
+CHUNK_ROWS = 1 << 12
+_ROWS_KEY = '\n  "rows": '
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
 
@@ -87,53 +90,114 @@ def _refuse_nonfinite(fields: dict[str, Kind], block: dict) -> None:
                 raise OutOfRangeError(f"{name} = {_nstr(v, 5)} has no finite double")
 
 
-def _render(fields: dict[str, Kind], blocks: Iterable[dict],
-            fmt: str) -> Iterator[Iterator[tuple]]:
-    """Per block, its rows as tuples of CSV cells or JSON values, the
-    declared fields in declared order, each kind mapped once over its
-    column.  A block's reals are checked before any of its values print."""
-    pick = [kind.cell if fmt == "csv" else kind.json for kind in fields.values()]
-    for block in blocks:
-        _refuse_nonfinite(fields, block)
-        yield zip(*(map(f, block[name]) for f, name in zip(pick, fields)))
+def _render(fields: dict[str, Kind], blocks: Iterable[dict], attr: str) -> Iterator[tuple]:
+    """The rows of `blocks`, block after block, as tuples of each value
+    through its kind's `attr` (`cell`, `json` or `json_text`), the declared
+    fields in declared order, each kind's function mapped once over its
+    column."""
+    render = [getattr(kind, attr) for kind in fields.values()]
+    return itertools.chain.from_iterable(
+        zip(*(map(f, block[name]) for f, name in zip(render, fields))) for block in blocks)
 
 
 def _records(fields: dict[str, Kind], blocks: Iterable[dict], fmt: str) -> list[dict]:
     """The rendered rows of `blocks` as dicts, the declared fields in order."""
-    return [dict(zip(fields, row)) for rows in _render(fields, blocks, fmt) for row in rows]
+    attr = "cell" if fmt == "csv" else "json"
+    return [dict(zip(fields, row)) for row in _render(fields, blocks, attr)]
 
 
-def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> str:
-    """Render one run, every value through the kind declared for it: the
-    summary, the `extra` blocks (which CSV output carries in `out.notes`
-    instead), then the rows.  A refused value leaves no output."""
-    summary = (None if out.summary is None
-               else _records(sub.summary, _columns([out.summary]), fmt)[0])
-    extra = {key: _records(sub.extra[key], _columns(block), fmt)
-             for key, block in (out.extra or {}).items()}
+def _json_digits(v: list) -> str:
+    # a digit word (DIGITS, the one array kind) as a row field: one int a
+    # line, at the next indent
+    return "[\n        " + ",\n        ".join(map(int.__repr__, v)) + "\n      ]" if v else "[]"
+
+
+# the text json.dumps(indent=2) prints for a row field's JSON value, by
+# the JSON type of its schema
+_JSON_TEXT = {
+    "number": float.__repr__,
+    "integer": int.__repr__,
+    "string": json.encoder.encode_basestring_ascii,
+    "boolean": lambda v: "true" if v else "false",
+    "array": _json_digits,
+}
+
+
+class _Text(list):
+    """Pieces of text, written as to a file (by csv.writer, say)."""
+
+    write = list.append
+
+
+def _chunks(rows: Iterator) -> Iterator[list]:
+    """`rows` in lists of CHUNK_ROWS, the last one shorter."""
+    return iter(lambda: list(itertools.islice(rows, CHUNK_ROWS)), [])
+
+
+def _json_rows(fields: dict[str, Kind], blocks: list[dict]) -> Iterator[str]:
+    """Each row as json.dumps(indent=2) prints it as an item of the frame's
+    "rows" list: one template, built once, of each field's key and a slot
+    for its value's JSON text."""
+    keys = (json.encoder.encode_basestring_ascii(name) for name in fields)
+    slots = ",\n".join("      " + key.replace("{", "{{").replace("}", "}}") + ": {}"
+                       for key in keys)
+    template = "    {{\n" + slots + "\n    }}"
+    return itertools.starmap(template.format, _render(fields, blocks, "json_text"))
+
+
+def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> Iterator[str]:
+    """Render one run as chunks of text, every value through the kind
+    declared for it: the summary, the `extra` blocks (which CSV output
+    carries in `out.notes` instead), then the rows, CHUNK_ROWS rows a
+    chunk.  Every block's reals are checked before the first chunk, so a
+    refused value leaves no output.  JSON rows are written between the
+    head and the tail of json.dumps(indent=2) of the rest of the object,
+    with no dict per row."""
+    blocks = list(out.blocks)
+    summary = [] if out.summary is None else _columns([out.summary])
+    extra = {key: _columns(rows) for key, rows in (out.extra or {}).items()}
+    for fields, checked in [(sub.summary, summary),
+                            *((sub.extra[key], block) for key, block in extra.items()),
+                            (sub.columns, blocks)]:
+        for block in checked:
+            _refuse_nonfinite(fields, block)
+    summary = _records(sub.summary, summary, fmt)[0] if summary else None
+    extra = {key: _records(sub.extra[key], block, fmt) for key, block in extra.items()}
     if fmt == "json":
-        obj = {"schema": f"{sub.name}.schema.json", "command": sub.name,
-               "inputs": inputs, "rows": _records(sub.columns, out.blocks, fmt)}
+        frame = {"schema": f"{sub.name}.schema.json", "command": sub.name,
+                 "inputs": inputs, "rows": []}
         if summary is not None:
-            obj["summary"] = summary
-        obj.update(extra)
-        return json.dumps(obj, indent=2) + "\n"
-    buf = io.StringIO()
-    buf.write("# " + sub.name + " "
-              + " ".join(f"{k}={_echo(v)}" for k, v in inputs.items()) + "\n")
+            frame["summary"] = summary
+        frame.update(extra)
+        text = json.dumps(frame, indent=2) + "\n"
+        chunks = _chunks(_json_rows(sub.columns, blocks))
+        first = next(chunks, None)
+        if first is None:
+            yield text
+            return
+        # strings escape their quotes and newlines, and nested keys sit
+        # deeper, so this text is the frame's own "rows" and nothing else
+        head, tail = text.split(_ROWS_KEY + "[]")
+        yield head + _ROWS_KEY + "[\n" + ",\n".join(first)
+        yield from (",\n" + ",\n".join(rows) for rows in chunks)
+        yield "\n  ]" + tail
+        return
+    lines = _Text()
+    lines.write("# " + sub.name + " "
+                + " ".join(f"{k}={_echo(v)}" for k, v in inputs.items()) + "\n")
     if summary:
-        buf.write("# " + " ".join(f"{k}={v}" for k, v in summary.items()) + "\n")
+        lines.write("# " + " ".join(f"{k}={v}" for k, v in summary.items()) + "\n")
     for line in out.notes or []:
-        buf.write("# " + line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    blocks = _render(sub.columns, out.blocks, fmt)
-    first = next(blocks, None)
-    if first is not None:
+        lines.write("# " + line + "\n")
+    writer = csv.writer(lines, lineterminator="\n")
+    if blocks:
         writer.writerow(sub.columns)
-        # rows stream into the text; no rendered copy of them is kept
-        for rows in itertools.chain([first], blocks):
-            writer.writerows(rows)
-    return buf.getvalue()
+    for rows in _chunks(_render(sub.columns, blocks, "cell")):
+        writer.writerows(rows)
+        yield "".join(lines)
+        lines.clear()
+    if lines:
+        yield "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +357,10 @@ def parse_phi(expr: str) -> Callable[[int], mp.mpf]:
 class Output:
     """What a handler computed.  `blocks` holds its rows, in order, as
     column blocks: dicts from column name to that column's values
-    (`_columns` makes one of row dicts).  Each is read once as the output
-    is rendered, except that a column of reals is checked before it
-    prints, so it must be a sequence.  `inputs` holds the values the
+    (`_columns` makes one of row dicts).  The blocks are listed before
+    anything prints, and every column of reals is checked then, so such a
+    column must be a sequence; the others are read once, as their rows
+    are written, and may be iterators.  `inputs` holds the values the
     handler resolved itself (a sieve limit, a searched M or N, a default
     depth or kmax), which replace the parsed ones in the echo."""
 
@@ -413,7 +478,8 @@ def cmd_eb_build(args) -> Output:
         "holder_max": hold.max_ratio,
     }
     # one block per tree level, whose columns are the tree's own
-    blocks = ({"depth": itertools.repeat(level.depth, len(level)), "word": level.words,
+    blocks = ({"depth": itertools.repeat(level.depth, len(level)),
+               "word": tree.words(level.depth),
                "mu": level.mu, "diam": level.diam, "lo": zip(*level.lo), "hi": zip(*level.hi)}
               for level in tree.levels)
     return Output(
@@ -474,6 +540,18 @@ class Kind:
     cell: Callable[[object], str]
     json: Callable[[object], object]
     finite: bool = False
+
+    @property
+    def json_text(self) -> Callable[[object], str]:
+        """The text json.dumps(indent=2) prints for `json(v)` as a row field:
+        the writer of the schema's JSON type, or, for a blank-or kind, of its
+        first type unless the value is the blank."""
+        to_json, type_ = self.json, self.schema["type"]
+        if isinstance(type_, list):
+            write = _JSON_TEXT[type_[0]]
+            return lambda v: '""' if v == "" else write(to_json(v))
+        write = _JSON_TEXT[type_]
+        return lambda v: write(to_json(v))
 
 
 def _blank_or(kind: Kind) -> Kind:
@@ -690,9 +768,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> str:
-    """The rendered output of one parsed invocation.  Its echo holds each
-    declared flag as parsed, or as the handler resolved it, unless unset."""
+def _run(args: argparse.Namespace) -> Iterator[str]:
+    """The rendered output of one parsed invocation, in chunks (see
+    `_emit`).  Its echo holds each declared flag as parsed, or as the
+    handler resolved it, unless unset."""
     cmd = COMMANDS[args.command]
     out = cmd.handler(args)
     inputs = {_dest(flag): getattr(args, _dest(flag)) for flag, _ in cmd.args} | out.inputs
@@ -702,11 +781,12 @@ def _run(args: argparse.Namespace) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = _run(args)
+        # _emit checks every value before its first chunk: a refusal prints nothing
+        for chunk in _run(args):
+            sys.stdout.write(chunk)
     except (GuardError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, GuardError) else 2
-    sys.stdout.write(out)
     return 0
 
 

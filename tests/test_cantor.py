@@ -403,9 +403,22 @@ def test_tree_prime_split_is_uniform(eb):
     # depth 2 = first prime position, two primes: child k has parent k // 2
     assert len(tree.digit_sets[1]) == 2
     level = tree.levels[1]
+    words = list(tree.words(level.depth))
     for k in range(0, len(level), 2):
-        assert level.words[k][:-1] == level.words[k + 1][:-1]
+        assert words[k][:-1] == words[k + 1][:-1]
         assert level.mu[k] == pytest.approx(level.mu[k + 1], rel=1e-12)
+
+
+def test_tree_words_follow_the_digit_sets(eb):
+    # a level keeps no words: they are the product of the digit sets, one per
+    # node, and child j of node k of the level above is node k w + j
+    _, tree = eb
+    parents = [()]
+    for level, digits in zip(tree.levels, tree.digit_sets):
+        words = list(tree.words(level.depth))
+        assert len(words) == len(level)
+        assert words == [parent + (d,) for parent in parents for d in digits]
+        parents = words
 
 
 def _value(word) -> Fraction:
@@ -428,7 +441,7 @@ def _ends(tree) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
 def test_tree_interval_arithmetic(eb):
     _, tree = eb
     level, k = tree.levels[2], 5
-    word = level.words[k]
+    word = list(tree.words(level.depth))[k]
     cf = continuants(word)
     assert (level.p[k], level.q[k]) == (cf.p, cf.q)
     assert (level.p_prev[k], level.q_prev[k]) == (cf.p_prev, cf.q_prev)
@@ -445,7 +458,7 @@ def test_tree_hulls_span_children(eb):
     _, tree = eb
     hulls = _ends(tree)
     for level, digits in zip(tree.levels, tree.digit_sets[1:]):
-        for word in level.words:
+        for word in tree.words(level.depth):
             ends = [_value(word + (d,)) for d in digits]
             ends.append(_value(word + (digits[-1] + 1,)))
             assert hulls[word] == (min(ends), max(ends))
@@ -457,7 +470,7 @@ def test_tree_diameters_round_the_exact_hull(eb):
     _, tree = eb
     hulls = _ends(tree)
     for level in tree.levels:
-        for word, diam in zip(level.words, level.diam, strict=True):
+        for word, diam in zip(tree.words(level.depth), level.diam, strict=True):
             lo, hi = hulls[word]
             assert diam == float(hi - lo)
 
@@ -468,16 +481,17 @@ def oracle_gap_check(tree) -> cantor.GapReport:
     eight_m = 8 * tree.params.M
     worst, worst_depth, worst_word, pairs = math.inf, 0, (), 0
     for level in tree.levels:
-        ordered = sorted(range(len(level)), key=lambda k: hulls[level.words[k]][0])
+        words = list(tree.words(level.depth))
+        ordered = sorted(range(len(level)), key=lambda k: hulls[words[k]][0])
         for k1, k2 in zip(ordered, ordered[1:]):
-            gap = hulls[level.words[k2]][0] - hulls[level.words[k1]][1]
+            gap = hulls[words[k2]][0] - hulls[words[k1]][1]
             pairs += 1
             for k in (k1, k2):
                 q, q_prev = level.q[k], level.q_prev[k]
                 normalized = (gap.numerator * eight_m * q * (q + q_prev)
                               / gap.denominator)
                 if normalized < worst:
-                    worst, worst_depth, worst_word = normalized, level.depth, level.words[k]
+                    worst, worst_depth, worst_word = normalized, level.depth, words[k]
     return cantor.GapReport(min_normalized=worst, worst_depth=worst_depth,
                             worst_word=worst_word, pairs_checked=pairs)
 
@@ -503,16 +517,16 @@ def test_every_normalized_gap_is_correctly_rounded(trees, name):
     tree = trees[name]
     hulls = _ends(tree)
     eight_m = 8 * tree.params.M
-    want = []
-    for level in tree.levels:
-        ordered = sorted(range(len(level)), key=lambda k: hulls[level.words[k]][0])
+    want, words = [], [list(tree.words(level.depth)) for level in tree.levels]
+    for level, level_words in zip(tree.levels, words):
+        ordered = sorted(range(len(level)), key=lambda k: hulls[level_words[k]][0])
         for k1, k2 in zip(ordered, ordered[1:]):
-            gap = hulls[level.words[k2]][0] - hulls[level.words[k1]][1]
-            want += [(level.words[k], float(gap * eight_m * level.q[k]
+            gap = hulls[level_words[k2]][0] - hulls[level_words[k1]][1]
+            want += [(level_words[k], float(gap * eight_m * level.q[k]
                                             * (level.q[k] + level.q_prev[k])))
                      for k in (k1, k2)]
     # value v of a level belongs to node order[(v + 1) // 2]
-    assert [(level.words[order[(v + 1) // 2]], value)
+    assert [(words[level.depth - 1][order[(v + 1) // 2]], value)
             for level, order, values in cantor._normalized_gaps(tree)
             for v, value in enumerate(values)] == want
 
@@ -522,8 +536,9 @@ def test_tree_parity_order_is_sorted_order(trees, name):
     tree = trees[name]
     hulls = _ends(tree)
     for level, order in zip(tree.levels, cantor._ascending(tree), strict=True):
-        ordered = [level.words[k] for k in order]
-        assert ordered == sorted(level.words, key=lambda word: hulls[word][0])
+        words = list(tree.words(level.depth))
+        ordered = [words[k] for k in order]
+        assert ordered == sorted(words, key=lambda word: hulls[word][0])
         # hulls of one depth are disjoint, and strictly ordered
         assert all(hulls[a][1] < hulls[b][0] for a, b in zip(ordered, ordered[1:]))
 
@@ -578,7 +593,7 @@ def test_tree_mass_matches_definition(sieve_mid):
     prime_positions = {nj + i for nj in params.n_schedule[1:] for i in range(params.ell)}
     unfinished = 0
     for level in tree.levels:
-        for word, mu in zip(level.words, level.mu, strict=True):
+        for word, mu in zip(tree.words(level.depth), level.mu, strict=True):
             factors, partial = [], ()
             for pos, d in enumerate(word, start=1):
                 if pos in prime_positions:

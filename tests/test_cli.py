@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -328,14 +329,110 @@ def test_refusal_names_the_first_value_in_row_order(fmt):
                          columns={"a": cli.NUMBER, "b": cli.NUMBER})
     block = {"a": [1.0, math.inf], "b": [-math.inf, 2.0]}
     with pytest.raises(errors.OutOfRangeError, match=r"^b = -inf has no finite double$"):
-        cli._emit(sub, fmt, {}, cli.Output([{"a": [0.0], "b": [0.5]}, block]))
+        "".join(cli._emit(sub, fmt, {}, cli.Output([{"a": [0.0], "b": [0.5]}, block])))
     # a blank or a zero passes; a later block is checked in its turn
     blank = cli.Subcommand("blank", "", lambda args: None, args=(),
                            columns={"a": cli.BLANK_OR_NUMBER, "b": cli.NUMBER})
     good = {"a": ["", 0.0, -0.0], "b": [0, 1e308, 5e-324]}
-    assert cli._emit(blank, fmt, {}, cli.Output([good]))
+    assert "".join(cli._emit(blank, fmt, {}, cli.Output([good])))
     with pytest.raises(errors.OutOfRangeError, match=r"^a = inf has no finite double$"):
-        cli._emit(blank, fmt, {}, cli.Output([good, {"a": ["", math.inf], "b": [1.0, 2.0]}]))
+        "".join(cli._emit(blank, fmt, {},
+                          cli.Output([good, {"a": ["", math.inf], "b": [1.0, 2.0]}])))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_refusal_in_a_late_block_prints_nothing(capsys, monkeypatch, fmt):
+    # only the last of three blocks holds a non-finite value; with one row a
+    # chunk, an output that wrote before checking every block would print
+    # the first two
+    blocks = [{"a": [1.0, 2.0]}, {"a": [3.0]}, {"a": [4.0, math.inf]}]
+    stub = cli.Subcommand("stub", "", lambda args: cli.Output(iter(blocks)), args=(),
+                          columns={"a": cli.NUMBER})
+    monkeypatch.setitem(COMMANDS, "stub", stub)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 1)
+    code, out, err = run_cli(capsys, ["stub", "--format", fmt])
+    assert (code, out, err) == (3, "", "OutOfRangeError: a = inf has no finite double\n")
+
+
+EDGE = cli.Subcommand(
+    "edge", "", lambda args: None, args=(),
+    columns={"x": cli.NUMBER, "m": cli.MPF, "i": cli.INTEGER, "s": cli.STRING,
+             "b": cli.BOOLEAN, "f": cli.FRACTION, "d": cli.DIGITS,
+             "bi": cli.BLANK_OR_INTEGER, "bx": cli.BLANK_OR_NUMBER},
+    summary={"x": cli.NUMBER, "s": cli.STRING},
+    extra={"more": {"s": cli.STRING, "i": cli.INTEGER},
+           "less": {"s": cli.STRING, "i": cli.INTEGER}})
+EDGE_ROWS = [
+    {"x": -0.0, "m": mp.mpf("1e308"), "i": 2**63, "s": "caf\u00e9 \"quoted\" \\", "b": True,
+     "f": (-3, 7), "d": (), "bi": "", "bx": ""},
+    {"x": 5e-324, "m": mp.mpf(-1) / 3, "i": -(2**70) - 1, "s": "\u65e5\u672c \U0001f600\n\t",
+     "b": False, "f": (10**40 + 1, 3**90), "d": (1, 2, 1013), "bi": 0, "bx": -0.0},
+    {"x": np.float64(1e308), "m": mp.mpf(0), "i": 0, "s": "", "b": False, "f": (0, 1),
+     "d": (7,), "bi": 2**64, "bx": 1e-300},
+]
+
+
+def _edge_output(rows: list[dict]) -> cli.Output:
+    # the rows split into blocks of one and two rows, or no block at all
+    blocks = [cli._columns(rows[:1]), cli._columns(rows[1:])]
+    return cli.Output([block[0] for block in blocks if block],
+                      {"x": 1e308, "s": 'the "rows" key: []'},
+                      extra={"more": [{"s": "\u00fc", "i": 2**65}], "less": []})
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, cli.CHUNK_ROWS])
+@pytest.mark.parametrize("rows", [EDGE_ROWS, EDGE_ROWS[:1], []],
+                         ids=["three rows", "one row", "no rows"])
+def test_json_rows_match_json_dumps(monkeypatch, rows, chunk_rows):
+    # every kind's JSON text against json.dumps(indent=2) of its JSON value,
+    # at chunk sizes that split the rows and that do not; inputs that look
+    # like the frame's own "rows" key must not move it
+    inputs = {"phi": '\n  "rows": []', "window": (10, 20), "n": 2**64}
+    out = _edge_output(rows)
+    want = {"schema": "edge.schema.json", "command": "edge", "inputs": inputs,
+            "rows": [{k: EDGE.columns[k].json(v) for k, v in row.items()} for row in rows],
+            "summary": {k: EDGE.summary[k].json(v) for k, v in out.summary.items()},
+            "more": [{"s": "\u00fc", "i": 2**65}], "less": []}
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    got = "".join(cli._emit(EDGE, "json", inputs, out))
+    assert got == json.dumps(want, indent=2) + "\n"
+    if not rows:
+        assert '\n  "rows": [],\n' in got
+
+
+def test_empty_block_prints_no_rows():
+    # a block of no rows prints the CSV header but no row, and "rows": [] in JSON
+    sub = cli.Subcommand("empty", "", lambda args: None, args=(),
+                         columns={"a": cli.NUMBER, "d": cli.DIGITS})
+    out = cli.Output([{"a": [], "d": []}])
+    assert "".join(cli._emit(sub, "csv", {}, out)) == "# empty \na,d\n"
+    text = "".join(cli._emit(sub, "json", {}, out))
+    assert json.loads(text)["rows"] == [] and '"rows": []' in text
+
+
+def test_eb_tree_is_written_in_bounded_chunks_within_a_memory_bound(monkeypatch):
+    # the ell = 3 tree (44,530 rows, 4.4 MB of CSV) built, checked and
+    # written: a Python-side peak of 17.3 MB, where a tree with a word
+    # column and the output held as one string took 24.7 MB (numpy, which
+    # the CLI imports on first use, is imported here already)
+    class Stdout:
+        def __init__(self):
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+
+    stdout = Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    tracemalloc.start()
+    try:
+        assert main(EB3_PIN_ARGV) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert sum(stdout.sizes) == 4_438_423
+    assert len(stdout.sizes) > 1 and max(stdout.sizes) < 2**20
 
 
 @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308,
