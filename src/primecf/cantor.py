@@ -438,18 +438,17 @@ Ratio = tuple[int, int]  # (numerator, denominator), coprime, denominator > 0
 class EBLevel:
     """The words of one depth as parallel columns, node k's values at index k.
 
-    Per word: its continuants p/q and p_prev/q_prev, its mass mu, the exact
-    ends lo and hi of its hull (see `eb_prefix_tree`), each a column of
-    numerators and one of denominators, and diam, the double nearest the
-    hull's length.  Every node takes every digit of its position, so child
-    j of node k of the level above (j counting the ascending digits) is
-    node k w + j, w the digit count.  There is no column of words: they
-    follow from the digit sets (`EBTree.words`).
+    Per word: the denominators q and q_prev of its last two convergents
+    (which `gap_check` reads), its mass mu, the exact ends lo and hi of its
+    hull (see `eb_prefix_tree`), each a column of numerators and one of
+    denominators, and diam, the double nearest the hull's length.  Every
+    node takes every digit of its position, so child j of node k of the
+    level above (j counting the ascending digits) is node k w + j, w the
+    digit count.  There is no column of words: they follow from the digit
+    sets (`EBTree.words`).
     """
 
     depth: int
-    p: list[int]
-    p_prev: list[int]
     q: list[int]
     q_prev: list[int]
     mu: list[float]
@@ -566,7 +565,7 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
         lo, hi = (ends_t, ends_v) if pos % 2 else (ends_v, ends_t)
         # int / int rounds correctly
         diam = [(v - t) / (a * b) for a, b in zip(ends_t[1], ends_v[1])]
-        levels.append(EBLevel(pos, p, p_prev, q, q_prev, mu, diam, lo, hi))
+        levels.append(EBLevel(pos, q, q_prev, mu, diam, lo, hi))
     return EBTree(params=params, u=u, levels=tuple(levels), digit_sets=digit_sets)
 
 

@@ -2,10 +2,12 @@
 
 Output goes to stdout as CSV (leading `#` comment lines echo the inputs,
 then a header row, then data rows) or as a schema-tagged JSON object,
-written in chunks of rows as it is rendered, never held whole.
-Identical invocations produce identical bytes.  Numbers in CSV cells use
-20 significant digits; exact rationals are "num/den" strings.  Errors
-raised by guards print their class name to stderr and exit nonzero.
+written in chunks of rows as it is rendered, never held whole.  The JSON
+bytes are those of json.dumps(indent=2), but json.dumps writes only the
+head; every value is written by its column's kind, as a cell or as JSON
+text.  Identical invocations produce identical bytes.  Numbers in CSV
+cells use 20 significant digits; exact rationals are "num/den" strings.
+Errors raised by guards print their class name to stderr and exit nonzero.
 
 Each subcommand is declared once, in COMMANDS: its arguments (the keyword
 arguments of `add_argument`, whose `type` callables carry the range and
@@ -51,7 +53,6 @@ KMAX_CAP = 10**4
 DEFAULT_SIEVE = 10**6  # the prime table limit when --sieve is omitted
 # rows per chunk of printed text; each chunk is one write to stdout
 CHUNK_ROWS = 1 << 12
-_ROWS_KEY = '\n  "rows": '
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
 
@@ -92,35 +93,21 @@ def _refuse_nonfinite(fields: dict[str, Kind], block: dict) -> None:
 
 def _render(fields: dict[str, Kind], blocks: Iterable[dict], attr: str) -> Iterator[tuple]:
     """The rows of `blocks`, block after block, as tuples of each value
-    through its kind's `attr` (`cell`, `json` or `json_text`), the declared
-    fields in declared order, each kind's function mapped once over its
-    column."""
+    through its kind's `attr` (`cell` or `json`), the declared fields in
+    declared order, each kind's function mapped once over its column."""
     render = [getattr(kind, attr) for kind in fields.values()]
     return itertools.chain.from_iterable(
         zip(*(map(f, block[name]) for f, name in zip(render, fields))) for block in blocks)
 
 
-def _records(fields: dict[str, Kind], blocks: Iterable[dict], fmt: str) -> list[dict]:
-    """The rendered rows of `blocks` as dicts, the declared fields in order."""
-    attr = "cell" if fmt == "csv" else "json"
-    return [dict(zip(fields, row)) for row in _render(fields, blocks, attr)]
+def _json_string(v) -> str:
+    return json.encoder.encode_basestring_ascii(str(v))
 
 
-def _json_digits(v: list) -> str:
-    # a digit word (DIGITS, the one array kind) as a row field: one int a
-    # line, at the next indent
+def _json_digits(v: tuple[int, ...]) -> str:
+    # a digit word as a row field: one int a line, at the next indent; DIGITS
+    # is the one array kind, and only rows declare it
     return "[\n        " + ",\n        ".join(map(int.__repr__, v)) + "\n      ]" if v else "[]"
-
-
-# the text json.dumps(indent=2) prints for a row field's JSON value, by
-# the JSON type of its schema
-_JSON_TEXT = {
-    "number": float.__repr__,
-    "integer": int.__repr__,
-    "string": json.encoder.encode_basestring_ascii,
-    "boolean": lambda v: "true" if v else "false",
-    "array": _json_digits,
-}
 
 
 class _Text(list):
@@ -134,25 +121,41 @@ def _chunks(rows: Iterator) -> Iterator[list]:
     return iter(lambda: list(itertools.islice(rows, CHUNK_ROWS)), [])
 
 
-def _json_rows(fields: dict[str, Kind], blocks: list[dict]) -> Iterator[str]:
-    """Each row as json.dumps(indent=2) prints it as an item of the frame's
-    "rows" list: one template, built once, of each field's key and a slot
-    for its value's JSON text."""
-    keys = (json.encoder.encode_basestring_ascii(name) for name in fields)
-    slots = ",\n".join("      " + key.replace("{", "{{").replace("}", "}}") + ": {}"
-                       for key in keys)
-    template = "    {{\n" + slots + "\n    }}"
-    return itertools.starmap(template.format, _render(fields, blocks, "json_text"))
+def _json_objects(fields: dict[str, Kind], blocks: Iterable[dict], pad: str) -> Iterator[str]:
+    """Each row of `blocks` as json.dumps(indent=2) prints it as an object
+    `pad` deep, from the opening brace, which follows a key or the pad, to
+    the closing brace: one template, built once, of each field's key and a
+    slot for its JSON text."""
+    slots = ",\n".join(pad + "  " + key.replace("{", "{{").replace("}", "}}") + ": {}"
+                       for key in map(_json_string, fields))
+    template = "{{\n" + slots + "\n" + pad + "}}"
+    return itertools.starmap(template.format, _render(fields, blocks, "json"))
+
+
+def _json_list(key: str, fields: dict[str, Kind], blocks: Iterable[dict]) -> Iterator[str]:
+    """The frame's field `key`, a list of the rows of `blocks`, after the
+    comma that ends the field before it, CHUNK_ROWS rows a chunk."""
+    item = ",\n    "
+    chunks = _chunks(_json_objects(fields, blocks, "    "))
+    first = next(chunks, None)
+    head = ",\n  " + _json_string(key) + ": ["
+    if first is None:
+        yield head + "]"
+        return
+    yield head + "\n    " + item.join(first)
+    yield from (item + item.join(rows) for rows in chunks)
+    yield "\n  ]"
 
 
 def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> Iterator[str]:
     """Render one run as chunks of text, every value through the kind
-    declared for it: the summary, the `extra` blocks (which CSV output
-    carries in `out.notes` instead), then the rows, CHUNK_ROWS rows a
-    chunk.  Every block's reals are checked before the first chunk, so a
-    refused value leaves no output.  JSON rows are written between the
-    head and the tail of json.dumps(indent=2) of the rest of the object,
-    with no dict per row."""
+    declared for it, the rows CHUNK_ROWS rows a chunk.  Every block's reals
+    are checked before the first chunk, so a refused value leaves no output.
+    CSV output puts the echo, the summary and `out.notes` (which carry the
+    `extra` blocks) in comment lines before the rows.  JSON output is the
+    bytes of json.dumps(indent=2) of the whole object, but json.dumps writes
+    only its head (schema, command, inputs); the rows, the summary and the
+    `extra` blocks follow, written from their kinds' JSON text."""
     blocks = list(out.blocks)
     summary = [] if out.summary is None else _columns([out.summary])
     extra = {key: _columns(rows) for key, rows in (out.extra or {}).items()}
@@ -161,32 +164,23 @@ def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> Iterator[str]
                             (sub.columns, blocks)]:
         for block in checked:
             _refuse_nonfinite(fields, block)
-    summary = _records(sub.summary, summary, fmt)[0] if summary else None
-    extra = {key: _records(sub.extra[key], block, fmt) for key, block in extra.items()}
     if fmt == "json":
-        frame = {"schema": f"{sub.name}.schema.json", "command": sub.name,
-                 "inputs": inputs, "rows": []}
-        if summary is not None:
-            frame["summary"] = summary
-        frame.update(extra)
-        text = json.dumps(frame, indent=2) + "\n"
-        chunks = _chunks(_json_rows(sub.columns, blocks))
-        first = next(chunks, None)
-        if first is None:
-            yield text
-            return
-        # strings escape their quotes and newlines, and nested keys sit
-        # deeper, so this text is the frame's own "rows" and nothing else
-        head, tail = text.split(_ROWS_KEY + "[]")
-        yield head + _ROWS_KEY + "[\n" + ",\n".join(first)
-        yield from (",\n" + ",\n".join(rows) for rows in chunks)
-        yield "\n  ]" + tail
+        # the head without its closing "\n}"
+        yield json.dumps({"schema": f"{sub.name}.schema.json", "command": sub.name,
+                          "inputs": inputs}, indent=2)[:-2]
+        yield from _json_list("rows", sub.columns, blocks)
+        if summary:
+            yield ',\n  "summary": ' + next(_json_objects(sub.summary, summary, "  "))
+        for key, block in extra.items():
+            yield from _json_list(key, sub.extra[key], block)
+        yield "\n}\n"
         return
     lines = _Text()
     lines.write("# " + sub.name + " "
                 + " ".join(f"{k}={_echo(v)}" for k, v in inputs.items()) + "\n")
     if summary:
-        lines.write("# " + " ".join(f"{k}={v}" for k, v in summary.items()) + "\n")
+        cells = next(_render(sub.summary, summary, "cell"))
+        lines.write("# " + " ".join(map("{}={}".format, sub.summary, cells)) + "\n")
     for line in out.notes or []:
         lines.write("# " + line + "\n")
     writer = csv.writer(lines, lineterminator="\n")
@@ -534,50 +528,44 @@ def cmd_box_dim(args) -> Output:
 @dataclass(frozen=True)
 class Kind:
     """A column type: its JSON-schema fragment, how a value prints as a CSV
-    cell and as a JSON value, and whether its values need a finite double."""
+    cell and as JSON text, and whether its values need a finite double.
+    The JSON text is what json.dumps(indent=2) prints for the value as a
+    field of a list item, as a row's fields are."""
 
     schema: dict
     cell: Callable[[object], str]
-    json: Callable[[object], object]
+    json: Callable[[object], str]
     finite: bool = False
-
-    @property
-    def json_text(self) -> Callable[[object], str]:
-        """The text json.dumps(indent=2) prints for `json(v)` as a row field:
-        the writer of the schema's JSON type, or, for a blank-or kind, of its
-        first type unless the value is the blank."""
-        to_json, type_ = self.json, self.schema["type"]
-        if isinstance(type_, list):
-            write = _JSON_TEXT[type_[0]]
-            return lambda v: '""' if v == "" else write(to_json(v))
-        write = _JSON_TEXT[type_]
-        return lambda v: write(to_json(v))
 
 
 def _blank_or(kind: Kind) -> Kind:
     """`kind`, or a blank ("") where a row has no value."""
     return Kind({"type": [kind.schema["type"], "string"]},
                 lambda v: v if v == "" else kind.cell(v),
-                lambda v: v if v == "" else kind.json(v), kind.finite)
+                lambda v: '""' if v == "" else kind.json(v), kind.finite)
+
+
+def _true_false(v) -> str:
+    return "true" if v else "false"
 
 
 # reals at 20 significant digits, rationals exact as num/den from a
 # (numerator, denominator) pair
-NUMBER = Kind({"type": "number"}, "{:.20g}".format, float, finite=True)
-MPF = Kind({"type": "number"}, lambda v: _nstr(v, 20), float, finite=True)
-INTEGER = Kind({"type": "integer"}, str, int)
-STRING = Kind({"type": "string"}, str, str)
-BOOLEAN = Kind({"type": "boolean"}, lambda v: "true" if v else "false", bool)
+NUMBER = Kind({"type": "number"}, "{:.20g}".format, lambda v: repr(float(v)), finite=True)
+MPF = Kind({"type": "number"}, lambda v: _nstr(v, 20), lambda v: repr(float(v)), finite=True)
+INTEGER = Kind({"type": "integer"}, str, lambda v: repr(int(v)))
+STRING = Kind({"type": "string"}, str, _json_string)
+BOOLEAN = Kind({"type": "boolean"}, _true_false, _true_false)
 FRACTION = Kind({"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"},
-                "{0[0]}/{0[1]}".format, "{0[0]}/{0[1]}".format)
+                "{0[0]}/{0[1]}".format, '"{0[0]}/{0[1]}"'.format)
 DIGITS = Kind({"type": "array", "items": {"type": "integer", "minimum": 1}},
-              lambda v: "[" + ",".join(map(str, v)) + "]", list)
+              lambda v: "[" + ",".join(map(str, v)) + "]", _json_digits)
 BLANK_OR_INTEGER = _blank_or(INTEGER)
 BLANK_OR_NUMBER = _blank_or(NUMBER)
 
 
 def enum(*values: str) -> Kind:
-    return Kind({"type": "string", "enum": list(values)}, str, str)
+    return Kind({"type": "string", "enum": list(values)}, str, _json_string)
 
 
 @dataclass(frozen=True)

@@ -443,8 +443,7 @@ def test_tree_interval_arithmetic(eb):
     level, k = tree.levels[2], 5
     word = list(tree.words(level.depth))[k]
     cf = continuants(word)
-    assert (level.p[k], level.q[k]) == (cf.p, cf.q)
-    assert (level.p_prev[k], level.q_prev[k]) == (cf.p_prev, cf.q_prev)
+    assert (level.q[k], level.q_prev[k]) == (cf.q, cf.q_prev)
     # the children at depth 4 take the digits 1..M
     ends = sorted([_value(word + (1,)), _value(word + (tree.params.M + 1,))])
     lo, hi = _ends(tree)[word]

@@ -70,6 +70,23 @@ def parse_summary(comment_line: str) -> dict:
     return out
 
 
+def _blank_or(value):
+    return lambda v: v if v == "" else value(v)
+
+
+# The JSON value of each kind's values, kept apart from the writer: the
+# JSON output must hold what json.dumps(indent=2) prints for these.  Every
+# enum is a string.
+JSON_VALUE = {id(kind): value for kind, value in [
+    (cli.NUMBER, float), (cli.MPF, float), (cli.INTEGER, int), (cli.STRING, str),
+    (cli.BOOLEAN, bool), (cli.FRACTION, "{0[0]}/{0[1]}".format), (cli.DIGITS, list),
+    (cli.BLANK_OR_INTEGER, _blank_or(int)), (cli.BLANK_OR_NUMBER, _blank_or(float))]}
+
+
+def json_value(kind: cli.Kind, v):
+    return str(v) if "enum" in kind.schema else JSON_VALUE[id(kind)](v)
+
+
 # one cheap, deterministic invocation per subcommand
 INVOCATIONS = {
     "pzeta-tail": ["--ell", "1", "--s", "2", "--M", "10", "--cutoff", "1000"],
@@ -162,17 +179,24 @@ def test_output_digests_cover_the_corpus():
     assert list(DIGESTS) == list(dict.fromkeys(map(shlex.join, output_digests.corpus())))
 
 
-# Environment settings under which numpy and OpenBLAS take the code paths of
-# another CPU: OpenBLAS's Sandybridge kernels, and numpy's loops without
-# AVX-512 or AVX2 (its X86_V2 baseline).  They act only on the child.
+# Environment settings under which numpy, OpenBLAS and glibc's libm take the
+# code paths of another CPU: OpenBLAS's Sandybridge kernels, numpy's loops
+# without AVX-512 or AVX2 (its X86_V2 baseline), and libm without its AVX2
+# and FMA variants (of pow and exp, among others).  They act only on the child.
+LIBM_MASK = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}
 OTHER_DISPATCH = [{"OPENBLAS_CORETYPE": "Sandybridge"},
-                  {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}]
+                  {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+                  LIBM_MASK]
+# 616 ** -1.2 as glibc 2.36's pow computes it without FMA; with FMA it is
+# 0x1.d716cf7826f85p-12
+LIBM_CANARY = "0x1.d716cf7826f84p-12"
 
 
 def test_output_digests_hold_under_other_cpu_dispatch():
-    # every argv of the corpus prints the stored bytes whichever BLAS kernel
-    # or numpy SIMD loop the CPU selects: no printed digit comes from LAPACK,
-    # BLAS or a dispatched transcendental loop
+    # every argv of the corpus prints the stored bytes whichever BLAS kernel,
+    # numpy SIMD loop or libm variant the CPU selects: no printed digit comes
+    # from LAPACK, BLAS or a dispatched transcendental loop, and none from a
+    # libm result that an FMA variant rounds otherwise
     script = Path(output_digests.__file__)
     src = str(script.parents[1] / "src")
     for setting in OTHER_DISPATCH:
@@ -181,6 +205,14 @@ def test_output_digests_hold_under_other_cpu_dispatch():
         run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                              env=env)
         assert (run.returncode, run.stdout, run.stderr) == (0, "", ""), setting
+    # the libm mask must move libm where this host's pow takes an FMA path,
+    # or the run under it would repeat the default one
+    canary = (616 ** -1.2).hex()
+    if canary != LIBM_CANARY:
+        masked = subprocess.run([sys.executable, "-c", "print((616 ** -1.2).hex())"],
+                                capture_output=True, text=True, check=True,
+                                env={**os.environ, **LIBM_MASK}).stdout.strip()
+        assert masked != canary
 
 
 # sha256 of the exact or correctly rounded columns (depth, word, diam, lo,
@@ -254,11 +286,12 @@ def _mass_recurrence(params, tree):
 
 def _row_at_a_time(argv: list[str]) -> str:
     """The stdout of `argv` rendered one row at a time: each row's values
-    through the declared `Kind.cell` into csv.writer, or through `Kind.json`
-    into json.dumps(indent=2).  eb-build's rows are read node by node from
-    `EBTree.records`, with mu recomputed word by word (`_mass_recurrence`) and
-    holder_max from those rows; the echo, the notes, the extra blocks and
-    the other rows and summary fields are the handler's."""
+    through the declared `Kind.cell` into csv.writer, or as their JSON
+    values (`json_value`) into json.dumps(indent=2).  eb-build's rows are
+    read node by node from `EBTree.records`, with mu recomputed word by word
+    (`_mass_recurrence`) and holder_max from those rows; the echo, the
+    notes, the extra blocks and the other rows and summary fields are the
+    handler's."""
     args = cli.build_parser().parse_args(argv)
     sub = COMMANDS[args.command]
     out = sub.handler(args)
@@ -278,13 +311,13 @@ def _row_at_a_time(argv: list[str]) -> str:
                    "holder_max": max(r["mu"] / r["diam"] ** exponent for r in rows)}
     inputs = {cli._dest(flag): getattr(args, cli._dest(flag)) for flag, _ in sub.args}
     inputs = {k: v for k, v in (inputs | out.inputs).items() if v is not None}
-    extra = {key: [{k: sub.extra[key][k].json(v) for k, v in r.items()} for r in block]
+    extra = {key: [{k: json_value(sub.extra[key][k], v) for k, v in r.items()} for r in block]
              for key, block in (out.extra or {}).items()}
     if args.format == "json":
         obj = {"schema": f"{sub.name}.schema.json", "command": sub.name, "inputs": inputs,
-               "rows": [{k: sub.columns[k].json(v) for k, v in r.items()} for r in rows]}
+               "rows": [{k: json_value(sub.columns[k], v) for k, v in r.items()} for r in rows]}
         if summary is not None:
-            obj["summary"] = {k: sub.summary[k].json(v) for k, v in summary.items()}
+            obj["summary"] = {k: json_value(sub.summary[k], v) for k, v in summary.items()}
         return json.dumps(obj | extra, indent=2) + "\n"
     buf = io.StringIO()
     buf.write(f"# {sub.name} " + " ".join(f"{k}={cli._echo(v)}" for k, v in inputs.items())
@@ -358,17 +391,19 @@ EDGE = cli.Subcommand(
     "edge", "", lambda args: None, args=(),
     columns={"x": cli.NUMBER, "m": cli.MPF, "i": cli.INTEGER, "s": cli.STRING,
              "b": cli.BOOLEAN, "f": cli.FRACTION, "d": cli.DIGITS,
-             "bi": cli.BLANK_OR_INTEGER, "bx": cli.BLANK_OR_NUMBER},
+             "bi": cli.BLANK_OR_INTEGER, "bx": cli.BLANK_OR_NUMBER,
+             "e": cli.enum("ok", "caf\u00e9 \"x\"")},
     summary={"x": cli.NUMBER, "s": cli.STRING},
     extra={"more": {"s": cli.STRING, "i": cli.INTEGER},
            "less": {"s": cli.STRING, "i": cli.INTEGER}})
 EDGE_ROWS = [
     {"x": -0.0, "m": mp.mpf("1e308"), "i": 2**63, "s": "caf\u00e9 \"quoted\" \\", "b": True,
-     "f": (-3, 7), "d": (), "bi": "", "bx": ""},
+     "f": (-3, 7), "d": (), "bi": "", "bx": "", "e": "ok"},
     {"x": 5e-324, "m": mp.mpf(-1) / 3, "i": -(2**70) - 1, "s": "\u65e5\u672c \U0001f600\n\t",
-     "b": False, "f": (10**40 + 1, 3**90), "d": (1, 2, 1013), "bi": 0, "bx": -0.0},
+     "b": False, "f": (10**40 + 1, 3**90), "d": (1, 2, 1013), "bi": 0, "bx": -0.0,
+     "e": "caf\u00e9 \"x\""},
     {"x": np.float64(1e308), "m": mp.mpf(0), "i": 0, "s": "", "b": False, "f": (0, 1),
-     "d": (7,), "bi": 2**64, "bx": 1e-300},
+     "d": (7,), "bi": 2**64, "bx": 1e-300, "e": "ok"},
 ]
 
 
@@ -386,18 +421,49 @@ def _edge_output(rows: list[dict]) -> cli.Output:
 def test_json_rows_match_json_dumps(monkeypatch, rows, chunk_rows):
     # every kind's JSON text against json.dumps(indent=2) of its JSON value,
     # at chunk sizes that split the rows and that do not; inputs that look
-    # like the frame's own "rows" key must not move it
+    # like the frame's own "rows" key stay in the head
     inputs = {"phi": '\n  "rows": []', "window": (10, 20), "n": 2**64}
     out = _edge_output(rows)
     want = {"schema": "edge.schema.json", "command": "edge", "inputs": inputs,
-            "rows": [{k: EDGE.columns[k].json(v) for k, v in row.items()} for row in rows],
-            "summary": {k: EDGE.summary[k].json(v) for k, v in out.summary.items()},
+            "rows": [{k: json_value(EDGE.columns[k], v) for k, v in row.items()} for row in rows],
+            "summary": {k: json_value(EDGE.summary[k], v) for k, v in out.summary.items()},
             "more": [{"s": "\u00fc", "i": 2**65}], "less": []}
     monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
     got = "".join(cli._emit(EDGE, "json", inputs, out))
     assert got == json.dumps(want, indent=2) + "\n"
     if not rows:
         assert '\n  "rows": [],\n' in got
+
+
+def _row_field_text(value) -> str:
+    """The text json.dumps(indent=2) prints for `value` as a field of an
+    item of the frame's rows."""
+    head, tail = '{\n  "rows": [\n    {\n      "k": ', "\n    }\n  ]\n}"
+    text = json.dumps({"rows": [{"k": value}]}, indent=2)
+    assert text.startswith(head) and text.endswith(tail)
+    return text[len(head):-len(tail)]
+
+
+def test_edge_rows_cover_every_kind():
+    kinds = [v for v in vars(cli).values() if isinstance(v, cli.Kind)]
+    assert all(any(kind is k for k in EDGE.columns.values()) for kind in kinds)
+    assert any("enum" in kind.schema for kind in EDGE.columns.values())
+
+
+@pytest.mark.parametrize("name", list(EDGE.columns))
+def test_kind_json_is_json_dumps_of_its_value(name):
+    kind = EDGE.columns[name]
+    for row in EDGE_ROWS:
+        assert kind.json(row[name]) == _row_field_text(json_value(kind, row[name])), row[name]
+
+
+def test_only_rows_declare_an_array_kind():
+    # DIGITS, the one array kind, writes its JSON text at a row field's
+    # indent; a schema type is a name or a list of names, and no other JSON
+    # type name holds "array"
+    for sub in COMMANDS.values():
+        for fields in [sub.summary or {}, *(sub.extra or {}).values()]:
+            assert all("array" not in kind.schema["type"] for kind in fields.values()), sub.name
 
 
 def test_empty_block_prints_no_rows():
@@ -412,9 +478,9 @@ def test_empty_block_prints_no_rows():
 
 def test_eb_tree_is_written_in_bounded_chunks_within_a_memory_bound(monkeypatch):
     # the ell = 3 tree (44,530 rows, 4.4 MB of CSV) built, checked and
-    # written: a Python-side peak of 17.3 MB, where a tree with a word
-    # column and the output held as one string took 24.7 MB (numpy, which
-    # the CLI imports on first use, is imported here already)
+    # written: a Python-side peak of about 16.4 MB, where a tree with word
+    # and numerator columns and the output held as one string took 24.7 MB
+    # (numpy, which the CLI imports on first use, is imported here already)
     class Stdout:
         def __init__(self):
             self.sizes = []
@@ -444,7 +510,8 @@ def test_number_cell_is_twenty_digit_format(v):
 
 @pytest.mark.parametrize("n, d", [(0, 1), (-3, 7), (113, 355), (10**40 + 1, 3**90)])
 def test_fraction_cell_is_num_den(n, d):
-    assert cli.FRACTION.cell((n, d)) == cli.FRACTION.json((n, d)) == f"{n}/{d}"
+    assert cli.FRACTION.cell((n, d)) == f"{n}/{d}"
+    assert cli.FRACTION.json((n, d)) == json.dumps(f"{n}/{d}")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
