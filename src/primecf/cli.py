@@ -151,17 +151,19 @@ def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> Iterator[str]
     """Render one run as chunks of text, every value through the kind
     declared for it, the rows CHUNK_ROWS rows a chunk.  Every block's reals
     are checked before the first chunk, so a refused value leaves no output.
-    CSV output puts the echo, the summary and `out.notes` (which carry the
-    `extra` blocks) in comment lines before the rows.  JSON output is the
-    bytes of json.dumps(indent=2) of the whole object, but json.dumps writes
-    only its head (schema, command, inputs); the rows, the summary and the
-    `extra` blocks follow, written from their kinds' JSON text."""
+    CSV output puts the echo in a comment line before the rows, then each
+    row of the summary and of the `extra` blocks, as `key=value` cells of
+    its kinds in declared order, one comment line a row, an extra block's
+    led by its key.  JSON output is the bytes of json.dumps(indent=2) of the
+    whole object, but json.dumps writes only its head (schema, command,
+    inputs); the rows, the summary and the `extra` blocks follow, written
+    from their kinds' JSON text."""
     blocks = list(out.blocks)
-    summary = [] if out.summary is None else _columns([out.summary])
-    extra = {key: _columns(rows) for key, rows in (out.extra or {}).items()}
-    for fields, checked in [(sub.summary, summary),
-                            *((sub.extra[key], block) for key, block in extra.items()),
-                            (sub.columns, blocks)]:
+    # (key, fields, column blocks) of the summary, whose key is "", then of
+    # each extra block
+    declared = [("", sub.summary or {}, [] if out.summary is None else _columns([out.summary])),
+                *((key, sub.extra[key], _columns(rows)) for key, rows in (out.extra or {}).items())]
+    for _, fields, checked in [*declared, ("", sub.columns, blocks)]:
         for block in checked:
             _refuse_nonfinite(fields, block)
     if fmt == "json":
@@ -169,20 +171,20 @@ def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> Iterator[str]
         yield json.dumps({"schema": f"{sub.name}.schema.json", "command": sub.name,
                           "inputs": inputs}, indent=2)[:-2]
         yield from _json_list("rows", sub.columns, blocks)
+        (_, fields, summary), *extra = declared
         if summary:
-            yield ',\n  "summary": ' + next(_json_objects(sub.summary, summary, "  "))
-        for key, block in extra.items():
-            yield from _json_list(key, sub.extra[key], block)
+            yield ',\n  "summary": ' + next(_json_objects(fields, summary, "  "))
+        for key, fields, block in extra:
+            yield from _json_list(key, fields, block)
         yield "\n}\n"
         return
     lines = _Text()
     lines.write("# " + sub.name + " "
                 + " ".join(f"{k}={_echo(v)}" for k, v in inputs.items()) + "\n")
-    if summary:
-        cells = next(_render(sub.summary, summary, "cell"))
-        lines.write("# " + " ".join(map("{}={}".format, sub.summary, cells)) + "\n")
-    for line in out.notes or []:
-        lines.write("# " + line + "\n")
+    for key, fields, block in declared:
+        lead = "# " + key if key else "#"
+        for cells in _render(fields, block, "cell"):
+            lines.write(lead + "".join(map(" {}={}".format, fields, cells)) + "\n")
     writer = csv.writer(lines, lineterminator="\n")
     if blocks:
         writer.writerow(sub.columns)
@@ -244,10 +246,11 @@ def positive(text: str) -> int:
     return k
 
 
-def nonnegative(text: str) -> int:
+def integer_limit(text: str) -> int:
+    """The largest integer a prime table or a sum reaches: at least 2."""
     k = int(text)
-    if k < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {k}")
     return k
 
 
@@ -361,7 +364,6 @@ class Output:
     blocks: Iterable[dict[str, Iterable]]
     summary: dict | None = None
     inputs: dict = field(default_factory=dict)
-    notes: list[str] | None = None
     extra: dict[str, list[dict]] | None = None
 
 
@@ -389,12 +391,7 @@ def cmd_pzeta_asymptotic(args) -> Output:
 
 
 def cmd_cf_expand(args) -> Output:
-    if (args.rational is None) == (args.real is None):
-        raise OutOfRangeError("give exactly one of --rational or --real")
-    if args.rational is not None and args.bits is not None:
-        raise ValueError("--bits certifies the digits of a --real; a --rational is exact")
-    x = _fraction(args.real if args.rational is None else args.rational)
-    word = contfrac.expand_real(x, args.bits, args.max_len)
+    word = contfrac.expand_real(_fraction(args.rational), args.bits, args.max_len)
     rows = [{"digits": word, "length": len(word),
              "reconstructed": contfrac.continuants(word).value.as_integer_ratio()}]
     return Output(_columns(rows))
@@ -478,8 +475,6 @@ def cmd_eb_build(args) -> Output:
               for level in tree.levels)
     return Output(
         blocks, summary, inputs={"M": params.M, "N": params.N, "depth": depth},
-        notes=[f"constraint {name} {status}: {detail}"
-               for name, status, detail in params.constraints],
         extra={"constraints": [{"name": n, "status": s, "detail": d}
                                for n, s, d in params.constraints]},
     )
@@ -594,37 +589,36 @@ PHI = ("--phi", {"type": str, "required": True,
                  "help": "expression in n, e.g. 'n*log(n)' or '2**(2**n)'"})
 WINDOW = ("--window", _required(window))
 TOL = ("--tol", {"type": real, "default": 1e-9})
-SIEVE = ("--sieve", {"type": nonnegative, "default": DEFAULT_SIEVE,
+CUTOFF = ("--cutoff", _required(integer_limit))
+SIEVE = ("--sieve", {"type": integer_limit, "default": DEFAULT_SIEVE,
                      "help": "largest integer the prime table covers (default %(default)s)"})
 
 COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
     Subcommand(
         "pzeta-tail", "truncated almost-prime zeta tail with bound", cmd_pzeta_tail,
-        args=(ELL, MODE, ("--s", _required(real)), ("--M", _required(real)),
-              ("--cutoff", _required(int))),
+        args=(ELL, MODE, ("--s", _required(real)), ("--M", _required(real)), CUTOFF),
         columns={"value": MPF, "remainder_bound": MPF, "upper": MPF,
                  "terms_used": INTEGER},
     ),
     Subcommand(
         "pzeta-asymptotic", "normalized tail ratios along a threshold grid",
         cmd_pzeta_asymptotic,
-        args=(ELL, MODE, ("--s", _required(real)), ("--grid", _required(grid)),
-              ("--cutoff", _required(positive))),
+        args=(ELL, MODE, ("--s", _required(real)), ("--grid", _required(grid)), CUTOFF),
         columns={"M": NUMBER, "value": MPF, "ratio": MPF, "remainder_bound": MPF},
     ),
     Subcommand(
         "cf-expand", "continued-fraction digits of a rational", cmd_cf_expand,
-        args=(("--rational", {"type": str, "default": None, "help": "as num/den"}),
-              ("--real", {"type": str, "default": None, "help": "decimal in [0,1)"}),
+        args=(("--rational", {"type": str, "required": True,
+                              "help": "num/den or a decimal in [0,1)"}),
               ("--bits", {"type": precision_bits,
-                          "help": "certify --real digits for a 2^-bits ball; exact when omitted"}),
+                          "help": "certify the digits of [x, x + 2^-bits]; exact when omitted"}),
               ("--max-len", {"type": int, "default": 64})),
         columns={"digits": DIGITS, "length": INTEGER, "reconstructed": FRACTION},
     ),
     Subcommand(
         "interval-measure", "exact Lebesgue-measure bracket of a prime level set",
         cmd_interval_measure,
-        args=(ELL, ("--threshold", _required(real)), ("--cutoff", _required(int))),
+        args=(ELL, ("--threshold", _required(real)), CUTOFF),
         columns={"lower": NUMBER, "upper": NUMBER, "width": NUMBER, "terms": INTEGER},
     ),
     Subcommand(
@@ -692,7 +686,7 @@ COMMANDS: dict[str, Subcommand] = {c.name: c for c in (
                             "help": "semicolon-separated levels of comma-separated lengths"}),
               ("--b", {"type": real_text}), ("--c", {"type": real_text}),
               ("--kmax", {"type": kmax, "help": "built construction only (default 3)"}),
-              ("--sieve", {"type": nonnegative, "help": "largest integer the prime table of a "
+              ("--sieve", {"type": integer_limit, "help": "largest integer the prime table of a "
                            f"built construction covers (default {DEFAULT_SIEVE})"})),
         columns={"slope": NUMBER, "residual": NUMBER, "levels": INTEGER},
     ),

@@ -42,10 +42,13 @@ ENUMERATION_GUARD = 10_000_000
 # about 0.2 s with a 23 MB tracemalloc peak, and `pressure-dim --M 10000
 # --n 10000` about 3 s in all (2-vCPU host).
 PROBLEM_CAP = 10_000
-# Collocation is preferred inside root searches once enumeration would
-# walk more words than this.  The two logs differed by at most 1.8e-15 on
-# 18 problems: M^n in {2^10, 2^14, 3^10, 6^6, 20^4, 4^9}, s in {0.55, 0.7, 0.9}.
-_AUTO_ENUMERATION_CAP = 200_000
+# "auto" enumerates up to this many words and collocates above, near the
+# crossover: per solve at s = 0.65 (best of 9, 2-vCPU host) enumeration took
+# 0.31 against 0.34 ms at 3^9 words, 0.77 against 0.51 ms at 2^15, 0.66
+# against 0.38 ms at 6^6 and 2.5 against 0.48 ms at 20^4.  The two logs
+# differed by at most 1.8e-15 on 18 problems: M^n in {2^10, 2^14, 3^10, 6^6,
+# 20^4, 4^9}, s in {0.55, 0.7, 0.9}.
+_AUTO_ENUMERATION_CAP = 30_000
 _NODES = 60
 
 S_FLOOR = 0.500001

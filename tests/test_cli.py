@@ -159,6 +159,65 @@ def test_reproducible_and_schema_valid(capsys, command):
     jsonschema.validate(instance=obj, schema=schema_for(command))
 
 
+def _json_of_cell(cell: str, schema: dict):
+    """A comment-line cell as the JSON value of its kind: a real at 20
+    digits reads back as its double, an integer exactly, a string as is."""
+    return {"number": float, "integer": int}.get(schema["type"], str)(cell)
+
+
+@pytest.mark.parametrize("command", sorted(INVOCATIONS))
+def test_csv_comment_lines_are_the_declared_rows(capsys, command):
+    # after the echo, each comment line is one row: the summary's, then
+    # each extra block's in declared order, led by its key, as `key=value`
+    # cells of the declared fields in declared order, holding the values
+    # of the JSON output
+    sub = COMMANDS[command]
+    argv = [command, *INVOCATIONS[command]]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    comments = parse_csv(out)[0]
+    assert comments[0].startswith(f"# {command} ")
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    declared = [("#", sub.summary, [obj["summary"]])] if sub.summary is not None else []
+    declared += [(f"# {key}", fields, obj[key]) for key, fields in (sub.extra or {}).items()]
+    lines = iter(comments[1:])
+    for lead, fields, rows in declared:
+        pattern = re.escape(lead) + "".join(f" {re.escape(name)}=(.*?)" for name in fields)
+        for row in rows:
+            cells = re.fullmatch(pattern, next(lines)).groups()
+            assert [_json_of_cell(cell, fields[name].schema)
+                    for cell, name in zip(cells, fields)] == list(row.values())
+    assert next(lines, None) is None
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded by path as it stands."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_workloads_parse(seed):
+    # every argv the benchmark runs parses, so no flag it uses is dropped
+    workloads = _workloads()
+    parser = cli.build_parser()
+    argvs = [cmd.argv for make in workloads.WORKLOADS.values() for cmd in make(seed)]
+    assert len(argvs) == 14
+    for argv in argvs:
+        assert parser.parse_args(list(argv)).command == argv[0]
+
+
 def test_readme_examples_verbatim(capsys):
     examples = re.findall(r"```\n\$ primecf (.*?)\n(.*?)```", README.read_text(), re.DOTALL)
     assert [shlex.split(line)[0] for line, _ in examples] == [
@@ -290,8 +349,8 @@ def _row_at_a_time(argv: list[str]) -> str:
     values (`json_value`) into json.dumps(indent=2).  eb-build's rows are
     read node by node from `EBTree.records`, with mu recomputed word by word
     (`_mass_recurrence`) and holder_max from those rows; the echo, the
-    notes, the extra blocks and the other rows and summary fields are the
-    handler's."""
+    extra blocks (a CSV comment line of each row) and the other rows and
+    summary fields are the handler's."""
     args = cli.build_parser().parse_args(argv)
     sub = COMMANDS[args.command]
     out = sub.handler(args)
@@ -325,7 +384,9 @@ def _row_at_a_time(argv: list[str]) -> str:
     if summary is not None:
         buf.write("# " + " ".join(f"{k}={sub.summary[k].cell(v)}" for k, v in summary.items())
                   + "\n")
-    buf.writelines(f"# {line}\n" for line in out.notes or [])
+    for key, block in (out.extra or {}).items():
+        buf.writelines(f"# {key} " + " ".join(f"{k}={sub.extra[key][k].cell(v)}"
+                                              for k, v in r.items()) + "\n" for r in block)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(sub.columns)
     for r in rows:
@@ -497,7 +558,7 @@ def test_eb_tree_is_written_in_bounded_chunks_within_a_memory_bound(monkeypatch)
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
-    assert sum(stdout.sizes) == 4_438_423
+    assert sum(stdout.sizes) == 4_438_670
     assert len(stdout.sizes) > 1 and max(stdout.sizes) < 2**20
 
 
@@ -535,11 +596,13 @@ OUTPUT_PINS = [
     # The cf-expand stdout was pinned when expand_real still certified each
     # digit by an interval-containment test, a route independent of the
     # current common prefix of two Euclid streams, and re-pinned when its echo
-    # line alone changed (`input=` became `real=`); the mc-zero-one stdout
-    # fixes the counter-based word stream of the exact conditional-law sampler.
+    # line alone changed (`input=` became `real=`, then `rational=` when
+    # --real, which parsed the same text, was folded into --rational); the
+    # mc-zero-one stdout fixes the counter-based word stream of the exact
+    # conditional-law sampler.
     ["mc-zero-one", "--ell", "2", "--phi", "n*log(n)**2", "--window", "10,200",
      "--samples", "200", "--seed", "1"],
-    ["cf-expand", "--real", "0.318309886183790671537767526745", "--bits", "80"],
+    ["cf-expand", "--rational", "0.318309886183790671537767526745", "--bits", "80"],
     # Whole stdout pinned when box-dim still listed every digit word of a
     # level and measured each word's cylinder, and re-pinned when the line
     # fit became exact in Fractions.
@@ -623,24 +686,29 @@ def test_cf_expand_rational(capsys):
 
 
 def test_cf_expand_real_paths(capsys):
-    code, out, _ = run_cli(capsys, ["cf-expand", "--real", "0.42"])
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    want = expand_rational(21, 50)
-    assert rows[0]["digits"] == "[" + ",".join(str(d) for d in want) + "]"
-    code, out, _ = run_cli(capsys, ["cf-expand", "--real", "0.42", "--bits", "64"])
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    assert rows[0]["digits"].startswith("[2,2,1,1")
-    # exactly one input source is accepted
-    assert run_cli(capsys, ["cf-expand", "--real", "0.42",
-                            "--rational", "1/2"])[0] == 3
-    assert run_cli(capsys, ["cf-expand"])[0] == 3
+    # a decimal or num/den is exact without --bits, and the left end of a
+    # 2^-bits ball with it
+    want = "[" + ",".join(str(d) for d in expand_rational(21, 50)) + "]"
+    for text in ("0.42", "21/50"):
+        code, out, _ = run_cli(capsys, ["cf-expand", "--rational", text])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert rows[0]["digits"] == want
+        code, out, _ = run_cli(capsys, ["cf-expand", "--rational", text, "--bits", "64"])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert rows[0]["digits"].startswith("[2,2,1,1")
+        assert want.startswith(rows[0]["digits"][:-1])
+    # --rational is the one way to give the number
+    code, out, err = run_cli(capsys, ["cf-expand", "--bits", "64"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("primecf cf-expand: error: the following arguments are"
+                                    " required: --rational")
 
 
 @pytest.mark.parametrize("flag, text", [
     ("--rational", "1" * 4301), ("--rational", "1/" + "1" * 4301),
-    ("--real", "0." + "0" * 4300 + "1"), ("--real", "1e" + "0" * 4300 + "1"),
+    ("--rational", "0." + "0" * 4300 + "1"), ("--rational", "1e" + "0" * 4300 + "1"),
     ("--rational", "1e4300"), ("--rational", "-1e4300"),
 ])
 def test_cf_expand_refuses_unprintable_rationals(capsys, flag, text):
@@ -654,7 +722,7 @@ def test_cf_expand_refuses_unprintable_rationals(capsys, flag, text):
 
 def test_cf_expand_prints_digits_at_the_limit(capsys):
     # 10^4299 has 4300 decimal digits, the most str() of an int prints
-    code, out, _ = run_cli(capsys, ["cf-expand", "--real", "1e-4299", "--max-len", "2"])
+    code, out, _ = run_cli(capsys, ["cf-expand", "--rational", "1e-4299", "--max-len", "2"])
     assert code == 0
     row = parse_csv(out)[2][0]
     assert row["digits"] == "[1" + "0" * 4299 + "]"
@@ -758,8 +826,16 @@ def test_eb_build_output(capsys):
     assert float(summary["t"]) == pytest.approx(0.6139828, abs=1e-6)
     assert float(summary["gap_min"]) >= 1.0
     assert math.isfinite(float(summary["holder_max"]))
-    notes = [c for c in comments if c.startswith("# constraint ")]
-    assert len(notes) == 11
+    # one comment line per row of the JSON constraints block, in its order
+    code, out_json, _ = run_cli(capsys, ["eb-build", "--B", "4", "--ell", "2",
+                                         "--s", "0.53", "--delta", "0.01",
+                                         "--M", "3", "--sieve", "2000", "--format", "json"])
+    assert code == 0
+    constraints = json.loads(out_json)["constraints"]
+    assert len(constraints) == 11
+    assert [c for c in comments if c.startswith("# constraints ")] == [
+        f"# constraints name={c['name']} status={c['status']} detail={c['detail']}"
+        for c in constraints]
     by_depth: dict[str, float] = {}
     for r in rows:
         by_depth[r["depth"]] = by_depth.get(r["depth"], 0.0) + float(r["mu"])
@@ -919,7 +995,7 @@ def test_sieve_flag_is_the_limit(capsys, argv):
     for value in ("0", "1"):
         code, out, err = run_cli(capsys, argv + ["--sieve", value])
         assert (code, out) == (2, "")
-        assert err == f"ValueError: sieve limit must be at least 2, got {value}\n"
+        assert err.splitlines()[-1] == _usage(argv[0], f"--sieve: must be >= 2, got {value}")
 
 
 def _usage(command: str, message: str) -> str:
@@ -952,7 +1028,7 @@ TOTALITY = [
      2, _usage("luczak-dim", "--b: must be finite")),
     (["box-dim", "--b", "2", "--c", "inf"],
      2, _usage("box-dim", "--c: must be finite")),
-    (["cf-expand", "--real", "0.5", "--bits", str(2**20 + 1)],
+    (["cf-expand", "--rational", "0.5", "--bits", str(2**20 + 1)],
      2, _usage("cf-expand", "--bits: must lie in")),
     # every digit is drawn from whole 64-bit words; there is no width to set
     (["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,2", "--samples", "5",
@@ -982,7 +1058,8 @@ TOTALITY = [
      2, "ValueError:"),
     (["box-dim", "--covers", "0.5,0.5;0.5,0.5"], 2, "ValueError:"),
     (["box-dim", "--covers", "0.5,nan;0.25"], 2, "ValueError:"),
-    (["cf-expand", "--real", "1e-2000000", "--max-len", "3"], 2, "ValueError: decimal exponent"),
+    (["cf-expand", "--rational", "1e-2000000", "--max-len", "3"], 2,
+     "ValueError: decimal exponent"),
     (["luczak-dim", "--b", "1.001", "--c", "2", "--kmax", "200000"],
      2, _usage("luczak-dim", "--kmax: must be at most 10000")),
     (["box-dim", "--b", "1.001", "--c", "2", "--kmax", "10001"],
@@ -1018,7 +1095,9 @@ TOTALITY = [
       "--delta", "0.0014717595201200195", "--N", "3"], 3, "EnumerationGuardError: tree exceeds"),
     (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", "--M", "8",
       "--N", "1", "--depth", "7"], 3, "EnumerationGuardError: tree exceeds"),
-    (["cf-expand", "--rational", "1/3", "--bits", "80"], 2, "ValueError: --bits"),
+    # --bits once applied to a decimal alone; 1/3 is a cylinder end, so no
+    # digit holds on all of [1/3, 1/3 + 2^-80]
+    (["cf-expand", "--rational", "1/3", "--bits", "80"], 0, None),
     # 6,161,936,004 prime pairs, summed as seven power sums over 78,498 primes
     *[(["interval-measure", "--ell", "2", "--threshold", "3", "--cutoff", "1000000",
         "--format", fmt], 0, None)
@@ -1049,7 +1128,7 @@ TOTALITY = [
     *[(["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,2", "--samples", "5",
         "--seed", seed], 2, f"ValueError: seed must lie in [0, 2^64), got {seed}")
       for seed in ("-5", "99999999999999999999999999")],
-    *[(argv + ["--sieve", "-4"], 2, _usage(argv[0], "--sieve: must be >= 0, got -4"))
+    *[(argv + ["--sieve", "-4"], 2, _usage(argv[0], "--sieve: must be >= 2, got -4"))
       for argv in (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01"],
                    ["luczak-dim", "--b", "2", "--c", "2", "--kmax", "3"])],
     # a negative count once ran as its default, echoing the value it ignored;
@@ -1058,13 +1137,18 @@ TOTALITY = [
        2, _usage("eb-build", f"{flag}: must be >= 1, got {k}"))
       for flag in ("--M", "--N", "--depth") for k in ("-3", "0")],
     *[(["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "10,100", "--cutoff", k],
-       2, _usage("pzeta-asymptotic", f"--cutoff: must be >= 1, got {k}"))
+       2, _usage("pzeta-asymptotic", f"--cutoff: must be >= 2, got {k}"))
       for k in ("-5", "0")],
+    # a cutoff below 2 was once refused as a sieve limit, which these take no flag for
+    (["pzeta-tail", "--ell", "1", "--s", "2", "--M", "10", "--cutoff", "1"],
+     2, _usage("pzeta-tail", "--cutoff: must be >= 2, got 1")),
+    (["interval-measure", "--ell", "1", "--threshold", "3", "--cutoff", "0"],
+     2, _usage("interval-measure", "--cutoff: must be >= 2, got 0")),
     # the cutoff once defaulted to the largest threshold, whose row summed nothing
     (["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "1e3,1e4,1e5,1e6"],
      2, "primecf pzeta-asymptotic: error: the following arguments are required: --cutoff"),
     # --bits 0 once meant "exact", which omitting --bits means
-    (["cf-expand", "--real", "0.5", "--bits", "0"],
+    (["cf-expand", "--rational", "0.5", "--bits", "0"],
      2, _usage("cf-expand", "--bits: must lie in [1, 1048576], got 0")),
     # the flags of a built construction were once ignored next to --covers
     *[(["box-dim", "--covers", "0.5,0.5;0.25,0.25,0.25", flag, value],
@@ -1081,9 +1165,9 @@ TOTALITY = [
     (["hwx-dim", "--ell", "-2", "--phi", "n*log(n)", "--window", "100,1200"],
      2, "ValueError: ell must be >= 1, got -2"),
     # the first digit, 10^4300, has more digits than str() of an int prints
-    *[(["cf-expand", "--real", real, "--max-len", "2", *fmt], 2,
-       f"ValueError: rational {real!r} needs more than 4300 decimal digits")
-      for real in ("1e-4300", "0.1e-4299") for fmt in ((), ("--format", "json"))],
+    *[(["cf-expand", "--rational", text, "--max-len", "2", *fmt], 2,
+       f"ValueError: rational {text!r} needs more than 4300 decimal digits")
+      for text in ("1e-4300", "0.1e-4299") for fmt in ((), ("--format", "json"))],
 ]
 def _non_finite_values(out: str) -> list[str]:
     """Every CSV cell, `key=value` value and list entry of a CSV output
@@ -1308,9 +1392,8 @@ FUZZ_ARGV = st.one_of(
            grid=st.lists(st.floats(3, 1e4), min_size=1, max_size=3).map(tuple),
            cutoff=_CUTOFF, format=_FORMAT),
     _flags("cf-expand", rational=st.tuples(st.integers(-5, 10**6), st.integers(-5, 10**6))
-           .map(lambda f: f"{f[0]}/{f[1]}"), max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
-    _flags("cf-expand", real=st.floats(-1, 2).map(repr), bits=_opt(st.integers(0, 256)),
-           max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
+           .map(lambda f: f"{f[0]}/{f[1]}") | st.floats(-1, 2).map(repr),
+           bits=_opt(st.integers(0, 256)), max_len=_opt(st.integers(-1, 64)), format=_FORMAT),
     _flags("interval-measure", ell=_ELL, threshold=_REAL, cutoff=_MEASURE_CUTOFF,
            format=_FORMAT),
     _flags("pressure-dim", ell=_ELL, B=_B, M=st.integers(0, 8),

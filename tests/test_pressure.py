@@ -243,6 +243,20 @@ def test_enumeration_guard():
     assert math.isfinite(partition_sum(prob, 0.6, method="auto"))
 
 
+@pytest.mark.parametrize("M,n,Bs", [(2, 15, (1.02, 1.1)), (3, 10, (1.05, 1.3)),
+                                    (6, 6, (1.5, 3.0)), (20, 4, (2.0, 10.0))])
+def test_auto_collocates_above_its_cap_with_the_enumerated_roots(M, n, Bs):
+    # above the cap "auto" collocates, and up to 2*10^5 words enumeration is
+    # still cheap enough to check it: the roots, all inside (S_FLOOR,
+    # S_CEIL), are the same doubles
+    assert pressure._AUTO_ENUMERATION_CAP < M**n <= 200_000
+    for B in Bs:
+        problem = PressureProblem(ell=1, B=B, M=M, n=n)
+        t = dimensional_number(problem)
+        assert pressure.S_FLOOR < t < pressure.S_CEIL
+        assert t == dimensional_number(problem, method="enumerate"), B
+
+
 def test_partition_sum_validation():
     prob = PressureProblem(ell=1, B=2.0, M=3, n=2)
     with pytest.raises(ValueError):
