@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -761,14 +762,27 @@ def _run(args: argparse.Namespace) -> Iterator[str]:
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a spin-waiting worker per extra core when it
+    # loads, and BLAS here only multiplies 61 x 61 matrices: one thread,
+    # unless the caller set a count (an empty value still means one per
+    # core).  A process that already loaded numpy keeps its pool.
+    if "numpy" not in sys.modules and not os.environ.get("OPENBLAS_NUM_THREADS"):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
     try:
         # _emit checks every value before its first chunk: a refusal prints nothing
         for chunk in _run(args):
             sys.stdout.write(chunk)
+        sys.stdout.flush()
     except (GuardError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, GuardError) else 2
+    except BrokenPipeError:
+        # the reader left: what stdout still buffers goes to os.devnull, so
+        # the flush at exit cannot fail again; the exit code is that of a
+        # writer killed by SIGPIPE (13), as a shell reports it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
     return 0
 
 

@@ -444,15 +444,17 @@ def _window_hits(digits: np.ndarray, exact: dict[int, list[int]], thresholds: li
     multiply to at least thresholds[j].
 
     The product test comes first, as in a scalar loop over (row, n).  Float
-    products decide every block they are sure of: the ell - 1 roundings of
-    a product of ell <= DRAW_CAP < 2^24 exact factors leave it within 2^-28
-    of the exact one, so only products within 2^-20 of the threshold, or
-    NaN, are tested again in integers; an infinite product exceeds any
-    threshold whose band is finite.  The sieve table is read for every
-    digit in it, since a read cannot fail; blocks that pass with a digit
-    past the sieve go to `is_prime_trial` one at a time, in (row, n) order,
-    so an out-of-range digit raises where the scalar loop would, and only
-    if it would.
+    products decide every block they are sure of.  One below 2^53 is
+    exact: the partial products of digits >= 1 never decrease, and
+    rounding is monotone, so the first rounding would leave one >= 2^53.
+    Past it, the ell - 1 roundings of a product of ell <= DRAW_CAP < 2^24
+    exact factors leave it within 2^-28 of the exact one, so only products
+    within 2^-20 of the threshold, or NaN, are tested again in integers;
+    an infinite product exceeds any threshold whose band is finite.  The
+    sieve table is read for every digit in it, since a read cannot fail;
+    blocks that pass with a digit past the sieve go to `is_prime_trial` one
+    at a time, in (row, n) order, so an out-of-range digit raises where the
+    scalar loop would, and only if it would.
     """
     start, width = n1 - 1, len(thresholds)
     thr = np.array(thresholds)
@@ -460,9 +462,10 @@ def _window_hits(digits: np.ndarray, exact: dict[int, list[int]], thresholds: li
         prod = digits[:, start:start + width].copy()
         for k in range(1, ell):
             prod *= digits[:, start + k:start + k + width]
+        exact_prod = prod < 2.0**53
         upper = thr * (1 + 2.0**-20)
-        passed = (prod >= upper) & np.isfinite(upper)
-        unsure = ~passed & ~(prod < thr * (1 - 2.0**-20))
+        passed = np.where(exact_prod, prod >= thr, (prod >= upper) & np.isfinite(upper))
+        unsure = ~exact_prod & ~passed & ~(prod < thr * (1 - 2.0**-20))
 
     def block(i: int, j: int) -> Iterator[int]:
         row = exact.get(i)

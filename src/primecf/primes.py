@@ -18,7 +18,7 @@ from .errors import OutOfRangeError
 _SEGMENT = 1 << 22
 # The largest sieve limit: the table takes one byte per integer, so 1 GB.
 SIEVE_CAP = 10**9
-# The largest Omega table: 9 bytes per integer (see omega_table), so 0.9 GB.
+# The largest Omega table: 5 bytes per integer (see omega_table), so 0.5 GB.
 OMEGA_CAP = 10**8
 
 
@@ -44,7 +44,7 @@ class PrimeSieve:
     def primes(self) -> np.ndarray:
         """Ascending int64 array of all primes <= limit (cached lazily)."""
         if self._prime_array is None:
-            arr = np.flatnonzero(self._table).astype(np.int64)
+            arr = np.flatnonzero(self._table).astype(np.int64, copy=False)
             arr.setflags(write=False)
             self._prime_array = arr
         return self._prime_array
@@ -112,8 +112,9 @@ def omega_table(bound: int, sv: PrimeSieve) -> np.ndarray:
 
     Requires sqrt(bound) <= sieve limit: after removing all prime-power
     divisors up to sqrt(bound), the remainder of k is 1 or a single prime.
-    The table and its int64 remainders take 9 bytes per integer, so bound
-    is held to OMEGA_CAP, checked before anything is allocated.
+    The table and its remainders take 5 bytes per integer (int32 is exact,
+    since OMEGA_CAP < 2^31), so bound is held to OMEGA_CAP, checked before
+    anything is allocated.
     """
     if bound > OMEGA_CAP:
         raise OutOfRangeError(f"omega_table bound {bound} exceeds OMEGA_CAP = {OMEGA_CAP}")
@@ -121,7 +122,7 @@ def omega_table(bound: int, sv: PrimeSieve) -> np.ndarray:
     if root > sv.limit:
         raise OutOfRangeError(f"omega_table({bound}) needs primes to {root} > {sv.limit}")
     omega = np.zeros(bound + 1, dtype=np.int8)
-    rem = np.arange(bound + 1, dtype=np.int64)
+    rem = np.arange(bound + 1, dtype=np.int32)
     for p in primes_in(2, root, sv):
         p = int(p)
         pe = p
@@ -160,4 +161,4 @@ def almost_primes(ell: int, mode: str, bound: int, sv: PrimeSieve) -> np.ndarray
     else:
         hits = (omega >= 1) & (omega <= ell)
     hits[:2] = False
-    return np.flatnonzero(hits).astype(np.int64)
+    return np.flatnonzero(hits).astype(np.int64, copy=False)

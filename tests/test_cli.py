@@ -241,11 +241,13 @@ def test_output_digests_cover_the_corpus():
 # Environment settings under which numpy, OpenBLAS and glibc's libm take the
 # code paths of another CPU: OpenBLAS's Sandybridge kernels, numpy's loops
 # without AVX-512 or AVX2 (its X86_V2 baseline), and libm without its AVX2
-# and FMA variants (of pow and exp, among others).  They act only on the child.
+# and FMA variants (of pow and exp, among others); and OpenBLAS on two
+# threads, where `main` would otherwise ask for one.  They act only on the child.
 LIBM_MASK = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}
 OTHER_DISPATCH = [{"OPENBLAS_CORETYPE": "Sandybridge"},
                   {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
-                  LIBM_MASK]
+                  LIBM_MASK,
+                  {"OPENBLAS_NUM_THREADS": "2"}]
 # 616 ** -1.2 as glibc 2.36's pow computes it without FMA; with FMA it is
 # 0x1.d716cf7826f85p-12
 LIBM_CANARY = "0x1.d716cf7826f84p-12"
@@ -253,9 +255,10 @@ LIBM_CANARY = "0x1.d716cf7826f84p-12"
 
 def test_output_digests_hold_under_other_cpu_dispatch():
     # every argv of the corpus prints the stored bytes whichever BLAS kernel,
-    # numpy SIMD loop or libm variant the CPU selects: no printed digit comes
-    # from LAPACK, BLAS or a dispatched transcendental loop, and none from a
-    # libm result that an FMA variant rounds otherwise
+    # numpy SIMD loop or libm variant the CPU selects, and on any number of
+    # BLAS threads: no printed digit comes from LAPACK, BLAS or a dispatched
+    # transcendental loop, and none from a libm result that an FMA variant
+    # rounds otherwise
     script = Path(output_digests.__file__)
     src = str(script.parents[1] / "src")
     for setting in OTHER_DISPATCH:
@@ -549,6 +552,9 @@ def test_eb_tree_is_written_in_bounded_chunks_within_a_memory_bound(monkeypatch)
         def write(self, text):
             self.sizes.append(len(text))
 
+        def flush(self):
+            pass
+
     stdout = Stdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     tracemalloc.start()
@@ -560,6 +566,23 @@ def test_eb_tree_is_written_in_bounded_chunks_within_a_memory_bound(monkeypatch)
     assert peak < 20 * 2**20
     assert sum(stdout.sizes) == 4_438_670
     assert len(stdout.sizes) > 1 and max(stdout.sizes) < 2**20
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # the ell = 3 tree is 4.4 MB of CSV, far more than a pipe holds: the
+    # reader takes one line and closes, and the next write meets a broken pipe
+    src = str(Path(cli.__file__).parents[1])
+    code = "import sys; from primecf.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen([sys.executable, "-c", code, *EB3_PIN_ARGV],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141  # 128 + SIGPIPE, as a shell reports a writer SIGPIPE ends
+    assert first.startswith(b"# eb-build B=4.0 ell=3 ")
+    assert err == b""
 
 
 @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308,

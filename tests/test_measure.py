@@ -1,11 +1,7 @@
 import math
-import os
-import subprocess
-import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +24,6 @@ from primecf.measure import (
     run_zero_one_experiment,
 )
 from primecf.primes import PrimeSieve, is_prime_trial, primes_in
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- independent oracles ----------------------------------------------------
@@ -231,18 +225,7 @@ def test_reciprocals_bracket_inexact_denominators():
         assert Fraction(b) <= Fraction(1, k) <= Fraction(a), k
 
 
-def cli_peak_rss_mb(*argv: str) -> float:
-    """Peak RSS of one fresh primecf CLI process, its own, from os.wait4."""
-    code = "import sys; from primecf.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL,
-                            env={**os.environ, "PYTHONPATH": str(SRC)})
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    return usage.ru_maxrss / 1024
-
-
-def test_single_digit_terms_are_streamed_to_fsum():
+def test_single_digit_terms_are_streamed_to_fsum(cli_peak_rss_mb):
     # 664,578 primes from 3 to 10^7: as two whole lists of Python floats the
     # terms took about 75 MB over the small run; streamed in chunks, 27 MB
     argv = ("interval-measure", "--ell", "1", "--threshold", "3", "--cutoff")
@@ -535,6 +518,13 @@ def test_experiment_refines_an_undecided_word(monkeypatch, capsys):
     assert summary.endswith(" refinements=1 max_bits_used=128")
 
 
+def sample_products(seed: int, ell: int, count: int) -> list[int]:
+    """The exact products of sample 0's first `count` blocks of ell digits."""
+    depth = count + ell - 1
+    digits = _sample_digits(stream(seed, 0, depth), depth)[0]
+    return [math.prod(digits[k:k + ell]) for k in range(count)]
+
+
 ORACLE_CASES = [
     # (samples, window, ell, seed, phi, sieve limit)
     (150, (1, 30), 2, 1, lambda n: 6.0, 10**6),  # 2 * 3 attains it
@@ -548,6 +538,9 @@ ORACLE_CASES = [
     (60, (1, 40), 1, 5, lambda n: 2.0, 1000),  # digits past 1000 by trial division
     (200, (10, 60), 2, 6, lambda n: n * math.log(n) ** 2, 10**6),
     (30, (1, 30), 1, 7, lambda n: 3.0, 10**6),
+    # sample 0's own products, of 79 bits and more, rounded: its float
+    # products fall on the wrong side of 11 of these thresholds
+    (60, (1, 30), 64, 2, lambda n: float(sample_products(2, 64, 30)[n - 1]), 10**6),
 ]
 
 
@@ -572,6 +565,17 @@ def test_experiment_equals_scalar_loop(case, monkeypatch):
     monkeypatch.setattr(measure, "MARGIN", 1.0)
     assert resampled(seed, samples, depth) == samples
     assert run_zero_one_experiment(cfg, sv) == want
+
+
+def test_window_hits_decides_products_past_2_53_in_integers():
+    # p q lies between two doubles above 2^53, and its float product rounds
+    # up onto the threshold p q + 1: only the integer test sees it fall short
+    p, q, r = 94906297, 94906319, 94906373
+    threshold = float(p * q + 1)
+    assert p * q > 2**53 and float(p) * float(q) == threshold
+    digits = np.array([[p, q], [p, r]], dtype=np.float64)
+    hit = measure._window_hits(digits, {}, [threshold], 1, 2, PrimeSieve(10**4))
+    assert hit.tolist() == [[False], [True]]
 
 
 def test_sampled_digits_follow_the_gauss_kuzmin_law_at_depth():

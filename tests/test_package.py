@@ -77,26 +77,32 @@ def report(**extra):
 """
 
 
-def fresh(code: str) -> dict:
-    """The report of `code`, run after PROBE in a fresh interpreter."""
+def fresh(code: str, **env: str | None) -> dict:
+    """The report of `code`, run after PROBE in a fresh interpreter, with the
+    environment variables `env` set (or, given None, unset)."""
+    environ = {**os.environ, "PYTHONPATH": str(SRC), **env}
     done = subprocess.run(
         [sys.executable, "-c", PROBE.format(package=str(SRC / "primecf")) + code],
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-        timeout=120)
+        env={k: v for k, v in environ.items() if v is not None}, capture_output=True,
+        text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def run_main(argv: list[str]) -> dict:
+def run_main(argv: list[str], **env: str | None) -> dict:
     """The report after `primecf.cli.main(argv)` in a fresh interpreter, with
-    the command's exit code; its output is discarded."""
+    the command's exit code, OPENBLAS_NUM_THREADS as main left it and the
+    process's thread count (None without /proc/self/task); its output is
+    discarded."""
     return fresh(f"""
-import contextlib, io
+import contextlib, io, os
 from primecf.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     rc = main({argv!r})
-report(rc=rc)
-""")
+task = "/proc/self/task"
+report(rc=rc, blas=os.environ.get("OPENBLAS_NUM_THREADS"),
+       threads=len(os.listdir(task)) if os.path.isdir(task) else None)
+""", **env)
 
 
 # ---------------------------------------------------------------------------
@@ -190,3 +196,38 @@ def test_commands_that_need_mpmath_load_it_and_run(argv):
     got = run_main(argv)
     assert got["rc"] == 0
     assert got["mpmath"] is True
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+PRESSURE_DIM = ["pressure-dim", "--ell", "1", "--B", "2", "--M", "20", "--n", "8"]
+
+
+@pytest.mark.parametrize("caller", [None, ""], ids=["unset", "empty"])
+def test_a_command_runs_blas_on_one_thread(caller):
+    # an empty value, like none, would start an OpenBLAS thread per core
+    got = run_main(PRESSURE_DIM, OPENBLAS_NUM_THREADS=caller)
+    assert got["rc"] == 0
+    assert got["numpy"] is True
+    assert got["blas"] == "1"
+    if got["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert got["threads"] == 1
+
+
+def test_a_callers_blas_thread_count_is_kept():
+    got = run_main(PRESSURE_DIM, OPENBLAS_NUM_THREADS="2")
+    assert got["rc"] == 0
+    assert got["blas"] == "2"
+
+
+def test_main_after_numpy_loads_leaves_the_environment(monkeypatch, capsys):
+    # numpy's thread pool already runs in this process, as set by its caller
+    from primecf import cli
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert "numpy" in sys.modules
+    before = dict(os.environ)
+    assert cli.main(PRESSURE_DIM) == 0
+    assert dict(os.environ) == before

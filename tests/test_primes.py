@@ -176,6 +176,15 @@ def test_omega_table_needs_root_in_sieve():
         omega_table(1000, sv)
 
 
+def test_omega_table_and_almost_primes_hold_no_int64_copy(cli_peak_rss_mb):
+    # to 10^7: an Omega table of 5 bytes per integer (int32 remainders) and
+    # 2.1 million 3-almost primes left in flatnonzero's array take 67 MB
+    # over the small run; int64 remainders and a second copy took 105 MB
+    argv = ("pzeta-tail", "--ell", "3", "--s", "2", "--M", "100", "--cutoff")
+    grown = cli_peak_rss_mb(*argv, "10000000") - cli_peak_rss_mb(*argv, "1000")
+    assert grown < 85
+
+
 def test_almost_primes_examples(sieve_small):
     got = almost_primes(2, "exactly", 25, sieve_small)
     assert list(got) == [4, 6, 9, 10, 14, 15, 21, 22, 25]
