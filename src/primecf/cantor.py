@@ -20,6 +20,7 @@ generated where they print.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -72,8 +73,8 @@ class CantorLevel:
     log_m bounds the child count from below, log_eps the gap between
     same-level intervals; the count bound is only backed by the explicit
     prime-count inequality once c^(b^k) >= 55 (rosser_ok).  When the
-    prime window fits inside the sieve, its integer ends and its true
-    prime count ride along.
+    prime window fits inside the sieve, its integer ends, its true prime
+    count and its least prime ride along.
     """
 
     k: int
@@ -82,6 +83,7 @@ class CantorLevel:
     rosser_ok: bool
     block: tuple[int, int] | None = None
     true_count: int | None = None
+    least_prime: int | None = None
 
 
 def luczak_levels(params: LuczakParams, k_max: int,
@@ -108,14 +110,17 @@ def luczak_levels(params: LuczakParams, k_max: int,
         logx = b ** k * logc
         log_m = logx - math.log(2.0 * logx)
         rosser_ok = logx >= math.log(ROSSER_FLOOR)
-        block = None
-        true_count = None
-        if sv is not None and logx <= math.log(sv.limit / 3.0):
+        block = true_count = least_prime = None
+        # past log limit, c^(b^k) may overflow, and its block passes the table
+        if sv is not None and logx <= math.log(sv.limit):
             x = c ** (b ** k)
-            block = (math.ceil(x), math.floor(3.0 * x))
-            true_count = int(primes_in(x, 3.0 * x, sv).size)
+            with contextlib.suppress(OutOfRangeError):  # the block passes the table
+                ps = primes_in(x, 3.0 * x, sv)
+                # [x, 3x] holds a prime for every x > 1 (Bertrand's postulate)
+                block = (math.ceil(x), math.floor(3.0 * x))
+                true_count, least_prime = int(ps.size), int(ps[0])
         levels.append(CantorLevel(k=k, log_m=log_m, log_eps=log_eps, rosser_ok=rosser_ok,
-                                  block=block, true_count=true_count))
+                                  block=block, true_count=true_count, least_prime=least_prime))
     return levels
 
 
@@ -125,18 +130,18 @@ class FalconerRatio:
     ratio: float
 
 
-def falconer_lower_bound(params: LuczakParams, k_max: int) -> list[FalconerRatio]:
-    """ratio_k = log(m_1 ... m_{k-1}) / (-log(m_k eps_k)) for k = 2..k_max.
+def falconer_lower_bound(levels: Sequence[CantorLevel]) -> list[FalconerRatio]:
+    """ratio_k = log(m_1 ... m_{k-1}) / (-log(m_k eps_k)) for k = 2..k_max,
+    over the levels 1..k_max that `luczak_levels` returned.
 
     The nested-interval dimension bound; the sequence drifts toward
     1/(b+1) as the doubly exponential terms swamp the polynomial ones.
     """
-    if k_max < 3:
-        raise ValueError(f"k_max must be >= 3, got {k_max}")
-    levels = luczak_levels(params, k_max)
+    if len(levels) < 2:
+        raise ValueError(f"need at least 2 levels, got {len(levels)}")
     ratios = []
     acc = 0.0
-    for k in range(2, k_max + 1):
+    for k in range(2, len(levels) + 1):
         acc += levels[k - 2].log_m
         denom = -(levels[k - 1].log_m + levels[k - 1].log_eps)
         ratios.append(FalconerRatio(k=k, ratio=acc / denom))
@@ -238,8 +243,6 @@ def prime_block_constant(gamma: float, n: int, sv: PrimeSieve) -> float:
     if not gamma > 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     lo = gamma ** n
-    if 2 * lo > sv.limit:
-        raise OutOfRangeError(f"window [{lo:.4g}, {2 * lo:.4g}] beyond sieve limit {sv.limit}")
     count = primes_in(lo, 2 * lo, sv).size
     if count == 0:
         return math.inf
@@ -301,12 +304,13 @@ class EBParams:
 
 def _prime_block(params: EBParams, i: int, j: int, sv: PrimeSieve) -> tuple[int, ...]:
     lo, hi = params.block_window(i, j)
-    if hi > sv.limit:
+    try:
+        ps = primes_in(lo, hi, sv)
+    except OutOfRangeError:
         raise ConstructionInfeasibleError(
             f"prime window [{lo:.4g}, {hi:.4g}] for slot (i={i}, j={j}) "
             f"is beyond the sieve limit {sv.limit}"
-        )
-    ps = primes_in(lo, hi, sv)
+        ) from None
     if ps.size == 0:
         raise ConstructionInfeasibleError(
             f"no primes in window [{lo:.4g}, {hi:.4g}] for slot (i={i}, j={j})"

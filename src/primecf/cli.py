@@ -445,7 +445,7 @@ def cmd_bb_series(args) -> Output:
 def cmd_luczak_dim(args) -> Output:
     params = cantor.LuczakParams(b=float(args.b), c=float(args.c))
     levels = cantor.luczak_levels(params, args.kmax, primes.PrimeSieve(args.sieve))
-    ratios = {r.k: r.ratio for r in cantor.falconer_lower_bound(params, args.kmax)}
+    ratios = {r.k: r.ratio for r in cantor.falconer_lower_bound(levels)}
     limit = cantor.falconer_limit(Fraction(args.b))
     rows = [{"k": lv.k, "log_m": lv.log_m, "log_eps": lv.log_eps, "rosser_ok": lv.rosser_ok,
              "block_lo": "" if lv.block is None else lv.block[0],
@@ -507,7 +507,7 @@ def cmd_box_dim(args) -> Output:
                 raise OutOfRangeError(
                     f"level {lv.k} lies beyond the sieve; lower --kmax or raise --sieve")
             count *= lv.true_count
-            q, q_prev = int(primes.primes_in(*lv.block, sv)[0]) * q + q_prev, q
+            q, q_prev = lv.least_prime * q + q_prev, q
             largest = 1 / (q * (q + q_prev))
             if largest == 0.0:
                 raise OutOfRangeError(f"level {lv.k}: largest cylinder underflows; lower --kmax")

@@ -79,11 +79,8 @@ def _ceil_ratio(num: int, den: int) -> float:
 
 @dataclass(frozen=True)
 class LevelSetMeasure:
-    phi_value: float
-    ell: int
     exact_lower: float
     exact_upper: float
-    cutoff: int
     terms: int
 
     @property
@@ -219,8 +216,8 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
                          " use the Monte Carlo experiment for deeper products")
     if not 2 <= threshold < math.inf:
         raise OutOfRangeError(f"threshold must be finite and >= 2, got {threshold}")
-    if cutoff < 2 or cutoff > sv.limit:
-        raise OutOfRangeError(f"cutoff {cutoff} outside sieve range [2, {sv.limit}]")
+    if cutoff < 2:
+        raise OutOfRangeError(f"cutoff must be >= 2, got {cutoff}")
 
     if ell == 1:
         # primes are at most SIEVE_CAP, so p(p+1) is exact in int64
@@ -247,11 +244,8 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         tail = _ceil_ratio(2 * (num * cutoff + den), den * cutoff * cutoff)
 
     return LevelSetMeasure(
-        phi_value=float(threshold),
-        ell=ell,
         exact_lower=max(_down(math.fsum(lows)), 0.0),
         exact_upper=_up(_up(math.fsum(highs)) + tail),
-        cutoff=cutoff,
         terms=terms,
     )
 
@@ -553,8 +547,8 @@ def borel_bernstein_table(phi: Callable[[int], float], ell: int, prime_mode: boo
     from mpmath import mp, mpf  # imported here: no other measure route needs it
 
     n1, n2 = window
-    if n2 < n1:
-        raise ValueError(f"empty window {window}")
+    if not 1 <= n1 <= n2:
+        raise ValueError(f"window must satisfy 1 <= n1 <= n2, got {window}")
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if prime_mode:

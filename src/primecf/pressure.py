@@ -313,7 +313,6 @@ class GrowthExponents:
 
     logB: float
     logb: float
-    window: tuple[int, int]
     skipped: tuple[int, ...] = ()
 
 
@@ -349,7 +348,6 @@ def classify_growth(phi: Callable[[int], float], window: tuple[int, int]) -> Gro
     return GrowthExponents(
         logB=max(min(ratios_B), 0.0),
         logb=max(min(ratios_b), 0.0),
-        window=(n1, n2),
         skipped=tuple(skipped),
     )
 

@@ -76,8 +76,12 @@ def _build_table(limit: int) -> np.ndarray:
 
 
 def primes_in(lo: float, hi: float, sv: PrimeSieve) -> np.ndarray:
-    """Ascending array of primes p with lo <= p <= hi."""
-    if hi > sv.limit:
+    """Ascending array of primes p with lo <= p <= hi.
+
+    The one test of whether a window fits the table: its integer end
+    floor(hi) must not pass the limit, so an infinite hi is refused too.
+    """
+    if hi >= sv.limit + 1:
         raise OutOfRangeError(f"primes_in upper end {hi} exceeds sieve limit {sv.limit}")
     if hi < lo:
         return sv.primes[:0]
@@ -144,16 +148,8 @@ def almost_primes(ell: int, mode: str, bound: int, sv: PrimeSieve) -> np.ndarray
         raise ValueError(f"ell must be >= 1, got {ell}")
     if mode not in ("exactly", "at-most"):
         raise ValueError(f"mode must be 'exactly' or 'at-most', got {mode!r}")
-    if bound > sv.limit * sv.limit:
-        raise OutOfRangeError(
-            f"bound {bound} exceeds certified range limit^2 = {sv.limit ** 2}"
-        )
     if ell == 1:
         # Omega(k) = 1 means k prime; both modes coincide.
-        if bound > sv.limit:
-            raise OutOfRangeError(
-                f"prime enumeration to {bound} exceeds sieve limit {sv.limit}"
-            )
         return primes_in(2, bound, sv)
     omega = omega_table(bound, sv)
     if mode == "exactly":

@@ -13,14 +13,16 @@ digests, and the README examples are recomputed by
     python tests/output_digests.py            # print the argvs that changed
     python tests/output_digests.py --write    # and rewrite the file
 
-Without --write the script exits 1 when a digest changed.  The digests must
-not depend on the CPU: `test_output_digests_hold_under_other_cpu_dispatch`
-runs the script as these two commands, from the repository root, and each
-must exit 0:
+Each changed argv prints on one line with what moved: `stdout`, `stderr`
+and `exit` as they differ, or `new` or `gone`.  Nothing prints when nothing
+changed.  Without --write the script exits 1 when a digest changed.  The
+digests must not depend on the CPU: `test_output_digests_hold_under_other_cpu_dispatch`
+runs the script, from the repository root, under each environment setting
+of `OTHER_DISPATCH` in `tests/test_cli.py` (other OpenBLAS kernels, numpy
+loops and libm variants, and two BLAS threads), and each run must exit 0
+with no output, as in
 
     OPENBLAS_CORETYPE=Sandybridge python tests/output_digests.py
-    NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3" \
-        python tests/output_digests.py
 """
 from __future__ import annotations
 
@@ -89,16 +91,24 @@ def stored() -> dict[str, dict]:
     return json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
 
 
-def changed(new: dict[str, dict], old: dict[str, dict]) -> list[str]:
-    """The argvs whose digests differ, are new, or are gone, in file order."""
-    return [line for line in {**old, **new} if new.get(line) != old.get(line)]
+def changed(new: dict[str, dict], old: dict[str, dict]) -> list[tuple[str, str]]:
+    """The argvs whose digests differ, are new, or are gone, in file order,
+    each with what moved: its differing fields, comma-separated, or "new"
+    or "gone"."""
+    moved = []
+    for line in {**old, **new}:
+        a, b = old.get(line), new.get(line)
+        if a != b:
+            moved.append((line, "new" if a is None else "gone" if b is None
+                          else ",".join(key for key in b if a.get(key) != b[key])))
+    return moved
 
 
 def main(args: list[str]) -> int:
     new = compute(corpus())
     lines = changed(new, stored())
-    for line in lines:
-        print(line)
+    for line, what in lines:
+        print(line, what, sep="  ")
     if "--write" in args:
         DIGESTS.write_text(json.dumps(new, indent=2) + "\n")
         return 0

@@ -148,7 +148,7 @@ def test_criterion_08_nested_prime_interval_dimension(sieve_mid):
         checked_counts = 0
         for b, c in ((2.0, 2.0), (3.0, 2.0), (2.0, 1.5)):
             params = LuczakParams(b=b, c=c)
-            ratios = falconer_lower_bound(params, 20)
+            ratios = falconer_lower_bound(luczak_levels(params, 20))
             assert abs(ratios[-1].ratio - float(falconer_limit(b))) < 0.01
             for level in luczak_levels(params, 3, sieve_mid):
                 if level.true_count is not None:

@@ -127,8 +127,8 @@ def test_level_validation():
 
 def test_falconer_ratios_recompute():
     params = LuczakParams(b=2.0, c=2.0)
-    ratios = falconer_lower_bound(params, 8)
     levels = luczak_levels(params, 8)
+    ratios = falconer_lower_bound(levels)
     assert [r.k for r in ratios] == list(range(2, 9))
     acc = 0.0
     for r in ratios:
@@ -139,7 +139,8 @@ def test_falconer_ratios_recompute():
 
 @pytest.mark.parametrize("b,c", [(2.0, 2.0), (3.0, 2.0), (2.0, 1.5)])
 def test_falconer_ratio_converges(b, c):
-    ratios = {r.k: r.ratio for r in falconer_lower_bound(LuczakParams(b=b, c=c), 20)}
+    levels = luczak_levels(LuczakParams(b=b, c=c), 20)
+    ratios = {r.k: r.ratio for r in falconer_lower_bound(levels)}
     limit = float(falconer_limit(Fraction(b).limit_denominator(10)))
     assert abs(ratios[20] - limit) < 0.01
     assert abs(ratios[20] - limit) < abs(ratios[5] - limit)
@@ -156,8 +157,10 @@ def test_falconer_limit_exact():
 
 
 def test_falconer_validation():
+    levels = luczak_levels(LuczakParams(b=2.0, c=2.0), 2)
     with pytest.raises(ValueError):
-        falconer_lower_bound(LuczakParams(b=2.0, c=2.0), 2)
+        falconer_lower_bound(levels[:1])
+    assert [r.k for r in falconer_lower_bound(levels)] == [2]
 
 
 # -- box dimension ---------------------------------------------------------------

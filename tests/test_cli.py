@@ -837,6 +837,35 @@ def test_luczak_dim_sieved_blocks(capsys):
     assert rows[2]["true_count"] == "81"
 
 
+def test_luczak_dim_blocks_at_the_table_edge(capsys):
+    # floor(3 x) = 3 at k = 1 and 2 (x = 1.1^1.5, 1.1^2.25), so [2, 3] fits a
+    # table to 3; at k = 3, 3 x = 4.14 passes it
+    code, out, _ = run_cli(capsys, ["luczak-dim", "--b", "1.5", "--c", "1.1",
+                                    "--kmax", "3", "--sieve", "3"])
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [(r["block_lo"], r["block_hi"], r["true_count"]) for r in rows] == [
+        ("2", "3", "2"), ("2", "3", "2"), ("", "", "")]
+
+
+@pytest.mark.parametrize("argv", [["luczak-dim", "--b", "2", "--c", "2", "--kmax", "4"],
+                                  ["box-dim", "--b", "2", "--c", "2", "--kmax", "4"]])
+def test_luczak_commands_read_each_block_once(monkeypatch, capsys, argv):
+    # one walk of the levels, and every prime read inside it
+    calls = []
+    walk = cantor.luczak_levels
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(cantor, "luczak_levels", counted)
+    monkeypatch.setattr(primes, "primes_in", lambda *a: pytest.fail("cli read a window"))
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_eb_build_output(capsys):
     code, out, _ = run_cli(capsys, ["eb-build", "--B", "4", "--ell", "2",
                                     "--s", "0.53", "--delta", "0.01",
@@ -1066,6 +1095,15 @@ TOTALITY = [
      2, "ValueError:"),
     (["hwx-dim", "--ell", "1", "--phi", "n+2", "--window", "0,30"],
      2, "ValueError: window must satisfy 1 <= n1 <= n2"),
+    # bb-series once printed rows for n <= 0
+    *[(["bb-series", "--ell", "1", "--phi", *more],
+       2, "ValueError: window must satisfy 1 <= n1 <= n2")
+      for more in (["n*n", "--window=-2,2"], ["n+1", "--window", "0,2"])],
+    # luczak-dim once refused --kmax 2, and blanked levels whose block [2, 3]
+    # fits a table to 3, where box-dim exited 3
+    (["luczak-dim", "--b", "2", "--c", "2", "--kmax", "2"], 0, None),
+    (["luczak-dim", "--b", "1.5", "--c", "1.1", "--kmax", "3", "--sieve", "3"], 0, None),
+    (["box-dim", "--b", "1.5", "--c", "1.1", "--kmax", "2", "--sieve", "3"], 0, None),
     *[(["eb-build", "--B", B, "--ell", "2", "--s", "0.53", "--delta", "0.01"],
        2, "ValueError: B must be finite and exceed 1") for B in ("-1", "0")],
     *[(["pzeta-asymptotic", "--ell", "400", "--s", "2", "--grid", "3", "--cutoff", "10",

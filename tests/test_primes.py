@@ -109,6 +109,15 @@ def test_primes_in_examples(sieve_small):
         primes_in(2, 100_001, sieve_small)
 
 
+def test_primes_in_reads_the_integer_end():
+    # a window fits when floor(hi) does: [1, 3.46] holds 2 and 3 of a table to 3
+    sv = PrimeSieve(3)
+    assert list(primes_in(1, 3.46, sv)) == [2, 3]
+    for hi in (4.0, math.inf):
+        with pytest.raises(OutOfRangeError):
+            primes_in(1, hi, sv)
+
+
 def test_primes_in_window_count_constant(sieve_mid):
     # window [gamma^n, 2 gamma^n] holds about gamma^n/(n log gamma) primes
     gamma, n = 1.5, 30
@@ -213,8 +222,11 @@ def test_almost_primes_modes_coincide_for_primes(sieve_small):
 
 def test_almost_primes_certified_range():
     sv = PrimeSieve(100)
+    # the Omega table reads primes to the root, so the range ends below 101^2
     with pytest.raises(OutOfRangeError):
-        almost_primes(2, "at-most", 100 * 100 + 1, sv)
+        almost_primes(2, "at-most", 101 * 101, sv)
+    got = [int(k) for k in almost_primes(2, "at-most", 101 * 101 - 1, sv) if k > 100 * 100]
+    assert got == [k for k in range(100 * 100 + 1, 101 * 101) if 1 <= oracle_omega(k) <= 2]
     with pytest.raises(OutOfRangeError):
         almost_primes(1, "at-most", 101, sv)
 
