@@ -238,15 +238,15 @@ def prime_block_constant(gamma: float, n: int, sv: PrimeSieve) -> float:
     """c_n with #(P in [gamma^n, 2 gamma^n]) = gamma^n / (c_n * n * log gamma).
 
     Tends to 1; the constructions want it below 2 (enough primes in every
-    window).  Infinite when the window holds no prime at all.
+    window).  With gamma > 1 and n >= 1 the window starts past 1, so by
+    Bertrand's postulate it holds a prime and the count is never 0.
     """
     if not gamma > 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     lo = gamma ** n
-    count = primes_in(lo, 2 * lo, sv).size
-    if count == 0:
-        return math.inf
-    return lo / (count * n * math.log(gamma))
+    return lo / (primes_in(lo, 2 * lo, sv).size * n * math.log(gamma))
 
 
 @dataclass(frozen=True)
@@ -303,6 +303,7 @@ class EBParams:
 
 
 def _prime_block(params: EBParams, i: int, j: int, sv: PrimeSieve) -> tuple[int, ...]:
+    # [x, 2x] with x = base^n > 1 holds a prime by Bertrand's postulate
     lo, hi = params.block_window(i, j)
     try:
         ps = primes_in(lo, hi, sv)
@@ -311,10 +312,6 @@ def _prime_block(params: EBParams, i: int, j: int, sv: PrimeSieve) -> tuple[int,
             f"prime window [{lo:.4g}, {hi:.4g}] for slot (i={i}, j={j}) "
             f"is beyond the sieve limit {sv.limit}"
         ) from None
-    if ps.size == 0:
-        raise ConstructionInfeasibleError(
-            f"no primes in window [{lo:.4g}, {hi:.4g}] for slot (i={i}, j={j})"
-        )
     return tuple(int(p) for p in ps)
 
 
@@ -325,8 +322,6 @@ def _first_round_constant(base: float, i: int, n: int, sv: PrimeSieve) -> float:
     except OutOfRangeError:
         raise ConstructionInfeasibleError(
             f"first-round window for slot i={i} beyond sieve") from None
-    if c == math.inf:
-        raise ConstructionInfeasibleError(f"first-round window for slot i={i} holds no prime")
     if c >= 2:
         raise ConstructionInfeasibleError(
             f"window count constant >= 2 for slot i={i} at n={n}")
@@ -360,11 +355,12 @@ def make_eb_params(B: float, ell: int, s: float, delta: float, sv: PrimeSieve,
     bases = (*alphas, last_base)
     M_range = [M] if M is not None else list(range(2, 9))
     N_range = [N] if N is not None else list(range(1, 15))
-    failure = "no candidates examined"
+    # the last candidate examined names the failure; the guard only when none was
+    failure = None
     for M_ in M_range:
         for N_ in N_range:
             if M_ ** N_ > ENUMERATION_GUARD:
-                failure = f"M^N = {M_}^{N_} exceeds the enumeration guard"
+                failure = failure or f"M^N = {M_}^{N_} exceeds the enumeration guard"
                 break
             problem = PressureProblem(ell=ell, B=B, M=M_, n=N_)
             if partition_sum(problem, s) <= 0:

@@ -494,7 +494,7 @@ def cmd_box_dim(args) -> Output:
             covers.append((len(lengths), max(lengths)))
     else:
         if args.b is None or args.c is None:
-            raise OutOfRangeError("give --covers, or --b/--c/--kmax for a built construction")
+            raise ValueError("give --covers, or --b/--c/--kmax for a built construction")
         inputs = {"kmax": 3 if args.kmax is None else args.kmax,
                   "sieve": DEFAULT_SIEVE if args.sieve is None else args.sieve}
         sv = primes.PrimeSieve(inputs["sieve"])

@@ -156,6 +156,8 @@ def expand_real(x: Fraction, precision_bits: int | None = None,
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError(f"x must lie in [0, 1), got {x}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if precision_bits is None:
         return expand_rational(x.numerator, x.denominator, max_len)
     if precision_bits < 1:

@@ -93,41 +93,29 @@ def primes_in(lo: float, hi: float, sv: PrimeSieve) -> np.ndarray:
 def is_prime_trial(n: int, sv: PrimeSieve) -> bool:
     """Primality of n by table lookup, or trial division when n > limit.
 
-    Valid for n <= limit**2: any composite in that range has a factor
-    within the sieved base.
+    Trial division reads the primes to isqrt(n) from the table, so n is
+    answered up to (limit+1)**2 - 1, past which primes_in refuses.
     """
-    if n < 2:
-        return False
     if n <= sv.limit:
-        return bool(sv.table[n])
-    root = math.isqrt(n)
-    if root > sv.limit:
-        raise OutOfRangeError(f"{n} exceeds certified range limit^2 = {sv.limit ** 2}")
-    for p in sv.primes:
-        if p > root:
-            break
-        if n % int(p) == 0:
-            return False
-    return True
+        return n >= 2 and bool(sv.table[n])
+    return all(n % int(p) for p in primes_in(2, math.isqrt(n), sv))
 
 
 def omega_table(bound: int, sv: PrimeSieve) -> np.ndarray:
     """Omega(k) (prime factors with multiplicity) for every k in [0, bound].
 
-    Requires sqrt(bound) <= sieve limit: after removing all prime-power
-    divisors up to sqrt(bound), the remainder of k is 1 or a single prime.
+    Reads the primes to isqrt(bound): after removing all prime-power
+    divisors up to there, the remainder of k is 1 or a single prime.
     The table and its remainders take 5 bytes per integer (int32 is exact,
-    since OMEGA_CAP < 2^31), so bound is held to OMEGA_CAP, checked before
-    anything is allocated.
+    since OMEGA_CAP < 2^31), so bound is held to OMEGA_CAP; both refusals
+    come before anything is allocated.
     """
     if bound > OMEGA_CAP:
         raise OutOfRangeError(f"omega_table bound {bound} exceeds OMEGA_CAP = {OMEGA_CAP}")
-    root = math.isqrt(bound)
-    if root > sv.limit:
-        raise OutOfRangeError(f"omega_table({bound}) needs primes to {root} > {sv.limit}")
+    primes = primes_in(2, math.isqrt(bound), sv)
     omega = np.zeros(bound + 1, dtype=np.int8)
     rem = np.arange(bound + 1, dtype=np.int32)
-    for p in primes_in(2, root, sv):
+    for p in primes:
         p = int(p)
         pe = p
         while pe <= bound:

@@ -279,6 +279,10 @@ def test_prime_block_constant_validation(sieve_small):
         prime_block_constant(10.0, 6, sieve_small)
     with pytest.raises(ValueError):
         prime_block_constant(1.0, 3, sieve_small)
+    # gamma^n > 1 is what keeps the window non-empty (Bertrand's postulate)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            prime_block_constant(1.5, n, sieve_small)
 
 
 # -- scheduled construction -------------------------------------------------------
@@ -351,9 +355,15 @@ def test_construction_validation(sieve_mid):
 
 
 def test_construction_infeasible_scale(sieve_mid):
-    # s sits above the dimensional number at every candidate size
-    with pytest.raises(ConstructionInfeasibleError, match="no admissible"):
+    # s sits above the dimensional number at every size the guard admits;
+    # the last size examined names the failure, not the guard that ends M = 8
+    with pytest.raises(ConstructionInfeasibleError,
+                       match=r"no admissible \(M, N\): s = 0.53 not below t_B\(M=8, N=7\)$"):
         make_eb_params(10_000.0, 2, 0.53, 0.005, sieve_mid)
+    # the guard names the failure only when no size was examined
+    with pytest.raises(ConstructionInfeasibleError,
+                       match=r": M\^N = 3\^30 exceeds the enumeration guard$"):
+        make_eb_params(4.0, 2, 0.53, 0.01, sieve_mid, M=3, N=30)
 
 
 def test_construction_infeasible_sieve():

@@ -955,6 +955,10 @@ def test_value_errors_exit_two(capsys):
                                     "--phi", "import os", "--window", "10,20"])
     assert code == 2
     assert err.startswith("ArgumentTypeError:")
+    # naming neither mode is a usage error, as naming both is
+    code, _, err = run_cli(capsys, ["box-dim"])
+    assert code == 2
+    assert err.startswith("ValueError:")
 
 
 def test_guard_errors_exit_three(capsys):
@@ -974,9 +978,6 @@ def test_guard_errors_exit_three(capsys):
     assert err.startswith("ConstructionInfeasibleError:")
     code, _, err = run_cli(capsys, ["box-dim", "--b", "2", "--c", "2",
                                     "--kmax", "4", "--sieve", "100000"])
-    assert code == 3
-    assert err.startswith("OutOfRangeError:")
-    code, _, err = run_cli(capsys, ["box-dim"])
     assert code == 3
     assert err.startswith("OutOfRangeError:")
 
@@ -1229,6 +1230,21 @@ TOTALITY = [
     *[(["cf-expand", "--rational", text, "--max-len", "2", *fmt], 2,
        f"ValueError: rational {text!r} needs more than 4300 decimal digits")
       for text in ("1e-4300", "0.1e-4299") for fmt in ((), ("--format", "json"))],
+    # with --bits, a negative --max-len once reached islice, which named its own argument
+    (["cf-expand", "--rational", "0.5", "--bits", "3", "--max-len", "-1"],
+     2, "ValueError: max_len must be >= 0, got -1"),
+    # refusals that no other test reaches
+    (["hwx-dim", "--ell", "1", "--phi", "n%2", "--window", "1,3"],
+     2, "ArgumentTypeError: unsupported syntax in phi expression: Mod"),
+    (["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "1e3,x", "--cutoff", "10000"],
+     2, _usage("pzeta-asymptotic", "--grid: bad grid")),
+    (["eb-build", "--B", "4", "--ell", "2", "--s", "0.53", "--delta", "0.01", "--M", "3",
+      "--depth", "9", "--sieve", "100"], 3,
+     "ConstructionInfeasibleError: prime window [171.3, 342.5] for slot (i=0, j=2)"
+     " is beyond the sieve limit 100"),
+    # b^(k+1) overflows a double at k = 1
+    (["luczak-dim", "--b", "1e300", "--c", "2", "--kmax", "2"],
+     3, "OutOfRangeError: level 1 leaves float range"),
 ]
 def _non_finite_values(out: str) -> list[str]:
     """Every CSV cell, `key=value` value and list entry of a CSV output

@@ -327,7 +327,7 @@ def test_experiment_trivial_threshold_hits_everything(sieve_small):
 
 
 def test_experiment_tests_products_before_primality():
-    # primality is only certified up to limit^2 = 100 here: a digit above
+    # primality is only certified up to (limit+1)^2 - 1 = 120 here: a digit above
     # that is never looked up while its block's product stays below phi(n)
     sv = PrimeSieve(10)
 

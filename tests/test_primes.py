@@ -162,6 +162,12 @@ def test_is_prime_trial_range_certificate(sieve_small):
     # certification stops once sqrt(n) passes the table
     with pytest.raises(OutOfRangeError):
         is_prime_trial(100_001 ** 2, sieve_small)
+    sv = PrimeSieve(100)
+    # trial division reads primes to the root, so the range ends below 101^2
+    for n in range(100 * 100 + 1, 101 * 101):
+        assert is_prime_trial(n, sv) == oracle_is_prime(n), n
+    with pytest.raises(OutOfRangeError, match="primes_in upper end 101 exceeds sieve limit 100"):
+        is_prime_trial(101 * 101, sv)
 
 
 @settings(max_examples=200, deadline=None)
