@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cantor": (
-        "BoxDimEstimate", "CantorLevel", "EBParams", "EBTree", "FalconerRatio",
-        "GapReport", "HolderReport", "LuczakParams", "alpha_identity_errors",
-        "alpha_values", "box_dimension_estimate", "eb_prefix_tree", "falconer_limit",
+        "BoxDimEstimate", "CantorLevel", "EBParams", "EBTree", "HolderReport",
+        "LuczakParams", "alpha_identity_errors", "alpha_values",
+        "box_dimension_estimate", "eb_prefix_tree", "falconer_limit",
         "falconer_lower_bound", "gap_check", "holder_check", "luczak_levels",
         "make_eb_params", "prime_block_constant",
     ),

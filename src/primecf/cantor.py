@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -124,39 +123,32 @@ def luczak_levels(params: LuczakParams, k_max: int,
     return levels
 
 
-@dataclass(frozen=True)
-class FalconerRatio:
-    k: int
-    ratio: float
-
-
-def falconer_lower_bound(levels: Sequence[CantorLevel]) -> list[FalconerRatio]:
-    """ratio_k = log(m_1 ... m_{k-1}) / (-log(m_k eps_k)) for k = 2..k_max,
-    over the levels 1..k_max that `luczak_levels` returned.
+def falconer_lower_bound(levels: Sequence[CantorLevel]) -> dict[int, float]:
+    """{k: ratio_k} with ratio_k = log(m_1 ... m_{k-1}) / (-log(m_k eps_k))
+    for k = 2..k_max, over the levels 1..k_max that `luczak_levels` returned.
 
     The nested-interval dimension bound; the sequence drifts toward
     1/(b+1) as the doubly exponential terms swamp the polynomial ones.
     """
     if len(levels) < 2:
         raise ValueError(f"need at least 2 levels, got {len(levels)}")
-    ratios = []
+    ratios = {}
     acc = 0.0
     for k in range(2, len(levels) + 1):
         acc += levels[k - 2].log_m
-        denom = -(levels[k - 1].log_m + levels[k - 1].log_eps)
-        ratios.append(FalconerRatio(k=k, ratio=acc / denom))
+        ratios[k] = acc / -(levels[k - 1].log_m + levels[k - 1].log_eps)
     return ratios
 
 
 def falconer_limit(b) -> Fraction:
-    """Exact limit of the dimension ratio: the c-terms cancel, leaving
-    the coefficient of b^k log c upstairs over the one downstairs."""
+    """Exact limit 1/(b+1) of the dimension ratio.  The c-terms cancel,
+    leaving the coefficient of b^k log c upstairs, 1/(b-1) from the sum of
+    b^j over j < k, over the one downstairs, 2b/(b-1) - 1 = (b+1)/(b-1)
+    from eps_k minus m_k."""
     bf = Fraction(b)
     if bf <= 1:
         raise ValueError(f"b must exceed 1, got {b}")
-    numer_coeff = 1 / (bf - 1)                  # from sum of b^j, j < k
-    denom_coeff = 2 * bf / (bf - 1) - 1         # from eps_k minus m_k
-    return numer_coeff / denom_coeff
+    return 1 / (bf + 1)
 
 
 @dataclass(frozen=True)
@@ -472,10 +464,6 @@ class EBTree:
     levels: tuple[EBLevel, ...]
     digit_sets: tuple[tuple[int, ...], ...]  # digit_sets[d-1]: the digits at depth d
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
     def words(self, depth: int) -> Iterator[tuple[int, ...]]:
         """The words of depth `depth` in node order: node k's word is the
         k-th of the product of the first `depth` digit sets."""
@@ -569,14 +557,6 @@ def eb_prefix_tree(params: EBParams, depth_limit: int, sv: PrimeSieve) -> EBTree
     return EBTree(params=params, u=u, levels=tuple(levels), digit_sets=digit_sets)
 
 
-@dataclass(frozen=True)
-class GapReport:
-    min_normalized: float
-    worst_depth: int
-    worst_word: tuple[int, ...]
-    pairs_checked: int
-
-
 def _ascending(tree: EBTree) -> Iterator[list[int]]:
     """The node indices of each level in ascending order of their hulls,
     built from the order of the level above without a comparison.
@@ -596,25 +576,17 @@ def _ascending(tree: EBTree) -> Iterator[list[int]]:
         yield order
 
 
-def _normalized_gaps(tree: EBTree) -> Iterator[tuple[EBLevel, list[int], Iterator[float]]]:
-    """Each gap between neighbouring same-depth hulls, normalized by the
-    requirement diam(I_n)/(8M) of either neighbour.  Per level: the level,
-    its ascending node order, and an iterator over the values, for the
-    lower neighbour and then the upper, pair by pair up the level; value v
-    belongs to node order[(v + 1) // 2].
+def _level_gaps(level: EBLevel, order: list[int], eight_m: int) -> Iterator[float]:
+    """Each gap between neighbouring hulls of one level, normalized by the
+    requirement diam(I_n)/(8M) of either neighbour: for the lower neighbour
+    and then the upper, pair by pair up the level, so value v belongs to
+    node order[(v + 1) // 2].
 
     Nothing is sorted: neighbours come from `_ascending`, which orders a
     level by digit parity.  Each gap lo2 - hi1 is one numerator and
     denominator of exact ints, scaled and divided once.  The values are
-    computed as they are read, so no level's list of them is held.
+    computed as they are read, so no list of them is held.
     """
-    eight_m = 8 * tree.params.M
-    for level, order in zip(tree.levels, _ascending(tree)):
-        yield level, order, _level_gaps(level, order, eight_m)
-
-
-def _level_gaps(level: EBLevel, order: list[int], eight_m: int) -> Iterator[float]:
-    """The normalized gap values of one level (see `_normalized_gaps`)."""
     # |I_n| / 8M = 1 / (8M q (q + q_prev)) per node
     scale = [eight_m * q * (q + q_prev) for q, q_prev in zip(level.q, level.q_prev)]
     (lo_num, lo_den), (hi_num, hi_den) = level.lo, level.hi
@@ -626,47 +598,30 @@ def _level_gaps(level: EBLevel, order: list[int], eight_m: int) -> Iterator[floa
         yield num * scale[k2] / den
 
 
-def gap_check(tree: EBTree) -> GapReport:
-    """Exact gaps between same-depth fundamental sets, normalized by the
-    requirement diam(I_n)/(8M) (see `_normalized_gaps`); every value >= 1
-    means the bound holds.  The first least value names the worst node.
+def gap_check(tree: EBTree) -> float:
+    """The least exact gap between same-depth fundamental sets, normalized
+    by the requirement diam(I_n)/(8M) (see `_level_gaps`); a value >= 1
+    means the bound holds everywhere.
     """
-    worst = math.inf
-    worst_depth = 0
-    worst_word: tuple[int, ...] = ()
-    pairs = 0
-    for level, order, values in _normalized_gaps(tree):
-        pairs += len(order) - 1
-        # min keeps the first of equal values
-        v, least = min(enumerate(values), key=operator.itemgetter(1), default=(0, math.inf))
-        if least < worst:
-            worst = least
-            worst_depth = level.depth
-            worst_word = next(itertools.islice(tree.words(level.depth),
-                                               order[(v + 1) // 2], None))
-    return GapReport(min_normalized=worst, worst_depth=worst_depth,
-                     worst_word=worst_word, pairs_checked=pairs)
+    eight_m = 8 * tree.params.M
+    return min(itertools.chain.from_iterable(
+        _level_gaps(level, order, eight_m)
+        for level, order in zip(tree.levels, _ascending(tree))), default=math.inf)
 
 
 @dataclass(frozen=True)
 class HolderReport:
     exponent: float
-    per_depth: tuple[tuple[int, float], ...]
     max_ratio: float
 
 
 def holder_check(tree: EBTree) -> HolderReport:
-    """max over nodes of mu(J) / diam(J)^(s(1-delta)-delta), per depth.
+    """max over nodes of mu(J) / diam(J)^(s(1-delta)-delta).
 
     A finite, depth-stable maximum is the empirical face of the mass
     bound behind the dimension estimate.
     """
     exponent = tree.params.s * (1 - tree.params.delta) - tree.params.delta
-    per_depth: list[tuple[int, float]] = []
-    overall = 0.0
-    for level in tree.levels:
-        best = max(0.0, *(mu / diam ** exponent for mu, diam in zip(level.mu, level.diam)))
-        per_depth.append((level.depth, best))
-        overall = max(overall, best)
-    return HolderReport(exponent=exponent, per_depth=tuple(per_depth),
-                        max_ratio=overall)
+    return HolderReport(exponent=exponent, max_ratio=max(
+        (mu / diam ** exponent for level in tree.levels
+         for mu, diam in zip(level.mu, level.diam)), default=0.0))

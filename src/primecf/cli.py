@@ -187,8 +187,7 @@ def _emit(sub: Subcommand, fmt: str, inputs: dict, out: Output) -> Iterator[str]
         for cells in _render(fields, block, "cell"):
             lines.write(lead + "".join(map(" {}={}".format, fields, cells)) + "\n")
     writer = csv.writer(lines, lineterminator="\n")
-    if blocks:
-        writer.writerow(sub.columns)
+    writer.writerow(sub.columns)
     for rows in _chunks(_render(sub.columns, blocks, "cell")):
         writer.writerows(rows)
         yield "".join(lines)
@@ -445,7 +444,7 @@ def cmd_bb_series(args) -> Output:
 def cmd_luczak_dim(args) -> Output:
     params = cantor.LuczakParams(b=float(args.b), c=float(args.c))
     levels = cantor.luczak_levels(params, args.kmax, primes.PrimeSieve(args.sieve))
-    ratios = {r.k: r.ratio for r in cantor.falconer_lower_bound(levels)}
+    ratios = cantor.falconer_lower_bound(levels)
     limit = cantor.falconer_limit(Fraction(args.b))
     rows = [{"k": lv.k, "log_m": lv.log_m, "log_eps": lv.log_eps, "rosser_ok": lv.rosser_ok,
              "block_lo": "" if lv.block is None else lv.block[0],
@@ -460,13 +459,12 @@ def cmd_eb_build(args) -> Output:
     params = cantor.make_eb_params(args.B, args.ell, args.s, args.delta, sv, M=args.M, N=args.N)
     depth = params.N + params.ell if args.depth is None else args.depth
     tree = cantor.eb_prefix_tree(params, depth, sv)
-    gap = cantor.gap_check(tree)
     hold = cantor.holder_check(tree)
     summary = {
         "M": params.M, "N": params.N, "t": params.t_value, "u": tree.u,
         "last_base": params.last_base,
         "alphas": "[" + ",".join(format(a, ".20g") for a in params.alphas) + "]",
-        "gap_min": gap.min_normalized, "holder_exponent": hold.exponent,
+        "gap_min": cantor.gap_check(tree), "holder_exponent": hold.exponent,
         "holder_max": hold.max_ratio,
     }
     # one block per tree level, whose columns are the tree's own

@@ -13,8 +13,11 @@ import numpy as np
 
 from .errors import OutOfRangeError
 
-# Construction works in fixed-size segments so the transient marking
-# buffer stays small regardless of the final table size.
+# Construction marks composites one 4 MiB segment at a time for locality:
+# each prime's strided writes stay in a cache-sized buffer.  An in-place
+# sieve over the whole table needs no buffer, but strides across all of it
+# once per prime; at 10^8 it took two to three times as long (2-vCPU host,
+# best of 3), though below 10^7 it was as fast or faster.
 _SEGMENT = 1 << 22
 # The largest sieve limit: the table takes one byte per integer, so 1 GB.
 SIEVE_CAP = 10**9

@@ -330,7 +330,7 @@ def _mass_recurrence(params, tree):
     closure comes last."""
     M = params.M
     _, sigma = cantor._block_masses(M, params.N, params.alphas[0], params.s)
-    roles, completes = params.position_roles(tree.depth)
+    roles, completes = params.position_roles(len(tree.levels))
 
     def mass(word) -> float:
         k, i, carried = 0, 0, 1.0
@@ -651,6 +651,24 @@ OUTPUT_PINS = [
     ["hwx-dim", "--ell", "1", "--phi", "2.149**n", "--window", "10,300"],
     ["pressure-dim", "--ell", "3", "--B", "2", "--M", "100", "--n", "30", "--tol", "1e-15"],
     ["pzeta-tail", "--ell", "1", "--s", "2.3", "--M", "100", "--cutoff", "100000"],
+    # Branches no other corpus argv enters: the `exactly` mask of
+    # almost_primes; the plain-digit series for ell >= 2; the B = 1 case of
+    # hwx-dim, and entries it skips because phi(n) <= 1; the pressure root
+    # clamped to S_FLOOR; an ell = 2 measure with no pair above 2^12; an
+    # empty prime window (lower = 0); an empty power sum (value = 0.0); and a
+    # bb-series that skips every entry, whose CSV is its header alone and
+    # whose JSON rows are an empty list.
+    ["pzeta-tail", "--ell", "2", "--mode", "exactly", "--s", "2", "--M", "10",
+     "--cutoff", "10000"],
+    ["bb-series", "--ell", "2", "--phi", "n*n", "--window", "2,20"],
+    ["hwx-dim", "--ell", "1", "--phi", "n", "--window", "10,1000"],
+    ["hwx-dim", "--ell", "1", "--phi", "n-5", "--window", "5,300"],
+    ["pressure-dim", "--ell", "1", "--B", "1000000", "--M", "2", "--n", "3"],
+    ["interval-measure", "--ell", "2", "--threshold", "3", "--cutoff", "50"],
+    ["interval-measure", "--ell", "1", "--threshold", "1000", "--cutoff", "500"],
+    ["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "1e4", "--cutoff", "10000"],
+    ["bb-series", "--ell", "2", "--phi", "1", "--window", "1,3"],
+    ["bb-series", "--ell", "2", "--phi", "1", "--window", "1,3", "--format", "json"],
 ]
 
 
@@ -810,6 +828,20 @@ def test_bb_series_output(capsys):
     assert len(rows) == 5
     last = float(rows[-1]["partial"])
     assert last == pytest.approx(sum(float(r["term"]) for r in rows), rel=1e-12)
+
+
+def test_csv_without_rows_prints_its_header(capsys):
+    # phi = 1 skips every entry: the CSV still names its columns, as the
+    # JSON prints "rows": []
+    argv = ["bb-series", "--ell", "2", "--phi", "1", "--window", "1,3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    comments, header, rows = parse_csv(out)
+    assert parse_summary(comments[1])["skipped"] == "3"
+    assert (header, rows) == (["n", "term", "partial"], [])
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["rows"] == []
 
 
 def test_luczak_dim_ratio_convergence(capsys):
