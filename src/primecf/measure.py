@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import EnumerationGuardError, OutOfRangeError
-from .primes import PrimeSieve, is_prime_trial, primes_in
+from .primes import PrimeSieve, almost_primes, is_prime_trial, primes_in
 
 # ell = 2 pairs with a b below this are summed one length at a time; above
 # it the series in 1/(ab) needs at most K = 6 terms (see `_pair_series`).
@@ -220,11 +220,18 @@ def level_set_measure(ell: int, threshold: float, cutoff: int,
         raise OutOfRangeError(f"cutoff must be >= 2, got {cutoff}")
 
     if ell == 1:
-        # primes are at most SIEVE_CAP, so p(p+1) is exact in int64
-        ps = primes_in(math.ceil(threshold), cutoff, sv)
-        q = ps * (ps + 1)
-        lows, highs = _reciprocals(q, -np.inf), _reciprocals(q, np.inf)
-        terms = q.size
+        t = math.ceil(threshold)
+
+        def lengths(to: float) -> Iterator[float]:
+            # one segment of primes at a time, p(p+1) exact in int64 as
+            # primes are at most SIEVE_CAP; fsum rounds the exact sum
+            # however its terms arrive
+            for ps in almost_primes(1, "at-most", cutoff, sv):
+                ps = ps[np.searchsorted(ps, t):]
+                yield from _reciprocals(ps * (ps + 1), to)
+
+        lows, highs = lengths(-np.inf), lengths(np.inf)
+        terms = int(np.count_nonzero(sv.table[t : cutoff + 1]))
         # integers past the cutoff dominate the skipped primes:
         # sum 1/(k(k+1)) over k > cutoff telescopes to 1/(cutoff+1)
         tail = _up(1.0 / (cutoff + 1))

@@ -35,10 +35,11 @@ from .primes import PrimeSieve, almost_primes
 WORK_DPS = 40
 # Fixed-point sums count units of 2^-(FIX_BITS + e), e scaled to the largest
 # term; terms stream through Python ints in chunks of FIX_CHUNK, so no object
-# list spans a whole term array, and the 40-bit digits of a chunk's limb
-# division sum below 2^56 in uint64.
+# list spans a whole term array, the limb division's uint64 arrays stay
+# smaller than an enumeration segment's, and the 40-bit digits of a chunk's
+# limb division sum below 2^56 in uint64.
 FIX_BITS = 160
-FIX_CHUNK = 1 << 16
+FIX_CHUNK = 1 << 14
 # Exponents s * 2^j above this take the mpf route: k^a grows with a.
 _EXACT_MAX_POWER = 64
 # The most terms one tail sum computes on the mpf route, about 11 us each:
@@ -174,24 +175,28 @@ def _power_sum(ks: np.ndarray, s: float) -> tuple[int, int, int]:
 
     The unit 2^-(FIX_BITS+e) is scaled to the smallest k, so its term is
     2^(FIX_BITS-2) to 2^(FIX_BITS+1) units and every term at most that.
-    On the `_exact_root` route each term is the exact floor of its units,
-    short by less than one, so upper = lower + n.  For integer s = a, the
-    k with k^a < 2^62 (k at most `_one_limb_max(a)`, an exact bound: k^a
-    in uint64 would wrap) take `_limb_floor_sum`, every other k one Python
-    floor division, and both give the same integers; s = a / 2^j with
-    j >= 1 takes one Python floor division and j integer square roots per
-    term.  Otherwise each term is a
-    `_mpf_power` of FIX_BITS + 20 bits, within 2^-178 relative, so under
-    2^-17 units off before its mantissa is cut to whole units; over n terms
-    that is under r = n // 2^17 + 1 units, which widens the bracket by r on
-    each side.
+    The terms' integers are `_unit_sum` and the bracket `_bracket`.
     """
     n = int(ks.size)
     if n == 0:
         return 0, 0, 0
     e = _unit_exponent(int(ks.min()), s)
-    unit = FIX_BITS + e
-    chunks = (ks[lo:lo + FIX_CHUNK] for lo in range(0, n, FIX_CHUNK))
+    return *_bracket(_unit_sum(ks, s, FIX_BITS + e), n, s), e
+
+
+def _unit_sum(ks: np.ndarray, s: float, unit: int) -> int:
+    """The sum over ks of one integer per term, about 2^unit k^-s, which
+    depends on k alone, so any split of ks sums to the same total.
+
+    On the `_exact_root` route each term is the exact floor of its units.
+    For integer s = a, the k with k^a < 2^62 (k at most `_one_limb_max(a)`,
+    an exact bound: k^a in uint64 would wrap) take `_limb_floor_sum`, every
+    other k one Python floor division, and both give the same integers;
+    s = a / 2^j with j >= 1 takes one Python floor division and j integer
+    square roots per term.  Otherwise each term is a `_mpf_power` of
+    FIX_BITS + 20 bits, its mantissa cut to whole units.
+    """
+    chunks = (ks[lo:lo + FIX_CHUNK] for lo in range(0, ks.size, FIX_CHUNK))
     root = _exact_root(s)
     total = 0
     if root is not None:
@@ -207,14 +212,29 @@ def _power_sum(ks: np.ndarray, s: float) -> tuple[int, int, int]:
             for _ in range(j):
                 terms = map(math.isqrt, terms)
             total += sum(terms)
-        return total, total + n, e
+        return total
     power = _mpf_power(s, FIX_BITS + 20)
     for k in chain.from_iterable(chunk.tolist() for chunk in chunks):
         _, man, exp, _ = power(k)
         shift = -exp - unit  # negative when mpmath strips trailing zero bits
         total += man >> shift if shift >= 0 else man << -shift
+    return total
+
+
+def _bracket(total: int, n: int, s: float) -> tuple[int, int]:
+    """(lower, upper) around the true sum, in units, of n > 0 terms whose
+    `_unit_sum` is total.
+
+    On the `_exact_root` route each term is short by less than one unit, so
+    upper = lower + n.  On the mpf route each power is within 2^-178
+    relative, so under 2^-17 units off before it is cut; over n terms that
+    is under r = n // 2^17 + 1 units, which widens the bracket by r on each
+    side.
+    """
+    if _exact_root(s) is not None:
+        return total, total + n
     r = (n >> 17) + 1
-    return max(total - r, 0), total + n + r, e
+    return max(total - r, 0), total + n + r
 
 
 def _tail_values(lower: int, upper: int, e: int, s: float,
@@ -239,32 +259,52 @@ def _tails(ell: int, mode: str, s: float, thresholds: list[float], cutoff: int,
     """(value, remainder_bound, terms) of the tail over M <= k <= cutoff,
     for each threshold M.
 
-    The enumeration runs once.  Each tail is an exact integer suffix sum
-    over the ascending terms, in the unit of the largest threshold with
-    terms, so the other tails, in a finer unit than their own, agree with
-    a lone-threshold sum to about 40 digits.  The remainder bound covers
-    everything past the cutoff, which the integer tail dominates.
+    The enumeration runs once, and the thresholds split each segment of it
+    into bands, each summed as it arrives in the unit of its least term.
+    Each tail is then an exact integer suffix sum of the bands, in the unit
+    of the largest threshold with terms, so the other tails, in a finer
+    unit than their own, agree with a lone-threshold sum to about 40
+    digits.  On the mpf route every term is counted before any power is
+    computed.  The remainder bound covers everything past the cutoff, which
+    the integer tail dominates.
     """
-    ks = almost_primes(ell, mode, cutoff, sv)
-    starts = [int(np.searchsorted(ks, math.ceil(M), side="left")) for M in thresholds]
-    n = len(ks) - min(starts)
-    if _exact_root(s) is None and n > MPF_TERM_CAP:
+    segments = almost_primes(ell, mode, cutoff, sv)
+    edges = sorted({math.ceil(M) for M in thresholds})
+    exact = _exact_root(s) is not None
+    totals, counts, exps = [0] * len(edges), [0] * len(edges), [0] * len(edges)
+    pending: list[tuple[int, np.ndarray]] = []  # mpf-route bands, summed once counted
+    n = 0
+    for ks in segments:
+        bands = np.split(ks, np.searchsorted(ks, edges))[1:]
+        for b, band in enumerate(bands):
+            if not band.size:
+                continue
+            if not counts[b]:
+                exps[b] = _unit_exponent(int(band[0]), s)
+            counts[b] += band.size
+            n += band.size
+            if exact:
+                totals[b] += _unit_sum(band, s, FIX_BITS + exps[b])
+            elif n <= MPF_TERM_CAP:
+                pending.append((b, band))
+    if n > MPF_TERM_CAP and not exact:
         raise EnumerationGuardError(
             f"{n} terms on the mpf power route exceed MPF_TERM_CAP = {MPF_TERM_CAP}")
-    lower = upper = e = 0
-    upper_idx = len(ks)
-    tails: list[tuple[mpf, mpf, int]] = [None] * len(thresholds)
-    for i in sorted(range(len(thresholds)), key=lambda i: thresholds[i], reverse=True):
-        lo = starts[i]
-        seg_lower, seg_upper, seg_e = _power_sum(ks[lo:upper_idx], s)
-        upper_idx = lo
-        # one shared unit, the finest so far: the shifts are exact
-        unit = max(e, seg_e)
-        lower = (lower << (unit - e)) + (seg_lower << (unit - seg_e))
-        upper = (upper << (unit - e)) + (seg_upper << (unit - seg_e))
-        e = unit
-        tails[i] = (*_tail_values(lower, upper, e, s, cutoff), len(ks) - lo)
-    return tails
+    for b, band in pending:
+        totals[b] += _unit_sum(band, s, FIX_BITS + exps[b])
+    lower = upper = e = terms = 0
+    tails = {}
+    for b in reversed(range(len(edges))):
+        if counts[b]:
+            band_lower, band_upper = _bracket(totals[b], counts[b], s)
+            # one shared unit, the finest so far: the shifts are exact
+            unit = max(e, exps[b])
+            lower = (lower << (unit - e)) + (band_lower << (unit - exps[b]))
+            upper = (upper << (unit - e)) + (band_upper << (unit - exps[b]))
+            e = unit
+            terms += counts[b]
+        tails[edges[b]] = (*_tail_values(lower, upper, e, s, cutoff), terms)
+    return [tails[math.ceil(M)] for M in thresholds]
 
 
 def pzeta_tail(ell: int, mode: str, s: float, M: float, cutoff: int,

@@ -669,6 +669,17 @@ OUTPUT_PINS = [
     ["pzeta-asymptotic", "--ell", "1", "--s", "2", "--grid", "1e4", "--cutoff", "10000"],
     ["bb-series", "--ell", "2", "--phi", "1", "--window", "1,3"],
     ["bb-series", "--ell", "2", "--phi", "1", "--window", "1,3", "--format", "json"],
+    # Almost primes are enumerated in segments of 2^17 integers, and the
+    # tails summed as each segment arrives: thresholds and cutoffs on and next
+    # to the edges 131072 and 262144, on the limb, square-root and mpf routes,
+    # the last with a repeated threshold.  Pinned before the enumeration was
+    # segmented.
+    ["pzeta-tail", "--ell", "2", "--mode", "exactly", "--s", "2", "--M", "131072",
+     "--cutoff", "262145"],
+    ["pzeta-asymptotic", "--ell", "1", "--s", "2.5", "--grid", "131071,131073",
+     "--cutoff", "262144"],
+    ["pzeta-asymptotic", "--ell", "3", "--s", "2.3", "--grid", "131000,131072,131072",
+     "--cutoff", "131200"],
 ]
 
 

@@ -213,7 +213,7 @@ def test_reciprocals_bracket_inexact_denominators():
     # 2^54 and 2^62; the primes are those no prime up to 15,000 divides
     lo, hi = 200_000_000, 200_200_000
     composite = np.zeros(hi - lo + 1, dtype=bool)
-    for p in PrimeSieve(15_000).primes.tolist():
+    for p in primes_in(2, 15_000, PrimeSieve(15_000)).tolist():
         composite[-lo % p::p] = True
     ps = np.flatnonzero(~composite) + lo
     x = np.concatenate([ps * (ps + 1),
@@ -227,10 +227,12 @@ def test_reciprocals_bracket_inexact_denominators():
 
 def test_single_digit_terms_are_streamed_to_fsum(cli_peak_rss_mb):
     # 664,578 primes from 3 to 10^7: as two whole lists of Python floats the
-    # terms took about 75 MB over the small run; streamed in chunks, 27 MB
+    # terms took about 75 MB over the small run, and streamed in chunks from
+    # one array of every prime 24 MB; read one segment of primes at a time,
+    # the run grows by about the 10 MB sieve table alone
     argv = ("interval-measure", "--ell", "1", "--threshold", "3", "--cutoff")
     grown = cli_peak_rss_mb(*argv, "10000000") - cli_peak_rss_mb(*argv, "1000")
-    assert grown < 40
+    assert grown < 15
 
 
 # -- sampling experiments -------------------------------------------------------

@@ -42,6 +42,11 @@ def oracle_omega(n: int) -> int:
     return count
 
 
+def enumerate_all(ell: int, mode: str, bound: int, sv: PrimeSieve) -> np.ndarray:
+    """The segments of almost_primes, joined."""
+    return np.concatenate(list(almost_primes(ell, mode, bound, sv)))
+
+
 # -- sieve table ------------------------------------------------------------
 
 def test_sieve_matches_trial_division_exhaustive(sieve_small):
@@ -79,15 +84,15 @@ def test_sieve_cap_checked_before_building(monkeypatch):
 def test_omega_table_cap_checked_before_allocating(monkeypatch, sieve_small):
     assert primes.OMEGA_CAP == 10**8
     monkeypatch.setattr(primes, "OMEGA_CAP", 1000)
-    assert omega_table(1000, sieve_small).size == 1001
-    assert almost_primes(2, "at-most", 1000, sieve_small).size > 0
+    assert omega_table(0, 1001, sieve_small).size == 1001
+    assert enumerate_all(2, "at-most", 1000, sieve_small).size > 0
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"array allocated: {args}")
 
     monkeypatch.setattr(primes.np, "zeros", refuse)
     with pytest.raises(OutOfRangeError, match="bound 1001 exceeds OMEGA_CAP = 1000"):
-        omega_table(1001, sieve_small)
+        omega_table(0, 1002, sieve_small)
     with pytest.raises(OutOfRangeError, match="bound 1001 exceeds OMEGA_CAP = 1000"):
         almost_primes(2, "at-most", 1001, sieve_small)
 
@@ -179,50 +184,67 @@ def test_is_prime_trial_random(sieve_small, n):
 # -- almost primes ----------------------------------------------------------
 
 def test_omega_table_matches_oracle(sieve_small):
-    om = omega_table(5000, sieve_small)
+    om = omega_table(0, 5001, sieve_small)
     for k in range(2, 5001):
         assert om[k] == oracle_omega(k), k
     assert om[0] == 0 and om[1] == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(lo=st.integers(0, 20_000), width=st.integers(1, 300))
+def test_omega_table_of_any_segment(sieve_small, lo, width):
+    # a segment reads the primes to the root of its own last integer
+    om = omega_table(lo, lo + width, sieve_small)
+    assert om.tolist() == [oracle_omega(k) if k >= 2 else 0 for k in range(lo, lo + width)]
+
+
 def test_omega_table_needs_root_in_sieve():
     sv = PrimeSieve(10)
     with pytest.raises(OutOfRangeError):
-        omega_table(1000, sv)
+        omega_table(0, 1001, sv)
 
 
 def test_omega_table_and_almost_primes_hold_no_int64_copy(cli_peak_rss_mb):
-    # to 10^7: an Omega table of 5 bytes per integer (int32 remainders) and
-    # 2.1 million 3-almost primes left in flatnonzero's array take 67 MB
-    # over the small run; int64 remainders and a second copy took 105 MB
+    # to 10^7, enumerated one segment at a time, the run grows about 3 MB
+    # over the small run; a whole Omega table of 5 bytes per integer (int32
+    # remainders) and 2.1 million 3-almost primes in one array took 67 MB,
+    # int64 remainders and a second copy 105 MB
     argv = ("pzeta-tail", "--ell", "3", "--s", "2", "--M", "100", "--cutoff")
     grown = cli_peak_rss_mb(*argv, "10000000") - cli_peak_rss_mb(*argv, "1000")
-    assert grown < 85
+    assert grown < 8
 
 
 def test_almost_primes_examples(sieve_small):
-    got = almost_primes(2, "exactly", 25, sieve_small)
+    got = enumerate_all(2, "exactly", 25, sieve_small)
     assert list(got) == [4, 6, 9, 10, 14, 15, 21, 22, 25]
-    got = almost_primes(1, "exactly", 10, sieve_small)
+    got = enumerate_all(1, "exactly", 10, sieve_small)
     assert list(got) == [2, 3, 5, 7]
-    got = almost_primes(2, "at-most", 10, sieve_small)
+    got = enumerate_all(2, "at-most", 10, sieve_small)
     assert list(got) == [2, 3, 4, 5, 6, 7, 9, 10]  # 8 = 2^3 out, 1 out
 
 
 @pytest.mark.parametrize("ell,mode", [(1, "exactly"), (1, "at-most"),
                                       (2, "exactly"), (2, "at-most"),
                                       (3, "exactly"), (3, "at-most")])
-def test_almost_primes_against_factorization(sieve_small, ell, mode):
-    got = set(int(k) for k in almost_primes(ell, mode, 3000, sieve_small))
-    for k in range(1, 3001):
-        om = oracle_omega(k)
-        member = om == ell if mode == "exactly" else 1 <= om <= ell
-        assert (k in got) == member, k
+def test_almost_primes_against_factorization(monkeypatch, sieve_small, ell, mode):
+    # one ascending int64 array per segment [lo, lo + segment) of [0, 3000]
+    for segment in (7, 1000, primes.ENUM_SEGMENT):
+        monkeypatch.setattr(primes, "ENUM_SEGMENT", segment)
+        segments = list(almost_primes(ell, mode, 3000, sieve_small))
+        assert len(segments) == -(-3001 // segment)
+        for lo, ks in zip(range(0, 3001, segment), segments):
+            assert ks.dtype == np.int64
+            assert np.all(np.diff(ks) > 0) and np.all((lo <= ks) & (ks < lo + segment))
+        got = set(int(k) for k in np.concatenate(segments))
+        for k in range(1, 3001):
+            om = oracle_omega(k)
+            member = om == ell if mode == "exactly" else 1 <= om <= ell
+            assert (k in got) == member, (segment, k)
 
 
 def test_almost_primes_modes_coincide_for_primes(sieve_small):
-    a = almost_primes(1, "exactly", 500, sieve_small)
-    b = almost_primes(1, "at-most", 500, sieve_small)
+    a = enumerate_all(1, "exactly", 500, sieve_small)
+    b = enumerate_all(1, "at-most", 500, sieve_small)
     assert np.array_equal(a, b)
 
 
@@ -231,7 +253,7 @@ def test_almost_primes_certified_range():
     # the Omega table reads primes to the root, so the range ends below 101^2
     with pytest.raises(OutOfRangeError):
         almost_primes(2, "at-most", 101 * 101, sv)
-    got = [int(k) for k in almost_primes(2, "at-most", 101 * 101 - 1, sv) if k > 100 * 100]
+    got = [int(k) for k in enumerate_all(2, "at-most", 101 * 101 - 1, sv) if k > 100 * 100]
     assert got == [k for k in range(100 * 100 + 1, 101 * 101) if 1 <= oracle_omega(k) <= 2]
     with pytest.raises(OutOfRangeError):
         almost_primes(1, "at-most", 101, sv)

@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 
 import numpy as np
 
-from primecf import zeta
+from primecf import primes, zeta
 from primecf.errors import DivergentSeriesError
 from primecf.zeta import (
     FIX_BITS,
@@ -336,6 +336,52 @@ def test_table_rows_agree_with_direct_tails(sieve_small, s):
         assert row.value <= direct.upper
         assert exact_value(direct.value) <= (exact_value(row.value)
                                              + exact_value(row.remainder_bound))
+
+
+def whole_array_tails(ell, mode, s, thresholds, cutoff):
+    """The tails summed from one array of every term: one `_power_sum` per
+    band between thresholds, combined from the largest threshold down in
+    the finest unit so far.  The terms come from factor counting."""
+    member = (lambda w: w == ell) if mode == "exactly" else (lambda w: 1 <= w <= ell)
+    ks = np.array([k for k in range(2, cutoff + 1) if member(oracle_omega(k))], dtype=np.int64)
+    starts = [int(np.searchsorted(ks, math.ceil(M))) for M in thresholds]
+    lower = upper = e = 0
+    stop = ks.size
+    tails = [None] * len(thresholds)
+    for i in sorted(range(len(thresholds)), key=lambda i: thresholds[i], reverse=True):
+        band_lower, band_upper, band_e = zeta._power_sum(ks[starts[i]:stop], s)
+        stop = starts[i]
+        unit = max(e, band_e)
+        lower = (lower << (unit - e)) + (band_lower << (unit - band_e))
+        upper = (upper << (unit - e)) + (band_upper << (unit - band_e))
+        e = unit
+        tails[i] = (*zeta._tail_values(lower, upper, e, s, cutoff), ks.size - starts[i])
+    return tails
+
+
+def near_edges(segment: int):
+    """Integers >= 2 on and next to the multiples of segment up to 30 of them."""
+    return st.integers(1, 30).flatmap(
+        lambda m: st.integers(max(m * segment - 1, 2), m * segment + 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(segment=st.integers(1, 9), ell=st.integers(1, 3),
+       mode=st.sampled_from(["exactly", "at-most"]), s=st.sampled_from([2, 3, 2.5, 2.3]),
+       data=st.data())
+def test_streamed_tails_match_whole_array_sums(sieve_small, segment, ell, mode, s, data):
+    # segments of 1 to 9 integers, thresholds and cutoffs on and next to
+    # their edges, some thresholds repeated or between integers: the tails
+    # summed band by band as each segment arrives are the same integers as
+    # one `_power_sum` per band of the whole array
+    points = data.draw(st.lists(near_edges(segment), min_size=2, max_size=5))
+    cutoff = max(points)
+    thresholds = [M - data.draw(st.sampled_from([0, 0.5])) for M in points[1:]]
+    assume(min(thresholds) >= 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primes, "ENUM_SEGMENT", segment)
+        got = zeta._tails(ell, mode, s, thresholds, cutoff, sieve_small)
+    assert got == whole_array_tails(ell, mode, s, thresholds, cutoff)
 
 
 def test_table_ratio_definition(sieve_mid):
