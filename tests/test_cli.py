@@ -680,6 +680,16 @@ OUTPUT_PINS = [
      "--cutoff", "262144"],
     ["pzeta-asymptotic", "--ell", "3", "--s", "2.3", "--grid", "131000,131072,131072",
      "--cutoff", "131200"],
+    # The sampler walks each block's digit rows in groups and tests each
+    # window as its last row arrives: a window deeper than 2^14 digits with
+    # several samples, an ell longer than a group of rows, and ell = 3 windows
+    # that straddle groups.  Pinned while each block still held every row.
+    ["mc-zero-one", "--ell", "1", "--phi", "n", "--window", "1,20000", "--samples", "3",
+     "--seed", "7"],
+    ["mc-zero-one", "--ell", "40", "--phi", "2", "--window", "1,60", "--samples", "500",
+     "--seed", "3"],
+    ["mc-zero-one", "--ell", "3", "--phi", "8", "--window", "1,300", "--samples", "2000",
+     "--seed", "5"],
 ]
 
 
@@ -1220,6 +1230,15 @@ TOTALITY = [
        3, "OutOfRangeError: omega_table bound 1000000000 exceeds OMEGA_CAP")
       for cmd, grid in (("pzeta-tail", ("--M", "10")), ("pzeta-asymptotic", ("--grid", "10")))
       for fmt in ("csv", "json")],
+    # digits past (limit+1)^2 - 1 = 120 in several samples of one block, at
+    # different rows: the refusal names the one a loop over (sample, n)
+    # reaches first, for ell = 1 and for windows of 40 digits
+    (["mc-zero-one", "--ell", "1", "--phi", "2", "--window", "1,200", "--samples", "20",
+      "--seed", "1", "--sieve", "10"],
+     3, "OutOfRangeError: primes_in upper end 21 exceeds sieve limit 10"),
+    (["mc-zero-one", "--ell", "40", "--phi", "2", "--window", "1,60", "--samples", "500",
+      "--seed", "3", "--sieve", "10"],
+     3, "OutOfRangeError: primes_in upper end 12 exceeds sieve limit 10"),
     # 5000-digit blocks, each window product 4999 multiplies
     (["mc-zero-one", "--ell", "5000", "--phi", "2", "--window", "1,2000", "--samples", "2"],
      0, None),

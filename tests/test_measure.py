@@ -343,6 +343,21 @@ def test_experiment_tests_products_before_primality():
         run(2.0)
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_experiment_refuses_the_scalar_loops_first_digit(seed):
+    # several samples of one block reach a digit past (limit+1)^2 - 1 = 120,
+    # at different rows (at seed 1, sample 1 at digit 38 before sample 0 at
+    # digit 106): the refusal names the digit the scalar loop over (sample, n)
+    # reaches first
+    sv = PrimeSieve(10)
+    cfg = MCExperiment(sample_count=20, window=(1, 200), phi=lambda n: 2.0, ell=1, seed=seed)
+    with pytest.raises(OutOfRangeError) as want:
+        oracle_report(cfg, sv)
+    with pytest.raises(OutOfRangeError) as got:
+        run_zero_one_experiment(cfg, sv)
+    assert str(got.value) == str(want.value)
+
+
 # -- the block sampler against the scalar one ----------------------------------
 
 def oracle_report(cfg: MCExperiment, sv) -> ZeroOneReport:
