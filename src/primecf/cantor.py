@@ -25,24 +25,21 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
+# pressure and primes are the package's lazy modules, run on first use, and
+# numpy is imported where it is used, so box-dim --covers loads none of them
+from . import pressure, primes
 from .errors import (
     ConstructionInfeasibleError,
     EnumerationGuardError,
     OutOfRangeError,
 )
-from .pressure import (
-    ENUMERATION_GUARD,
-    PressureProblem,
-    dimensional_number,
-    log_sum_exp,
-    partition_sum,
-    word_continuants,
-)
-from .primes import PrimeSieve, primes_in
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .primes import PrimeSieve
 
 # The explicit prime-count bound x/(2+log x) < pi(x) only starts at 55.
 ROSSER_FLOOR = 55
@@ -114,7 +111,7 @@ def luczak_levels(params: LuczakParams, k_max: int,
         if sv is not None and logx <= math.log(sv.limit):
             x = c ** (b ** k)
             with contextlib.suppress(OutOfRangeError):  # the block passes the table
-                ps = primes_in(x, 3.0 * x, sv)
+                ps = primes.primes_in(x, 3.0 * x, sv)
                 # [x, 3x] holds a prime for every x > 1 (Bertrand's postulate)
                 block = (math.ceil(x), math.floor(3.0 * x))
                 true_count, least_prime = int(ps.size), int(ps[0])
@@ -238,7 +235,7 @@ def prime_block_constant(gamma: float, n: int, sv: PrimeSieve) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lo = gamma ** n
-    return lo / (primes_in(lo, 2 * lo, sv).size * n * math.log(gamma))
+    return lo / (primes.primes_in(lo, 2 * lo, sv).size * n * math.log(gamma))
 
 
 @dataclass(frozen=True)
@@ -298,7 +295,7 @@ def _prime_block(params: EBParams, i: int, j: int, sv: PrimeSieve) -> tuple[int,
     # [x, 2x] with x = base^n > 1 holds a prime by Bertrand's postulate
     lo, hi = params.block_window(i, j)
     try:
-        ps = primes_in(lo, hi, sv)
+        ps = primes.primes_in(lo, hi, sv)
     except OutOfRangeError:
         raise ConstructionInfeasibleError(
             f"prime window [{lo:.4g}, {hi:.4g}] for slot (i={i}, j={j}) "
@@ -351,11 +348,11 @@ def make_eb_params(B: float, ell: int, s: float, delta: float, sv: PrimeSieve,
     failure = None
     for M_ in M_range:
         for N_ in N_range:
-            if M_ ** N_ > ENUMERATION_GUARD:
+            if M_ ** N_ > pressure.ENUMERATION_GUARD:
                 failure = failure or f"M^N = {M_}^{N_} exceeds the enumeration guard"
                 break
-            problem = PressureProblem(ell=ell, B=B, M=M_, n=N_)
-            if partition_sum(problem, s) <= 0:
+            problem = pressure.PressureProblem(ell=ell, B=B, M=M_, n=N_)
+            if pressure.partition_sum(problem, s) <= 0:
                 failure = f"s = {s} not below t_B(M={M_}, N={N_})"
                 continue
             n1 = N_ + 1
@@ -379,8 +376,8 @@ def _finish_eb_params(B, ell, s, delta, M, N, alphas, last_base, constants) -> E
     n_schedule = [-(ell - 1)]
     for lj in l_schedule:
         n_schedule.append(n_schedule[-1] + ell + lj * N)
-    problem = PressureProblem(ell=ell, B=B, M=M, n=N)
-    t_value = dimensional_number(problem)
+    problem = pressure.PressureProblem(ell=ell, B=B, M=M, n=N)
+    t_value = pressure.dimensional_number(problem)
 
     constraints: list[tuple[str, str, str]] = []
 
@@ -416,8 +413,10 @@ def _block_masses(M: int, N: int, alpha0: float, s: float) -> tuple[float, list[
     with lexicographic index i, as one float64 array per k; a sub-block b in
     {1..M}^N weighs w(b) = u^-1 (alpha_0^N q_N^2(b))^-s, which is
     q_N(b)^-2s over sum q^-2s."""
-    logs = -2.0 * s * np.log(word_continuants(M, N).astype(np.float64))
-    log_moment = log_sum_exp(logs)
+    import numpy as np
+
+    logs = -2.0 * s * np.log(pressure.word_continuants(M, N).astype(np.float64))
+    log_moment = pressure.log_sum_exp(logs)
     u = math.exp(-s * (N * math.log(alpha0)) + log_moment)
     w = np.exp(logs - log_moment)
     return u, [w.reshape(M ** k, -1).sum(axis=1) for k in range(N + 1)]

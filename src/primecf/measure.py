@@ -29,16 +29,19 @@ block of samples (`_float_digits`): it carries r = q_{n-1}/q_n, whose error
 grows by at most 2^-52 a step because r <- 1/(d + r) is a contraction, and
 takes a digit only where a margin of (x + 2)(n + 16) 2^-48 around x (at
 least four times the error bound) shows that the integer sampler takes the
-same digit from the same first word.  A sample with a digit the margin does not
-settle is finished by `_sample_digits` from that digit on, so every report
-equals the integer sampler's.
+same digit from the same first word.  The pass walks the block's digit rows
+once, a group at a time, and each group's windows are tested as it arrives
+(`_block_hits`), so no array spans the depth.  A sample with a digit the
+margin does not settle is drawn again by `_sample_digits`, and its windows
+from that digit on are tested on its exact digits, so every report equals
+the integer sampler's.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -50,13 +53,20 @@ from .primes import PrimeSieve, almost_primes, is_prime_trial, primes_in
 SERIES_FLOOR = 2**12
 # The most digits one zero-one run may draw: its samples times their depth.
 # At the cap, in-process on a 2-vCPU host, 49,751 samples at depth 201 take
-# 3.4 s (24.3 s with every sample resampled by _sample_digits), 5,000,000 at
-# depth 2 take 2.8 s (53.1 s) and 9,990 at depth 1001 take 12.0 s (34.7 s).
-# A sample deeper than CHUNK_DIGITS is drawn alone, at about 20 us a digit.
+# 0.41 s (12.1 s with every sample resampled by _sample_digits), 5,000,000
+# at depth 2 take 0.40 s (18.1 s) and 9,990 at depth 1001 take 0.40 s
+# (17.8 s).  A lone sample takes about 10 us a digit and a few kB whatever
+# its depth, unless it is resampled.
 DRAW_CAP = 10**7
-# Digits the block sampler draws at once, so its arrays and per-sample
-# objects stay small whatever the sample count and window.
-CHUNK_DIGITS = 1 << 14
+# The digits a block's slab of rows holds (ell - 1 rows carried over and a
+# group of new ones, times the block's samples), so its arrays stay small
+# whatever the sample count and window; resampled samples are redrawn as
+# many at a time as CHUNK_DIGITS digits.
+CHUNK_DIGITS = 1 << 13
+# A group of rows is ROW_GROUP to ROW_GROUP**2 rows, never fewer than ell
+# nor more than the depth: a block of fewer samples walks more rows at a
+# time, so its per-group numpy calls are spread over more digits.
+ROW_GROUP = 8
 # Step n of the float pass keeps a digit outside a relative margin of
 # (n + 16) MARGIN (derived in _float_digits).
 MARGIN = 2.0**-48
@@ -293,19 +303,35 @@ class ZeroOneReport:
     max_bits_used: int                  # the most bits any one digit took
 
 
+def _mix(z, x) -> np.ndarray:
+    """One SplitMix64 step: f(z + x g) mod 2^64, f the SplitMix64 finalizer
+    and g = 0x9e3779b97f4a7c15 (Steele, Lea & Flood, OOPSLA 2014); the
+    counter x broadcasts as a uint64 array."""
+    u = np.uint64
+    with np.errstate(over="ignore"):
+        z = z + np.asarray(x, dtype=u) * u(0x9E3779B97F4A7C15)
+        z ^= z >> u(30)
+        z *= u(0xBF58476D1CE4E5B9)
+        z ^= z >> u(27)
+        z *= u(0x94D049BB133111EB)
+        z ^= z >> u(31)
+        return z
+
+
+def _sample_key(seed: int, i) -> np.ndarray:
+    """The words' prefix for sample i, f(f(seed + g) + i g)."""
+    return _mix(_mix(np.uint64(seed), 1), i)
+
+
+def _digit_words(key, n, w) -> np.ndarray:
+    """Word w of digit n's bit string in the sample keyed `key`."""
+    return _mix(_mix(key, n), w)
+
+
 def _words(seed: int, i, n, w) -> np.ndarray:
     """Word w of digit n's bit string in sample i, f(f(f(f(seed + g) + i g)
-    + n g) + w g) mod 2^64 with f the SplitMix64 finalizer, g = 0x9e3779b97f4a7c15
-    (Steele, Lea & Flood, OOPSLA 2014); the counters broadcast as uint64 arrays."""
-    u = np.uint64
-    z = u(seed)
-    with np.errstate(over="ignore"):
-        for x in (1, i, n, w):
-            z = z + np.asarray(x, dtype=u) * u(0x9E3779B97F4A7C15)
-            z = (z ^ z >> u(30)) * u(0xBF58476D1CE4E5B9)
-            z = (z ^ z >> u(27)) * u(0x94D049BB133111EB)
-            z = z ^ z >> u(31)
-    return z
+    + n g) + w g) (see `_mix`); the counters broadcast as uint64 arrays."""
+    return _digit_words(_sample_key(seed, i), n, w)
 
 
 def _draws(seed: int, i: int, first: np.ndarray) -> Callable[[int, int], int]:
@@ -316,8 +342,7 @@ def _draws(seed: int, i: int, first: np.ndarray) -> Callable[[int, int], int]:
     return draw
 
 
-def _sample_digits(draw: Callable[[int, int], int], depth: int,
-                   prefix: Sequence[int] = ()) -> tuple[list[int], int]:
+def _sample_digits(draw: Callable[[int, int], int], depth: int) -> tuple[list[int], int]:
     """The first `depth` digits of a uniform x in (0, 1], and the most bits one took.
 
     Given continuants q = q_n, q' = q_{n-1}, P(a_{n+1} >= d) = (q + q')/(d q + q')
@@ -329,15 +354,12 @@ def _sample_digits(draw: Callable[[int, int], int], depth: int,
     is appended.  A fresh u per digit makes the law exact, and d is the
     digit of the whole bit string.  With r = q'/q the digit is floor(x),
     x = (1 + r) 2^K/(U + 1) - r, and it holds when y = (1 + r) 2^K/U - r
-    <= d + 1, the form `_float_digits` certifies in floats.  Sampling
-    resumes after the digits of `prefix`.
+    <= d + 1, the form `_float_digits` certifies in floats.
     """
-    digits = list(prefix)
+    digits = []
     q, q_prev = 1, 0
-    for d in digits:
-        q, q_prev = d * q + q_prev, q
     widest = 64
-    for n in range(len(digits), depth):
+    for n in range(depth):
         u = 0
         for k in itertools.count(64, 64):
             u = u << 64 | draw(n, k // 64 - 1)
@@ -352,13 +374,19 @@ def _sample_digits(draw: Callable[[int, int], int], depth: int,
     return digits, widest
 
 
-def _float_digits(seed: int, indices: range, depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _float_digits(seed: int, indices: range, depth: int,
+                  group: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The digits `_sample_digits` draws for the samples `indices`, in
-    float64, with the number of leading digits per sample certified to be them.
+    float64, `group` rows at a time, with the number of leading digits per
+    sample certified to be them.
 
-    Returns a (depth, samples) array and the counts.  Of each digit only
-    its first word U = W(seed, i, n, 0) is read, as a = (U + 1)/2^64 and
-    b = U/2^64.  Step n carries r = q'/q in float64 and computes x~ and y~,
+    Yields (n, rows, certified) for the rows n .. n + len(rows) - 1, rows a
+    fresh (rows, samples) array; certified, one array updated in place, is
+    per sample the index of its first uncertified digit so far, or depth.
+    Stops after the rows in which the last sample still certified fails.
+    Of each digit only its first word U = W(seed, i, n, 0) is read, as a =
+    (U + 1)/2^64 and b = U/2^64, hashed from each sample's `_sample_key`,
+    made once.  Step n carries r = q'/q in float64 and computes x~ and y~,
     the float values of x(a) and y(b), where x(t) = (1 + r)/t - r with the
     exact r; these are the x and y of the first word in `_sample_digits`.
     The digit d = floor(x~) is certified when
@@ -378,112 +406,147 @@ def _float_digits(seed: int, indices: range, depth: int) -> tuple[np.ndarray, np
     same holds for y~.  The tests below, rearranged as x~ (1 - e) - 2e > d
     and y~ (1 + e) + 2e <= d + 1 with e = (n + 16) 2^-48, round by at most
     (z + 2) 2^-52 more, and (n + 2) 2^-50 + 2^-52 < e leaves room for it.
+    A digit after a sample's first uncertified one is not a digit of x.
     """
-    words = _words(seed, np.arange(indices.start, indices.stop), np.arange(depth)[:, None], 0)
-    b = words.astype(np.float64)
-    b *= 2.0**-64
-    a = b + 2.0**-64
-    ok = np.zeros(a.shape, dtype=bool)
+    key = _sample_key(seed, np.arange(indices.start, indices.stop))
     r = np.zeros(len(indices))
+    certified = np.full(len(indices), depth)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for n in range(depth):
-            e = (n + 16) * MARGIN
-            t = 1.0 + r
-            x = t / a[n]
-            x -= r
-            y = t / b[n]
-            y -= r
-            # row n of a is not read again: it takes digit n
-            d = np.floor(x, out=a[n])
-            np.logical_and(x * (1 - e) - 2 * e > d, y * (1 + e) + 2 * e <= d + 1, out=ok[n])
-            r = 1.0 / (d + r)
-            if n % 64 == 63 and not ok[:n + 1].all(axis=0).any():
-                break
-    certified = np.where(ok.all(axis=0), depth, ok.argmin(axis=0))
-    return a, certified
+        for first in range(0, depth, group):
+            n = np.arange(first, min(first + group, depth))
+            b = _digit_words(key, n[:, None], 0).astype(np.float64)
+            b *= 2.0**-64
+            a = b + 2.0**-64
+            ok = np.empty(a.shape, dtype=bool)
+            for k, e in enumerate(((n + 16) * MARGIN).tolist()):
+                t = 1.0 + r
+                x = t / a[k]
+                x -= r
+                y = t / b[k]
+                y -= r
+                # row k of a is not read again: it takes digit first + k
+                d = np.floor(x, out=a[k])
+                np.logical_and(x * (1 - e) - 2 * e > d, y * (1 + e) + 2 * e <= d + 1, out=ok[k])
+                r = 1.0 / (d + r)
+            failed = (certified == depth) & ~ok.all(axis=0)
+            certified[failed] = first + ok.argmin(axis=0)[failed]
+            yield first, a, certified
+            if (certified < depth).all():
+                return
 
 
-def _sample_block(seed: int, indices: range,
-                  depth: int) -> tuple[np.ndarray, dict[int, list[int]], list[int]]:
-    """The digits `_sample_digits` draws for the samples `indices`.
+def _window_hits(rows: np.ndarray, thresholds: np.ndarray, ell: int, sv: PrimeSieve,
+                 valid: np.ndarray,
+                 block: Callable[[int, int], Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """hit[j, s]: column s's ell digits from row j are all prime and
+    multiply to at least thresholds[j]; and trial[j, s]: they multiply to
+    at least it, but a digit lies past the sieve.  `rows` holds the digits
+    as floats (exact below 2^53, NaN above) and `block(j, s)` gives them as
+    ints; a window `valid` rules out is neither, and `valid` has a row for
+    each window tested.
 
-    Returns a (samples, depth) float64 array of the digits (exact below
-    2^53, NaN above), the exact digit lists of the samples `_sample_digits`
-    resampled, keyed by row, and for each of them the most bits one of its
-    digits took; every other digit took one 64-bit word.
-
-    `_float_digits` draws them all at once.  A sample with an uncertified
-    digit is then resampled by `_sample_digits` from that digit on, after
-    the certified prefix, whose continuants are rebuilt exactly.
-    """
-    digits, certified = _float_digits(seed, indices, depth)
-    digits = digits.T
-    exact: dict[int, list[int]] = {}
-    widths = []
-    rows = np.flatnonzero(certified < depth)
-    first = _words(seed, rows[:, None] + indices.start, np.arange(depth), 0)
-    for row, words in zip(rows.tolist(), first):
-        prefix = digits[row, :certified[row]].astype(np.int64).tolist()
-        exact[row], width = _sample_digits(_draws(seed, indices[row], words), depth, prefix)
-        widths.append(width)
-        digits[row] = np.fromiter((d if d < 2**53 else math.nan for d in exact[row]),
-                                  np.float64, depth)
-    return digits, exact, widths
-
-
-def _window_all(mask: np.ndarray, ell: int, start: int, width: int) -> np.ndarray:
-    """Per row, whether `mask` holds at all ell positions from each of the
-    positions start .. start + width - 1, by counting misses."""
-    misses = np.zeros((mask.shape[0], mask.shape[1] + 1), dtype=np.int32)
-    np.cumsum(~mask, axis=1, out=misses[:, 1:])
-    return misses[:, start + ell:start + ell + width] == misses[:, start:start + width]
-
-
-def _window_hits(digits: np.ndarray, exact: dict[int, list[int]], thresholds: list[float],
-                 n1: int, ell: int, sv: PrimeSieve) -> np.ndarray:
-    """hit[i, j]: row i's ell digits from position n1 + j are all prime and
-    multiply to at least thresholds[j].
-
-    The product test comes first, as in a scalar loop over (row, n).  Float
-    products decide every block they are sure of.  One below 2^53 is
-    exact: the partial products of digits >= 1 never decrease, and
+    Float products decide every window they are sure of.  One below 2^53
+    is exact: the partial products of digits >= 1 never decrease, and
     rounding is monotone, so the first rounding would leave one >= 2^53.
     Past it, the ell - 1 roundings of a product of ell <= DRAW_CAP < 2^24
     exact factors leave it within 2^-28 of the exact one, so only products
     within 2^-20 of the threshold, or NaN, are tested again in integers;
     an infinite product exceeds any threshold whose band is finite.  The
     sieve table is read for every digit in it, since a read cannot fail;
-    blocks that pass with a digit past the sieve go to `is_prime_trial` one
-    at a time, in (row, n) order, so an out-of-range digit raises where the
-    scalar loop would, and only if it would.
+    the trial windows are left to `is_prime_trial`.
     """
-    start, width = n1 - 1, len(thresholds)
-    thr = np.array(thresholds)
+    width = len(valid)
+    thresholds = thresholds[:width]
+    thr = thresholds[:, None]
+    in_sieve = rows <= sv.limit
+    # fmin sends NaN and digits past the sieve to a cell in_sieve masks
+    prime = sv.table.take(np.fmin(rows, sv.limit).astype(np.intp))
+    prime &= in_sieve
+    prod, sieved, primes = rows[:width], in_sieve[:width], prime[:width]
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = digits[:, start:start + width].copy()
         for k in range(1, ell):
-            prod *= digits[:, start + k:start + k + width]
+            prod = prod * rows[k:k + width]
+            sieved = sieved & in_sieve[k:k + width]
+            primes = primes & prime[k:k + width]
+        passed = (prod >= thr) & valid
         exact_prod = prod < 2.0**53
-        upper = thr * (1 + 2.0**-20)
-        passed = np.where(exact_prod, prod >= thr, (prod >= upper) & np.isfinite(upper))
-        unsure = ~exact_prod & ~passed & ~(prod < thr * (1 - 2.0**-20))
+        if not exact_prod.all():
+            upper = thr * (1 + 2.0**-20)
+            passed = np.where(exact_prod, passed, (prod >= upper) & np.isfinite(upper) & valid)
+            unsure = ~exact_prod & ~passed & ~(prod < thr * (1 - 2.0**-20)) & valid
+            for j, s in zip(*np.nonzero(unsure)):
+                passed[j, s] = math.prod(block(j, s)) >= float(thresholds[j])
+    return passed & primes, passed & ~sieved
 
-    def block(i: int, j: int) -> Iterator[int]:
-        row = exact.get(i)
-        if row is None:
-            return map(int, digits[i, start + j:start + j + ell])
-        return (row[k] for k in range(start + j, start + j + ell))
 
-    for i, j in zip(*np.nonzero(unsure)):
-        passed[i, j] = math.prod(block(i, j)) >= thresholds[j]
-    in_sieve = digits <= sv.limit
-    prime = np.zeros_like(in_sieve)
-    prime[in_sieve] = sv.table[digits[in_sieve].astype(np.int64)]
-    blocks_in_sieve = _window_all(in_sieve, ell, start, width)
-    hit = passed & blocks_in_sieve & _window_all(prime, ell, start, width)
-    for i, j in zip(*np.nonzero(passed & ~blocks_in_sieve)):
-        hit[i, j] = all(is_prime_trial(d, sv) for d in block(i, j))
-    return hit
+def _block_hits(cfg: MCExperiment, indices: range, thresholds: np.ndarray,
+                sv: PrimeSieve) -> tuple[np.ndarray, int, list[int]]:
+    """Per n of the window, how many of the samples `indices` hit at n; how
+    many hit anywhere; and the widest draw of each sample `_sample_digits`
+    resampled (every other digit took one 64-bit word).
+
+    `_float_digits` walks the block's digit rows once, a group of rows at
+    a time (see ROW_GROUP); each group joins the last ell - 1 rows before
+    it in a slab, whose windows ending in the group are tested by
+    `_window_hits` and which is then dropped.  A window reaching a
+    sample's first uncertified digit is not tested there: the sample is
+    drawn again by `_sample_digits` from its first digit, and its windows
+    from that one on are tested on the exact digits.  Trial windows are
+    answered by `is_prime_trial` as they arrive; the first refusal in
+    (sample, n) order, the order of a scalar loop, is raised at the end of
+    the block, and trial windows after it are skipped.
+    """
+    n1, n2 = cfg.window
+    ell, start, depth = cfg.ell, n1 - 1, n2 + cfg.ell
+    hits = np.zeros(thresholds.size, dtype=np.int64)
+    hit_any = np.zeros(len(indices), dtype=bool)
+    refused: list = []  # (sample, n) of the first refusal, and the refusal
+
+    def tally(rows, lo, valid, columns, block):
+        # the windows from digit lo on in rows, of the block's samples columns
+        hit, trial = _window_hits(rows, thresholds[lo - start:], ell, sv, valid, block)
+        for j, s in zip(*np.nonzero(trial)):
+            at = (columns[s], lo + j)
+            if refused and at > refused[0]:
+                continue
+            try:
+                hit[j, s] = all(is_prime_trial(d, sv) for d in block(j, s))
+            except OutOfRangeError as exc:
+                refused[:] = [at, exc]
+        hits[lo - start:lo - start + len(hit)] += hit.sum(axis=1)
+        hit_any[columns] |= hit.any(axis=0)
+
+    group = min(depth, max(ell, min(ROW_GROUP**2, CHUNK_DIGITS // len(indices) - ell + 1)))
+    slab = np.empty((ell - 1 + group, len(indices)))
+    for first, rows, certified in _float_digits(cfg.seed, indices, depth, group):
+        # slab row k holds digit first - ell + 1 + k
+        slab[ell - 1:ell - 1 + len(rows)] = rows
+        lo, hi = max(start, first - ell + 1), min(n2, first + len(rows) - ell + 1)
+        if lo < hi:
+            window = slab[lo - first + ell - 1:hi - first + 2 * ell - 2]
+            tally(window, lo, np.arange(lo + ell, hi + ell)[:, None] <= certified,
+                  np.arange(len(indices)), lambda j, s: map(int, window[j:j + ell, s]))
+        slab[:ell - 1] = slab[len(rows):len(rows) + ell - 1]
+
+    # the resampled samples, as many at a time as CHUNK_DIGITS digits
+    resampled, step = np.flatnonzero(certified < depth), max(1, CHUNK_DIGITS // depth)
+    widths = []
+    for batch in (resampled[k:k + step] for k in range(0, resampled.size, step)):
+        words = _words(cfg.seed, batch[:, None] + indices.start, np.arange(depth), 0)
+        exact = []
+        for i, first_words in zip(batch + indices.start, words):
+            digits, width = _sample_digits(_draws(cfg.seed, int(i), first_words), depth)
+            exact.append(digits)
+            widths.append(width)
+        begin = np.maximum(start, certified[batch] - ell + 1)
+        lo = int(begin.min())
+        rows = np.array([[d if d < 2**53 else math.nan for d in digits[lo:n2 + ell - 1]]
+                         for digits in exact], dtype=np.float64).T
+        tally(rows, lo, np.arange(lo, n2)[:, None] >= begin, batch,
+              lambda j, s: exact[s][lo + j:lo + j + ell])
+    if refused:
+        raise refused[1]
+    return hits, int(hit_any.sum()), widths
 
 
 def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
@@ -493,8 +556,9 @@ def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
     Each draw is a pure function of (seed, sample, digit), so the report
     is bit-identical for a fixed configuration regardless of ordering.  A
     run of more than DRAW_CAP digits is refused before any is drawn.
-    Samples are drawn by `_sample_block` in chunks of at most CHUNK_DIGITS
-    digits, or one sample.
+    Samples are drawn by `_block_hits` in blocks whose slab of
+    ell - 1 + max(ROW_GROUP, ell) digit rows (fewer in a shallower
+    window) holds at most CHUNK_DIGITS digits, or one sample.
     """
     n1, n2 = cfg.window
     depth = n2 + cfg.ell
@@ -503,17 +567,16 @@ def run_zero_one_experiment(cfg: MCExperiment, sv: PrimeSieve) -> ZeroOneReport:
         raise EnumerationGuardError(
             f"{draws} draws ({cfg.sample_count} samples x {depth} digits)"
             f" exceed DRAW_CAP = {DRAW_CAP}")
-    thresholds = [float(cfg.phi(n)) for n in range(n1, n2 + 1)]
-    hits = np.zeros(len(thresholds), dtype=np.int64)
+    thresholds = np.array([float(cfg.phi(n)) for n in range(n1, n2 + 1)])
+    hits = np.zeros(thresholds.size, dtype=np.int64)
     hit_count = 0
     refinements, widest = 0, 64
-    step = max(1, CHUNK_DIGITS // depth)
+    step = max(1, CHUNK_DIGITS // (cfg.ell - 1 + min(depth, max(ROW_GROUP, cfg.ell))))
     for start in range(0, cfg.sample_count, step):
         indices = range(start, min(start + step, cfg.sample_count))
-        digits, exact, widths = _sample_block(cfg.seed, indices, depth)
-        hit = _window_hits(digits, exact, thresholds, n1, cfg.ell, sv)
-        hits += hit.sum(axis=0)
-        hit_count += int(hit.any(axis=1).sum())
+        block_hits, block_count, widths = _block_hits(cfg, indices, thresholds, sv)
+        hits += block_hits
+        hit_count += block_count
         refinements += sum(width > 64 for width in widths)
         widest = max([widest, *widths])
     return ZeroOneReport(

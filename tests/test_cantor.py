@@ -634,7 +634,6 @@ def test_tree_enumerates_sub_blocks_once(sieve_mid, monkeypatch):
         return word_continuants(M, n)
 
     monkeypatch.setattr(pressure, "word_continuants", counted)
-    monkeypatch.setattr(cantor, "word_continuants", counted)
     eb_prefix_tree(params, 2, sieve_mid)
     assert calls == [(5, 3)]
 

@@ -904,16 +904,24 @@ def test_luczak_dim_blocks_at_the_table_edge(capsys):
 @pytest.mark.parametrize("argv", [["luczak-dim", "--b", "2", "--c", "2", "--kmax", "4"],
                                   ["box-dim", "--b", "2", "--c", "2", "--kmax", "4"]])
 def test_luczak_commands_read_each_block_once(monkeypatch, capsys, argv):
-    # one walk of the levels, and every prime read inside it
-    calls = []
-    walk = cantor.luczak_levels
+    # one walk of the levels, and every prime read inside it (cantor reads
+    # its windows through primes.primes_in)
+    calls, walking = [], []
+    walk, read = cantor.luczak_levels, primes.primes_in
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return walk(*args, **kwargs)
+        walking.append(True)
+        try:
+            return walk(*args, **kwargs)
+        finally:
+            walking.pop()
+
+    def window(*args):
+        return read(*args) if walking else pytest.fail("cli read a window")
 
     monkeypatch.setattr(cantor, "luczak_levels", counted)
-    monkeypatch.setattr(primes, "primes_in", lambda *a: pytest.fail("cli read a window"))
+    monkeypatch.setattr(primes, "primes_in", window)
     code, _, _ = run_cli(capsys, argv)
     assert code == 0
     assert len(calls) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +17,6 @@ from primecf.measure import (
     MCExperiment,
     ZeroOneReport,
     _draws,
-    _sample_block,
     _sample_digits,
     _words,
     borel_bernstein_table,
@@ -238,7 +238,7 @@ def test_single_digit_terms_are_streamed_to_fsum(cli_peak_rss_mb):
 # -- sampling experiments -------------------------------------------------------
 
 def stream(seed: int, i: int, depth: int):
-    """Sample i's draw function, as `_sample_block` hands it to `_sample_digits`
+    """Sample i's draw function, as the experiment hands it to `_sample_digits`
     (through the module, so a patched word function is used)."""
     return _draws(seed, i, measure._words(seed, i, np.arange(depth), 0))
 
@@ -382,16 +382,28 @@ def oracle_report(cfg: MCExperiment, sv) -> ZeroOneReport:
         refinements=sum(w > 64 for w in widths), max_bits_used=max(widths))
 
 
-def block_rows(seed: int, count: int, depth: int) -> list[tuple[list[int], int]]:
-    """(digits, widest draw) of samples 0..count-1 as `_sample_block` draws them."""
-    digits, exact, widths = _sample_block(seed, range(count), depth)
-    width = dict(zip(exact, widths, strict=True))
+def float_rows(seed: int, indices: range, depth: int,
+               group: int = measure.ROW_GROUP) -> tuple[np.ndarray, np.ndarray]:
+    """The (samples, rows walked) digits `_float_digits` takes for the
+    samples `indices`, and how many leading digits of each it certifies."""
+    walk = list(measure._float_digits(seed, indices, depth, group))
+    return np.concatenate([rows for _, rows, _ in walk]).T, walk[-1][2]
+
+
+def block_rows(seed: int, count: int, depth: int,
+               group: int = measure.ROW_GROUP) -> list[tuple[list[int], int]]:
+    """(digits, widest draw) of samples 0..count-1 as the experiment reads
+    them: the digits the float pass certifies, the rest and the widest
+    draw of a sample with an uncertified digit from `_sample_digits`, and
+    one word for each certified digit."""
+    digits, certified = float_rows(seed, range(count), depth, group)
     rows = []
-    for k in range(count):
-        row = [int(d) for d in digits[k].tolist()]
-        if k in exact:
-            assert row == exact[k]
-        rows.append((row, width.get(k, 64)))
+    for k, c in enumerate(certified.tolist()):
+        row, width = [int(d) for d in digits[k, :c]], 64
+        if c < depth:
+            exact, width = _sample_digits(stream(seed, k, depth), depth)
+            row += exact[c:]
+        rows.append((row, width))
     return rows
 
 
@@ -400,8 +412,8 @@ def scalar_rows(seed: int, count: int, depth: int) -> list[tuple[list[int], int]
 
 
 def resampled(seed: int, count: int, depth: int) -> int:
-    """How many of samples 0..count-1 `_sample_block` hands to `_sample_digits`."""
-    return len(_sample_block(seed, range(count), depth)[1])
+    """How many of samples 0..count-1 the experiment hands to `_sample_digits`."""
+    return int((float_rows(seed, range(count), depth)[1] < depth).sum())
 
 
 @pytest.mark.parametrize("n2", [16, 32, 48, 64, 96, 256])
@@ -416,7 +428,8 @@ def test_block_sampler_equals_sample_digits(n2, ell, monkeypatch):
         want = scalar_rows(seed, count, depth)
         for margin in (measure.MARGIN, 2.0**-20, 2.0**-14, 1.0):
             monkeypatch.setattr(measure, "MARGIN", margin)
-            assert block_rows(seed, count, depth) == want, margin
+            for group in (1, 5, measure.ROW_GROUP):
+                assert block_rows(seed, count, depth, group) == want, (margin, group)
         assert resampled(seed, count, depth) == count
 
 
@@ -425,15 +438,15 @@ def test_block_sampler_deep_window(monkeypatch):
     # prefix partway, and the exact sampler finishes each from there
     monkeypatch.setattr(measure, "MARGIN", 2.0**-20)
     count, depth = 16, 2001
-    certified = measure._float_digits(1, range(count), depth)[1]
+    certified = float_rows(1, range(count), depth)[1]
     assert ((0 < certified) & (certified < depth)).all()
     assert block_rows(1, count, depth) == scalar_rows(1, count, depth)
 
 
 def test_block_sampler_certifies_wide_draws():
     # at the real margin no digit of these samples needs the scalar sampler
-    digits, exact, widths = _sample_block(3, range(200), 201)
-    assert exact == {} and widths == []
+    digits, certified = float_rows(3, range(200), 201)
+    assert (certified == 201).all()
     assert digits.shape == (200, 201)
 
 
@@ -450,18 +463,18 @@ def test_block_sampler_margin_near_digit_boundaries(monkeypatch):
             scripts += [[first, edge + off] for off in range(-3, 4)]
     heads = np.array(scripts, dtype=np.uint64)
 
-    def scripted(seed, i, n, w):
+    def scripted(i, n, w):
         # word 0 of digit n is scripted; every later word is 2^63
         i, n, w = (np.asarray(x).astype(np.int64) for x in (i, n, w))
         return np.where(w == 0, heads[i, n], np.uint64(2**63))
 
-    monkeypatch.setattr(measure, "_words", scripted)
+    # the sample's key is its index, which the scripted words read
+    monkeypatch.setattr(measure, "_sample_key", lambda seed, i: np.asarray(i))
+    monkeypatch.setattr(measure, "_digit_words", scripted)
     want = [_sample_digits(stream(0, i, 2), 2)[0] for i in range(len(scripts))]
-    digits, _, _ = _sample_block(0, range(len(scripts)), 2)
-    assert [[int(d) for d in row] for row in digits.tolist()] == want
+    assert [row for row, _ in block_rows(0, len(scripts), 2)] == want
     monkeypatch.setattr(measure, "MARGIN", 0.0)
-    digits, _, _ = _sample_block(0, range(len(scripts)), 2)
-    assert [[int(d) for d in row] for row in digits.tolist()] != want
+    assert [row for row, _ in block_rows(0, len(scripts), 2)] != want
 
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -520,13 +533,15 @@ def test_experiment_refines_an_undecided_word(monkeypatch, capsys):
             "--seed", "4", "--sieve", "1000"]
     plain = run_zero_one_experiment(cfg, sv)
     assert (plain.refinements, plain.max_bits_used) == (0, 64)
-    words = measure._words
+    key, digit_words = measure._sample_key, measure._digit_words
 
-    def scripted(seed, i, n, w):
+    def scripted(i, n, w):
         undecided = (np.asarray(i) == 3) & (np.asarray(n) == 0) & (np.asarray(w) == 0)
-        return np.where(undecided, np.uint64(UNDECIDED), words(seed, i, n, w))
+        return np.where(undecided, np.uint64(UNDECIDED), digit_words(key(4, i), n, w))
 
-    monkeypatch.setattr(measure, "_words", scripted)
+    # the sample's key is its index, which the scripted words read
+    monkeypatch.setattr(measure, "_sample_key", lambda seed, i: np.asarray(i))
+    monkeypatch.setattr(measure, "_digit_words", scripted)
     rep = run_zero_one_experiment(cfg, sv)
     assert rep == oracle_report(cfg, sv)
     assert (rep.refinements, rep.max_bits_used) == (1, 128)
@@ -569,14 +584,19 @@ def test_experiment_equals_scalar_loop(case, monkeypatch):
                        phi=phi, ell=ell, seed=seed)
     want = oracle_report(cfg, sv)
     assert run_zero_one_experiment(cfg, sv) == want
-    # chunks of 17 samples, of one sample, a margin wide enough that many
-    # samples resume after a certified prefix, and no digit certified by the
-    # float pass: every sample resampled from its first digit
+    # blocks of 17 samples walked one row at a time (or ell rows), of one
+    # sample, and then in full blocks a margin wide enough that many samples
+    # are resampled after certified prefixes of many lengths, and no digit
+    # certified by the float pass: every sample resampled from its first digit
     depth = window[1] + ell
-    monkeypatch.setattr(measure, "CHUNK_DIGITS", 17 * depth)
+    chunk, group = measure.CHUNK_DIGITS, measure.ROW_GROUP
+    monkeypatch.setattr(measure, "ROW_GROUP", 1)
+    monkeypatch.setattr(measure, "CHUNK_DIGITS", 17 * (2 * ell - 1))
     assert run_zero_one_experiment(cfg, sv) == want
+    monkeypatch.setattr(measure, "ROW_GROUP", group)
     monkeypatch.setattr(measure, "CHUNK_DIGITS", 1)
     assert run_zero_one_experiment(cfg, sv) == want
+    monkeypatch.setattr(measure, "CHUNK_DIGITS", chunk)
     monkeypatch.setattr(measure, "MARGIN", 2.0**-12)
     assert run_zero_one_experiment(cfg, sv) == want
     monkeypatch.setattr(measure, "MARGIN", 1.0)
@@ -586,23 +606,44 @@ def test_experiment_equals_scalar_loop(case, monkeypatch):
 
 def test_window_hits_decides_products_past_2_53_in_integers():
     # p q lies between two doubles above 2^53, and its float product rounds
-    # up onto the threshold p q + 1: only the integer test sees it fall short
+    # up onto the threshold p q + 1: only the integer test sees it fall short.
+    # The digits lie past the sieve, so p r passes on to trial division
     p, q, r = 94906297, 94906319, 94906373
     threshold = float(p * q + 1)
     assert p * q > 2**53 and float(p) * float(q) == threshold
-    digits = np.array([[p, q], [p, r]], dtype=np.float64)
-    hit = measure._window_hits(digits, {}, [threshold], 1, 2, PrimeSieve(10**4))
-    assert hit.tolist() == [[False], [True]]
+    digits = np.array([[p, p], [q, r]], dtype=np.float64)  # one sample a column
+    hit, trial = measure._window_hits(digits, np.array([threshold]), 2, PrimeSieve(10**4),
+                                      np.ones((1, 2), dtype=bool),
+                                      lambda j, s: map(int, digits[j:j + 2, s]))
+    assert hit.tolist() == [[False, False]]
+    assert trial.tolist() == [[False, True]]
+
+
+def test_a_deep_sample_holds_a_few_digit_rows():
+    # one sample of depth 20,001: each group of digit rows is dropped once the
+    # windows ending in it are tested, so no array grows with the depth
+    # (holding every row took about 32 bytes a digit, a 644 kB peak here)
+    cfg = MCExperiment(sample_count=1, window=(19990, 20000), phi=lambda n: 1e300,
+                       ell=1, seed=1)
+    sv = PrimeSieve(1000)
+    tracemalloc.start()
+    try:
+        rep = run_zero_one_experiment(cfg, sv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.refinements == 0
+    assert peak < 64 * 1024
 
 
 def test_sampled_digits_follow_the_gauss_kuzmin_law_at_depth():
     # P(a_30 = k) is log2(1 + 1/(k (k + 2))) up to about 0.3^30 (Wirsing);
     # 5 sigma at 50,000 samples for k = 1..4
     n, depth = 50_000, 30
-    step = measure.CHUNK_DIGITS // depth
     counts = Counter()
-    for start in range(0, n, step):
-        digits, _, _ = _sample_block(20261019, range(start, min(n, start + step)), depth)
+    for start in range(0, n, 1000):
+        digits, certified = float_rows(20261019, range(start, start + 1000), depth)
+        assert (certified == depth).all()
         counts.update(digits[:, depth - 1].tolist())
     for k in range(1, 5):
         p = math.log2(1 + 1 / (k * (k + 2)))

@@ -178,6 +178,8 @@ def test_commands_without_mpf_values_never_import_mpmath(argv):
 @pytest.mark.parametrize("argv", [
     ["cf-expand", "--rational", "113/355"],
     ["cf-expand", "--rational", "0.3183", "--bits", "40"],
+    # the README's example: the line fit needs neither numpy nor a sieve
+    ["box-dim", "--covers", "0.333,0.333;0.111,0.111,0.111,0.111"],
 ], ids=lambda argv: argv[-2])
 def test_cf_expand_never_imports_numpy(argv):
     got = run_main(argv)
