@@ -640,8 +640,8 @@ OUTPUT_PINS = [
     # workload's pressure roots at seed 1 (the M = 1000 collocation root, the
     # enumerated root, the hwx-dim root) and one root bisected down to 1e-15,
     # whose digests predate the Illinois search in `dimensional_number`.  Last
-    # the corpus's one tail on the mpf power route of `zeta._power_sum`
-    # (s = 2.3 has no exact root), 9,567 terms.
+    # a tail on the mpf power route of `zeta._unit_sum` (s = 2.3 has no exact
+    # root), 9,567 terms; the segment-edge pins below hold other s = 2.3 tails.
     ["pzeta-tail", "--ell", "3", "--s", "2", "--M", "100", "--cutoff", "1000000"],
     ["pzeta-asymptotic", "--ell", "2", "--s", "2", "--grid", "1e3,1e4,1e5",
      "--cutoff", "1000000"],
@@ -690,6 +690,20 @@ OUTPUT_PINS = [
      "--seed", "3"],
     ["mc-zero-one", "--ell", "3", "--phi", "8", "--window", "1,300", "--samples", "2000",
      "--seed", "5"],
+    # Exact tails at dyadic s = a / 2^j, j = 1, 2, 3, whose terms take the
+    # j integer square roots: the benchmark's s = 2.5 tail; s = 2.25 and
+    # 2.125; s = 1.5 from k = 2, where a root's float seed lies nearest a
+    # floor it cannot decide; a = 63 with a unit near 2^-790; and a three-
+    # threshold table at s = 3.5.  Pinned while each term still took one
+    # Python division and j math.isqrt calls.
+    ["pzeta-tail", "--ell", "1", "--s", "2.5", "--M", "100", "--cutoff", "3000000"],
+    ["pzeta-tail", "--ell", "1", "--s", "2.25", "--M", "10", "--cutoff", "300000"],
+    ["pzeta-tail", "--ell", "2", "--mode", "exactly", "--s", "2.125", "--M", "10",
+     "--cutoff", "300000"],
+    ["pzeta-tail", "--ell", "1", "--s", "1.5", "--M", "2", "--cutoff", "100000"],
+    ["pzeta-tail", "--ell", "1", "--s", "31.5", "--M", "1000000", "--cutoff", "1100000"],
+    ["pzeta-asymptotic", "--ell", "3", "--s", "3.5", "--grid", "10,1000,100000",
+     "--cutoff", "300000"],
 ]
 
 
