@@ -8,13 +8,14 @@ Tails are accumulated exactly as Python integers in units of
 2^-(FIX_BITS + e), with e chosen so the largest term, at the smallest k,
 is about 2^FIX_BITS units.  When s * 2^j is an integer a <= 64 for some
 j <= 3, each term is the exact floor of its units, so the total is a
-lower bound within `terms` units of the true sum.  For integer s (j = 0)
-the k with k^a < 2^62 get their floors by long division in 40-bit limbs,
-a whole numpy array at once (`_limb_floor_sum`): each digit estimate is
-off by at most one, and one step corrects it.  Every other term is one
-Python floor division, then j nested integer square roots.  Any other s
-takes one mpmath power per term at FIX_BITS + 20 bits, whose mantissa is
-shifted into the same units.
+lower bound within `terms` units of the true sum.  Those floors come from
+numpy arrays a chunk at a time (`_floor_terms`): a long division by powers
+of k in 48-bit digits, each digit estimate off by at most one and one step
+correcting it, after, for j >= 1, a root of k in three seeded steps whose
+residuals are exact in int64.  The few terms whose root bound cannot
+decide the floor take one Python floor division and j integer square
+roots.  Any other s takes one mpmath power per term at FIX_BITS + 20 bits,
+whose mantissa is shifted into the same units.
 The total becomes a 40-digit value once, rounded down, and its slack, plus
 that rounding, is added to the remainder bound rounded up, so every tail
 keeps about 40 correct digits, however small, and [value, upper] stays
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 from mpmath import libmp, mp, mpf
@@ -34,12 +35,13 @@ from .primes import PrimeSieve, almost_primes
 
 WORK_DPS = 40
 # Fixed-point sums count units of 2^-(FIX_BITS + e), e scaled to the largest
-# term; terms stream through Python ints in chunks of FIX_CHUNK, so no object
-# list spans a whole term array, the limb division's uint64 arrays stay
-# smaller than an enumeration segment's, and the 40-bit digits of a chunk's
-# limb division sum below 2^56 in uint64.
+# term; terms stream in chunks of FIX_CHUNK, so the exact route's arrays and
+# the mpf route's object lists stay a fraction of an enumeration segment's,
+# and the 48-bit digits of a chunk's long division sum below 2^60 in uint64.
+# Chunks of 2^12 ran the s = 2.5 floors fastest (2^11 and 2^13 took a
+# quarter longer, 2-vCPU host), their arrays still in cache.
 FIX_BITS = 160
-FIX_CHUNK = 1 << 14
+FIX_CHUNK = 1 << 12
 # Exponents s * 2^j above this take the mpf route: k^a grows with a.
 _EXACT_MAX_POWER = 64
 # The most terms one tail sum computes on the mpf route, about 11 us each:
@@ -124,50 +126,279 @@ def _unit_exponent(k: int, s: float) -> int:
     return -(exp + bc)
 
 
-def _one_limb_max(a: int) -> int:
-    """The largest k with k^a < 2^62, found in exact integers."""
-    k = int(2.0 ** (62 / a))
-    while k ** a >= 1 << 62:
-        k -= 1
-    while (k + 1) ** a < 1 << 62:
-        k += 1
-    return k
+# The exact route's digits, in its long divisions and square roots: 48 bits,
+# so a quotient digit's float estimate is off by at most one, and the digits
+# of up to 2^14 terms sum below 2^62.
+_DIGIT = 48
+_MASK = (1 << _DIGIT) - 1
 
 
-def _limb_floor_sum(ks: np.ndarray, a: int, unit: int) -> int:
-    """Sum of floor(2^unit / k^a) over ks, every D = k^a below 2^62.
+def _digits(terms: list[tuple[np.ndarray, int]], n: int) -> tuple[list, np.ndarray | float]:
+    """(rows, frac) with sum v 2^e over terms equal to sum rows[i] 2^(48 (n-1-i))
+    + frac, element for element.
 
-    Long division of 2^unit by all the D at once, in base 2^40 digits and
-    uint64 arrays (Knuth, TAOCP vol. 2, 4.3.1).  The remainder r < D starts
-    as 2^(unit mod 40) mod D, and each of unit // 40 steps takes the next
-    quotient digit, floor(r 2^40 / D) < 2^40.  Its estimate q =
-    trunc(float(r) * (2^40 / float(D))) rounds four times, so it is within
-    2^-50 relative, under 2^-10 absolute, of r 2^40 / D: q is off by at
-    most one.  So r 2^40 - q D lies in [-D, 2D), which int64 holds as D <
-    2^62: its wrapped uint64 value read as int64 is exact, and one
-    correction step fixes q and r.  Each step's digits sum to under 2^56
-    for up to 2^16 ks, and the step sums are combined as Python ints.  So
-    the 40-bit limb keeps both the estimate's error below one and a chunk's
-    digit sums inside uint64.
+    Each term is an int64 array v with an exponent e.  The rows, top first,
+    are int64 digits in [0, 2^48), the top row excepted, which takes what
+    lies above it (the caller makes n large enough that it holds no more
+    than it can); a row no term reaches is None.  The parts below 2^0 are
+    summed into the float array frac, each part exact to 2^-53 relative.
     """
-    d = ks.astype(np.uint64) ** a
-    d_signed = d.view(np.int64)
-    scale = 2.0**40 / d.astype(np.float64)
-    steps, top = divmod(unit, 40)
-    q, r = np.divmod(np.uint64(1 << top), d)
-    total = int(q.sum(dtype=np.uint64))
-    for _ in range(steps):
-        q = (r.astype(np.float64) * scale).astype(np.uint64)
-        r <<= np.uint64(40)
-        r -= q * d
-        signed = r.view(np.int64)
-        below, above = signed < 0, signed >= d_signed
-        q -= below
-        q += above
-        r += d * below
-        r -= d * above
-        total = (total << 40) + int(q.sum(dtype=np.uint64))
-    return total
+    rows: list = [None] * n
+    frac = 0.0
+
+    def add(i: int, part: np.ndarray) -> None:
+        rows[i] = part if rows[i] is None else rows[i] + part
+
+    top = _DIGIT * (n - 1)
+    for v, e in terms:
+        if e >= top:
+            add(0, v << (e - top))
+        elif e >= 0:
+            g, w = divmod(e, _DIGIT)
+            add(n - 1 - g, ((v.view(np.uint64) << w) & _MASK).view(np.int64))
+            add(n - 2 - g, v >> (_DIGIT - w))
+        elif e > -63:
+            add(n - 1, v >> -e)
+            frac = frac + (v & ((1 << -e) - 1)) * 2.0**e
+        else:  # the whole part is 0 or -1
+            add(n - 1, v >> 63)
+            frac = frac + (v * 2.0**e - (v >> 63))
+    for i in range(n - 1, 0, -1):
+        if rows[i] is not None:
+            add(i - 1, rows[i] >> _DIGIT)
+            rows[i] &= _MASK
+    return rows, frac
+
+
+def _sqrt_digits(a: list[np.ndarray], rest) -> tuple[np.ndarray, ...]:
+    """(g, d1, d2, x, err): the square root of A = sum a[i] 2^(48 (5-i)) + rest
+    is g 2^96 + d1 2^48 + d2 + x, with x within err of the float x.
+
+    The int64 digits a hold an integer, a[0] 2^48 + a[1] = A0 in [2^64, 2^104]
+    and the others in [0, 2^48); rest is a float.  Three seeded steps, each
+    48 bits more, found by division by the seed (Brent & Zimmermann, Modern
+    Computer Arithmetic, 2010, 1.5), with every residual exact:
+
+    * g = round(sqrt(float A0)), in [2^32, 2^52], is within 2 of sqrt(A0),
+      so rho1 = A0 - g^2 is under 2^56 in size and exact in int64 arithmetic
+      mod 2^64.
+    * The root of A1 = 2^96 A0 + 2^48 a2 + a3 is 2^48 g + h - h^2 / (2^49 g)
+      to within 2^-10, h = (2^48 rho1 + a2 + a3 2^-48) / (2 g) < 2^50; d1
+      rounds that sum without a3's part, so r2 = 2^48 g + d1 is within 1 of
+      the root, and s1 = 2^48 rho1 + a2 - 2 g d1 is under 2^55, exact mod
+      2^64.  A1 - r2^2 = 2^48 e1 + e0, e1 = s1 - hi and e0 = a3 - lo for d1^2
+      = 2^48 hi + lo (`_product`), is under 2^(g's bits + 51), so its float
+      has no cancellation.
+    * d2 rounds (2^48 (A1 - r2^2) + a4) / (2 r2), so r3 = 2^48 r2 + d2 is
+      within 1 of sqrt(A).  With d1 d2 = 2^48 hi + lo, the int64 c1 = 2^48 e1
+      + e0 - 2 g d2 - 2 hi, under 2^56, gives A - r3^2 = 2^96 c1 + 2^48 (a4 -
+      2 lo) + a5 - d2^2 + rest, summed in float from those five parts.
+
+    So x = (A - r3^2) / (2 r3) in float, and sqrt(A) - r3 = (A - r3^2) / (r3
+    + sqrt A) differs from it by under x^2 / r3.  Each part is within 2^-52
+    of its value relative, their sum within 5 rounding steps, r3 and the
+    quotient within 4, so err = 2^-50 (sum |part| / r3 + |x|) + x^2 / r3
+    bounds the error of x, under 2^-49 when g > 2^45.
+    """
+    a0, a1, a2 = (v.view(np.uint64) for v in a[:3])
+    base = 2.0**_DIGIT
+    g = np.sqrt(a[0] * base + a[1])
+    np.rint(g, out=g)
+    gu = g.astype(np.uint64)
+    rho1 = ((a0 << _DIGIT) + a1 - gu * gu).view(np.int64)
+    h = rho1 * base + a[2]
+    h /= 2 * g
+    h -= h * h / (2 * base * g)
+    d1 = np.rint(h, out=h).astype(np.int64)
+    del h  # temporaries go as soon as they are spent: a chunk's peak memory
+    s1 = (rho1.view(np.uint64) << _DIGIT) + a2 - 2 * gu * d1.view(np.uint64)
+    del rho1
+    hi, lo = _product(d1, d1)
+    e1 = s1.view(np.int64) - hi
+    e0 = a[3] - lo
+    del s1, hi, lo
+    r2 = g * base + d1
+    d2 = (e1 * base + e0) * base + a[4]
+    d2 /= 2 * r2
+    d2 = np.rint(d2, out=d2).astype(np.int64)
+    hi, lo = _product(d1, d2)
+    c1 = ((e1.view(np.uint64) << _DIGIT) + e0.view(np.uint64)
+          - 2 * gu * d2.view(np.uint64)).view(np.int64) - 2 * hi
+    del gu, e1, e0, hi
+    r3 = r2 * base + d2
+    del r2
+    parts = [c1 * base**2, (a[4] - 2 * lo) * base, a[5] * 1.0,
+             -d2 * d2.astype(np.float64), rest]
+    del c1, lo
+    x = sum(parts) / (2 * r3)
+    err = (sum(map(abs, parts)) / r3 + abs(x)) * 2.0**-50 + x * x / r3
+    return g.astype(np.int64), d1, d2, x, err
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 (hi, lo) with x y = 2^48 hi + lo exactly, for |x|, |y| < 2^53.
+
+    hi rounds the float product, within 2^53 of x y, so |lo| < 2^54 and
+    int64 arithmetic mod 2^64 gives lo exactly.
+    """
+    hi = np.rint(x * y.astype(np.float64) * 2.0**-_DIGIT).astype(np.int64)
+    lo = x.view(np.uint64) * y.view(np.uint64) - (hi.view(np.uint64) << _DIGIT)
+    return hi, lo.view(np.int64)
+
+
+# The root's float part is carried as an integer of 2^-56 units: |x| < 2^6.
+_X_BITS = 56
+
+
+def _root_terms(ks: np.ndarray, c: int, j: int):
+    """(terms, p, rel, ok): k^(c/2^j) 2^p is the sum of the (int64 array,
+    exponent) terms within rel relative, for each k where ok holds.
+
+    c is odd and below 2^j.  Its bits, lowest first, give the roots of a
+    Horner chain: w = sqrt(k), then w = sqrt(k^(c_i) w) for i = 1 .. j-1.  Each
+    radicand is spread over six 48-bit digits by `_digits`, shifted by one
+    even power of two for the whole chunk so that its largest top part A0 is
+    below 2^104, and rooted by `_sqrt_digits`.  A radicand's relative error
+    halves in the root, and the root adds err / (g 2^96) of its own and 2^-57
+    from cutting x to 2^-56.  Where A0 < 2^64, too far below the chunk's
+    largest term for the steps' bounds, ok is false.
+    """
+    terms = [(ks, 0)]
+    p = 0
+    rel = 0.0
+    ok = np.ones(ks.size, dtype=bool)
+    top_bits = int(ks.max()).bit_length()  # the radicand is below 2^top_bits
+    for i in range(j):
+        if i and (c >> i) & 1:
+            terms = [(ks * part, e + sh) for v, e in terms
+                     for part, sh in ((v >> 31, 31), (v & ((1 << 31) - 1), 0))]
+        shift = 5 * _DIGIT + 56 - top_bits
+        shift -= (shift + p) & 1
+        rows, rest = _digits([(v, e + shift) for v, e in terms], 6)
+        a = [np.int64(0) if r is None else r for r in rows]
+        good = a[0] * 2.0**_DIGIT + a[1] >= 2.0**64
+        if not good.all():  # give those a harmless radicand; ok excludes them
+            ok &= good
+            a = [np.where(good, r, 0) for r in a]
+            a[0][~good] = 1 << 56
+            rest = np.where(good, rest, 0.0)
+        g, d1, d2, x, err = _sqrt_digits(a, rest)
+        p = (p + shift) >> 1
+        rel = rel / 2 + (err + 2.0**-_X_BITS) / (g * 2.0 ** (2 * _DIGIT))
+        terms = [(g, 2 * _DIGIT), (d1, _DIGIT), (d2, 0),
+                 (np.rint(x * 2.0**_X_BITS).astype(np.int64), -_X_BITS)]
+        top_bits = int(g.max()).bit_length() + 2 * _DIGIT + 1
+        if i + 1 < j and (c >> (i + 1)) & 1:
+            top_bits += int(ks.max()).bit_length()
+    return terms, p, rel, ok
+
+
+def _long_divide(rows: list, frac, ks: np.ndarray, power: int):
+    """(rows, phi): N / k^power = sum rows[i] 2^(48 (n-1-i)) + phi for N =
+    sum rows[i] 2^(48 (n-1-i)) + frac given as `_digits` gives it, the
+    quotient rows exact and phi in [0, 1] within 2^-50 of it relative per
+    pass, or None for frac None.  The rows given are consumed.
+
+    Long division (Knuth, TAOCP vol. 2, 4.3.1) by D = k^i < 2^62, i as large
+    as the chunk allows, pass after pass.  The remainder r < D starts at 0;
+    each digit u in [0, 2^48) takes the quotient digit floor((r 2^48 + u) /
+    D) < 2^48.  Its estimate, r (2^48 / D) + u / D with both ratios scaled
+    by 1 - 2^-49, is below the true ratio, as their float roundings come to
+    under 5 2^-53 of it, and above it less 1, so it is the digit or one less:
+    r 2^48 + u - q D, in uint64 mod 2^64, is in [0, 2D) and one compare
+    fixes q.  A pass's fraction, (r + phi) / D, carries the bits below 2^0.
+    """
+    kmax = int(ks.max())
+    i = 1
+    while kmax ** (i + 1) < 1 << 62:
+        i += 1
+    phi = frac
+    for step in [i] * (power // i) + [power % i] * bool(power % i):
+        d = ks.astype(np.uint64)
+        for _ in range(step - 1):
+            d *= ks.astype(np.uint64)
+        df = d.astype(np.float64)
+        scale = (2.0**_DIGIT * (1 - 2.0**-49)) / df
+        inv = (1 - 2.0**-49) / df
+        r = None  # until the first row, a remainder of 0
+        quotient = []
+        for n, u in enumerate(rows):
+            rows[n] = None  # each row goes once divided
+            if r is None:
+                if u is None:
+                    continue
+                est = u * inv
+                r = u.view(np.uint64)
+            else:
+                est = r.view(np.int64) * scale  # r < 2^62
+                r <<= np.uint64(_DIGIT)
+                if u is not None:
+                    est += u * inv
+                    r += u.view(np.uint64)
+            q = est.astype(np.int64).view(np.uint64)
+            r -= q * d
+            over = r >= d
+            q += over
+            np.minimum(r, r - d, out=r)  # r - d wraps above r where r < d
+            if quotient or q.any():  # leading zero rows are dropped
+                quotient.append(q)
+        if phi is not None:
+            phi = (r.view(np.int64) + phi) / df
+        rows = quotient or [q]
+    return rows, phi
+
+
+def _floor_terms(ks: np.ndarray, a: int, j: int, unit: int) -> tuple[list, dict]:
+    """(rows, exact): floor(2^unit k^(-a/2^j)) for the k at index i of ks is
+    sum rows[r][i] 2^(48 (n-1-r)) over the n uint64 rows, or exact[i] where
+    i is a key of exact (the rows hold 0 there).
+
+    With q + 1 = ceil(a / 2^j) and c = (q + 1) 2^j - a, each term is
+    floor(Y / k^(q+1)) for Y = 2^unit k^(c/2^j) (nested floors).  For j = 0,
+    Y = 2^unit and `_long_divide` gives every floor.  Otherwise Y is
+    `_root_terms` of k^(c/2^j) shifted into units, within rel relative, and
+    its division leaves the fraction phi, a sum of non-negative parts within
+    2^-48 of it relative: the floor is the quotient unless phi lies within
+    2 rel t + 2^-47 phi of 0, or 2 rel t + 2^-47 of 1, t the term.  A term
+    under one unit is 0 unless phi is near 1.  Those terms, and those the
+    root's bounds leave out, are found in Python integers instead: the floor
+    division of 2^(unit 2^j) by k^a, then j integer square roots.
+    """
+    if j == 0:
+        terms, p, rel, ok = [(np.ones(ks.size, dtype=np.int64), 0)], 0, 0.0, None
+        power = a
+    else:
+        power = -(-a >> j)
+        terms, p, rel, ok = _root_terms(ks, (power << j) - a, j)
+    shift = unit - p
+    # Y is below 2^bits: 2^unit for j = 0, and under 2^(bits of g + 96) + 2^99
+    # for a root
+    bits = int(terms[0][0].max()).bit_length() + terms[0][1] + shift + (j > 0)
+    rows, frac = _digits([(v, e + shift) for v, e in terms],
+                         max((bits - 1) // _DIGIT + 1, 1))
+    del terms
+    rows, phi = _long_divide(rows, None if ok is None else frac, ks, power)
+    exact: dict[int, int] = {}
+    if ok is not None:
+        if _DIGIT * len(rows) > 1000:  # no float bound on terms past 2^1000
+            ok[:] = False
+        else:  # t, the quotient plus phi, bounds the term from above
+            t = phi
+            for n, row in enumerate(reversed(rows)):
+                t = t + row * 2.0 ** (_DIGIT * n)
+            slack = 2 * rel * t * (1 + 2.0**-46)
+            ok &= (phi * (1 - 2.0**-47) >= slack) & (phi <= 1 - 2.0**-47 - slack)
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
+            for row in rows:
+                row[bad] = 0
+            num = 1 << (unit << j)
+            for i, k in zip(bad.tolist(), ks[bad].tolist()):
+                term = num // k**a
+                for _ in range(j):
+                    term = math.isqrt(term)
+                exact[i] = term
+    return rows, exact
 
 
 def _power_sum(ks: np.ndarray, s: float) -> tuple[int, int, int]:
@@ -188,30 +419,20 @@ def _unit_sum(ks: np.ndarray, s: float, unit: int) -> int:
     """The sum over ks of one integer per term, about 2^unit k^-s, which
     depends on k alone, so any split of ks sums to the same total.
 
-    On the `_exact_root` route each term is the exact floor of its units.
-    For integer s = a, the k with k^a < 2^62 (k at most `_one_limb_max(a)`,
-    an exact bound: k^a in uint64 would wrap) take `_limb_floor_sum`, every
-    other k one Python floor division, and both give the same integers;
-    s = a / 2^j with j >= 1 takes one Python floor division and j integer
-    square roots per term.  Otherwise each term is a `_mpf_power` of
-    FIX_BITS + 20 bits, its mantissa cut to whole units.
+    On the `_exact_root` route, s = a / 2^j, each term is the exact floor
+    of its units, floor(2^unit k^-s), from `_floor_terms` a FIX_CHUNK at
+    a time.  Otherwise each term is a `_mpf_power` of FIX_BITS + 20
+    bits, its mantissa cut to whole units.
     """
     chunks = (ks[lo:lo + FIX_CHUNK] for lo in range(0, ks.size, FIX_CHUNK))
     root = _exact_root(s)
     total = 0
     if root is not None:
-        a, j = root
-        num = 1 << (unit << j)
-        one_limb = _one_limb_max(a) if j == 0 else 0
         for chunk in chunks:
-            if one_limb:
-                small = chunk <= one_limb
-                total += _limb_floor_sum(chunk[small], a, unit)
-                chunk = chunk[~small]
-            terms = map(num.__floordiv__, map(pow, chunk.tolist(), repeat(a)))
-            for _ in range(j):
-                terms = map(math.isqrt, terms)
-            total += sum(terms)
+            rows, exact = _floor_terms(chunk, *root, unit)
+            for n, row in enumerate(reversed(rows)):
+                total += int(row.sum(dtype=np.uint64)) << (_DIGIT * n)
+            total += sum(exact.values())
         return total
     power = _mpf_power(s, FIX_BITS + 20)
     for k in chain.from_iterable(chunk.tolist() for chunk in chunks):

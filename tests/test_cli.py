@@ -690,12 +690,11 @@ OUTPUT_PINS = [
      "--seed", "3"],
     ["mc-zero-one", "--ell", "3", "--phi", "8", "--window", "1,300", "--samples", "2000",
      "--seed", "5"],
-    # Exact tails at dyadic s = a / 2^j, j = 1, 2, 3, whose terms take the
-    # j integer square roots: the benchmark's s = 2.5 tail; s = 2.25 and
-    # 2.125; s = 1.5 from k = 2, where a root's float seed lies nearest a
-    # floor it cannot decide; a = 63 with a unit near 2^-790; and a three-
-    # threshold table at s = 3.5.  Pinned while each term still took one
-    # Python division and j math.isqrt calls.
+    # Exact tails at dyadic s = a / 2^j, j = 1, 2, 3, whose terms are floors
+    # of 2^j-th roots: the benchmark's s = 2.5 tail; s = 2.25 and 2.125;
+    # s = 1.5 from k = 2, the widest span of k in one chunk; a = 63 with a
+    # unit near 2^-790; and a three-threshold table at s = 3.5.  Pinned
+    # while each term still took one Python division and j math.isqrt calls.
     ["pzeta-tail", "--ell", "1", "--s", "2.5", "--M", "100", "--cutoff", "3000000"],
     ["pzeta-tail", "--ell", "1", "--s", "2.25", "--M", "10", "--cutoff", "300000"],
     ["pzeta-tail", "--ell", "2", "--mode", "exactly", "--s", "2.125", "--M", "10",
@@ -721,8 +720,9 @@ def test_output_layer_pinned(capsys, argv):
 
 def test_cli_import_does_not_load_jsonschema():
     code = "import sys, primecf.cli; print('jsonschema' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
 
 

@@ -162,9 +162,19 @@ def test_fixed_point_sum_brackets_true_sum(monkeypatch, s, ks):
     assert upper - lower == (len(ks) if exact_route else len(ks) + 2 * bool(ks))
 
 
+def one_limb_max(a: int) -> int:
+    """The largest k with k^a < 2^62, found in exact integers."""
+    k = int(2.0 ** (62 / a))
+    while k ** a >= 1 << 62:
+        k -= 1
+    while (k + 1) ** a < 1 << 62:
+        k += 1
+    return k
+
+
 def around_one_limb_edge(a: int):
     """(a, ks): each k near the largest with k^a < 2^62, or up to 2^30."""
-    edge = zeta._one_limb_max(a)
+    edge = one_limb_max(a)
     near = st.integers(max(edge - 40, 2), edge + 40)
     return st.tuples(st.just(a), st.lists(near | st.integers(2, 2**30), min_size=1,
                                           max_size=30))
@@ -172,20 +182,22 @@ def around_one_limb_edge(a: int):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(a_ks=st.integers(2, 8).flatmap(around_one_limb_edge), m=st.sampled_from([1, 2, 4, 5]),
-       shift=st.sampled_from([-1, 0, 1]), chunk=st.integers(1, 9))
-# digits estimated one too low (2147433687) and one too high (the other ks)
-@example(a_ks=(2, [2147433687, 2147406070]), m=4, shift=1, chunk=1)
-@example(a_ks=(2, [79333]), m=2, shift=-1, chunk=2)
-@example(a_ks=(3, [8713]), m=2, shift=0, chunk=1)
-def test_limb_division_matches_per_term_floors(a_ks, m, shift, chunk):
-    # k^a on both sides of 2^62 and units around a multiple of the 40-bit
-    # limb: the numpy long division and the per-term floor division of
-    # 2^unit by k^a must give the same integers
+       shift=st.sampled_from([-1, 0, 1]), chunk=st.integers(1, 9),
+       digit=st.sampled_from([40, 48]))
+# digits of 40-bit limbs estimated one too low (2147433687) and one too high
+# (the other ks)
+@example(a_ks=(2, [2147433687, 2147406070]), m=4, shift=1, chunk=1, digit=40)
+@example(a_ks=(2, [79333]), m=2, shift=-1, chunk=2, digit=40)
+@example(a_ks=(3, [8713]), m=2, shift=0, chunk=1, digit=40)
+def test_limb_division_matches_per_term_floors(a_ks, m, shift, chunk, digit):
+    # k^a on both sides of 2^62, so one division pass or two, and units
+    # around a multiple of a digit: the numpy long division and the per-term
+    # floor division of 2^unit by k^a must give the same integers
     a, ks = a_ks
-    edge = zeta._one_limb_max(a)
+    edge = one_limb_max(a)
     assert edge ** a < 2**62 <= (edge + 1) ** a
     e = zeta._unit_exponent(min(ks), a)
-    unit = 40 * m + shift
+    unit = digit * m + shift
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zeta, "FIX_CHUNK", chunk)
         patch.setattr(zeta, "FIX_BITS", unit - e)
@@ -193,6 +205,57 @@ def test_limb_division_matches_per_term_floors(a_ks, m, shift, chunk):
     assert got_e == e
     assert lower == sum((1 << unit) // k**a for k in ks)
     assert upper == lower + len(ks)
+
+
+def exact_exponent(j: int):
+    """(a, j) with s = a / 2^j > 1 in lowest terms, a <= 64."""
+    if j == 0:
+        return st.tuples(st.integers(2, 64), st.just(0))
+    return st.tuples(st.integers(1 << (j - 1), 31).map(lambda h: 2 * h + 1), st.just(j))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(aj=st.integers(0, 3).flatmap(exact_exponent),
+       ks=st.lists(st.integers(2, 2**31 - 1) | st.integers(2, 5000)
+                   | st.sampled_from([2, 3, 10**9 - 1, 2**31 - 1]), min_size=1, max_size=25),
+       digit=st.sampled_from([32, 48]), drop=st.integers(-1, 3),
+       shift=st.sampled_from([-1, 0, 1]), chunk=st.integers(1, 9), undecided=st.just(()))
+# Terms the root's bound cannot decide: k = 2 far below the chunk's largest
+# radicand, whose seed the steps' bounds leave out; and terms far above 2^161
+# units, whose root is too coarse for their floor
+@example(aj=(17, 3), ks=[2, 2**31 - 1], digit=48, drop=0, shift=0, chunk=2,
+         undecided=(0,))
+@example(aj=(5, 1), ks=[2, 10**9 - 1], digit=48, drop=-1, shift=1, chunk=9,
+         undecided=(0,))
+@example(aj=(43, 2), ks=[1542839176], digit=48, drop=-1, shift=1, chunk=1,
+         undecided=(0,))
+def test_exact_route_floors_match_per_term_isqrt(aj, ks, digit, drop, shift, chunk,
+                                                 undecided):
+    # every floor of the numpy kernel, element by element, is the per-term
+    # Python expression: units around multiples of 32 and 48 bits, up to one
+    # digit above the unit of the least k, chunks of 1 to 9 terms
+    a, j = aj
+    s = a / 2**j
+    natural = FIX_BITS + zeta._unit_exponent(min(ks), s)
+    unit = max(digit * (natural // digit - drop) + shift, 1)
+    want = []
+    for k in ks:
+        term = (1 << (unit << j)) // k**a
+        for _ in range(j):
+            term = math.isqrt(term)
+        want.append(term)
+    arr = np.array(ks, dtype=np.int64)
+    for lo in range(0, len(ks), chunk):
+        rows, exact = zeta._floor_terms(arr[lo:lo + chunk], a, j, unit)
+        for i in range(min(chunk, len(ks) - lo)):
+            got = exact.get(i, 0)
+            for n, row in enumerate(reversed(rows)):
+                got += int(row[i]) << (48 * n)
+            assert got == want[lo + i], (ks[lo + i], unit)
+            assert lo + i not in undecided or i in exact
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeta, "FIX_CHUNK", chunk)
+        assert zeta._unit_sum(arr, s, unit) == sum(want)
 
 
 def test_fixed_point_units_and_chunking(monkeypatch):
